@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,6 +50,28 @@ class ExperimentConfig:
         return replace(self, **kwargs)
 
 
+def _integer(value, name: str, problems: list[str]) -> int | None:
+    """``value`` when it is an integer (bools are not), else None and a problem."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    problems.append(f"{name} must be an integer, got {value!r}")
+    return None
+
+
+def _finite(value, name: str, problems: list[str]) -> float | None:
+    """``value`` as a float when it is a finite number (bools are not), else
+    None and a problem."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    problems.append(f"{name} must be a finite number, got {value!r}")
+    return None
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     """Apply defaults and enumerate every invariant violation at once."""
     if not isinstance(raw, dict):
@@ -75,16 +98,23 @@ def validate_config(raw: dict) -> ExperimentConfig:
     elif decomposition == "ising-local" and model is not None and not isinstance(model, IsingParams):
         problems.append("decomposition 'ising-local' requires an ising model")
 
-    beta_grid = tuple(float(b) for b in raw.get("beta_grid", DEFAULT_BETA_GRID))
-    if not beta_grid:
+    grid = raw.get("beta_grid", list(DEFAULT_BETA_GRID))
+    beta_grid: tuple[float, ...] = ()
+    if not isinstance(grid, list):
+        problems.append(f"beta_grid must be a list of numbers, got {grid!r}")
+    elif not grid:
         problems.append("beta_grid must not be empty")
-    if any(b < 0 for b in beta_grid):
-        problems.append("beta_grid values must be >= 0")
-    if any(b2 <= b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):
-        problems.append(f"beta_grid must be strictly increasing, got {list(beta_grid)}")
+    else:
+        betas = [_finite(b, "beta_grid values", problems) for b in grid]
+        if None not in betas:
+            beta_grid = tuple(betas)
+        if any(b < 0 for b in beta_grid):
+            problems.append("beta_grid values must be >= 0")
+        if any(b2 <= b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):
+            problems.append(f"beta_grid must be strictly increasing, got {list(beta_grid)}")
 
-    n_steps = int(raw.get("n_steps", 200))
-    if n_steps < 1:
+    n_steps = _integer(raw.get("n_steps", 200), "n_steps", problems)
+    if n_steps is not None and n_steps < 1:
         problems.append(f"n_steps must be >= 1, got {n_steps}")
 
     strategy = str(raw.get("strategy", "A"))
@@ -94,25 +124,25 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if mode not in MODES:
         problems.append(f"mode must be one of {list(MODES)}, got {mode!r}")
 
-    trials = int(raw.get("trials", 10000))
-    if mode == "sampled" and trials < 1:
+    trials = _integer(raw.get("trials", 10000), "trials", problems)
+    if mode == "sampled" and trials is not None and trials < 1:
         problems.append(f"sampled mode needs trials >= 1, got {trials}")
     if mode == "sampled" and "seed" not in raw:
         problems.append("sampled mode needs an explicit seed")
-    seed = int(raw.get("seed", 0))
-    if seed < 0:
+    seed = _integer(raw.get("seed", 0), "seed", problems)
+    if seed is not None and seed < 0:
         problems.append(f"seed must be >= 0, got {seed}")
 
-    epsilon = float(raw.get("epsilon", 0.2))
-    if not 0.0 < epsilon < 2.0:
+    epsilon = _finite(raw.get("epsilon", 0.2), "epsilon", problems)
+    if epsilon is not None and not 0.0 < epsilon < 2.0:
         problems.append(f"epsilon must be in (0, 2), got {epsilon}")
 
-    degeneracy_tol = float(raw.get("degeneracy_tol", 1e-10))
-    if degeneracy_tol <= 0:
+    degeneracy_tol = _finite(raw.get("degeneracy_tol", 1e-10), "degeneracy_tol", problems)
+    if degeneracy_tol is not None and degeneracy_tol <= 0:
         problems.append(f"degeneracy_tol must be > 0, got {degeneracy_tol}")
 
-    parallel = int(raw.get("parallel", 1))
-    if parallel < 1:
+    parallel = _integer(raw.get("parallel", 1), "parallel", problems)
+    if parallel is not None and parallel < 1:
         problems.append(f"parallel width must be >= 1, got {parallel}")
 
     if problems:

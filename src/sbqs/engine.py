@@ -1,8 +1,9 @@
-"""Protocol engine: controlled-SWAP channels with post-selection.
+"""Protocol engine: post-selected controlled-SWAP steps in closed form.
 
 A Hamiltonian decomposition drives a Trotterized nonunitary update of the
-simulator state.  Each sub-step attaches a fresh control qubit, couples the
-simulator to a resource state through a controlled-SWAP channel, and
+simulator state.  Each sub-step prepares a control qubit
+(|0> - delta |1>)/sqrt(1 + delta^2), swaps a fresh resource state rho into
+the simulator when the control is set, traces the resource out, and
 post-selects a control measurement:
 
 - strategy "A" measures after every sub-step;
@@ -11,11 +12,21 @@ post-selects a control measurement:
   uniform superposition over {all-zeros, one-hots}.  Measurements are never
   deferred across Trotter steps.
 
-Two state representations are available: "faithful" carries the control
-register explicitly (channels absorb the resources, so memory tops out at
-2^l * d per strategy-B step), "effective" applies the first-order update
-(I - delta*rho) directly.  "sampled" evolves like "effective" and leaves the
-accept/reject randomness to :func:`sample_run`.
+After the trace-out the control ⊗ simulator state has the blocks
+[[sigma, -delta sigma rho], [-delta rho sigma, delta^2 rho ⊗ Tr_S sigma]] / (1 + delta^2),
+so every post-selected state is a polynomial in delta of a few products of
+sigma with the embedded resource, and the engine computes it directly:
+
+- "faithful" keeps the term rho ⊗ Tr_S sigma (the support qubits of sigma
+  replaced by rho), which is what the circuit produces;
+- "effective" puts rho sigma rho in its place, which gives the first-order
+  update (I - delta rho) sigma (I - delta rho);
+- "sampled" evolves like "effective" and leaves the accept/reject randomness
+  to :func:`sample_run`.
+
+No control register or Kraus operator is built, so faithful strategy B runs
+at any size the dense simulator state allows.  :func:`cswap_channel` keeps
+the Kraus form of one controlled-SWAP as a reference for tests.
 """
 
 from __future__ import annotations
@@ -27,15 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ExtinctionError, PlanError
+from .errors import ExtinctionError, PlanError
 from .hamiltonian import ResourceDecomposition, ResourceTerm
 from .linalg import (
-    RegisterLayout,
     check_density_matrix,
     dag,
     embed_operator,
     hermitian_eig,
-    kron,
     qubit_layout,
 )
 
@@ -47,9 +56,6 @@ EXTINCTION_P = 1e-14
 
 #: make_plan warns when any |delta| exceeds this.
 DELTA_WARN = 0.1
-
-#: Total qubit budget (controls + simulator) for faithful strategy-B steps.
-DEFAULT_FAITHFUL_QUBIT_CAP = 12
 
 _EIG_DROP = 1e-15
 
@@ -106,23 +112,67 @@ def cswap_channel(rho: np.ndarray, support: tuple[int, ...], n_sites: int) -> li
     return kraus
 
 
-def apply_channel(state: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(state)
-    for k in kraus:
-        out += k @ state @ dag(k)
-    return out
+def replace_support(sigma: np.ndarray, rho: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
+    """rho ⊗ Tr_S sigma: the ``support`` qubits of ``sigma`` traced out and
+    replaced by ``rho``, whose qubit m sits on site ``support[m]``.
+
+    This is what a controlled-SWAP with its control set leaves on the
+    simulator once the resource is traced out.  The trace and the product are
+    taken on the 2n-axis qubit tensor, so no operator on the full register is
+    built.
+    """
+    dim = sigma.shape[0]
+    n = dim.bit_length() - 1
+    k = len(support)
+    tied = list(range(2 * n))
+    for q in support:
+        tied[n + q] = q  # one label on the row and column axes of q sums its diagonal
+    kept = [q for q in range(n) if q not in support]
+    rest = np.einsum(sigma.reshape((2,) * 2 * n), tied, kept + [n + q for q in kept])
+    # both factors broadcast onto all 2n axes, with size 1 where the other one lives
+    order = sorted(range(k), key=support.__getitem__)
+    rho_t = rho.reshape((2,) * 2 * k).transpose(order + [k + m for m in order])
+    on_support = [2 if q in support else 1 for q in range(n)] * 2
+    off_support = [1 if q in support else 2 for q in range(n)] * 2
+    return (rho_t.reshape(on_support) * rest.reshape(off_support)).reshape(dim, dim)
 
 
-def _project_controls(xi: np.ndarray, control_dim: int, sim_dim: int, w: np.ndarray) -> np.ndarray:
-    """<w| xi |w> over the control factor, leaving the simulator block."""
-    xi4 = xi.reshape(control_dim, sim_dim, control_dim, sim_dim)
-    return np.einsum("a,aibj,b->ij", w.conj(), xi4, w)
+def _embed(term: ResourceTerm, n_sites: int) -> np.ndarray:
+    return embed_operator(term.rho, qubit_layout(n_sites), [f"q{s}" for s in term.support])
 
 
 def _check_probability(p: float, step_id: str) -> float:
     if p <= EXTINCTION_P:
         raise ExtinctionError(f"post-selection probability {p:.3e} at step {step_id}")
     return min(p, 1.0)
+
+
+def _sub_step(
+    sigma: np.ndarray, term: ResourceTerm, delta: float, rho_emb: np.ndarray, faithful: bool
+) -> tuple[np.ndarray, float, float]:
+    """Unnormalized state after one sub-step post-selected on |+>, its trace
+    (the post-selection probability), and the paper-formula probability
+    Tr[(I - delta rho) sigma (I - delta rho)] / 2.
+
+    Faithful: (sigma - delta {rho, sigma} + delta^2 rho ⊗ Tr_S sigma) / (2 (1 + delta^2)),
+    whose trace has Tr sigma in the delta^2 term.
+    Effective: (sigma - delta {rho, sigma} + delta^2 rho sigma rho) / 2, whose
+    trace is the formula probability.  Both are linear in ``sigma``, which
+    need not have unit trace.
+    """
+    sr = sigma @ rho_emb
+    tr_s, tr_sr = sigma.trace().real, sr.trace().real
+    tr_rsr = np.vdot(rho_emb, sr).real  # Tr rho sigma rho
+    if faithful:
+        second, tr_second = replace_support(sigma, term.rho, term.support), tr_s
+        scale = 2 * (1 + delta * delta)
+    else:
+        second, tr_second, scale = rho_emb @ sr, tr_rsr, 2.0
+    # rho sigma = (sigma rho)^dagger for Hermitian rho and sigma
+    raw = (sigma - delta * (sr + dag(sr)) + (delta * delta) * second) / scale
+    p = float(tr_s - 2 * delta * tr_sr + delta * delta * tr_second) / scale
+    p_formula = float(tr_s - 2 * delta * tr_sr + delta * delta * tr_rsr) / 2
+    return raw, p, p_formula
 
 
 @dataclass(frozen=True)
@@ -142,38 +192,32 @@ def step_strategy_a(
 ) -> StepResult:
     """One measured sub-step with a single resource term.
 
-    Faithful mode attaches the control, applies the controlled-SWAP channel,
-    projects the control onto |+><+| and renormalizes; the probability is the
-    pre-normalization trace.  Effective mode applies
-    sigma -> (I - delta rho) sigma (I - delta rho) with probability Tr/2.
-    The formula probability (the Tr/2 convention) is reported in both modes.
+    The probability is the trace of the unnormalized post-selected state
+    (see :func:`_sub_step`); the state is renormalized.  The formula
+    probability (the Tr/2 convention) is reported in both modes and equals
+    the probability in effective mode.  ``rho_emb`` is ``term.rho`` embedded
+    on the full register, built here when not given.  ``kraus`` is ignored:
+    the closed form needs no Kraus operators, and the keyword stays only for
+    callers written against the earlier Kraus engine.
     """
-    dim = sigma.shape[0]
-    n_sites = dim.bit_length() - 1
-    if rho_emb is None:
-        layout = qubit_layout(n_sites)
-        rho_emb = embed_operator(term.rho, layout, [f"q{s}" for s in term.support])
-
-    a_op = np.eye(dim, dtype=complex) - delta * rho_emb
-    contracted = a_op @ sigma @ dag(a_op)
-    p_formula = float(np.trace(contracted).real) / 2.0
-
-    if mode in ("effective", "sampled"):
-        trace = float(np.trace(contracted).real)
-        p = _check_probability(p_formula, "sub-step")
-        return StepResult(contracted / trace, p, p)
-    if mode != "faithful":
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if rho_emb is None:
+        rho_emb = _embed(term, sigma.shape[0].bit_length() - 1)
+    faithful = mode == "faithful"
+    raw, trace, p_formula = _sub_step(sigma, term, delta, rho_emb, faithful)
+    p = _check_probability(trace, "sub-step")
+    return StepResult(raw / trace, p, p_formula if faithful else p)
 
-    if kraus is None:
-        kraus = cswap_channel(term.rho, term.support, n_sites)
-    psi = control_state(delta)
-    joint = kron(np.outer(psi, psi.conj()), sigma, cap=2 * dim)
-    xi = apply_channel(joint, kraus)
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    raw = _project_controls(xi, 2, dim, plus)
-    p_exact = _check_probability(float(np.trace(raw).real), "sub-step")
-    return StepResult(raw / np.trace(raw).real, p_exact, p_formula)
+
+def _coherent_operator(
+    dim: int, terms: list[tuple[ResourceTerm, float]], rho_embs: list[np.ndarray]
+) -> np.ndarray:
+    """A = I - sum_i delta_i rho_i on the full register."""
+    a_op = np.eye(dim, dtype=complex)
+    for (_, delta), emb in zip(terms, rho_embs):
+        a_op = a_op - delta * emb
+    return a_op
 
 
 def step_strategy_b(
@@ -183,76 +227,54 @@ def step_strategy_b(
     mode: str = "faithful",
     embedded_kraus: list[list[np.ndarray]] | None = None,
     rho_embs: list[np.ndarray] | None = None,
-    qubit_cap: int = DEFAULT_FAITHFUL_QUBIT_CAP,
+    a_op: np.ndarray | None = None,
 ) -> StepResult:
     """One deferred-measurement Trotter step over all ``terms``.
 
-    Faithful mode attaches one control per term, applies every channel, then
-    projects the control register onto |+>^l ("local") or onto the uniform
-    superposition over the all-zeros and one-hot basis states ("global").
     Effective mode applies A sigma A with A = I - sum_i delta_i rho_i and
-    probability Tr/(l+1) (global) or Tr/2^l (local).
+    probability Tr/(l+1) (global) or Tr/2^l (local); that is also the
+    reported formula probability in faithful mode.  Faithful mode gives the
+    state after one control per term, every controlled-SWAP, and the
+    projection of the control register onto the uniform superposition over
+    the all-zeros and one-hot states ("global"):
+    (A sigma A + sum_i delta_i^2 (rho_i ⊗ Tr_Si sigma - rho_i sigma rho_i))
+    / ((l+1) prod_i (1 + delta_i^2)); or onto |+>^l ("local"): the faithful
+    strategy-A sub-steps in term order, renormalized only at the end.
+
+    ``rho_embs`` and ``a_op`` are built here when not given.
+    ``embedded_kraus`` is ignored, like ``kraus`` in :func:`step_strategy_a`.
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     ell = len(terms)
-    dim = sigma.shape[0]
-    n_sites = dim.bit_length() - 1
-
     if rho_embs is None:
-        layout = qubit_layout(n_sites)
-        rho_embs = [
-            embed_operator(t.rho, layout, [f"q{s}" for s in t.support]) for t, _ in terms
-        ]
-    a_op = np.eye(dim, dtype=complex)
-    for (term, delta), emb in zip(terms, rho_embs):
-        a_op = a_op - delta * emb
+        n_sites = sigma.shape[0].bit_length() - 1
+        rho_embs = [_embed(t, n_sites) for t, _ in terms]
+    if a_op is None:
+        a_op = _coherent_operator(sigma.shape[0], terms, rho_embs)
     contracted = a_op @ sigma @ dag(a_op)
     denom = float(ell + 1) if measurement == "global" else float(2**ell)
-    p_formula = float(np.trace(contracted).real) / denom
+    trace = float(np.trace(contracted).real)
+    p_formula = trace / denom
 
-    if mode in ("effective", "sampled"):
-        trace = float(np.trace(contracted).real)
+    if mode != "faithful":
         p = _check_probability(p_formula, "step")
         return StepResult(contracted / trace, p, p)
-    if mode != "faithful":
-        raise ValueError(f"unknown mode {mode!r}")
 
-    if 2**ell * dim > 2**qubit_cap:
-        raise CapacityError(
-            f"faithful strategy B needs {ell + n_sites} qubits > cap {qubit_cap}; "
-            "use effective mode"
-        )
-    big_layout = RegisterLayout(
-        tuple((f"c{i + 1}", 2) for i in range(ell)) + (("S", dim),)
-    )
-    if embedded_kraus is None:
-        embedded_kraus = []
-        for i, (term, _) in enumerate(terms):
-            ks = cswap_channel(term.rho, term.support, n_sites)
-            embedded_kraus.append(
-                [embed_operator(k, big_layout, [f"c{i + 1}", "S"]) for k in ks]
-            )
-
-    controls = np.array([1.0], dtype=complex)
-    for _, delta in terms:
-        controls = np.kron(controls, control_state(delta))
-    state = np.kron(np.outer(controls, controls.conj()), sigma)
-    for ks in embedded_kraus:
-        state = apply_channel(state, ks)
-
-    c_dim = 2**ell
     if measurement == "local":
-        w = np.full(c_dim, 1.0 / math.sqrt(c_dim), dtype=complex)
+        raw = sigma
+        for (term, delta), emb in zip(terms, rho_embs):
+            raw = _sub_step(raw, term, delta, emb, faithful=True)[0]
     else:
-        w = np.zeros(c_dim, dtype=complex)
-        w[0] = 1.0
-        for i in range(ell):
-            w[2 ** (ell - 1 - i)] = 1.0  # control i+1 set, all others zero
-        w /= math.sqrt(ell + 1)
-    raw = _project_controls(state, c_dim, dim, w)
-    p_exact = _check_probability(float(np.trace(raw).real), "step")
-    return StepResult(raw / np.trace(raw).real, p_exact, p_formula)
+        raw = contracted
+        for (term, delta), emb in zip(terms, rho_embs):
+            leak = replace_support(sigma, term.rho, term.support) - emb @ sigma @ emb
+            raw = raw + (delta * delta) * leak
+        raw = raw / (denom * math.prod(1 + delta * delta for _, delta in terms))
+    trace = float(np.trace(raw).real)
+    return StepResult(raw / trace, _check_probability(trace, "step"), p_formula)
 
 
 @dataclass(frozen=True)
@@ -374,19 +396,14 @@ class Trajectory:
         return self.snapshots[-1] if self.snapshots else self.initial_state
 
 
-def run(
-    plan: TrotterPlan,
-    sigma0: np.ndarray,
-    seed: int = 0,
-    qubit_cap: int = DEFAULT_FAITHFUL_QUBIT_CAP,
-) -> Trajectory:
+def run(plan: TrotterPlan, sigma0: np.ndarray) -> Trajectory:
     """Execute the plan on initial state ``sigma0``.
 
     Strategy B applies its measurement at the end of every Trotter step; the
     ledger records faithful-exact and paper-formula probabilities for each
-    measurement.  Deterministic: ``seed`` only matters to :func:`sample_run`.
+    measurement.  Deterministic: the post-selected branch has no randomness,
+    which :func:`sample_run` adds on top.
     """
-    del seed  # deterministic conditioned on post-selection success
     t0 = time.perf_counter()
     dec = plan.decomposition
     dim = 2**dec.n
@@ -395,31 +412,10 @@ def run(
         raise ValueError(f"state shape {sigma0.shape} does not match {dec.n} sites")
     check_density_matrix(sigma0, trace=1.0, trace_atol=1e-8)
 
-    layout = qubit_layout(dec.n)
-    rho_embs = [
-        embed_operator(t.rho, layout, [f"q{s}" for s in t.support]) for t in dec.terms
-    ]
     steps = [(dec.terms[i], delta) for i, delta in plan.sub_steps]
-    faithful = plan.mode == "faithful"
-
-    kraus_a: list[list[np.ndarray]] | None = None
-    kraus_b: list[list[np.ndarray]] | None = None
-    if faithful and plan.strategy == "A":
-        kraus_a = [cswap_channel(t.rho, t.support, dec.n) for t, _ in steps]
-    if faithful and plan.strategy != "A" and steps:
-        ell = len(steps)
-        if 2**ell * dim > 2**qubit_cap:
-            raise CapacityError(
-                f"faithful strategy B needs {ell + dec.n} qubits > cap {qubit_cap}; "
-                "use effective mode"
-            )
-        big_layout = RegisterLayout(
-            tuple((f"c{i + 1}", 2) for i in range(ell)) + (("S", dim),)
-        )
-        kraus_b = []
-        for i, (t, _) in enumerate(steps):
-            ks = cswap_channel(t.rho, t.support, dec.n)
-            kraus_b.append([embed_operator(k, big_layout, [f"c{i + 1}", "S"]) for k in ks])
+    rho_embs = [_embed(t, dec.n) for t, _ in steps]
+    # strategy B's coherent operator only depends on the row's deltas
+    a_op = _coherent_operator(dim, steps, rho_embs) if plan.strategy != "A" else None
 
     sigma = sigma0.copy()
     ledger = ProbabilityLedger()
@@ -427,15 +423,8 @@ def run(
     measurement = "local" if plan.strategy == "B-local" else "global"
     for step in range(plan.n_steps):
         if plan.strategy == "A":
-            for k, (term, delta) in enumerate(steps):
-                res = step_strategy_a(
-                    sigma,
-                    term,
-                    delta,
-                    mode=plan.mode,
-                    kraus=kraus_a[k] if kraus_a is not None else None,
-                    rho_emb=rho_embs[plan.sub_steps[k][0]],
-                )
+            for k, ((term, delta), emb) in enumerate(zip(steps, rho_embs)):
+                res = step_strategy_a(sigma, term, delta, mode=plan.mode, rho_emb=emb)
                 sigma = res.state
                 step_id = f"{step + 1}.{k + 1}"
                 ledger.record(step_id, res.probability, "faithful-exact")
@@ -446,9 +435,8 @@ def run(
                 steps,
                 measurement=measurement,
                 mode=plan.mode,
-                embedded_kraus=kraus_b,
-                rho_embs=[rho_embs[i] for i, _ in plan.sub_steps],
-                qubit_cap=qubit_cap,
+                rho_embs=rho_embs,
+                a_op=a_op,
             )
             sigma = res.state
             ledger.record(f"{step + 1}", res.probability, "faithful-exact")

@@ -1,13 +1,16 @@
 """Independent reference constructions used to check the library.
 
 Everything here is deliberately built from first principles (permutation
-unitaries, explicit einsum traces, power series) rather than through the
-code paths under test.
+unitaries, explicit einsum traces, power series) or from references pinned to
+them, rather than through the code paths under test.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from sbqs.engine import cswap_channel
+from sbqs.linalg import RegisterLayout, embed_operator
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -108,6 +111,41 @@ def cswap_reference_state(
     out = u @ state @ dagger(u)
     tensor = out.reshape(2, d_r, d, 2, d_r, d)
     return np.einsum("aribrj->aibj", tensor).reshape(2 * d, 2 * d)
+
+
+def deferred_cswap_state(sigma: np.ndarray, terms, measurement: str) -> np.ndarray:
+    """Unnormalized simulator state after one deferred-measurement step, by
+    the Kraus route.
+
+    One control per (term, delta) starts in (|0> - delta |1>)/sqrt(1 + delta^2);
+    each term's controlled-SWAP Kraus set (``cswap_channel``, which the engine
+    tests pin to :func:`cswap_unitary`) is embedded on its control and the
+    simulator and applied in term order; the control register is then
+    projected onto |+>^l ("local") or onto the uniform superposition over the
+    all-zeros and one-hot states ("global").
+    """
+    ell = len(terms)
+    d = sigma.shape[0]
+    n = d.bit_length() - 1
+    layout = RegisterLayout(tuple((f"c{i}", 2) for i in range(ell)) + (("S", d),))
+    controls = np.array([1.0], dtype=complex)
+    for _, delta in terms:
+        controls = np.kron(controls, np.array([1.0, -delta]) / np.sqrt(1.0 + delta * delta))
+    state = np.kron(np.outer(controls, controls.conj()), sigma)
+    for i, (term, _) in enumerate(terms):
+        kraus = [embed_operator(k, layout, [f"c{i}", "S"])
+                 for k in cswap_channel(term.rho, term.support, n)]
+        state = sum(k @ state @ dagger(k) for k in kraus)
+    c_dim = 2**ell
+    if measurement == "local":
+        w = np.ones(c_dim, dtype=complex)
+    else:
+        w = np.zeros(c_dim, dtype=complex)
+        w[0] = 1.0
+        for i in range(ell):
+            w[2 ** (ell - 1 - i)] = 1.0  # control i set, all others zero
+    w /= np.linalg.norm(w)
+    return np.einsum("a,aibj,b->ij", w.conj(), state.reshape(c_dim, d, c_dim, d), w)
 
 
 def exp_series(h: np.ndarray, terms: int) -> np.ndarray:

@@ -22,7 +22,15 @@ import sbqs
 from sbqs.bounds import bures_distance_sm, expansion_error_report, product_error_report
 from sbqs.cli import main
 from sbqs.config import validate_config
-from sbqs.engine import cswap_channel, control_state, make_plan, run, sample_run, step_strategy_a, step_strategy_b
+from sbqs.engine import (
+    control_state,
+    make_plan,
+    replace_support,
+    run,
+    sample_run,
+    step_strategy_a,
+    step_strategy_b,
+)
 from sbqs.exact import bures_distance, exact_ite, fidelity, ground, ground_projector
 from sbqs.experiment import run_experiment, uniform_state
 from sbqs.hamiltonian import (
@@ -38,7 +46,7 @@ from sbqs.hamiltonian import (
     densify,
     shift_to_positive,
 )
-from sbqs.linalg import dag, hermitian_eig
+from sbqs.linalg import dag, embed_operator, hermitian_eig, qubit_layout
 
 from oracles import (
     cswap_reference_state,
@@ -60,9 +68,15 @@ def report(number: int, name: str, ok: bool, started: float, budget: float, deta
 
 
 def test_criterion_1_channel_exactness():
+    """The joint control ⊗ simulator state the engine's closed form rests on,
+    [[sigma, -delta sigma rho], [-delta rho sigma, delta^2 rho ⊗ Tr_S sigma]] / (1 + delta^2),
+    with the engine's own support replacement, against the explicit
+    controlled-SWAP unitary with the resource traced out; and the engine's
+    faithful strategy-A output against that reference projected onto |+>."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     for _ in range(100):
         n = int(rng.integers(1, 3))
         k = int(rng.integers(1, n + 1))
@@ -71,11 +85,16 @@ def test_criterion_1_channel_exactness():
         sigma = random_density(rng, 2**n)
         delta = float(rng.uniform(-0.2, 0.2))
         psi = control_state(delta)
-        kraus = cswap_channel(rho, support, n)
-        joint = np.kron(np.outer(psi, psi.conj()), sigma)
-        via_channel = sum(K @ joint @ dag(K) for K in kraus)
+        rho_emb = embed_operator(rho, qubit_layout(n), [f"q{s}" for s in support])
+        block = np.block([
+            [sigma, -delta * sigma @ rho_emb],
+            [-delta * rho_emb @ sigma, delta**2 * replace_support(sigma, rho, support)],
+        ]) / (1 + delta**2)
         via_unitary = cswap_reference_state(rho, support, n, psi, sigma)
-        worst = max(worst, trace_distance(via_channel, via_unitary))
+        projected = np.einsum("a,aibj,b->ij", plus, via_unitary.reshape(2, 2**n, 2, 2**n), plus)
+        step = step_strategy_a(sigma, ResourceTerm(1.0, rho, support, "r"), delta, "faithful")
+        worst = max(worst, trace_distance(block, via_unitary),
+                    trace_distance(step.state * step.probability, projected))
     report(1, "channel-exactness", worst <= 1e-12, t0, 10.0,
            f"worst trace distance {worst:.2e} over 100 triples")
 

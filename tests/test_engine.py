@@ -11,7 +11,7 @@ from sbqs.engine import (
     step_strategy_a,
     step_strategy_b,
 )
-from sbqs.errors import CapacityError, ExtinctionError, PlanError
+from sbqs.errors import ExtinctionError, PlanError
 from sbqs.exact import bures_distance, exact_ite
 from sbqs.hamiltonian import (
     RHO_X,
@@ -28,6 +28,7 @@ from sbqs.linalg import dag
 from oracles import (
     cswap_reference_state,
     cswap_unitary,
+    deferred_cswap_state,
     random_density,
     random_pure_density,
     single_site_swap,
@@ -184,10 +185,29 @@ class TestStepB:
         out = a @ PLUS @ a
         assert res.probability == pytest.approx(np.trace(out).real / 4, abs=1e-14)
 
-    def test_capacity_cap(self):
-        terms = [(t, 0.0) for t in toy_decomposition(12).terms]
-        with pytest.raises(CapacityError, match="effective"):
-            step_strategy_b(PLUS, terms, "global", "faithful")
+    @pytest.mark.parametrize("measurement", ["global", "local"])
+    def test_faithful_matches_kraus_composition(self, measurement):
+        # random terms on n <= 2 qubits with overlapping supports and resources
+        # of every rank, against the multi-control Kraus route
+        rng = np.random.default_rng(12 if measurement == "global" else 13)
+        worst_state = worst_p = 0.0
+        for _ in range(40):
+            n = int(rng.integers(1, 3))
+            terms = []
+            for i in range(int(rng.integers(1, 5))):
+                k = int(rng.integers(1, n + 1))
+                support = tuple(int(s) for s in rng.permutation(n)[:k])
+                shape = (2**k, int(rng.integers(1, 2**k + 1)))  # the rank
+                g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                rho = g @ dag(g) / np.trace(g @ dag(g)).real
+                terms.append((ResourceTerm(1.0, rho, support, f"t{i}"), float(rng.uniform(-0.2, 0.2))))
+            sigma = random_density(rng, 2**n)
+            res = step_strategy_b(sigma, terms, measurement, "faithful")
+            want = deferred_cswap_state(sigma, terms, measurement)
+            worst_state = max(worst_state, np.max(np.abs(res.state * res.probability - want)))
+            worst_p = max(worst_p, abs(res.probability - np.trace(want).real))
+        assert worst_state <= 1e-12
+        assert worst_p <= 1e-12
 
 
 class TestMakePlan:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +237,40 @@ class TestCli:
         a = (tmp_path / "a" / "results.csv").read_bytes()
         b = (tmp_path / "b" / "results.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_steps", "abc"),
+        ("n_steps", 2.7),
+        ("n_steps", True),
+        ("beta_grid", 5),
+        ("beta_grid", "0.5"),
+        ("beta_grid", [0.0, math.nan]),
+        ("beta_grid", [0.0, math.inf]),
+        ("beta_grid", [0.0, True]),
+        ("beta_grid", [0.0, None]),
+        ("degeneracy_tol", math.nan),
+        ("epsilon", "0.2"),
+        pytest.param("epsilon", 10**400, id="epsilon-beyond-float-range"),
+        ("trials", 1.5),
+        ("seed", True),
+        ("parallel", "2"),
+    ])
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, field, value):
+        path = self.write_config(tmp_path, **{field: value})
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_faithful_b_global_on_fig2_left(self, tmp_path):
+        # 12 controls + 4 simulator qubits, beyond what the Kraus route could hold
+        raw = json.loads((Path(__file__).parents[1] / "configs" / "fig2_left.json").read_text())
+        raw.update(strategy="B-global", mode="faithful", n_steps=200)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = parse_csv(tmp_path / "out" / "results.csv")
+        assert all(0.0 < r.fidelity_sbqs_vs_ground <= 1.0 for r in rows)
 
     def test_decompose_and_bounds_and_sample(self, tmp_path, capsys):
         path = self.write_config(tmp_path, mode="sampled", seed=3, trials=200,
