@@ -16,7 +16,7 @@ from .bounds import (
     strategy_b_probability,
     trotter_error,
 )
-from .config import ExperimentConfig, load_config, validate_config
+from .config import ExperimentConfig, load_config, parse_model, validate_config
 from .engine import (
     ProbabilityLedger,
     SampleResult,
@@ -58,7 +58,6 @@ from .hamiltonian import (
     decompose_ising_local,
     decompose_pauli_generic,
     densify,
-    parse_model,
     protocol_operator,
     shift_to_positive,
 )

@@ -20,7 +20,7 @@ from .config import load_config
 from .engine import make_plan, sample_run
 from .errors import CapacityError, ConfigError, ExtinctionError, PlanError
 from .exact import energy
-from .experiment import _prepare, emit_csv, emit_svg, run_experiment
+from .experiment import CSV_FIELDS, _bounds_report, _prepare, emit_csv, emit_svg, run_experiment
 from .hamiltonian import densify
 
 
@@ -66,23 +66,20 @@ def _cmd_run(config, args) -> int:
     failed = [r.beta for r in rows if math.isnan(r.fidelity_sbqs_vs_ground)]
     if failed:
         print(f"extinct rows at beta = {failed}", file=sys.stderr)
+    # NaN in a row that ran to the end comes from a bound its inputs leave
+    # undefined; the bounds report notes why, under the column's name
+    reasons = dict(note.split(": ", 1) for note in report.notes if ": " in note)
+    for name in CSV_FIELDS:
+        values = [(r.beta, getattr(r, name)) for r in rows if r.beta not in failed]
+        betas = [beta for beta, v in values if isinstance(v, float) and math.isnan(v)]
+        if betas:
+            reason = reasons.get(name, "no reason recorded")
+            print(f"warning: {name} is NaN at beta = {betas}: {reason}", file=sys.stderr)
     return 0
 
 
 def _cmd_bounds(config, args) -> int:
-    setup = _prepare(config)
-    from .bounds import build_bounds_report
-
-    report = build_bounds_report(
-        protocol_h=setup.h_protocol,
-        sigma0=setup.sigma0,
-        ell=setup.decomposition.ell,
-        h_max=setup.decomposition.h_max,
-        beta=max(config.beta_grid),
-        n_steps=config.n_steps,
-        eps=config.epsilon,
-        spectral=setup.spectral,
-    )
+    report = _bounds_report(config, _prepare(config))
     text = json.dumps(report.to_dict(), indent=2)
     print(text)
     if args.out is not None:
@@ -99,7 +96,7 @@ def _cmd_decompose(config, args) -> int:
           f"identity offset {dec.identity_offset:.12g}")
     for t in dec.terms:
         print(f"  {t.label:<12} weight {t.weight:+.12g}  support {list(t.support)}")
-    residual = float(np.max(np.abs(densify(dec) - setup.h_working)))
+    residual = float(np.max(np.abs(densify(dec) - densify(setup.working))))
     print(f"reconstruction residual (max abs) = {residual:.3e}")
     if dec.terms:
         print(f"min weight = {min(t.weight for t in dec.terms):+.12g}, "

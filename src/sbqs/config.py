@@ -4,30 +4,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .engine import MODES, STRATEGIES
 from .errors import ConfigError
-from .hamiltonian import IsingParams, PauliSum, parse_model
+from .hamiltonian import IsingParams, PauliString, PauliSum
+from .linalg import DEFAULT_DIM_CAP
 
 DEFAULT_BETA_GRID = tuple(i * 0.25 for i in range(9))  # 0.0 .. 2.0
 
-_FIELDS = {
-    "model",
-    "decomposition",
-    "shift_positive",
-    "beta_grid",
-    "n_steps",
-    "strategy",
-    "mode",
-    "trials",
-    "seed",
-    "epsilon",
-    "degeneracy_tol",
-    "out_dir",
-    "parallel",
-}
+#: Most sites whose dense 2^n x 2^n form stays within ``DEFAULT_DIM_CAP``.
+MAX_SITES = DEFAULT_DIM_CAP.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -48,6 +36,10 @@ class ExperimentConfig:
 
     def override(self, **kwargs) -> ExperimentConfig:
         return replace(self, **kwargs)
+
+
+#: The JSON config's fields: one per ExperimentConfig field.
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _integer(value, name: str, problems: list[str]) -> int | None:
@@ -72,6 +64,62 @@ def _finite(value, name: str, problems: list[str]) -> float | None:
     return None
 
 
+def _typed(value, kind: type, what: str, name: str, problems: list[str]) -> bool:
+    """Whether ``value`` is a ``kind``; if not, a problem saying it must be ``what``."""
+    if isinstance(value, kind):
+        return True
+    problems.append(f"{name} must be {what}, got {value!r}")
+    return False
+
+
+def parse_model(raw: dict) -> IsingParams | PauliSum:
+    """Parse the JSON Hamiltonian description of a config.
+
+    Accepts ``{"model": "ising", "n": ..., "J": ..., "B": ..., "boundary": ...}``
+    or ``{"model": "pauli", "n": ..., "terms": [{"string": ..., "coeff": ...}]}``.
+    Every field must have its JSON type, and ``n`` sites must fit the dense
+    dimension cap; the ValueError raised names every problem found.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"model must be an object, got {type(raw).__name__}")
+    kind = raw.get("model")
+    allowed = {"ising": {"model", "n", "J", "B", "boundary"}, "pauli": {"model", "n", "terms"}}
+    if kind not in ("ising", "pauli"):  # a tuple: kind may be unhashable
+        raise ValueError(f"model must be 'ising' or 'pauli', got {kind!r}")
+    unknown = set(raw) - allowed[kind]
+    if unknown:
+        raise ValueError(f"unknown model field(s): {sorted(unknown)}")
+    problems: list[str] = []
+    n = _integer(raw.get("n"), "model.n", problems)
+    if n is not None and not 1 <= n <= MAX_SITES:
+        problems.append(f"model.n must be in [1, {MAX_SITES}] (dimension cap "
+                        f"{DEFAULT_DIM_CAP}), got {n}")
+    if kind == "ising":
+        j = _finite(raw.get("J", 1.0), "model.J", problems)
+        b = _finite(raw.get("B", 0.0), "model.B", problems)
+        boundary = raw.get("boundary", "open")
+        _typed(boundary, str, "a string", "model.boundary", problems)
+    else:
+        terms = raw.get("terms", [])
+        if not _typed(terms, list, "a list", "model.terms", problems):
+            terms = []
+        strings = []
+        for i, term in enumerate(terms):
+            name = f"model.terms[{i}]"
+            if _typed(term, dict, "an object", name, problems):
+                string = term.get("string")
+                _typed(string, str, "a string", f"{name}.string", problems)
+                strings.append((string, _finite(term.get("coeff"), f"{name}.coeff", problems)))
+    if problems:
+        raise ValueError("; ".join(problems))
+    try:  # the values themselves, checked by the model's own types
+        if kind == "ising":
+            return IsingParams(n, j, b, boundary)
+        return PauliSum(n, tuple(PauliString(string, coeff) for string, coeff in strings))
+    except ValueError as err:
+        raise ValueError(f"model: {err}") from err
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     """Apply defaults and enumerate every invariant violation at once."""
     if not isinstance(raw, dict):
@@ -87,15 +135,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
     else:
         try:
             model = parse_model(raw["model"])
-        except (ValueError, KeyError, TypeError) as err:
-            problems.append(f"model: {err}")
+        except ValueError as err:
+            problems.append(str(err))
 
     decomposition = raw.get("decomposition")
-    if decomposition is None and model is not None:
-        decomposition = "ising-local" if isinstance(model, IsingParams) else "pauli-generic"
-    if decomposition not in ("ising-local", "pauli-generic", None):
+    if "decomposition" not in raw:
+        if model is not None:
+            decomposition = "ising-local" if isinstance(model, IsingParams) else "pauli-generic"
+    elif decomposition not in ("ising-local", "pauli-generic"):
         problems.append(f"decomposition must be 'ising-local' or 'pauli-generic', got {decomposition!r}")
-    elif decomposition == "ising-local" and model is not None and not isinstance(model, IsingParams):
+    if decomposition == "ising-local" and model is not None and not isinstance(model, IsingParams):
         problems.append("decomposition 'ising-local' requires an ising model")
 
     grid = raw.get("beta_grid", list(DEFAULT_BETA_GRID))
@@ -145,12 +194,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if parallel is not None and parallel < 1:
         problems.append(f"parallel width must be >= 1, got {parallel}")
 
+    shift_positive = raw.get("shift_positive", False)
+    _typed(shift_positive, bool, "true or false", "shift_positive", problems)
+    out_dir = raw.get("out_dir", "out")
+    _typed(out_dir, str, "a string", "out_dir", problems)
+
     if problems:
         raise ConfigError("; ".join(problems))
     return ExperimentConfig(
         model=model,
         decomposition=decomposition,
-        shift_positive=bool(raw.get("shift_positive", False)),
+        shift_positive=shift_positive,
         beta_grid=beta_grid,
         n_steps=n_steps,
         strategy=strategy,
@@ -159,7 +213,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         seed=seed,
         epsilon=epsilon,
         degeneracy_tol=degeneracy_tol,
-        out_dir=str(raw.get("out_dir", "out")),
+        out_dir=out_dir,
         parallel=parallel,
     )
 
@@ -175,4 +229,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except ValueError as err:  # an integer literal longer than int() converts
+        raise ConfigError(f"{path}: {err}") from err
     return validate_config(raw)

@@ -383,17 +383,15 @@ class ProbabilityLedger:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Normalized simulator states after every Trotter step, plus bookkeeping."""
+    """The normalized simulator state after the last Trotter step, plus
+    bookkeeping.  Intermediate states are not kept: the ledger records every
+    post-selection probability along the way."""
 
     plan: TrotterPlan
     initial_state: np.ndarray
-    snapshots: tuple[np.ndarray, ...]
+    final_state: np.ndarray
     ledger: ProbabilityLedger
     wall_time_s: float
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.snapshots[-1] if self.snapshots else self.initial_state
 
 
 def run(plan: TrotterPlan, sigma0: np.ndarray) -> Trajectory:
@@ -419,7 +417,6 @@ def run(plan: TrotterPlan, sigma0: np.ndarray) -> Trajectory:
 
     sigma = sigma0.copy()
     ledger = ProbabilityLedger()
-    snapshots: list[np.ndarray] = []
     measurement = "local" if plan.strategy == "B-local" else "global"
     for step in range(plan.n_steps):
         if plan.strategy == "A":
@@ -441,8 +438,7 @@ def run(plan: TrotterPlan, sigma0: np.ndarray) -> Trajectory:
             sigma = res.state
             ledger.record(f"{step + 1}", res.probability, "faithful-exact")
             ledger.record(f"{step + 1}", res.formula_probability, "paper-formula")
-        snapshots.append(sigma.copy())
-    return Trajectory(plan, sigma0, tuple(snapshots), ledger, time.perf_counter() - t0)
+    return Trajectory(plan, sigma0, sigma, ledger, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,15 @@ TRACE_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Ground-state summary of a Hermitian operator."""
+    """Ground-state summary of a Hermitian operator, with the eigenvectors
+    (columns, in ascending order of ``spectrum``) it was read from."""
 
     ground_energy: float
     ground_vector: np.ndarray
     gap: float
     spectrum: np.ndarray
     degenerate: bool
+    eigenvectors: np.ndarray
 
 
 def ground(h: np.ndarray, degeneracy_atol: float = DEGENERACY_ATOL) -> SpectralData:
@@ -43,14 +45,15 @@ def ground(h: np.ndarray, degeneracy_atol: float = DEGENERACY_ATOL) -> SpectralD
         gap=gap,
         spectrum=vals.copy(),
         degenerate=gap < degeneracy_atol,
+        eigenvectors=vecs,
     )
 
 
-def ground_projector(h: np.ndarray, tol: float = DEGENERACY_ATOL) -> np.ndarray:
+def ground_projector(spectral: SpectralData, tol: float = DEGENERACY_ATOL) -> np.ndarray:
     """Projector onto the span of eigenvectors within ``tol`` of the ground energy."""
-    vals, vecs = hermitian_eig(h)
+    vals = spectral.spectrum
     k = int(np.sum(vals - vals[0] < tol))
-    low = vecs[:, :k]
+    low = spectral.eigenvectors[:, :k]
     return low @ dag(low)
 
 

@@ -6,6 +6,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from .engine import make_plan, run, sample_run
 from .errors import ExtinctionError
 from .hamiltonian import (
     IsingParams,
+    PauliSum,
     ResourceDecomposition,
     build_ising,
     decompose_ising_local,
@@ -56,10 +58,15 @@ def uniform_state(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Setup:
-    """Shared per-experiment objects, rebuilt cheaply inside each worker."""
+    """What a sweep computes once from its config and shares with every row,
+    serial or in a pool worker, and with the bounds report.
+
+    ``working`` is the model plus the positivity shift when the config asks
+    for it; ``sbqs decompose`` checks the decomposition against it.
+    """
 
     h_model: np.ndarray
-    h_working: np.ndarray
+    working: PauliSum
     h_protocol: np.ndarray
     decomposition: ResourceDecomposition
     sigma0: np.ndarray
@@ -88,11 +95,11 @@ def _prepare(config: ExperimentConfig) -> _Setup:
     else:
         dec = decompose_pauli_generic(working)
     spectral = exact.ground(h_model)
-    projector = exact.ground_projector(h_model, tol=config.degeneracy_tol)
+    projector = exact.ground_projector(spectral, tol=config.degeneracy_tol)
     dim_g = int(round(np.trace(projector).real))
     return _Setup(
         h_model=h_model,
-        h_working=densify(working),
+        working=working,
         h_protocol=protocol_operator(dec),
         decomposition=dec,
         sigma0=uniform_state(dec.n),
@@ -102,8 +109,7 @@ def _prepare(config: ExperimentConfig) -> _Setup:
     )
 
 
-def _compute_row(config: ExperimentConfig, beta: float, index: int) -> ResultRow:
-    setup = _prepare(config)
+def _compute_row(setup: _Setup, config: ExperimentConfig, beta: float, index: int) -> ResultRow:
     dec = setup.decomposition
     bound = bounds_mod.sim_distance_bound(dec.ell, beta, dec.h_max, config.n_steps)
     try:
@@ -114,14 +120,14 @@ def _compute_row(config: ExperimentConfig, beta: float, index: int) -> ResultRow
         fid_sm = math.nan
     try:
         plan = make_plan(dec, beta, config.n_steps, config.strategy, config.mode)
-        trajectory = run(plan, setup.sigma0)
+        empirical = None
+        if config.mode == "sampled":  # sample_run runs the engine once for both
+            sampled = sample_run(plan, setup.sigma0, config.trials, seed=config.seed + index)
+            trajectory, empirical = sampled.trajectory, sampled.frequency
+        else:
+            trajectory = run(plan, setup.sigma0)
         sigma = trajectory.final_state
         reference = exact.exact_ite(setup.h_model, setup.sigma0, beta)
-        empirical = None
-        if config.mode == "sampled":
-            empirical = sample_run(
-                plan, setup.sigma0, config.trials, seed=config.seed + index
-            ).frequency
         return ResultRow(
             beta=beta,
             fidelity_sbqs_vs_ground=float(np.trace(setup.projector @ sigma).real),
@@ -146,26 +152,9 @@ def _f0(setup: _Setup) -> float:
     return float(np.real(v.conj() @ setup.sigma0 @ v))
 
 
-def _row_worker(args: tuple[ExperimentConfig, float, int]) -> ResultRow:
-    return _compute_row(*args)
-
-
-def run_experiment(config: ExperimentConfig) -> tuple[list[ResultRow], bounds_mod.BoundsReport]:
-    """One row per beta grid point, plus the bounds report at the endpoint.
-
-    Rows are independent; with parallel width > 1 they are computed in a
-    process pool and re-assembled in grid order, so the output is identical
-    to a serial sweep.
-    """
-    jobs = [(config, beta, i) for i, beta in enumerate(config.beta_grid)]
-    if config.parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
-            rows = list(pool.map(_row_worker, jobs))
-    else:
-        rows = [_row_worker(job) for job in jobs]
-
-    setup = _prepare(config)
-    report = bounds_mod.build_bounds_report(
+def _bounds_report(config: ExperimentConfig, setup: _Setup) -> bounds_mod.BoundsReport:
+    """The bounds report at the grid's largest beta."""
+    return bounds_mod.build_bounds_report(
         protocol_h=setup.h_protocol,
         sigma0=setup.sigma0,
         ell=setup.decomposition.ell,
@@ -175,7 +164,25 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ResultRow], bounds_mo
         eps=config.epsilon,
         spectral=setup.spectral,
     )
-    return rows, report
+
+
+def run_experiment(config: ExperimentConfig) -> tuple[list[ResultRow], bounds_mod.BoundsReport]:
+    """One row per beta grid point, plus the bounds report at the endpoint.
+
+    The set-up is computed once and shared by every row.  Rows are
+    independent; with parallel width > 1 they are computed in a process pool
+    and re-assembled in grid order, so the output is identical to a serial
+    sweep.
+    """
+    setup = _prepare(config)
+    betas = config.beta_grid
+    jobs = (repeat(setup), repeat(config), betas, range(len(betas)))
+    if config.parallel > 1 and len(betas) > 1:
+        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+            rows = list(pool.map(_compute_row, *jobs))
+    else:
+        rows = list(map(_compute_row, *jobs))
+    return rows, _bounds_report(config, setup)
 
 
 def _format(value: float | int | None) -> str:

@@ -252,36 +252,3 @@ def protocol_operator(d: ResourceDecomposition, cap: int = DEFAULT_DIM_CAP) -> n
     rescales unnormalized states), so probability formulas must use it.
     """
     return densify(d, cap=cap) - d.identity_offset * np.eye(2**d.n, dtype=complex)
-
-
-def parse_model(raw: dict) -> IsingParams | PauliSum:
-    """Parse the JSON Hamiltonian description used by the CLI.
-
-    Accepts ``{"model": "ising", "n": ..., "J": ..., "B": ..., "boundary": ...}``
-    or ``{"model": "pauli", "n": ..., "terms": [{"string": ..., "coeff": ...}]}``.
-    """
-    if not isinstance(raw, dict):
-        raise ValueError(f"model must be an object, got {type(raw).__name__}")
-    kind = raw.get("model")
-    if kind == "ising":
-        allowed = {"model", "n", "J", "B", "boundary"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown model field(s): {sorted(unknown)}")
-        return IsingParams(
-            n=int(raw["n"]),
-            J=float(raw.get("J", 1.0)),
-            B=float(raw.get("B", 0.0)),
-            boundary=str(raw.get("boundary", "open")),
-        )
-    if kind == "pauli":
-        allowed = {"model", "n", "terms"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"unknown model field(s): {sorted(unknown)}")
-        n = int(raw["n"])
-        terms = tuple(
-            PauliString(str(t["string"]), float(t["coeff"])) for t in raw.get("terms", [])
-        )
-        return PauliSum(n, terms)
-    raise ValueError(f"model must be 'ising' or 'pauli', got {kind!r}")

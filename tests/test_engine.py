@@ -259,13 +259,12 @@ class TestRun:
             direct.probability
         )
 
-    def test_snapshots_normalized(self):
+    def test_final_state_normalized(self):
         dec = decompose_ising_local(IsingParams(2, 1.0, 1.0, "open"))
         traj = run(make_plan(dec, 0.1, 5, "A", "faithful"), np.eye(4, dtype=complex) / 4)
-        assert len(traj.snapshots) == 5
-        for snap in traj.snapshots:
-            assert np.trace(snap).real == pytest.approx(1.0, abs=1e-10)
-            assert np.all(np.isfinite(snap))
+        assert not hasattr(traj, "snapshots")
+        assert np.trace(traj.final_state).real == pytest.approx(1.0, abs=1e-10)
+        assert np.all(np.isfinite(traj.final_state))
 
     def test_ledger_product_consistency(self):
         dec = decompose_ising_local(IsingParams(2, 1.0, 1.0, "open"))

@@ -91,8 +91,8 @@ class TestGround:
 
     def test_projector_rank_tracks_tolerance(self):
         h = densify(build_ising(IsingParams(4, 1.0, 0.1, "periodic")))
-        assert np.trace(ground_projector(h, tol=1e-10)).real == pytest.approx(1.0)
-        assert np.trace(ground_projector(h, tol=0.05)).real == pytest.approx(2.0)
+        assert np.trace(ground_projector(ground(h), tol=1e-10)).real == pytest.approx(1.0)
+        assert np.trace(ground_projector(ground(h), tol=0.05)).real == pytest.approx(2.0)
 
 
 class TestFidelity:
@@ -164,7 +164,7 @@ def test_near_degenerate_chain_converges_more_slowly():
     gains = {}
     for field in (5.0, 0.1):
         h = densify(build_ising(IsingParams(4, 1.0, field, "periodic")))
-        proj = ground_projector(h, tol=0.05)
+        proj = ground_projector(ground(h), tol=0.05)
         start = np.trace(proj @ sigma0).real
         end = np.trace(proj @ exact_ite(h, sigma0, 2.0)).real
         gains[field] = end - start

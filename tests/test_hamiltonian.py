@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sbqs.config import parse_model
 from sbqs.hamiltonian import (
     RHO_X,
     RHO_Z,
@@ -11,7 +12,6 @@ from sbqs.hamiltonian import (
     decompose_ising_local,
     decompose_pauli_generic,
     densify,
-    parse_model,
     protocol_operator,
     shift_to_positive,
 )

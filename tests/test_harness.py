@@ -19,9 +19,13 @@ from sbqs.experiment import (
 from sbqs.hamiltonian import IsingParams
 
 
+ISING = {"model": "ising", "n": 3, "J": 1.0, "B": 1.0, "boundary": "periodic"}
+PAULI = {"model": "pauli", "n": 2, "terms": [{"string": "ZZ", "coeff": 1.0}]}
+
+
 def ising_config(**overrides) -> dict:
     raw = {
-        "model": {"model": "ising", "n": 3, "J": 1.0, "B": 1.0, "boundary": "periodic"},
+        "model": dict(ISING),
         "beta_grid": [0.0, 0.5, 1.0],
         "n_steps": 40,
         "mode": "effective",
@@ -70,6 +74,16 @@ class TestConfigValidation:
         message = str(err.value)
         assert "increasing" in message and "n_steps" in message and "epsilon" in message
 
+    def test_largest_model_within_the_dimension_cap_is_accepted(self):
+        config = validate_config(ising_config(model={**ISING, "n": 12}))
+        assert config.model.n == 12
+
+    def test_overlong_integer_literal_is_a_config_error(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"n_steps": ' + "1" * 5000 + "}")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
     def test_load_config_reports_parse_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"model": }')
@@ -80,6 +94,30 @@ class TestConfigValidation:
 
 
 class TestRunExperiment:
+    def test_sweep_prepares_once_and_diagonalises_once(self, monkeypatch):
+        import sbqs.exact as exact_mod
+        import sbqs.experiment as experiment_mod
+
+        calls = {"prepare": 0, "eig": 0}
+        real_prepare, real_eig = experiment_mod._prepare, exact_mod.hermitian_eig
+
+        def counting_prepare(config):
+            calls["prepare"] += 1
+            return real_prepare(config)
+
+        def counting_eig(h):
+            calls["eig"] += 1
+            return real_eig(h)
+
+        monkeypatch.setattr(experiment_mod, "_prepare", counting_prepare)
+        config = validate_config(ising_config())
+        rows, _ = run_experiment(config)
+        assert len(rows) == 3 and calls["prepare"] == 1
+
+        monkeypatch.setattr(exact_mod, "hermitian_eig", counting_eig)
+        real_prepare(config)
+        assert calls["eig"] == 1
+
     def test_beta_zero_columns(self):
         config = validate_config(ising_config(beta_grid=[0.0], n_steps=2))
         rows, report = run_experiment(config)
@@ -199,7 +237,7 @@ class TestSvg:
 
 class TestCli:
     def write_config(self, tmp_path, **overrides):
-        raw = ising_config(out_dir=str(tmp_path / "out"), **overrides)
+        raw = ising_config(**{"out_dir": str(tmp_path / "out"), **overrides})
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         return path
@@ -254,13 +292,50 @@ class TestCli:
         ("trials", 1.5),
         ("seed", True),
         ("parallel", "2"),
+        ("shift_positive", "no"),
+        ("out_dir", 5),
+        # model fields: ``value`` is the whole model, ``field`` the name the error gives
+        pytest.param("model.n", {**ISING, "n": 2.5}, id="model.n-2.5"),
+        pytest.param("model.n", {**ISING, "n": True}, id="model.n-True"),
+        pytest.param("model.J", {**ISING, "J": "1.5"}, id="model.J-str"),
+        pytest.param("model.B", {**ISING, "B": None}, id="model.B-None"),
+        pytest.param("model.boundary", {**ISING, "boundary": 1}, id="model.boundary-1"),
+        pytest.param("model.n", {**PAULI, "n": "2"}, id="pauli-model.n-str"),
+        pytest.param("model.terms", {**PAULI, "terms": 5}, id="model.terms-5"),
+        pytest.param("model.terms[0]", {**PAULI, "terms": ["ZZ"]}, id="model.terms-item-str"),
+        pytest.param("model.terms[0].string", {**PAULI, "terms": [{"string": 5, "coeff": 1.0}]},
+                     id="model.terms.string-5"),
+        pytest.param("model.terms[0].coeff", {**PAULI, "terms": [{"string": "ZZ", "coeff": True}]},
+                     id="model.terms.coeff-True"),
     ])
-    def test_mistyped_field_exits_2(self, tmp_path, capsys, field, value):
-        path = self.write_config(tmp_path, **{field: value})
+    def test_mistyped_field_exits_2(self, tmp_path, monkeypatch, capsys, field, value):
+        monkeypatch.chdir(tmp_path)  # a relative out_dir would land here
+        override = {"model": value} if field.startswith("model.") else {field: value}
+        path = self.write_config(tmp_path, **override)
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("model", [{**ISING, "n": 13}, {"model": "pauli", "n": 13}],
+                             ids=["ising", "pauli"])
+    def test_oversized_model_exits_2(self, tmp_path, capsys, model):
+        path = self.write_config(tmp_path, model=model)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "model.n" in err and "4096" in err
+
+    def test_nan_column_named_on_stderr(self, tmp_path, capsys):
+        # H = X: the ground state |-> is orthogonal to the uniform start, f0 = 0
+        model = {"model": "pauli", "n": 1, "terms": [{"string": "X", "coeff": 1.0}]}
+        path = self.write_config(tmp_path, model=model)
+        assert main(["run", str(path)]) == 0
+        header, *rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        assert all(row.endswith(",nan") for row in rows)
+        assert header.endswith(",fidelity_bound_sm")
+        err = capsys.readouterr().err
+        assert "fidelity_bound_sm is NaN at beta = [0.0, 0.5, 1.0]" in err
+        assert "initial fidelity" in err and "extinct" not in err
 
     def test_faithful_b_global_on_fig2_left(self, tmp_path):
         # 12 controls + 4 simulator qubits, beyond what the Kraus route could hold
