@@ -22,7 +22,6 @@ from .engine import (
     SampleResult,
     Trajectory,
     TrotterPlan,
-    control_state,
     cswap_channel,
     make_plan,
     run,
@@ -46,6 +45,7 @@ from .exact import (
     fidelity,
     ground,
     ground_projector,
+    populations,
 )
 from .experiment import ResultRow, emit_csv, emit_svg, run_experiment, uniform_state
 from .hamiltonian import (
@@ -66,10 +66,8 @@ from .linalg import (
     embed_operator,
     frobenius_norm,
     hermitian_eig,
-    hermitian_func,
     kron,
     operator_norm,
-    partial_trace,
     qubit_layout,
 )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact
-from .linalg import dag, hermitian_eig, operator_norm
+from .linalg import dag, operator_norm
 
 CONVENTION_NOTE = (
     "distance_upper_bound and beta_star/n_star use the D^2 = 1 - sqrt(F) "
@@ -103,17 +103,15 @@ def n_star(norm_h: float, gap: float, f0: float, eps: float) -> float:
     return (norm_h**2 / (eps * gap**2)) * _log_target(f0, eps) ** 2
 
 
-def _log_ite_trace(h: np.ndarray, sigma0: np.ndarray, beta: float) -> float:
-    """log Tr[e^{-beta h} sigma0 e^{-beta h}], computed stably in log space."""
-    vals, vecs = hermitian_eig(h)
-    pops = np.real(np.einsum("ij,ji->i", dag(vecs) @ sigma0, vecs))
-    pops = np.clip(pops, 0.0, None)
-    if pops.sum() <= 0.0:
+def _log_ite_trace(spectrum: np.ndarray, populations: np.ndarray, beta: float) -> float:
+    """log Tr[e^{-beta h} sigma0 e^{-beta h}] from the ascending spectrum of h
+    and the populations of sigma0 on its eigenvectors, stably in log space."""
+    if populations.sum() <= 0.0:
         raise ValueError("state has no support on the spectrum")
-    shifted = -2.0 * beta * (vals - vals[0])
+    shifted = -2.0 * beta * (spectrum - spectrum[0])
     with np.errstate(divide="ignore"):  # total underflow -> log 0 -> -inf is fine
-        bulk = float(np.log(np.sum(np.exp(shifted) * pops)))
-    return -2.0 * beta * float(vals[0]) + bulk
+        bulk = float(np.log(np.sum(np.exp(shifted) * populations)))
+    return -2.0 * beta * float(spectrum[0]) + bulk
 
 
 def _clamped_probability(log_p: float, label: str) -> float:
@@ -124,18 +122,20 @@ def _clamped_probability(log_p: float, label: str) -> float:
 
 
 def p_star(
-    h: np.ndarray, sigma0: np.ndarray, beta_star_val: float, n_star_val: float, ell: int
+    spectrum: np.ndarray, populations: np.ndarray, beta_star_val: float, n_star_val: float, ell: int
 ) -> float:
-    """Success-probability scale 2^{-N* l} Tr[e^{-b* H} sigma0 e^{-b* H}], in [0, 1]."""
-    log_p = -n_star_val * ell * math.log(2.0) + _log_ite_trace(h, sigma0, beta_star_val)
+    """Success-probability scale 2^{-N* l} Tr[e^{-b* H} sigma0 e^{-b* H}], in [0, 1], from
+    the ascending spectrum of H and the populations of sigma0 on its eigenvectors."""
+    log_p = -n_star_val * ell * math.log(2.0) + _log_ite_trace(spectrum, populations, beta_star_val)
     return _clamped_probability(log_p, "p_star")
 
 
 def strategy_b_probability(
-    h: np.ndarray, sigma0: np.ndarray, beta: float, n_steps: int, ell: int
+    spectrum: np.ndarray, populations: np.ndarray, beta: float, n_steps: int, ell: int
 ) -> float:
-    """Deferred-measurement success probability (l+1)^{-N} Tr[e^{-bH} s0 e^{-bH}]."""
-    log_p = -n_steps * math.log(ell + 1.0) + _log_ite_trace(h, sigma0, beta)
+    """Deferred-measurement success probability (l+1)^{-N} Tr[e^{-bH} s0 e^{-bH}],
+    with H and s0 given as in :func:`p_star`."""
+    log_p = -n_steps * math.log(ell + 1.0) + _log_ite_trace(spectrum, populations, beta)
     return _clamped_probability(log_p, "strategy-B probability")
 
 
@@ -254,20 +254,23 @@ class BoundsReport:
 
 
 def build_bounds_report(
-    protocol_h: np.ndarray,
-    sigma0: np.ndarray,
+    spectral: exact.SpectralData,
+    shift: float,
+    populations: np.ndarray,
     ell: int,
     h_max: float,
     beta: float,
     n_steps: int,
     eps: float,
-    spectral: exact.SpectralData,
 ) -> BoundsReport:
-    """Assemble the report; boundary cases land as NaN with a note instead of raising."""
+    """Assemble the report; boundary cases land as NaN with a note instead of raising.
+
+    The protocol operator is H + shift*I for the H that ``spectral`` describes,
+    and f0 is ``populations[0]`` (see :func:`sbqs.exact.populations`)."""
     notes = [CONVENTION_NOTE]
-    dim = sigma0.shape[0]
-    f0 = float(np.real(spectral.ground_vector.conj() @ sigma0 @ spectral.ground_vector))
-    f0 = min(max(f0, 0.0), 1.0)
+    spectrum = spectral.spectrum + shift
+    dim = len(spectrum)
+    f0 = float(populations[0])
     gap = spectral.gap
 
     def guarded(fn, label):
@@ -283,22 +286,22 @@ def build_bounds_report(
     fid_sm = guarded(lambda: fidelity_lower_bound(beta, gap, f0, variant="sm"), "fidelity_bound_sm")
     dist = guarded(lambda: distance_upper_bound(beta, gap, f0), "distance_bound")
     b_star = guarded(lambda: beta_star(gap, f0, eps), "beta_star")
-    norm_h = operator_norm(protocol_h)
+    norm_h = max(abs(float(spectrum[0])), abs(float(spectrum[-1])))
     n_star_val = guarded(lambda: n_star(norm_h, gap, f0, eps), "n_star")
     if math.isfinite(b_star) and math.isfinite(n_star_val):
         p_star_val = guarded(
-            lambda: p_star(protocol_h, sigma0, b_star, n_star_val, ell), "p_star"
+            lambda: p_star(spectrum, populations, b_star, n_star_val, ell), "p_star"
         )
     else:
         p_star_val = math.nan
     sb_prob = guarded(
-        lambda: strategy_b_probability(protocol_h, sigma0, beta, n_steps, ell),
+        lambda: strategy_b_probability(spectrum, populations, beta, n_steps, ell),
         "strategy_b_probability",
     )
     local_log = -n_steps * ell * math.log(2.0)
     notes.append(
         "strategy-B local post-selection: log10 p = "
-        f"{(local_log + _log_ite_trace(protocol_h, sigma0, beta)) / math.log(10):.4g} "
+        f"{(local_log + _log_ite_trace(spectrum, populations, beta)) / math.log(10):.4g} "
         f"under the 1/2^l convention; the 1/2^(l+1) variant is {-n_steps * math.log10(2):.4g} lower"
     )
     return BoundsReport(

@@ -60,14 +60,6 @@ DELTA_WARN = 0.1
 _EIG_DROP = 1e-15
 
 
-def control_state(delta: float) -> np.ndarray:
-    """Exactly normalized control qubit (|0> - delta |1>)/sqrt(1 + delta^2)."""
-    if not abs(delta) < 1.0:
-        raise PlanError(f"|delta| = {abs(delta)} >= 1; increase the step count")
-    v = np.array([1.0, -delta], dtype=complex)
-    return v / np.sqrt(1.0 + delta * delta)
-
-
 def cswap_channel(rho: np.ndarray, support: tuple[int, ...], n_sites: int) -> list[np.ndarray]:
     """Kraus operators on (control ⊗ simulator) for one controlled-SWAP with
     resource state ``rho``, after the resource register is traced out.

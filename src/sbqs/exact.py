@@ -1,5 +1,6 @@
-"""Exact references: imaginary-time evolution by eigendecomposition,
-ground-state data, Uhlmann fidelity, Bures distance, and energy."""
+"""Exact references: ground-state data, imaginary-time evolution of a state
+vector read from that same eigendecomposition, Uhlmann fidelity, Bures
+distance, and energy."""
 
 from __future__ import annotations
 
@@ -57,27 +58,36 @@ def ground_projector(spectral: SpectralData, tol: float = DEGENERACY_ATOL) -> np
     return low @ dag(low)
 
 
-def exact_ite(h: np.ndarray, rho0: np.ndarray, beta: float) -> np.ndarray:
-    """Normalized imaginary-time evolution e^{-beta h} rho0 e^{-beta h} / trace.
+def populations(spectral: SpectralData, psi: np.ndarray) -> np.ndarray:
+    """Weights |<v_k|psi>|^2 of a unit vector, capped at 1 against rounding."""
+    return np.minimum(np.abs(dag(spectral.eigenvectors) @ psi) ** 2, 1.0)
+
+
+def _check_unit_vector(psi: np.ndarray) -> None:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
+        raise ValueError(f"state vector has norm {np.linalg.norm(psi)}, expected 1")
+
+
+def exact_ite(spectral: SpectralData, psi0: np.ndarray, beta: float) -> np.ndarray:
+    """Normalized imaginary-time evolution e^{-beta h} |psi0> / norm, read
+    from the eigenvectors and eigenvalues of h in ``spectral``.
 
     Computed on a spectrum shifted to start at zero, which leaves the
     normalized output unchanged while avoiding overflow at large beta.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    check_density_matrix(rho0, trace=1.0, trace_atol=1e-8)
+    psi0 = np.asarray(psi0, dtype=complex)
+    _check_unit_vector(psi0)
     if beta == 0:
-        return np.array(rho0, dtype=complex)
-    vals, vecs = hermitian_eig(h)
+        return psi0
+    vals, vecs = spectral.spectrum, spectral.eigenvectors
     weights = np.exp(-beta * (vals - vals[0]))
-    propagator = (vecs * weights) @ dag(vecs)
-    out = propagator @ rho0 @ propagator
-    tr = float(np.trace(out).real)
-    if not tr > TRACE_FLOOR:
-        raise ExtinctionError(
-            f"normalization trace {tr:.3e} vanished at beta={beta}"
-        )
-    return out / tr
+    out = vecs @ (weights * (dag(vecs) @ psi0))
+    norm2 = float(np.vdot(out, out).real)
+    if not norm2 > TRACE_FLOOR:
+        raise ExtinctionError(f"normalization trace {norm2:.3e} vanished at beta={beta}")
+    return out / np.sqrt(norm2)
 
 
 def _principal_vector(rho: np.ndarray) -> np.ndarray | None:
@@ -98,13 +108,19 @@ def _directed_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, clamped into [0, 1].
 
-    Pure inputs take the exact expectation-value path (the general formula
-    takes square roots of near-zero eigenvalues, turning their 1e-16 noise
-    floor into 1e-8); the general case averages the two evaluation orders,
-    which agree in exact arithmetic, so the result is symmetric by
-    construction.
+    ``b`` may be a unit state vector |phi>, for which F = <phi|a|phi> with
+    no decomposition.  Pure density matrices take the same expectation-value
+    path (the general formula takes square roots of near-zero eigenvalues,
+    turning their 1e-16 noise floor into 1e-8); the general case averages the
+    two evaluation orders, which agree in exact arithmetic, so the result is
+    symmetric by construction.
     """
     check_density_matrix(a, trace=1.0, trace_atol=1e-8)
+    b = np.asarray(b)
+    if b.ndim == 1:
+        _check_unit_vector(b)
+        f = float(np.vdot(b, a @ b).real)
+        return min(max(f, 0.0), 1.0)
     check_density_matrix(b, trace=1.0, trace_atol=1e-8)
     for first, second in ((a, b), (b, a)):
         v = _principal_vector(second)
@@ -116,7 +132,8 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def bures_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Bures distance in the D^2 = 2(1 - sqrt(F)) convention."""
+    """Bures distance in the D^2 = 2(1 - sqrt(F)) convention; ``b`` may be a
+    state vector, as in :func:`fidelity`."""
     f = fidelity(a, b)
     return float(np.sqrt(2.0 * max(0.0, 1.0 - np.sqrt(f))))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -24,7 +25,6 @@ from .hamiltonian import (
     decompose_ising_local,
     decompose_pauli_generic,
     densify,
-    protocol_operator,
     shift_to_positive,
 )
 
@@ -63,16 +63,20 @@ class _Setup:
 
     ``working`` is the model plus the positivity shift when the config asks
     for it; ``sbqs decompose`` checks the decomposition against it.
+    ``spectral`` is the sweep's only eigendecomposition; the protocol simulates
+    ``h_model + protocol_shift * I``, and ``populations[0]`` is f0.
     """
 
     h_model: np.ndarray
     working: PauliSum
-    h_protocol: np.ndarray
+    protocol_shift: float
     decomposition: ResourceDecomposition
+    psi0: np.ndarray
     sigma0: np.ndarray
     projector: np.ndarray
     ground_space_dim: int
     spectral: exact.SpectralData
+    populations: np.ndarray
 
 
 def _prepare(config: ExperimentConfig) -> _Setup:
@@ -97,15 +101,18 @@ def _prepare(config: ExperimentConfig) -> _Setup:
     spectral = exact.ground(h_model)
     projector = exact.ground_projector(spectral, tol=config.degeneracy_tol)
     dim_g = int(round(np.trace(projector).real))
+    psi0 = np.full(2**dec.n, 1.0 / math.sqrt(2**dec.n), dtype=complex)  # |+>^n
     return _Setup(
         h_model=h_model,
         working=working,
-        h_protocol=protocol_operator(dec),
+        protocol_shift=shift - dec.identity_offset,  # protocol_operator(dec) - h_model
         decomposition=dec,
-        sigma0=uniform_state(dec.n),
+        psi0=psi0,
+        sigma0=np.outer(psi0, psi0.conj()),
         projector=projector,
         ground_space_dim=dim_g,
         spectral=spectral,
+        populations=exact.populations(spectral, psi0),
     )
 
 
@@ -114,7 +121,7 @@ def _compute_row(setup: _Setup, config: ExperimentConfig, beta: float, index: in
     bound = bounds_mod.sim_distance_bound(dec.ell, beta, dec.h_max, config.n_steps)
     try:
         fid_sm = bounds_mod.fidelity_lower_bound(
-            beta, setup.spectral.gap, _f0(setup), variant="sm"
+            beta, setup.spectral.gap, float(setup.populations[0]), variant="sm"
         )
     except ValueError:
         fid_sm = math.nan
@@ -127,12 +134,12 @@ def _compute_row(setup: _Setup, config: ExperimentConfig, beta: float, index: in
         else:
             trajectory = run(plan, setup.sigma0)
         sigma = trajectory.final_state
-        reference = exact.exact_ite(setup.h_model, setup.sigma0, beta)
+        phi = exact.exact_ite(setup.spectral, setup.psi0, beta)
         return ResultRow(
             beta=beta,
             fidelity_sbqs_vs_ground=float(np.trace(setup.projector @ sigma).real),
-            fidelity_exact_ite_vs_ground=float(np.trace(setup.projector @ reference).real),
-            bures_sbqs_vs_exact_ite=exact.bures_distance(sigma, reference),
+            fidelity_exact_ite_vs_ground=float(np.vdot(phi, setup.projector @ phi).real),
+            bures_sbqs_vs_exact_ite=exact.bures_distance(sigma, phi),
             success_prob_formula=trajectory.ledger.cumulative("paper-formula"),
             success_prob_faithful=trajectory.ledger.cumulative("faithful-exact"),
             success_prob_empirical=empirical,
@@ -147,22 +154,17 @@ def _compute_row(setup: _Setup, config: ExperimentConfig, beta: float, index: in
                          setup.ground_space_dim)
 
 
-def _f0(setup: _Setup) -> float:
-    v = setup.spectral.ground_vector
-    return float(np.real(v.conj() @ setup.sigma0 @ v))
-
-
 def _bounds_report(config: ExperimentConfig, setup: _Setup) -> bounds_mod.BoundsReport:
     """The bounds report at the grid's largest beta."""
     return bounds_mod.build_bounds_report(
-        protocol_h=setup.h_protocol,
-        sigma0=setup.sigma0,
+        spectral=setup.spectral,
+        shift=setup.protocol_shift,
+        populations=setup.populations,
         ell=setup.decomposition.ell,
         h_max=setup.decomposition.h_max,
         beta=max(config.beta_grid),
         n_steps=config.n_steps,
         eps=config.epsilon,
-        spectral=setup.spectral,
     )
 
 
@@ -171,14 +173,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ResultRow], bounds_mo
 
     The set-up is computed once and shared by every row.  Rows are
     independent; with parallel width > 1 they are computed in a process pool
-    and re-assembled in grid order, so the output is identical to a serial
-    sweep.
+    of at most one worker per row and per CPU, and re-assembled in grid
+    order, so the output is identical to a serial sweep.
     """
     setup = _prepare(config)
     betas = config.beta_grid
     jobs = (repeat(setup), repeat(config), betas, range(len(betas)))
-    if config.parallel > 1 and len(betas) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+    workers = min(config.parallel, len(betas), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compute_row, *jobs))
     else:
         rows = list(map(_compute_row, *jobs))

@@ -1,15 +1,16 @@
-"""Dense complex linear algebra on labeled tensor-product registers.
+"""Dense complex linear algebra: Kronecker products, operator embedding on
+labeled tensor-product registers, Hermitian eigendecomposition, the PSD
+square root, norms, and the density-matrix check.
 
 All operators are plain ``numpy`` complex arrays in row-major order.
 Subsystem structure is carried explicitly by :class:`RegisterLayout`, so
-multi-register operations (partial traces, operator embedding) never rely
-on an implicit qubit-ordering convention.
+operator embedding never relies on an implicit qubit-ordering convention.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,30 +85,6 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - dag(m))) <= atol
 
 
-def partial_trace(m: np.ndarray, layout: RegisterLayout, keep: Iterable[str]) -> np.ndarray:
-    """Trace out every subsystem not in ``keep``.
-
-    The reduced matrix keeps the surviving subsystems in layout order, and
-    preserves the trace of the input.
-    """
-    m = np.asarray(m, dtype=complex)
-    dims = layout.dims
-    if m.shape != (layout.dim, layout.dim):
-        raise ValueError(f"matrix shape {m.shape} does not match layout dim {layout.dim}")
-    keep_idx = sorted(layout.index(label) for label in set(keep))
-    if not keep_idx:
-        raise ValueError("keep set must name at least one subsystem")
-
-    k = len(dims)
-    tensor = m.reshape(dims + dims)
-    row = list(range(k))
-    col = [i + k if i in keep_idx else i for i in range(k)]
-    out = [i for i in keep_idx] + [i + k for i in keep_idx]
-    reduced = np.einsum(tensor, row + col, out)
-    d_keep = math.prod(dims[i] for i in keep_idx)
-    return reduced.reshape(d_keep, d_keep)
-
-
 def embed_operator(op: np.ndarray, layout: RegisterLayout, targets: Iterable[str]) -> np.ndarray:
     """Embed an operator acting on ``targets`` (in the given order) into the
     full register, with identity on every other subsystem."""
@@ -151,17 +128,6 @@ def hermitian_eig(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> tuple[np.nda
         raise NonHermitianError(f"matrix deviates from Hermitian by {drift:.3e} > {atol:.0e}")
     vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
     return vals, vecs
-
-
-def hermitian_func(h: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix through its spectrum."""
-    vals, vecs = hermitian_eig(h)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        fvals = np.array([f(float(v)) for v in vals], dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        bad = vals[~np.isfinite(fvals)]
-        raise MatrixDomainError(f"function undefined at eigenvalue(s) {bad}")
-    return (vecs * fvals) @ dag(vecs)
 
 
 def sqrt_psd(m: np.ndarray, neg_atol: float = 1e-10) -> np.ndarray:

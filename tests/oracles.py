@@ -2,7 +2,10 @@
 
 Everything here is deliberately built from first principles (permutation
 unitaries, explicit einsum traces, power series) or from references pinned to
-them, rather than through the code paths under test.
+them, rather than through the code paths under test.  ``exact_ite`` is the
+dense density-matrix evolution, with its own eigendecomposition, that the
+library's state-vector reference is checked against and that tests of mixed
+states use.
 """
 
 from __future__ import annotations
@@ -10,7 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from sbqs.engine import cswap_channel
-from sbqs.linalg import RegisterLayout, embed_operator
+from sbqs.errors import ExtinctionError, PlanError
+from sbqs.exact import TRACE_FLOOR
+from sbqs.linalg import (
+    RegisterLayout,
+    check_density_matrix,
+    dag,
+    embed_operator,
+    hermitian_eig,
+)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -33,9 +44,13 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_pure_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
+    return v / np.linalg.norm(v)
+
+
+def random_pure_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    v = random_unit_vector(rng, dim)
     return np.outer(v, v.conj())
 
 
@@ -49,6 +64,37 @@ def unitary_from_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
     """exp(i * scale * h), built by direct eigendecomposition."""
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2)
     return (vecs * np.exp(1j * scale * vals)) @ dagger(vecs)
+
+
+def control_state(delta: float) -> np.ndarray:
+    """Exactly normalized control qubit (|0> - delta |1>)/sqrt(1 + delta^2)."""
+    if not abs(delta) < 1.0:
+        raise PlanError(f"|delta| = {abs(delta)} >= 1; increase the step count")
+    v = np.array([1.0, -delta], dtype=complex)
+    return v / np.sqrt(1.0 + delta * delta)
+
+
+def exact_ite(h: np.ndarray, rho0: np.ndarray, beta: float) -> np.ndarray:
+    """Normalized imaginary-time evolution e^{-beta h} rho0 e^{-beta h} / trace.
+
+    Computed on a spectrum shifted to start at zero, which leaves the
+    normalized output unchanged while avoiding overflow at large beta.
+    """
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    check_density_matrix(rho0, trace=1.0, trace_atol=1e-8)
+    if beta == 0:
+        return np.array(rho0, dtype=complex)
+    vals, vecs = hermitian_eig(h)
+    weights = np.exp(-beta * (vals - vals[0]))
+    propagator = (vecs * weights) @ dag(vecs)
+    out = propagator @ rho0 @ propagator
+    tr = float(np.trace(out).real)
+    if not tr > TRACE_FLOOR:
+        raise ExtinctionError(
+            f"normalization trace {tr:.3e} vanished at beta={beta}"
+        )
+    return out / tr
 
 
 def cswap_unitary(support: tuple[int, ...], n: int) -> np.ndarray:
@@ -146,15 +192,3 @@ def deferred_cswap_state(sigma: np.ndarray, terms, measurement: str) -> np.ndarr
             w[2 ** (ell - 1 - i)] = 1.0  # control i set, all others zero
     w /= np.linalg.norm(w)
     return np.einsum("a,aibj,b->ij", w.conj(), state.reshape(c_dim, d, c_dim, d), w)
-
-
-def exp_series(h: np.ndarray, terms: int) -> np.ndarray:
-    """Partial sum of the matrix exponential power series."""
-    out = np.eye(h.shape[0], dtype=complex)
-    power = np.eye(h.shape[0], dtype=complex)
-    fact = 1.0
-    for j in range(1, terms + 1):
-        power = power @ h
-        fact *= j
-        out = out + power / fact
-    return out

@@ -16,14 +16,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import sbqs
 from sbqs.bounds import bures_distance_sm, expansion_error_report, product_error_report
 from sbqs.cli import main
 from sbqs.config import validate_config
 from sbqs.engine import (
-    control_state,
     make_plan,
     replace_support,
     run,
@@ -31,7 +29,7 @@ from sbqs.engine import (
     step_strategy_a,
     step_strategy_b,
 )
-from sbqs.exact import bures_distance, exact_ite, fidelity, ground, ground_projector
+from sbqs.exact import bures_distance, exact_ite, fidelity, ground
 from sbqs.experiment import run_experiment, uniform_state
 from sbqs.hamiltonian import (
     RHO_Z,
@@ -49,10 +47,12 @@ from sbqs.hamiltonian import (
 from sbqs.linalg import dag, embed_operator, hermitian_eig, qubit_layout
 
 from oracles import (
+    control_state,
     cswap_reference_state,
     random_density,
     random_hermitian,
     random_pure_density,
+    random_unit_vector,
     random_unitary,
     trace_distance,
     unitary_from_hermitian,
@@ -141,9 +141,10 @@ def test_criterion_3_first_order_convergence():
     t0 = time.perf_counter()
     params = IsingParams(2, 1.0, 1.0, "open")
     dec = decompose_ising_local(params)
-    h = densify(build_ising(params))
+    spectral = ground(densify(build_ising(params)))
     sigma0 = uniform_state(2)
-    reference = exact_ite(h, sigma0, 1.0)
+    phi = exact_ite(spectral, np.full(4, 0.5, dtype=complex), 1.0)
+    reference = np.outer(phi, phi.conj())
     bures, tdist, bures_eff = {}, {}, {}
     for n_steps in (50, 100, 200, 400):
         final = run(make_plan(dec, 1.0, n_steps, "A", "faithful"), sigma0).final_state
@@ -251,14 +252,14 @@ def test_criterion_7_bound_suite():
     for _ in range(100):
         h = random_hermitian(rng, 4, scale=1.5)
         data = ground(h)
-        sigma0 = random_pure_density(rng, 4)
+        psi0 = random_unit_vector(rng, 4)
         target = np.outer(data.ground_vector, data.ground_vector.conj())
-        f0 = fidelity(sigma0, target)
+        f0 = fidelity(target, psi0)
         if f0 < 1e-8:
             continue
         for beta in (0.5, 1.0, 2.0):
             bound = sbqs.fidelity_lower_bound(beta, data.gap, f0, variant="sm")
-            sm_ok &= fidelity(exact_ite(h, sigma0, beta), target) >= bound - 1e-9
+            sm_ok &= fidelity(target, exact_ite(data, psi0, beta)) >= bound - 1e-9
 
     sufficiency_ok = True
     eps = 0.2
@@ -273,10 +274,9 @@ def test_criterion_7_bound_suite():
         perp -= data.ground_vector * np.vdot(data.ground_vector, perp)
         perp /= np.linalg.norm(perp)
         v = math.sqrt(f0) * data.ground_vector + math.sqrt(1 - f0) * perp
-        sigma0 = np.outer(v, v.conj())
-        evolved = exact_ite(h, sigma0, sbqs.beta_star(data.gap, f0, eps))
+        evolved = exact_ite(data, v, sbqs.beta_star(data.gap, f0, eps))
         target = np.outer(data.ground_vector, data.ground_vector.conj())
-        sufficiency_ok &= bures_distance_sm(evolved, target) <= eps / 2 + 1e-9
+        sufficiency_ok &= bures_distance_sm(target, evolved) <= eps / 2 + 1e-9
         done += 1
 
     chain_ok = True

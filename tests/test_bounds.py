@@ -18,16 +18,15 @@ from sbqs.bounds import (
     strategy_b_probability,
     trotter_error,
 )
-from sbqs.exact import exact_ite, fidelity, ground
+from sbqs.exact import exact_ite, fidelity, ground, populations
 from sbqs.hamiltonian import IsingParams, build_ising, decompose_ising_local, densify, shift_to_positive
 from sbqs.engine import make_plan, run
 from sbqs.experiment import uniform_state
 
 from oracles import (
     dagger,
-    random_density,
     random_hermitian,
-    random_pure_density,
+    random_unit_vector,
     random_unitary,
     unitary_from_hermitian,
 )
@@ -88,13 +87,13 @@ class TestFidelityBounds:
         for _ in range(100):
             h = random_hermitian(rng, 4, scale=1.5)
             data = ground(h)
-            sigma0 = random_pure_density(rng, 4)
+            psi0 = random_unit_vector(rng, 4)
             target = np.outer(data.ground_vector, data.ground_vector.conj())
-            f0 = fidelity(sigma0, target)
+            f0 = fidelity(target, psi0)
             if f0 < 1e-8:
                 continue
             for beta in (0.5, 1.0, 2.0):
-                f = fidelity(exact_ite(h, sigma0, beta), target)
+                f = fidelity(target, exact_ite(data, psi0, beta))
                 assert f >= fidelity_lower_bound(beta, data.gap, f0, variant="sm") - 1e-9
 
     def test_f0_zero_undefined(self):
@@ -149,32 +148,32 @@ class TestBetaNStar:
             perp -= data.ground_vector * np.vdot(data.ground_vector, perp)
             perp /= np.linalg.norm(perp)
             v = math.sqrt(f0) * data.ground_vector + math.sqrt(1 - f0) * perp
-            sigma0 = np.outer(v, v.conj())
             bs = beta_star(data.gap, f0, eps)
-            evolved = exact_ite(h, sigma0, bs)
+            evolved = exact_ite(data, v, bs)
             target = np.outer(data.ground_vector, data.ground_vector.conj())
-            assert bures_distance_sm(evolved, target) <= eps / 2 + 1e-9
+            assert bures_distance_sm(target, evolved) <= eps / 2 + 1e-9
             done += 1
+
+
+def uniform_vector(n: int) -> np.ndarray:
+    return np.full(2**n, 2 ** (-n / 2), dtype=complex)
 
 
 class TestProbabilities:
     def test_strategy_b_beta_zero(self):
-        sigma0 = uniform_state(1)
-        h = np.zeros((2, 2), dtype=complex)
-        assert strategy_b_probability(h, sigma0, 0.0, 7, 3) == pytest.approx(4.0**-7)
-        assert strategy_b_probability(h, sigma0, 0.0, 1, 1) == pytest.approx(0.5)
+        pops = np.full(2, 0.5)
+        assert strategy_b_probability(np.zeros(2), pops, 0.0, 7, 3) == pytest.approx(4.0**-7)
+        assert strategy_b_probability(np.zeros(2), pops, 0.0, 1, 1) == pytest.approx(0.5)
 
     def test_clamped_with_warning(self):
-        h = -5.0 * np.eye(2, dtype=complex)
         with pytest.warns(UserWarning, match="clamped"):
-            value = strategy_b_probability(h, uniform_state(1), 1.0, 1, 1)
+            value = strategy_b_probability(np.full(2, -5.0), np.full(2, 0.5), 1.0, 1, 1)
         assert value == 1.0
 
     def test_p_star_in_unit_interval(self):
         params = IsingParams(2, 1.0, 1.0, "open")
-        h = densify(build_ising(params))
-        sigma0 = uniform_state(2)
-        value = p_star(h, sigma0, 1.0, 20.0, 5)
+        data = ground(densify(build_ising(params)))
+        value = p_star(data.spectrum, populations(data, uniform_vector(2)), 1.0, 20.0, 5)
         assert 0.0 <= value <= 1.0
 
     def test_effective_ledger_telescopes_to_a_chain(self):
@@ -199,12 +198,13 @@ class TestProbabilities:
         sigma0 = uniform_state(2)
         from sbqs.hamiltonian import protocol_operator
 
-        h_protocol = protocol_operator(dec)
+        data = ground(protocol_operator(dec))
+        pops = populations(data, uniform_vector(2))
         beta = 0.5
         deviations = {}
         for n_steps in (50, 100):
             traj = run(make_plan(dec, beta, n_steps, "B-global", mode), sigma0)
-            formula = strategy_b_probability(h_protocol, sigma0, beta, n_steps, dec.ell)
+            formula = strategy_b_probability(data.spectrum, pops, beta, n_steps, dec.ell)
             # compare in log space: the raw products underflow for large N
             log_ledger = traj.ledger.log_cumulative("paper-formula")
             deviations[n_steps] = abs(log_ledger - math.log(formula))
@@ -266,18 +266,16 @@ def test_bures_sm_convention():
 def test_report_assembly():
     params = IsingParams(2, 1.0, 1.0, "open")
     dec = decompose_ising_local(params)
-    from sbqs.hamiltonian import protocol_operator
-
-    h = densify(build_ising(params))
+    spectral = ground(densify(build_ising(params)))
     report = build_bounds_report(
-        protocol_h=protocol_operator(dec),
-        sigma0=uniform_state(2),
+        spectral=spectral,
+        shift=-dec.identity_offset,
+        populations=populations(spectral, uniform_vector(2)),
         ell=dec.ell,
         h_max=dec.h_max,
         beta=1.0,
         n_steps=100,
         eps=0.2,
-        spectral=ground(h),
     )
     assert report.ell == dec.ell
     assert report.trotter_eps == pytest.approx(trotter_error(dec.ell, 1.0, dec.h_max, 100))

@@ -3,7 +3,6 @@ import pytest
 
 from sbqs.engine import (
     ProbabilityLedger,
-    control_state,
     cswap_channel,
     make_plan,
     run,
@@ -12,7 +11,7 @@ from sbqs.engine import (
     step_strategy_b,
 )
 from sbqs.errors import ExtinctionError, PlanError
-from sbqs.exact import bures_distance, exact_ite
+from sbqs.exact import bures_distance, exact_ite, ground
 from sbqs.hamiltonian import (
     RHO_X,
     RHO_Z,
@@ -26,6 +25,7 @@ from sbqs.hamiltonian import (
 from sbqs.linalg import dag
 
 from oracles import (
+    control_state,
     cswap_reference_state,
     cswap_unitary,
     deferred_cswap_state,
@@ -295,10 +295,10 @@ class TestRun:
     def test_faithful_tracks_exact_ite(self):
         params = IsingParams(2, 1.0, 1.0, "open")
         dec = decompose_ising_local(params)
-        h = densify(build_ising(params))
+        spectral = ground(densify(build_ising(params)))
         sigma0 = np.full((4, 4), 0.25, dtype=complex)
         traj = run(make_plan(dec, 1.0, 200, "A", "faithful"), sigma0)
-        ref = exact_ite(h, sigma0, 1.0)
+        ref = exact_ite(spectral, np.full(4, 0.5, dtype=complex), 1.0)
         assert bures_distance(traj.final_state, ref) < 0.06
 
     def test_first_order_convergence_measured_in_matching_metrics(self):
@@ -307,9 +307,10 @@ class TestRun:
         # distance for the purity-preserving effective mode
         params = IsingParams(2, 1.0, 1.0, "open")
         dec = decompose_ising_local(params)
-        h = densify(build_ising(params))
+        spectral = ground(densify(build_ising(params)))
         sigma0 = np.full((4, 4), 0.25, dtype=complex)
-        ref = exact_ite(h, sigma0, 1.0)
+        phi = exact_ite(spectral, np.full(4, 0.5, dtype=complex), 1.0)
+        ref = np.outer(phi, phi.conj())
         tdists, bures_eff = {}, {}
         for n_steps in (100, 200):
             faithful = run(make_plan(dec, 1.0, n_steps, "A", "faithful"), sigma0)

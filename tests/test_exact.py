@@ -12,7 +12,8 @@ from sbqs.exact import (
 )
 from sbqs.hamiltonian import IsingParams, build_ising, densify
 
-from oracles import random_density, random_hermitian, random_pure_density
+from oracles import exact_ite as oracle_exact_ite
+from oracles import random_density, random_hermitian, random_pure_density, random_unit_vector
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -20,46 +21,89 @@ KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
 
 
+def ket(*amplitudes: float) -> np.ndarray:
+    v = np.array(amplitudes, dtype=complex)
+    return v / np.linalg.norm(v)
+
+
 class TestExactIte:
     def test_beta_zero_returns_input(self):
         rng = np.random.default_rng(0)
-        rho = random_density(rng, 4)
-        assert np.array_equal(exact_ite(random_hermitian(rng, 4), rho, 0.0), rho)
+        psi = random_unit_vector(rng, 4)
+        assert np.array_equal(exact_ite(ground(random_hermitian(rng, 4)), psi, 0.0), psi)
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.5])
     def test_single_qubit_closed_form(self, beta):
         # fidelity of the evolved |+> with |1> is 1/(1 + exp(-4 beta))
-        state = exact_ite(Z, PLUS, beta)
-        assert fidelity(state, KET1) == pytest.approx(1 / (1 + np.exp(-4 * beta)), abs=1e-12)
+        state = exact_ite(ground(Z), ket(1, 1), beta)
+        assert fidelity(KET1, state) == pytest.approx(1 / (1 + np.exp(-4 * beta)), abs=1e-12)
 
     def test_asymptotic_ground_state(self):
-        state = exact_ite(Z, PLUS, 20.0)
-        assert np.max(np.abs(state - KET1)) <= 1e-10
+        state = exact_ite(ground(Z), ket(1, 1), 20.0)
+        assert np.max(np.abs(state - ket(0, 1))) <= 1e-10
 
     def test_semigroup(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            h = random_hermitian(rng, 4)
-            rho = random_density(rng, 4)
-            once = exact_ite(h, rho, 0.9)
-            twice = exact_ite(h, exact_ite(h, rho, 0.4), 0.5)
+            spectral = ground(random_hermitian(rng, 4))
+            psi = random_unit_vector(rng, 4)
+            once = exact_ite(spectral, psi, 0.9)
+            twice = exact_ite(spectral, exact_ite(spectral, psi, 0.4), 0.5)
             assert np.max(np.abs(once - twice)) <= 1e-9
 
     def test_energy_monotone_along_trajectory(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             h = random_hermitian(rng, 4)
-            rho = random_density(rng, 4)
-            energies = [energy(h, exact_ite(h, rho, b)) for b in np.linspace(0, 4, 20)]
+            spectral = ground(h)
+            psi = random_unit_vector(rng, 4)
+            energies = [float(np.vdot(phi, h @ phi).real)
+                        for phi in (exact_ite(spectral, psi, b) for b in np.linspace(0, 4, 20))]
             assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(energies, energies[1:]))
 
     def test_extinction(self):
         with pytest.raises(ExtinctionError):
-            exact_ite(Z, KET0, 400.0)  # support only on the excited state
+            exact_ite(ground(Z), ket(1, 0), 400.0)  # support only on the excited state
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
-            exact_ite(Z, PLUS, -1.0)
+            exact_ite(ground(Z), ket(1, 1), -1.0)
+
+    def test_rejects_unnormalized_state(self):
+        with pytest.raises(ValueError, match="norm"):
+            exact_ite(ground(Z), np.array([1.0, 1.0]), 1.0)
+
+
+class TestExactIteMatchesDenseOracle:
+    """The state-vector reference against the dense e^{-bH} rho e^{-bH} / Tr."""
+
+    @staticmethod
+    def assert_matches(h, psi, beta):
+        phi = exact_ite(ground(h), psi, beta)
+        dense = oracle_exact_ite(h, np.outer(psi, psi.conj()), beta)
+        assert np.max(np.abs(np.outer(phi, phi.conj()) - dense)) <= 1e-12
+
+    def test_random_hamiltonians(self):
+        rng = np.random.default_rng(12)
+        for dim in (2, 4, 8, 16):
+            for _ in range(5):
+                h = random_hermitian(rng, dim, scale=2.0)
+                psi = random_unit_vector(rng, dim)
+                for beta in (0.0, 0.3, 1.0, 5.0):  # beta = 0 returns the input in both
+                    self.assert_matches(h, psi, beta)
+
+    def test_degenerate_ground_space(self):
+        h = densify(build_ising(IsingParams(3, 1.0, 0.0, "periodic")))
+        assert ground(h).degenerate
+        psi = np.full(8, 8 ** -0.5, dtype=complex)
+        for beta in (0.5, 2.0, 30.0):
+            self.assert_matches(h, psi, beta)
+
+    def test_extinction_in_both(self):
+        with pytest.raises(ExtinctionError):
+            exact_ite(ground(Z), ket(1, 0), 400.0)
+        with pytest.raises(ExtinctionError):
+            oracle_exact_ite(Z, KET0, 400.0)
 
 
 class TestGround:
@@ -118,6 +162,22 @@ class TestFidelity:
         v = np.real(np.trace(b @ a))
         assert fidelity(a, b) == pytest.approx(v, abs=1e-9)
 
+    def test_vector_argument_is_the_expectation_value(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            a = random_density(rng, 4)
+            psi = random_unit_vector(rng, 4)
+            expected = fidelity(a, np.outer(psi, psi.conj()))
+            assert fidelity(a, psi) == pytest.approx(expected, abs=1e-12)
+            assert bures_distance(a, psi) == pytest.approx(
+                bures_distance(a, np.outer(psi, psi.conj())), abs=1e-12)
+
+    def test_vector_argument_is_checked(self):
+        with pytest.raises(ValueError, match="norm"):
+            fidelity(KET0, np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            fidelity(np.eye(2), ket(1, 0))  # the matrix is still checked
+
     def test_pure_pure_is_squared_overlap(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -160,13 +220,14 @@ def test_near_degenerate_chain_converges_more_slowly():
     # the B=0.1 chain starts with most of its weight already in the
     # quasi-degenerate ground doublet and gains fidelity far more slowly
     # than the strongly gapped B=5 chain
-    sigma0 = np.full((16, 16), 1 / 16, dtype=complex)
+    psi0 = np.full(16, 0.25, dtype=complex)
     gains = {}
     for field in (5.0, 0.1):
-        h = densify(build_ising(IsingParams(4, 1.0, field, "periodic")))
-        proj = ground_projector(ground(h), tol=0.05)
-        start = np.trace(proj @ sigma0).real
-        end = np.trace(proj @ exact_ite(h, sigma0, 2.0)).real
+        spectral = ground(densify(build_ising(IsingParams(4, 1.0, field, "periodic"))))
+        proj = ground_projector(spectral, tol=0.05)
+        start = np.vdot(psi0, proj @ psi0).real
+        phi = exact_ite(spectral, psi0, 2.0)
+        end = np.vdot(phi, proj @ phi).real
         gains[field] = end - start
     assert 0 < gains[0.1] < gains[5.0]
 
@@ -180,5 +241,5 @@ def test_fidelity_monotone_toward_ground():
             continue
         rho = random_density(rng, 4)
         target = np.outer(data.ground_vector, data.ground_vector.conj())
-        values = [fidelity(exact_ite(h, rho, b), target) for b in np.linspace(0, 3, 16)]
+        values = [fidelity(oracle_exact_ite(h, rho, b), target) for b in np.linspace(0, 3, 16)]
         assert all(v2 >= v1 - 1e-10 for v1, v2 in zip(values, values[1:]))

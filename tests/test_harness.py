@@ -1,22 +1,26 @@
 import json
 import math
+import re
+import sys
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from sbqs.bounds import build_bounds_report, n_star
 from sbqs.cli import main
 from sbqs.config import DEFAULT_BETA_GRID, load_config, validate_config
 from sbqs.errors import ConfigError
+from sbqs.exact import ground, populations
 from sbqs.experiment import (
     CSV_FIELDS,
     emit_csv,
     emit_svg,
     parse_csv,
     run_experiment,
-    uniform_state,
 )
-from sbqs.hamiltonian import IsingParams
+from sbqs.hamiltonian import IsingParams, protocol_operator
+from sbqs.linalg import operator_norm
 
 
 ISING = {"model": "ising", "n": 3, "J": 1.0, "B": 1.0, "boundary": "periodic"}
@@ -95,28 +99,97 @@ class TestConfigValidation:
 
 class TestRunExperiment:
     def test_sweep_prepares_once_and_diagonalises_once(self, monkeypatch):
-        import sbqs.exact as exact_mod
+        # every binding of the counted functions in every sbqs module is
+        # patched, so a call through any import path is seen
         import sbqs.experiment as experiment_mod
 
-        calls = {"prepare": 0, "eig": 0}
-        real_prepare, real_eig = experiment_mod._prepare, exact_mod.hermitian_eig
+        calls = {"_prepare": 0, "hermitian_eig": 0, "operator_norm": 0, "protocol_operator": 0}
 
-        def counting_prepare(config):
-            calls["prepare"] += 1
-            return real_prepare(config)
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
 
-        def counting_eig(h):
-            calls["eig"] += 1
-            return real_eig(h)
-
-        monkeypatch.setattr(experiment_mod, "_prepare", counting_prepare)
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "sbqs"]:
+            for name in calls:
+                real = getattr(module, name, None)
+                if real is not None:
+                    monkeypatch.setattr(module, name, counting(name, real))
         config = validate_config(ising_config())
-        rows, _ = run_experiment(config)
-        assert len(rows) == 3 and calls["prepare"] == 1
+        assert config.parallel == 1
+        rows, report = run_experiment(config)
+        assert len(rows) == 3 and math.isfinite(report.n_star)
+        assert calls == {"_prepare": 1, "hermitian_eig": 1, "operator_norm": 0,
+                         "protocol_operator": 0}
+        assert "h_protocol" not in {f.name for f in fields(experiment_mod._Setup)}
 
-        monkeypatch.setattr(exact_mod, "hermitian_eig", counting_eig)
-        real_prepare(config)
-        assert calls["eig"] == 1
+    @pytest.mark.parametrize("cpus, expected", [(64, 2), (1, None), (None, None)])
+    def test_pool_width_capped_by_rows_and_cpus(self, monkeypatch, cpus, expected):
+        import sbqs.experiment as experiment_mod
+
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiment_mod.os, "cpu_count", lambda: cpus)
+        config = validate_config(ising_config(beta_grid=[0.0, 1.0], parallel=100000))
+        rows, _ = run_experiment(config)
+        assert widths == ([] if expected is None else [expected])
+        assert [r.beta for r in rows] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("decomposition, shift", [
+        ("ising-local", False), ("ising-local", True),
+        ("pauli-generic", False), ("pauli-generic", True),
+    ])
+    def test_report_from_spectrum_matches_dense_protocol_operator(self, decomposition, shift):
+        # reference: the protocol operator built densely and diagonalised on
+        # its own, as the bounds report did before it read the shared spectrum
+        import sbqs.experiment as experiment_mod
+
+        terms = [("ZZI", -1.0), ("IXX", 0.7), ("YIZ", 0.4), ("XIY", 0.25), ("IZI", 0.3),
+                 ("XII", 0.2), ("III", 0.3)]  # gap 0.169, so every bound is defined
+        model = ISING if decomposition == "ising-local" else {
+            "model": "pauli", "n": 3,
+            "terms": [{"string": string, "coeff": coeff} for string, coeff in terms],
+        }
+        config = validate_config(ising_config(model=dict(model), decomposition=decomposition,
+                                              shift_positive=shift, n_steps=20))
+        setup = experiment_mod._prepare(config)
+        report = experiment_mod._bounds_report(config, setup)
+        dense = ground(protocol_operator(setup.decomposition))
+        expected = build_bounds_report(
+            spectral=dense,
+            shift=0.0,
+            populations=populations(dense, setup.psi0),
+            ell=setup.decomposition.ell,
+            h_max=setup.decomposition.h_max,
+            beta=max(config.beta_grid),
+            n_steps=config.n_steps,
+            eps=config.epsilon,
+        )
+        assert math.isfinite(report.n_star) and report.strategy_b_probability > 0.0
+        for name, value in report.to_dict().items():
+            want = expected.to_dict()[name]
+            if isinstance(value, float):
+                assert abs(value - want) <= 1e-12 * max(abs(value), abs(want)), name
+            else:
+                assert value == want, name
+        assert report.n_star == pytest.approx(
+            n_star(operator_norm(protocol_operator(setup.decomposition)), report.gap,
+                   report.f0, config.epsilon), rel=1e-12)
 
     def test_beta_zero_columns(self):
         config = validate_config(ising_config(beta_grid=[0.0], n_steps=2))
@@ -356,3 +429,23 @@ class TestCli:
         assert '"beta_star"' in capsys.readouterr().out
         assert main(["sample", str(path)]) == 0
         assert "empirical success frequency" in capsys.readouterr().out
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")  # nan and inf stay text
+_ROOT = Path(__file__).parents[1]
+
+
+@pytest.mark.parametrize("name", ["fig2_left", "fig2_right"])
+def test_committed_goldens_reproduce(tmp_path, name):
+    """A fresh run reproduces every number of every committed output file to
+    within 1e-10 relative (absolute below 1), and all the text between them."""
+    goldens = sorted((_ROOT / "out" / name).iterdir())
+    argv = ["run", str(_ROOT / "configs" / f"{name}.json"), "--out", str(tmp_path)]
+    assert main(argv + (["--svg"] if any(p.suffix == ".svg" for p in goldens) else [])) == 0
+    for golden in goldens:
+        want = golden.read_text()
+        got = (tmp_path / golden.name).read_text()
+        assert _NUMBER.split(got) == _NUMBER.split(want), golden.name
+        for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
+            x, y = float(g), float(w)
+            assert abs(x - y) <= 1e-10 * max(1.0, abs(y)), (golden.name, g, w)

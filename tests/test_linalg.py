@@ -8,15 +8,13 @@ from sbqs.linalg import (
     embed_operator,
     frobenius_norm,
     hermitian_eig,
-    hermitian_func,
     kron,
     operator_norm,
-    partial_trace,
     qubit_layout,
     sqrt_psd,
 )
 
-from oracles import exp_series, random_density, random_hermitian
+from oracles import random_hermitian
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -69,42 +67,6 @@ class TestKron:
             assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
 
 
-class TestPartialTrace:
-    def test_product_state_factorizes(self):
-        rng = np.random.default_rng(2)
-        a = random_density(rng, 2)
-        b = 2.7 * random_density(rng, 4)  # reduced matrix picks up Tr[b]
-        layout = RegisterLayout((("A", 2), ("B", 4)))
-        assert np.allclose(partial_trace(np.kron(a, b), layout, {"A"}), 2.7 * a, atol=1e-12)
-        assert np.allclose(partial_trace(np.kron(a, b), layout, {"B"}), b, atol=1e-12)
-
-    def test_bell_state_reduces_to_maximally_mixed(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / np.sqrt(2)
-        rho = np.outer(bell, bell.conj())
-        reduced = partial_trace(rho, qubit_layout(2), {"q0"})
-        assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
-
-    def test_keep_all_is_identity(self):
-        rng = np.random.default_rng(3)
-        m = random_density(rng, 8)
-        assert np.allclose(partial_trace(m, qubit_layout(3), {"q0", "q1", "q2"}), m)
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(4)
-        layout = RegisterLayout((("a", 2), ("b", 3), ("c", 2)))
-        for _ in range(5):
-            m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-            reduced = partial_trace(m, layout, {"b"})
-            assert abs(np.trace(reduced) - np.trace(m)) <= 1e-10
-
-    def test_errors(self):
-        with pytest.raises(KeyError):
-            partial_trace(np.eye(4), qubit_layout(2), {"nope"})
-        with pytest.raises(ValueError, match="does not match"):
-            partial_trace(np.eye(8), qubit_layout(2), {"q0"})
-
-
 class TestEmbed:
     def test_matches_kron_on_contiguous_support(self):
         layout = qubit_layout(3)
@@ -153,28 +115,14 @@ class TestHermitianEig:
 
 
 class TestHermitianFunc:
-    def test_exp_of_zero(self):
-        assert np.allclose(hermitian_func(np.zeros((3, 3)), np.exp), np.eye(3))
-
-    def test_sqrt_scalar_case(self):
-        assert np.allclose(hermitian_func(np.eye(2) / 2, np.sqrt), np.eye(2) / np.sqrt(2))
-
-    def test_exp_diagonal(self):
-        out = hermitian_func(Z, lambda x: np.exp(-x))
-        assert np.allclose(out, np.diag([np.exp(-1), np.exp(1)]))
-
-    def test_exp_matches_power_series(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            h = random_hermitian(rng, 4)
-            h /= max(1.0, operator_norm(h))  # ||h|| <= 1
-            series = exp_series(h, 14)
-            # remainder bound: ||h||^15/15! * e^||h||
-            assert operator_norm(hermitian_func(h, np.exp) - series) <= np.e / 1.3e12 + 1e-13
+    """Functions of a Hermitian matrix through its spectrum: the PSD square root."""
 
     def test_domain_error(self):
         with pytest.raises(MatrixDomainError):
             sqrt_psd(np.diag([-1.0, 1.0]))
+
+    def test_sqrt_scalar_case(self):
+        assert np.allclose(sqrt_psd(np.eye(2) / 2), np.eye(2) / np.sqrt(2))
 
     def test_sqrt_clamps_tiny_negatives(self):
         out = sqrt_psd(np.diag([-5e-11, 4.0]))
