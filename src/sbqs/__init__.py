@@ -58,7 +58,6 @@ from .hamiltonian import (
     decompose_ising_local,
     decompose_pauli_generic,
     densify,
-    protocol_operator,
     shift_to_positive,
 )
 from .linalg import (

@@ -1,26 +1,30 @@
 """Protocol engine: post-selected controlled-SWAP steps in closed form.
 
 A Hamiltonian decomposition drives a Trotterized nonunitary update of the
-simulator state.  Each sub-step prepares a control qubit
-(|0> - delta |1>)/sqrt(1 + delta^2), swaps a fresh resource state rho into
-the simulator when the control is set, traces the resource out, and
-post-selects a control measurement:
+simulator state.  Every step is one primitive: a control qubit
+(|0> - delta |1>)/sqrt(1 + delta^2) per (term, delta) pair, a controlled-SWAP
+of a fresh resource state rho into the simulator on each, the resources
+traced out, and one post-selected measurement of the controls.  The
+strategies differ only in which pairs one measurement reads:
 
-- strategy "A" measures after every sub-step;
+- strategy "A" measures every term on its own (l = 1, projection onto |+>);
 - strategies "B-local" / "B-global" defer the measurement to the end of each
-  Trotter step, projecting the whole control register onto |+>^l or onto the
-  uniform superposition over {all-zeros, one-hots}.  Measurements are never
-  deferred across Trotter steps.
+  Trotter step and read all l terms, projecting the control register onto
+  |+>^l or onto the uniform superposition over {all-zeros, one-hots}.
+  Measurements are never deferred across Trotter steps.
 
-After the trace-out the control ⊗ simulator state has the blocks
-[[sigma, -delta sigma rho], [-delta rho sigma, delta^2 rho ⊗ Tr_S sigma]] / (1 + delta^2),
-so every post-selected state is a polynomial in delta of a few products of
-sigma with the embedded resource, and the engine computes it directly:
+With B = sum_i delta_i rho_i = I - A over the pairs read, the post-selected
+state is (sigma - (sigma B + B sigma) + second) / scale, a polynomial in the
+deltas of a few products of sigma with the embedded resources:
 
-- "faithful" keeps the term rho ⊗ Tr_S sigma (the support qubits of sigma
-  replaced by rho), which is what the circuit produces;
-- "effective" puts rho sigma rho in its place, which gives the first-order
-  update (I - delta rho) sigma (I - delta rho);
+- "effective" has second = B sigma B, which gives the first-order update
+  A sigma A;
+- "faithful" keeps what the circuit produces: each delta_i^2 rho_i sigma rho_i
+  of B sigma B becomes delta_i^2 rho_i ⊗ Tr_Si sigma (the support qubits of
+  sigma replaced by rho_i), and the normalization gains prod_i (1 + delta_i^2).
+  This delta^2 leak is the one known from density-matrix exponentiation.
+  The |+>^l projection of "B-local" acts on each control alone, so faithful
+  B-local is the l one-term updates in term order, renormalized once;
 - "sampled" evolves like "effective" and leaves the accept/reject randomness
   to :func:`sample_run`.
 
@@ -139,32 +143,47 @@ def _check_probability(p: float, step_id: str) -> float:
     return min(p, 1.0)
 
 
-def _sub_step(
-    sigma: np.ndarray, term: ResourceTerm, delta: float, rho_emb: np.ndarray, faithful: bool
+def _post_select(
+    sigma: np.ndarray,
+    group: list[tuple[ResourceTerm, float]],
+    embs: list[np.ndarray],
+    b_op: np.ndarray,
+    denom: float,
+    faithful: bool,
 ) -> tuple[np.ndarray, float, float]:
-    """Unnormalized state after one sub-step post-selected on |+>, its trace
-    (the post-selection probability), and the paper-formula probability
-    Tr[(I - delta rho) sigma (I - delta rho)] / 2.
+    """One measurement post-selected over the (term, delta) pairs of ``group``,
+    whose resources embedded on the full register are ``embs``, with
+    ``b_op`` = B = sum_i delta_i rho_i = I - A.
 
-    Faithful: (sigma - delta {rho, sigma} + delta^2 rho ⊗ Tr_S sigma) / (2 (1 + delta^2)),
-    whose trace has Tr sigma in the delta^2 term.
-    Effective: (sigma - delta {rho, sigma} + delta^2 rho sigma rho) / 2, whose
-    trace is the formula probability.  Both are linear in ``sigma``, which
-    need not have unit trace.
+    Returns the unnormalized state (sigma - (sigma B + B sigma) + second) / scale,
+    its trace (the post-selection probability) and the paper-formula
+    probability Tr[A sigma A] / denom.  Effective: second = B sigma B and
+    scale = denom, so the two probabilities agree.  Faithful:
+    second = sum_i delta_i^2 rho_i ⊗ Tr_Si sigma + [B sigma B - sum_i delta_i^2 rho_i sigma rho_i]
+    and scale = denom prod_i (1 + delta_i^2); the bracket holds the cross
+    terms i != j, so a one-term group skips it and B sigma B alike.  Linear
+    in ``sigma``, which need not have unit trace.
     """
-    sr = sigma @ rho_emb
-    tr_s, tr_sr = sigma.trace().real, sr.trace().real
-    tr_rsr = np.vdot(rho_emb, sr).real  # Tr rho sigma rho
-    if faithful:
-        second, tr_second = replace_support(sigma, term.rho, term.support), tr_s
-        scale = 2 * (1 + delta * delta)
+    sb = sigma @ b_op
+    tr_s, tr_sb = sigma.trace().real, sb.trace().real
+    p_formula = float(tr_s - 2 * tr_sb + np.vdot(b_op, sb).real) / denom
+    if faithful and len(group) == 1:
+        raw = sigma - (sb + dag(sb))  # B sigma = (sigma B)^dagger for Hermitian B and sigma
     else:
-        second, tr_second, scale = rho_emb @ sr, tr_rsr, 2.0
-    # rho sigma = (sigma rho)^dagger for Hermitian rho and sigma
-    raw = (sigma - delta * (sr + dag(sr)) + (delta * delta) * second) / scale
-    p = float(tr_s - 2 * delta * tr_sr + delta * delta * tr_second) / scale
-    p_formula = float(tr_s - 2 * delta * tr_sr + delta * delta * tr_rsr) / 2
-    return raw, p, p_formula
+        # A sigma A = sigma A - B sigma A, in the buffer of sigma B: this skips
+        # the strided sum with (sigma B)^dagger, which is slow at large d
+        raw = np.subtract(sigma, sb, out=sb)
+        raw -= b_op @ raw
+        if faithful:
+            for (_, delta), emb in zip(group, embs):
+                raw -= (delta * delta) * (emb @ sigma @ emb)
+    scale = denom
+    if faithful:
+        for term, delta in group:
+            raw += (delta * delta) * replace_support(sigma, term.rho, term.support)
+            scale *= 1 + delta * delta
+    raw *= 1 / scale
+    return raw, float(raw.trace().real), p_formula
 
 
 @dataclass(frozen=True)
@@ -182,34 +201,27 @@ def step_strategy_a(
     kraus: list[np.ndarray] | None = None,
     rho_emb: np.ndarray | None = None,
 ) -> StepResult:
-    """One measured sub-step with a single resource term.
+    """One measured sub-step: the one-term group of :func:`_post_select`, whose
+    control is projected onto |+> (denominator 2).
 
-    The probability is the trace of the unnormalized post-selected state
-    (see :func:`_sub_step`); the state is renormalized.  The formula
-    probability (the Tr/2 convention) is reported in both modes and equals
-    the probability in effective mode.  ``rho_emb`` is ``term.rho`` embedded
-    on the full register, built here when not given.  ``kraus`` is ignored:
-    the closed form needs no Kraus operators, and the keyword stays only for
-    callers written against the earlier Kraus engine.
+    The probability is the trace of the unnormalized post-selected state; the
+    state is renormalized.  The formula probability
+    Tr[(I - delta rho) sigma (I - delta rho)] / 2 is reported in both modes
+    and equals the probability in effective mode.  ``rho_emb`` is
+    ``term.rho`` embedded on the full register, built here when not given.
+    ``kraus`` is ignored: the closed form needs no Kraus operators, and the
+    keyword stays only for callers written against the earlier Kraus engine.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if rho_emb is None:
         rho_emb = _embed(term, sigma.shape[0].bit_length() - 1)
     faithful = mode == "faithful"
-    raw, trace, p_formula = _sub_step(sigma, term, delta, rho_emb, faithful)
+    raw, trace, p_formula = _post_select(
+        sigma, [(term, delta)], [rho_emb], delta * rho_emb, 2.0, faithful
+    )
     p = _check_probability(trace, "sub-step")
-    return StepResult(raw / trace, p, p_formula if faithful else p)
-
-
-def _coherent_operator(
-    dim: int, terms: list[tuple[ResourceTerm, float]], rho_embs: list[np.ndarray]
-) -> np.ndarray:
-    """A = I - sum_i delta_i rho_i on the full register."""
-    a_op = np.eye(dim, dtype=complex)
-    for (_, delta), emb in zip(terms, rho_embs):
-        a_op = a_op - delta * emb
-    return a_op
+    return StepResult(raw * (1 / trace), p, p_formula if faithful else p)
 
 
 def step_strategy_b(
@@ -219,54 +231,42 @@ def step_strategy_b(
     mode: str = "faithful",
     embedded_kraus: list[list[np.ndarray]] | None = None,
     rho_embs: list[np.ndarray] | None = None,
-    a_op: np.ndarray | None = None,
+    b_op: np.ndarray | None = None,
 ) -> StepResult:
-    """One deferred-measurement Trotter step over all ``terms``.
+    """One deferred-measurement Trotter step over all ``terms``: the full group
+    of :func:`_post_select`, with denominator l+1 ("global", the uniform
+    superposition over the all-zeros and one-hot control states) or 2^l
+    ("local", |+>^l).
 
-    Effective mode applies A sigma A with A = I - sum_i delta_i rho_i and
-    probability Tr/(l+1) (global) or Tr/2^l (local); that is also the
-    reported formula probability in faithful mode.  Faithful mode gives the
-    state after one control per term, every controlled-SWAP, and the
-    projection of the control register onto the uniform superposition over
-    the all-zeros and one-hot states ("global"):
-    (A sigma A + sum_i delta_i^2 (rho_i ⊗ Tr_Si sigma - rho_i sigma rho_i))
-    / ((l+1) prod_i (1 + delta_i^2)); or onto |+>^l ("local"): the faithful
-    strategy-A sub-steps in term order, renormalized only at the end.
-
-    ``rho_embs`` and ``a_op`` are built here when not given.
-    ``embedded_kraus`` is ignored, like ``kraus`` in :func:`step_strategy_a`.
+    Faithful "local" is the one-term faithful updates in term order,
+    renormalized only at the end, because |+>^l projects each control on its
+    own; its formula probability Tr[A sigma A] / 2^l still comes from the
+    full group.  ``rho_embs`` and ``b_op`` = sum_i delta_i rho_i are built
+    here when not given.  ``embedded_kraus`` is ignored, like ``kraus`` in
+    :func:`step_strategy_a`.
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    ell = len(terms)
     if rho_embs is None:
         n_sites = sigma.shape[0].bit_length() - 1
         rho_embs = [_embed(t, n_sites) for t, _ in terms]
-    if a_op is None:
-        a_op = _coherent_operator(sigma.shape[0], terms, rho_embs)
-    contracted = a_op @ sigma @ dag(a_op)
+    if b_op is None:
+        b_op = sum((delta * emb for (_, delta), emb in zip(terms, rho_embs)), np.zeros_like(sigma))
+    ell = len(terms)
     denom = float(ell + 1) if measurement == "global" else float(2**ell)
-    trace = float(np.trace(contracted).real)
-    p_formula = trace / denom
-
-    if mode != "faithful":
-        p = _check_probability(p_formula, "step")
-        return StepResult(contracted / trace, p, p)
-
-    if measurement == "local":
+    faithful = mode == "faithful"
+    if faithful and measurement == "local":
+        p_formula = _post_select(sigma, terms, rho_embs, b_op, denom, faithful=False)[2]
         raw = sigma
         for (term, delta), emb in zip(terms, rho_embs):
-            raw = _sub_step(raw, term, delta, emb, faithful=True)[0]
+            raw = _post_select(raw, [(term, delta)], [emb], delta * emb, 2.0, faithful=True)[0]
+        trace = float(raw.trace().real)
     else:
-        raw = contracted
-        for (term, delta), emb in zip(terms, rho_embs):
-            leak = replace_support(sigma, term.rho, term.support) - emb @ sigma @ emb
-            raw = raw + (delta * delta) * leak
-        raw = raw / (denom * math.prod(1 + delta * delta for _, delta in terms))
-    trace = float(np.trace(raw).real)
-    return StepResult(raw / trace, _check_probability(trace, "step"), p_formula)
+        raw, trace, p_formula = _post_select(sigma, terms, rho_embs, b_op, denom, faithful)
+    p = _check_probability(trace, "step")
+    return StepResult(raw * (1 / trace), p, p_formula if faithful else p)
 
 
 @dataclass(frozen=True)
@@ -279,10 +279,6 @@ class TrotterPlan:
     sub_steps: tuple[tuple[int, float], ...]
     strategy: str
     mode: str
-
-    @property
-    def ell(self) -> int:
-        return len(self.sub_steps)
 
     @property
     def deltas(self) -> tuple[float, ...]:
@@ -404,8 +400,10 @@ def run(plan: TrotterPlan, sigma0: np.ndarray) -> Trajectory:
 
     steps = [(dec.terms[i], delta) for i, delta in plan.sub_steps]
     rho_embs = [_embed(t, dec.n) for t, _ in steps]
-    # strategy B's coherent operator only depends on the row's deltas
-    a_op = _coherent_operator(dim, steps, rho_embs) if plan.strategy != "A" else None
+    # strategy B's B = sum_i delta_i rho_i only depends on the row's deltas
+    b_op = None
+    if plan.strategy != "A":
+        b_op = sum((delta * emb for (_, delta), emb in zip(steps, rho_embs)), np.zeros_like(sigma0))
 
     sigma = sigma0.copy()
     ledger = ProbabilityLedger()
@@ -425,7 +423,7 @@ def run(plan: TrotterPlan, sigma0: np.ndarray) -> Trajectory:
                 measurement=measurement,
                 mode=plan.mode,
                 rho_embs=rho_embs,
-                a_op=a_op,
+                b_op=b_op,
             )
             sigma = res.state
             ledger.record(f"{step + 1}", res.probability, "faithful-exact")

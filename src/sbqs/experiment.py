@@ -105,7 +105,7 @@ def _prepare(config: ExperimentConfig) -> _Setup:
     return _Setup(
         h_model=h_model,
         working=working,
-        protocol_shift=shift - dec.identity_offset,  # protocol_operator(dec) - h_model
+        protocol_shift=shift - dec.identity_offset,  # sum_i weight_i rho_i - h_model, times I
         decomposition=dec,
         psi0=psi0,
         sigma0=np.outer(psi0, psi0.conj()),

@@ -243,12 +243,3 @@ def decompose_ising_local(p: IsingParams) -> ResourceDecomposition:
             terms.append(ResourceTerm(-2 * p.B, RHO_Z, (i,), f"z({i})"))
     offset = -p.J * len(bonds) + p.B * p.n
     return ResourceDecomposition(p.n, tuple(terms), offset, "ising-local")
-
-
-def protocol_operator(d: ResourceDecomposition, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """sum_i weight_i * embed(rho_i) without the identity offset.
-
-    This is the operator the protocol actually simulates (the offset only
-    rescales unnormalized states), so probability formulas must use it.
-    """
-    return densify(d, cap=cap) - d.identity_offset * np.eye(2**d.n, dtype=complex)

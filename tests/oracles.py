@@ -15,6 +15,7 @@ import numpy as np
 from sbqs.engine import cswap_channel
 from sbqs.errors import ExtinctionError, PlanError
 from sbqs.exact import TRACE_FLOOR
+from sbqs.hamiltonian import ResourceDecomposition, ResourceTerm, densify
 from sbqs.linalg import (
     RegisterLayout,
     check_density_matrix,
@@ -64,6 +65,29 @@ def unitary_from_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
     """exp(i * scale * h), built by direct eigendecomposition."""
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2)
     return (vecs * np.exp(1j * scale * vals)) @ dagger(vecs)
+
+
+def random_resource_terms(rng: np.random.Generator, n: int) -> list[tuple[ResourceTerm, float]]:
+    """One to four (term, delta) pairs on ``n`` qubits with random, overlapping
+    supports, resources of every rank and |delta| <= 0.2."""
+    terms = []
+    for i in range(int(rng.integers(1, 5))):
+        k = int(rng.integers(1, n + 1))
+        support = tuple(int(s) for s in rng.permutation(n)[:k])
+        shape = (2**k, int(rng.integers(1, 2**k + 1)))  # the rank
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho = g @ dagger(g) / np.trace(g @ dagger(g)).real
+        terms.append((ResourceTerm(1.0, rho, support, f"t{i}"), float(rng.uniform(-0.2, 0.2))))
+    return terms
+
+
+def protocol_operator(d: ResourceDecomposition) -> np.ndarray:
+    """sum_i weight_i * embed(rho_i) without the identity offset, built densely.
+
+    This is the operator the protocol actually simulates (the offset only
+    rescales unnormalized states), so probability formulas must use it.
+    """
+    return densify(d) - d.identity_offset * np.eye(2**d.n, dtype=complex)
 
 
 def control_state(delta: float) -> np.ndarray:

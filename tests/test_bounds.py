@@ -25,6 +25,7 @@ from sbqs.experiment import uniform_state
 
 from oracles import (
     dagger,
+    protocol_operator,
     random_hermitian,
     random_unit_vector,
     random_unitary,
@@ -182,8 +183,6 @@ class TestProbabilities:
         sigma0 = uniform_state(2)
         beta, n_steps = 0.5, 50
         traj = run(make_plan(dec, beta, n_steps, "B-global", "effective"), sigma0)
-        from sbqs.hamiltonian import protocol_operator
-
         a_op = np.eye(4, dtype=complex) - (beta / n_steps) * protocol_operator(dec)
         chain = np.linalg.matrix_power(a_op, n_steps)
         expected = np.trace(chain @ sigma0 @ dagger(chain)).real / (dec.ell + 1) ** n_steps
@@ -196,8 +195,6 @@ class TestProbabilities:
         params = IsingParams(2, 1.0, 1.0, "open")
         dec = decompose_ising_local(params)
         sigma0 = uniform_state(2)
-        from sbqs.hamiltonian import protocol_operator
-
         data = ground(protocol_operator(dec))
         pops = populations(data, uniform_vector(2))
         beta = 0.5

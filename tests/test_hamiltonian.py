@@ -12,12 +12,11 @@ from sbqs.hamiltonian import (
     decompose_ising_local,
     decompose_pauli_generic,
     densify,
-    protocol_operator,
     shift_to_positive,
 )
 from sbqs.linalg import check_density_matrix, hermitian_eig
 
-from oracles import random_hermitian
+from oracles import protocol_operator, random_hermitian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
