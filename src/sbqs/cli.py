@@ -108,7 +108,7 @@ def _cmd_sample(config, args) -> int:
     setup = _prepare(config)
     beta = config.beta_grid[-1]
     plan = make_plan(setup.decomposition, beta, config.n_steps, config.strategy, config.mode)
-    result = sample_run(plan, setup.sigma0, config.trials, seed=config.seed)
+    result = sample_run(plan, setup.psi0, config.trials, seed=config.seed)
     ledger = result.trajectory.ledger
     exact_p = ledger.cumulative("faithful-exact")
     sigma = math.sqrt(max(exact_p * (1 - exact_p), 1e-300) / config.trials)

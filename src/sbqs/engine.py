@@ -28,6 +28,12 @@ deltas of a few products of sigma with the embedded resources:
 - "sampled" evolves like "effective" and leaves the accept/reject randomness
   to :func:`sample_run`.
 
+The effective update A sigma A maps a pure state to a pure state, so
+"effective" and "sampled" evolve a state vector as a vector: psi <- A psi / |A psi|,
+one matrix-vector product per measurement, with probability |A psi|^2 / denom.
+Only "faithful" needs a density matrix, because its delta^2 leak mixes the
+state; its first step promotes a vector to |psi><psi|.
+
 No control register or Kraus operator is built, so faithful strategy B runs
 at any size the dense simulator state allows.  :func:`cswap_channel` keeps
 the Kraus form of one controlled-SWAP as a reference for tests.
@@ -46,6 +52,7 @@ from .errors import ExtinctionError, PlanError
 from .hamiltonian import ResourceDecomposition, ResourceTerm
 from .linalg import (
     check_density_matrix,
+    check_unit_vector,
     dag,
     embed_operator,
     hermitian_eig,
@@ -137,10 +144,31 @@ def _embed(term: ResourceTerm, n_sites: int) -> np.ndarray:
     return embed_operator(term.rho, qubit_layout(n_sites), [f"q{s}" for s in term.support])
 
 
+def _b_operator(
+    terms: list[tuple[ResourceTerm, float]], n_sites: int, rho_embs: list[np.ndarray] | None
+) -> np.ndarray:
+    """B = sum_i delta_i rho_i on the full register.  Without ``rho_embs`` each
+    embedding is built, added and dropped in turn, so only one is held."""
+    embs = rho_embs if rho_embs is not None else (_embed(t, n_sites) for t, _ in terms)
+    b_op = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    for (_, delta), emb in zip(terms, embs):
+        b_op += delta * emb
+    return b_op
+
+
+def _density(psi: np.ndarray) -> np.ndarray:
+    return np.outer(psi, psi.conj())
+
+
 def _check_probability(p: float, step_id: str) -> float:
     if p <= EXTINCTION_P:
         raise ExtinctionError(f"post-selection probability {p:.3e} at step {step_id}")
     return min(p, 1.0)
+
+
+def _formula_probability(sigma: np.ndarray, sb: np.ndarray, b_op: np.ndarray, denom: float) -> float:
+    """Tr[A sigma A] / denom with A = I - B, read from ``sb`` = sigma B alone."""
+    return float(sigma.trace().real - 2 * sb.trace().real + np.vdot(b_op, sb).real) / denom
 
 
 def _post_select(
@@ -165,8 +193,7 @@ def _post_select(
     in ``sigma``, which need not have unit trace.
     """
     sb = sigma @ b_op
-    tr_s, tr_sb = sigma.trace().real, sb.trace().real
-    p_formula = float(tr_s - 2 * tr_sb + np.vdot(b_op, sb).real) / denom
+    p_formula = _formula_probability(sigma, sb, b_op, denom)
     if faithful and len(group) == 1:
         raw = sigma - (sb + dag(sb))  # B sigma = (sigma B)^dagger for Hermitian B and sigma
     else:
@@ -193,6 +220,16 @@ class StepResult:
     formula_probability: float
 
 
+def _pure_step(psi: np.ndarray, b_psi: np.ndarray, denom: float, step_id: str) -> StepResult:
+    """The effective measurement on a state vector: A psi / |A psi| with
+    A psi = psi - ``b_psi``.  Its probability |A psi|^2 / denom is the formula
+    probability too, as Tr[A sigma A] / denom is for sigma = |psi><psi|."""
+    out = psi - b_psi
+    norm2 = float(np.vdot(out, out).real)
+    p = _check_probability(norm2 / denom, step_id)
+    return StepResult(out * (1 / math.sqrt(norm2)), p, p)
+
+
 def step_strategy_a(
     sigma: np.ndarray,
     term: ResourceTerm,
@@ -209,6 +246,8 @@ def step_strategy_a(
     Tr[(I - delta rho) sigma (I - delta rho)] / 2 is reported in both modes
     and equals the probability in effective mode.  ``rho_emb`` is
     ``term.rho`` embedded on the full register, built here when not given.
+    A 1-D ``sigma`` is a state vector: effective and sampled modes return the
+    updated vector, faithful mode works on |sigma><sigma|.
     ``kraus`` is ignored: the closed form needs no Kraus operators, and the
     keyword stays only for callers written against the earlier Kraus engine.
     """
@@ -217,6 +256,10 @@ def step_strategy_a(
     if rho_emb is None:
         rho_emb = _embed(term, sigma.shape[0].bit_length() - 1)
     faithful = mode == "faithful"
+    if sigma.ndim == 1:
+        if not faithful:
+            return _pure_step(sigma, delta * (rho_emb @ sigma), 2.0, "sub-step")
+        sigma = _density(sigma)
     raw, trace, p_formula = _post_select(
         sigma, [(term, delta)], [rho_emb], delta * rho_emb, 2.0, faithful
     )
@@ -241,24 +284,29 @@ def step_strategy_b(
     Faithful "local" is the one-term faithful updates in term order,
     renormalized only at the end, because |+>^l projects each control on its
     own; its formula probability Tr[A sigma A] / 2^l still comes from the
-    full group.  ``rho_embs`` and ``b_op`` = sum_i delta_i rho_i are built
-    here when not given.  ``embedded_kraus`` is ignored, like ``kraus`` in
-    :func:`step_strategy_a`.
+    full group.  ``b_op`` = sum_i delta_i rho_i is built here when not given,
+    and so are ``rho_embs``, which only faithful mode reads.  A 1-D ``sigma``
+    is handled as in :func:`step_strategy_a`.  ``embedded_kraus`` is ignored,
+    like ``kraus`` there.
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if rho_embs is None:
-        n_sites = sigma.shape[0].bit_length() - 1
+    n_sites = sigma.shape[0].bit_length() - 1
+    faithful = mode == "faithful"
+    if faithful and rho_embs is None:
         rho_embs = [_embed(t, n_sites) for t, _ in terms]
     if b_op is None:
-        b_op = sum((delta * emb for (_, delta), emb in zip(terms, rho_embs)), np.zeros_like(sigma))
+        b_op = _b_operator(terms, n_sites, rho_embs)
     ell = len(terms)
     denom = float(ell + 1) if measurement == "global" else float(2**ell)
-    faithful = mode == "faithful"
+    if sigma.ndim == 1:
+        if not faithful:
+            return _pure_step(sigma, b_op @ sigma, denom, "step")
+        sigma = _density(sigma)
     if faithful and measurement == "local":
-        p_formula = _post_select(sigma, terms, rho_embs, b_op, denom, faithful=False)[2]
+        p_formula = _formula_probability(sigma, sigma @ b_op, b_op, denom)
         raw = sigma
         for (term, delta), emb in zip(terms, rho_embs):
             raw = _post_select(raw, [(term, delta)], [emb], delta * emb, 2.0, faithful=True)[0]
@@ -376,15 +424,19 @@ class Trajectory:
     post-selection probability along the way."""
 
     plan: TrotterPlan
-    initial_state: np.ndarray
-    final_state: np.ndarray
+    initial_state: np.ndarray  # as given to run: a vector or a density matrix
+    final_state: np.ndarray  # a density matrix in every mode
     ledger: ProbabilityLedger
     wall_time_s: float
 
 
-def run(plan: TrotterPlan, sigma0: np.ndarray) -> Trajectory:
-    """Execute the plan on initial state ``sigma0``.
+def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
+    """Execute the plan on the initial ``state``, a unit vector or a density
+    matrix.
 
+    Effective and sampled modes keep a vector a vector, one matrix-vector
+    product per measurement; in faithful mode the first step promotes it to
+    |psi><psi|, as the step functions do with any vector.
     Strategy B applies its measurement at the end of every Trotter step; the
     ledger records faithful-exact and paper-formula probabilities for each
     measurement.  Deterministic: the post-selected branch has no randomness,
@@ -393,19 +445,23 @@ def run(plan: TrotterPlan, sigma0: np.ndarray) -> Trajectory:
     t0 = time.perf_counter()
     dec = plan.decomposition
     dim = 2**dec.n
-    sigma0 = np.asarray(sigma0, dtype=complex)
-    if sigma0.shape != (dim, dim):
-        raise ValueError(f"state shape {sigma0.shape} does not match {dec.n} sites")
-    check_density_matrix(sigma0, trace=1.0, trace_atol=1e-8)
+    initial = np.asarray(state, dtype=complex)
+    if initial.shape == (dim,):
+        check_unit_vector(initial)
+    elif initial.shape == (dim, dim):
+        check_density_matrix(initial, trace=1.0, trace_atol=1e-8)
+    else:
+        raise ValueError(f"state shape {initial.shape} does not match {dec.n} sites")
 
     steps = [(dec.terms[i], delta) for i, delta in plan.sub_steps]
-    rho_embs = [_embed(t, dec.n) for t, _ in steps]
-    # strategy B's B = sum_i delta_i rho_i only depends on the row's deltas
-    b_op = None
-    if plan.strategy != "A":
-        b_op = sum((delta * emb for (_, delta), emb in zip(steps, rho_embs)), np.zeros_like(sigma0))
+    # the embedded resources are read by strategy A and by faithful mode; the
+    # rest of strategy B reads only B = sum_i delta_i rho_i, fixed by the row's deltas
+    embedded = plan.strategy == "A" or plan.mode == "faithful"
+    rho_embs = [_embed(t, dec.n) for t, _ in steps] if embedded else None
+    b_op = None if plan.strategy == "A" else _b_operator(steps, dec.n, rho_embs)
 
-    sigma = sigma0.copy()
+    sigma = initial.copy()
+
     ledger = ProbabilityLedger()
     measurement = "local" if plan.strategy == "B-local" else "global"
     for step in range(plan.n_steps):
@@ -428,7 +484,8 @@ def run(plan: TrotterPlan, sigma0: np.ndarray) -> Trajectory:
             sigma = res.state
             ledger.record(f"{step + 1}", res.probability, "faithful-exact")
             ledger.record(f"{step + 1}", res.formula_probability, "paper-formula")
-    return Trajectory(plan, sigma0, sigma, ledger, time.perf_counter() - t0)
+    final = _density(sigma) if sigma.ndim == 1 else sigma
+    return Trajectory(plan, initial, final, ledger, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -445,7 +502,7 @@ class SampleResult:
 
 def sample_run(
     plan: TrotterPlan,
-    sigma0: np.ndarray,
+    state: np.ndarray,
     trials: int,
     seed: int = 0,
 ) -> SampleResult:
@@ -458,7 +515,7 @@ def sample_run(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    trajectory = run(plan, sigma0)
+    trajectory = run(plan, state)
     probabilities = trajectory.ledger.probabilities("faithful-exact")
     rng = np.random.default_rng(seed)
     alive = np.ones(trials, dtype=bool)

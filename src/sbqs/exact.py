@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtinctionError
-from .linalg import check_density_matrix, dag, hermitian_eig, sqrt_psd
+from .linalg import check_density_matrix, check_unit_vector, dag, hermitian_eig, sqrt_psd
 
 #: Gap below which a ground space counts as exactly degenerate.
 DEGENERACY_ATOL = 1e-10
@@ -63,11 +63,6 @@ def populations(spectral: SpectralData, psi: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(dag(spectral.eigenvectors) @ psi) ** 2, 1.0)
 
 
-def _check_unit_vector(psi: np.ndarray) -> None:
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
-        raise ValueError(f"state vector has norm {np.linalg.norm(psi)}, expected 1")
-
-
 def exact_ite(spectral: SpectralData, psi0: np.ndarray, beta: float) -> np.ndarray:
     """Normalized imaginary-time evolution e^{-beta h} |psi0> / norm, read
     from the eigenvectors and eigenvalues of h in ``spectral``.
@@ -78,7 +73,7 @@ def exact_ite(spectral: SpectralData, psi0: np.ndarray, beta: float) -> np.ndarr
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     psi0 = np.asarray(psi0, dtype=complex)
-    _check_unit_vector(psi0)
+    check_unit_vector(psi0)
     if beta == 0:
         return psi0
     vals, vecs = spectral.spectrum, spectral.eigenvectors
@@ -118,7 +113,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     check_density_matrix(a, trace=1.0, trace_atol=1e-8)
     b = np.asarray(b)
     if b.ndim == 1:
-        _check_unit_vector(b)
+        check_unit_vector(b)
         f = float(np.vdot(b, a @ b).real)
         return min(max(f, 0.0), 1.0)
     check_density_matrix(b, trace=1.0, trace_atol=1e-8)

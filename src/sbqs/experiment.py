@@ -64,7 +64,8 @@ class _Setup:
     ``working`` is the model plus the positivity shift when the config asks
     for it; ``sbqs decompose`` checks the decomposition against it.
     ``spectral`` is the sweep's only eigendecomposition; the protocol simulates
-    ``h_model + protocol_shift * I``, and ``populations[0]`` is f0.
+    ``h_model + protocol_shift * I``, and ``populations[0]`` is f0.  ``psi0``
+    is |+>^n, every row's start state, handed to the engine as a vector.
     """
 
     h_model: np.ndarray
@@ -72,7 +73,6 @@ class _Setup:
     protocol_shift: float
     decomposition: ResourceDecomposition
     psi0: np.ndarray
-    sigma0: np.ndarray
     projector: np.ndarray
     ground_space_dim: int
     spectral: exact.SpectralData
@@ -108,7 +108,6 @@ def _prepare(config: ExperimentConfig) -> _Setup:
         protocol_shift=shift - dec.identity_offset,  # sum_i weight_i rho_i - h_model, times I
         decomposition=dec,
         psi0=psi0,
-        sigma0=np.outer(psi0, psi0.conj()),
         projector=projector,
         ground_space_dim=dim_g,
         spectral=spectral,
@@ -129,10 +128,10 @@ def _compute_row(setup: _Setup, config: ExperimentConfig, beta: float, index: in
         plan = make_plan(dec, beta, config.n_steps, config.strategy, config.mode)
         empirical = None
         if config.mode == "sampled":  # sample_run runs the engine once for both
-            sampled = sample_run(plan, setup.sigma0, config.trials, seed=config.seed + index)
+            sampled = sample_run(plan, setup.psi0, config.trials, seed=config.seed + index)
             trajectory, empirical = sampled.trajectory, sampled.frequency
         else:
-            trajectory = run(plan, setup.sigma0)
+            trajectory = run(plan, setup.psi0)
         sigma = trajectory.final_state
         phi = exact.exact_ite(setup.spectral, setup.psi0, beta)
         return ResultRow(

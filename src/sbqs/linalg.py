@@ -1,6 +1,6 @@
 """Dense complex linear algebra: Kronecker products, operator embedding on
 labeled tensor-product registers, Hermitian eigendecomposition, the PSD
-square root, norms, and the density-matrix check.
+square root, norms, and the state-vector and density-matrix checks.
 
 All operators are plain ``numpy`` complex arrays in row-major order.
 Subsystem structure is carried explicitly by :class:`RegisterLayout`, so
@@ -156,6 +156,12 @@ def frobenius_norm(m: np.ndarray) -> float:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return float(np.linalg.norm(m))
+
+
+def check_unit_vector(psi: np.ndarray) -> None:
+    """Raise unless the state vector ``psi`` has norm 1 to within 1e-8."""
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
+        raise ValueError(f"state vector has norm {np.linalg.norm(psi)}, expected 1")
 
 
 def check_density_matrix(

@@ -32,6 +32,7 @@ from oracles import (
     random_density,
     random_pure_density,
     random_resource_terms,
+    random_unit_vector,
     single_site_swap,
     trace_distance,
 )
@@ -341,6 +342,69 @@ class TestRun:
             bures_eff[n_steps] = bures_distance(effective.final_state, ref)
         assert 1.6 <= tdists[100] / tdists[200] <= 2.4
         assert 1.6 <= bures_eff[100] / bures_eff[200] <= 2.4
+
+
+class TestVectorPath:
+    """Effective and sampled modes evolve a state vector; every result must
+    match the density-matrix path started from |psi><psi|."""
+
+    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    def test_step_functions_match_density_matrix(self, mode):
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for _ in range(30):
+            n = int(rng.integers(1, 4))
+            terms = random_resource_terms(rng, n)
+            psi = random_unit_vector(rng, 2**n)
+            sigma = np.outer(psi, psi.conj())
+            pairs = [
+                (step_strategy_a(psi, *terms[0], mode=mode),
+                 step_strategy_a(sigma, *terms[0], mode=mode)),
+                (step_strategy_b(psi, terms, "local", mode), step_strategy_b(sigma, terms, "local", mode)),
+                (step_strategy_b(psi, terms, "global", mode), step_strategy_b(sigma, terms, "global", mode)),
+            ]
+            for vec, mat in pairs:
+                assert vec.state.shape == (2**n,)
+                worst = max(
+                    worst,
+                    np.max(np.abs(np.outer(vec.state, vec.state.conj()) - mat.state)),
+                    abs(vec.probability - mat.probability),
+                    abs(vec.formula_probability - mat.formula_probability),
+                )
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("strategy", ["A", "B-local", "B-global"])
+    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    def test_run_matches_density_matrix(self, strategy, mode):
+        dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
+        plan = make_plan(dec, 1.0, 100, strategy, mode)
+        psi = np.full(8, 8**-0.5, dtype=complex)
+        vec = run(plan, psi)
+        mat = run(plan, np.outer(psi, psi.conj()))
+        assert vec.final_state.shape == (8, 8)
+        assert np.max(np.abs(vec.final_state - mat.final_state)) <= 1e-12
+        for source in ("faithful-exact", "paper-formula"):
+            assert vec.ledger.cumulative(source) == pytest.approx(
+                mat.ledger.cumulative(source), rel=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["A", "B-local", "B-global"])
+    def test_faithful_run_promotes_vector_exactly(self, strategy):
+        dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
+        plan = make_plan(dec, 0.5, 20, strategy, "faithful")
+        psi = np.full(8, 8**-0.5, dtype=complex)
+        vec = run(plan, psi)
+        mat = run(plan, np.outer(psi, psi.conj()))
+        assert np.array_equal(vec.final_state, mat.final_state)
+        for source in ("faithful-exact", "paper-formula"):
+            assert vec.ledger.probabilities(source) == mat.ledger.probabilities(source)
+
+    def test_run_rejects_vector_off_unit_norm(self):
+        plan = make_plan(toy_decomposition(2), 0.1, 2, "A", "effective")
+        psi = np.full(2, 2**-0.5, dtype=complex)
+        with pytest.raises(ValueError, match="norm"):
+            run(plan, 1.01 * psi)
+        with pytest.raises(ValueError, match="shape"):
+            run(plan, np.full(4, 0.5, dtype=complex))
 
 
 class TestLedger:

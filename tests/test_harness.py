@@ -5,6 +5,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sbqs.bounds import build_bounds_report, n_star
@@ -191,6 +192,29 @@ class TestRunExperiment:
         assert report.n_star == pytest.approx(
             n_star(operator_norm(protocol_operator(setup.decomposition)), report.gap,
                    report.f0, config.epsilon), rel=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["A", "B-global"])
+    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    def test_rows_evolve_state_vectors(self, monkeypatch, mode, strategy):
+        # every state run hands to a step function in an effective or sampled
+        # sweep is a vector: a fallback to the density-matrix path shows here
+        import sbqs.engine as engine_mod
+
+        ndims = []
+
+        def recording(real):
+            def wrapper(sigma, *args, **kwargs):
+                ndims.append(np.ndim(sigma))
+                return real(sigma, *args, **kwargs)
+            return wrapper
+
+        for name in ("step_strategy_a", "step_strategy_b"):
+            monkeypatch.setattr(engine_mod, name, recording(getattr(engine_mod, name)))
+        config = validate_config(ising_config(mode=mode, strategy=strategy, seed=1, trials=10))
+        rows, _ = run_experiment(config)
+        assert all(0.0 < r.fidelity_sbqs_vs_ground <= 1.0 for r in rows)
+        assert len(ndims) == 3 * config.n_steps * (9 if strategy == "A" else 1)
+        assert set(ndims) == {1}
 
     def test_beta_zero_columns(self):
         config = validate_config(ising_config(beta_grid=[0.0], n_steps=2))
@@ -436,17 +460,41 @@ _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")  # nan and inf stay te
 _ROOT = Path(__file__).parents[1]
 
 
-@pytest.mark.parametrize("name", ["fig2_left", "fig2_right"])
-def test_committed_goldens_reproduce(tmp_path, name):
-    """A fresh run reproduces every number of every committed output file to
-    within 1e-10 relative (absolute below 1), and all the text between them."""
-    goldens = sorted((_ROOT / "out" / name).iterdir())
-    argv = ["run", str(_ROOT / "configs" / f"{name}.json"), "--out", str(tmp_path)]
-    assert main(argv + (["--svg"] if any(p.suffix == ".svg" for p in goldens) else [])) == 0
-    for golden in goldens:
+def _assert_reproduces(out_dir: Path, reference: Path) -> None:
+    """Every number of every file in ``reference`` agrees with ``out_dir``'s
+    to within 1e-10 relative (absolute below 1), and all the text between them."""
+    for golden in sorted(reference.iterdir()):
         want = golden.read_text()
-        got = (tmp_path / golden.name).read_text()
+        got = (out_dir / golden.name).read_text()
         assert _NUMBER.split(got) == _NUMBER.split(want), golden.name
         for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
             x, y = float(g), float(w)
             assert abs(x - y) <= 1e-10 * max(1.0, abs(y)), (golden.name, g, w)
+
+
+@pytest.mark.parametrize("name", ["fig2_left", "fig2_right"])
+def test_committed_goldens_reproduce(tmp_path, name):
+    """A fresh run reproduces every committed output file (both are faithful)."""
+    goldens = _ROOT / "out" / name
+    argv = ["run", str(_ROOT / "configs" / f"{name}.json"), "--out", str(tmp_path)]
+    assert main(argv + (["--svg"] if any(p.suffix == ".svg" for p in goldens.iterdir()) else [])) == 0
+    _assert_reproduces(tmp_path, goldens)
+
+
+def test_effective_sweep_reproduces_reference(tmp_path):
+    """An effective strategy-B sweep end to end: the seeded n = 8 periodic chain
+    whose outputs the benchmark stores as its seed-0 reference."""
+    raw = {
+        "model": {"model": "ising", "n": 8, "J": 1.344422, "B": 2.515909,
+                  "boundary": "periodic"},
+        "decomposition": "ising-local",
+        "seed": 0,
+        "beta_grid": [1.0, 2.0],
+        "n_steps": 400,
+        "strategy": "B-global",
+        "mode": "effective",
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    _assert_reproduces(tmp_path / "out", _ROOT / "perfbench" / "reference" / "seed0" / "ising8_bglobal")
