@@ -166,10 +166,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if n_steps is not None and n_steps < 1:
         problems.append(f"n_steps must be >= 1, got {n_steps}")
 
-    strategy = str(raw.get("strategy", "A"))
-    if strategy not in STRATEGIES:
+    strategy = raw.get("strategy", "A")
+    if strategy not in STRATEGIES:  # a tuple, as the JSON value may be unhashable
         problems.append(f"strategy must be one of {list(STRATEGIES)}, got {strategy!r}")
-    mode = str(raw.get("mode", "faithful"))
+    mode = raw.get("mode", "faithful")
     if mode not in MODES:
         problems.append(f"mode must be one of {list(MODES)}, got {mode!r}")
 

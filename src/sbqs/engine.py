@@ -34,6 +34,10 @@ one matrix-vector product per measurement, with probability |A psi|^2 / denom.
 Only "faithful" needs a density matrix, because its delta^2 leak mixes the
 state; its first step promotes a vector to |psi><psi|.
 
+:func:`run` applies a row's measurements, one per term (strategy A) or per
+Trotter step (strategy B), in a single loop; :class:`ProbabilityLedger` stores
+each probability once and reads the success products from its entries.
+
 No control register or Kraus operator is built, so faithful strategy B runs
 at any size the dense simulator state allows.  :func:`cswap_channel` keeps
 the Kraus form of one controlled-SWAP as a reference for tests.
@@ -45,6 +49,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -319,18 +324,14 @@ def step_strategy_b(
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """Schedule of sub-steps delta_i = beta * h_i / N over a decomposition."""
+    """Schedule of sub-steps delta_i = beta * h_i / N, one per decomposition term."""
 
     decomposition: ResourceDecomposition
     beta: float
     n_steps: int
-    sub_steps: tuple[tuple[int, float], ...]
+    deltas: tuple[float, ...]
     strategy: str
     mode: str
-
-    @property
-    def deltas(self) -> tuple[float, ...]:
-        return tuple(d for _, d in self.sub_steps)
 
 
 def make_plan(
@@ -345,25 +346,18 @@ def make_plan(
         raise PlanError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if mode not in MODES:
         raise PlanError(f"mode must be one of {MODES}, got {mode!r}")
-    if n_steps < 1:
-        raise PlanError(f"step count must be >= 1, got {n_steps}")
-    if beta < 0:
-        raise PlanError(f"beta must be >= 0, got {beta}")
-    sub_steps = tuple(
-        (i, beta * t.weight / n_steps) for i, t in enumerate(decomposition.terms)
-    )
-    if sub_steps:
-        worst = max(abs(d) for _, d in sub_steps)
-        if worst >= 1.0:
-            raise PlanError(
-                f"max |delta| = {worst:.4g} >= 1 at N = {n_steps}; increase the step count"
-            )
-        if worst > DELTA_WARN:
-            warnings.warn(
-                f"max |delta| = {worst:.4g} > {DELTA_WARN}; first-order error may be large",
-                stacklevel=2,
-            )
-    return TrotterPlan(decomposition, float(beta), int(n_steps), sub_steps, strategy, mode)
+    if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1:
+        raise PlanError(f"step count must be an integer >= 1, got {n_steps!r}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise PlanError(f"beta must be finite and >= 0, got {beta}")
+    deltas = tuple(beta * t.weight / n_steps for t in decomposition.terms)
+    worst = max(map(abs, deltas), default=0.0)
+    if worst >= 1.0:
+        raise PlanError(f"max |delta| = {worst:.4g} >= 1 at N = {n_steps}; increase the step count")
+    if worst > DELTA_WARN:
+        warnings.warn(f"max |delta| = {worst:.4g} > {DELTA_WARN}; first-order error may be large",
+                      stacklevel=2)
+    return TrotterPlan(decomposition, float(beta), n_steps, deltas, strategy, mode)
 
 
 LEDGER_SOURCES = ("faithful-exact", "paper-formula")
@@ -377,44 +371,44 @@ class LedgerEntry:
 
 
 class ProbabilityLedger:
-    """Per-step post-selection probabilities and their running products.
+    """Per-measurement post-selection probabilities, each stored once.
 
-    Each step records the exactly computed probability ("faithful-exact") and
-    the paper-convention value ("paper-formula"); in effective mode the two
-    coincide.  Products are also tracked in log space so that long runs whose
-    product underflows double precision stay inspectable.
+    Every measurement records the exactly computed probability
+    ("faithful-exact") and the paper-convention value ("paper-formula"); in
+    effective mode the two coincide.  An exact one above 1 + 1e-12 raises, a
+    formula one is clamped to 1 with a note, and a negative or NaN one raises.
+    Products are read from the entries, also in log space so that long runs
+    whose product underflows double precision stay inspectable.
     """
 
     def __init__(self):
         self.entries: list[LedgerEntry] = []
         self.notes: list[str] = []
-        self._product = dict.fromkeys(LEDGER_SOURCES, 1.0)
-        self._log_sum = dict.fromkeys(LEDGER_SOURCES, 0.0)
 
-    def record(self, step_id: str, probability: float, source: str) -> None:
-        if source not in LEDGER_SOURCES:
-            raise ValueError(f"unknown source {source!r}")
-        p = float(probability)
-        if p > 1.0:
-            if source == "faithful-exact" and p > 1.0 + 1e-12:
-                raise ValueError(f"exact probability {p} > 1 at {step_id}")
-            if source == "paper-formula" and p > 1.0 + 1e-12:
-                self.notes.append(f"{step_id}: formula probability {p:.6g} clamped to 1")
-            p = 1.0
-        if p < 0.0:
-            raise ValueError(f"negative probability {p} at {step_id}")
-        self.entries.append(LedgerEntry(step_id, p, source))
-        self._product[source] *= p
-        self._log_sum[source] += math.log(p) if p > 0.0 else -math.inf
+    def record(self, step_id: str, exact: float, formula: float) -> None:
+        exact, formula = float(exact), float(formula)
+        if not (exact >= 0.0 and formula >= 0.0):
+            raise ValueError(f"probabilities {exact}, {formula} at {step_id}: negative or NaN")
+        if exact > 1.0 + 1e-12:
+            raise ValueError(f"exact probability {exact} > 1 at {step_id}")
+        if formula > 1.0 + 1e-12:
+            self.notes.append(f"{step_id}: formula probability {formula:.6g} clamped to 1")
+        self.entries.append(LedgerEntry(step_id, min(exact, 1.0), "faithful-exact"))
+        self.entries.append(LedgerEntry(step_id, min(formula, 1.0), "paper-formula"))
 
     def probabilities(self, source: str = "faithful-exact") -> list[float]:
+        if source not in LEDGER_SOURCES:
+            raise ValueError(f"unknown source {source!r}")
         return [e.probability for e in self.entries if e.source == source]
 
     def cumulative(self, source: str = "faithful-exact") -> float:
-        return self._product[source]
+        return math.prod(self.probabilities(source), start=1.0)
 
     def log_cumulative(self, source: str = "faithful-exact") -> float:
-        return self._log_sum[source]
+        total = 0.0  # summed in order, not with sum(), which compensates on newer Pythons
+        for p in self.probabilities(source):
+            total += math.log(p) if p > 0.0 else -math.inf
+        return total
 
 
 @dataclass(frozen=True)
@@ -424,7 +418,6 @@ class Trajectory:
     post-selection probability along the way."""
 
     plan: TrotterPlan
-    initial_state: np.ndarray  # as given to run: a vector or a density matrix
     final_state: np.ndarray  # a density matrix in every mode
     ledger: ProbabilityLedger
     wall_time_s: float
@@ -434,58 +427,50 @@ def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
     """Execute the plan on the initial ``state``, a unit vector or a density
     matrix.
 
-    Effective and sampled modes keep a vector a vector, one matrix-vector
-    product per measurement; in faithful mode the first step promotes it to
-    |psi><psi|, as the step functions do with any vector.
-    Strategy B applies its measurement at the end of every Trotter step; the
-    ledger records faithful-exact and paper-formula probabilities for each
-    measurement.  Deterministic: the post-selected branch has no randomness,
-    which :func:`sample_run` adds on top.
+    Every Trotter step applies the row's measurements in turn, strategy A one
+    :func:`step_strategy_a` per term (step id ``<step>.<k>``), strategy B one
+    :func:`step_strategy_b` over all terms (``<step>``), and the ledger
+    records each.  Effective and sampled modes keep a vector a vector; faithful
+    mode promotes it to |psi><psi| at its first step.  Deterministic: the
+    post-selected branch has no randomness, which :func:`sample_run` adds.
     """
     t0 = time.perf_counter()
     dec = plan.decomposition
     dim = 2**dec.n
-    initial = np.asarray(state, dtype=complex)
-    if initial.shape == (dim,):
-        check_unit_vector(initial)
-    elif initial.shape == (dim, dim):
-        check_density_matrix(initial, trace=1.0, trace_atol=1e-8)
+    sigma = np.array(state, dtype=complex)
+    if sigma.shape == (dim,):
+        check_unit_vector(sigma)
+    elif sigma.shape == (dim, dim):
+        check_density_matrix(sigma, trace_atol=1e-8)
     else:
-        raise ValueError(f"state shape {initial.shape} does not match {dec.n} sites")
+        raise ValueError(f"state shape {sigma.shape} does not match {dec.n} sites")
 
-    steps = [(dec.terms[i], delta) for i, delta in plan.sub_steps]
+    terms = list(zip(dec.terms, plan.deltas))
     # the embedded resources are read by strategy A and by faithful mode; the
     # rest of strategy B reads only B = sum_i delta_i rho_i, fixed by the row's deltas
     embedded = plan.strategy == "A" or plan.mode == "faithful"
-    rho_embs = [_embed(t, dec.n) for t, _ in steps] if embedded else None
-    b_op = None if plan.strategy == "A" else _b_operator(steps, dec.n, rho_embs)
-
-    sigma = initial.copy()
+    rho_embs = [_embed(t, dec.n) for t, _ in terms] if embedded else None
+    # (step id suffix, step function read from the module now, as a tracer may wrap it)
+    measurements = []
+    if plan.strategy == "A":
+        measurements = [
+            (f".{k}", partial(step_strategy_a, term=term, delta=delta, mode=plan.mode, rho_emb=emb))
+            for k, ((term, delta), emb) in enumerate(zip(terms, rho_embs), start=1)
+        ]
+    elif terms:
+        measurement = "local" if plan.strategy == "B-local" else "global"
+        b_op = _b_operator(terms, dec.n, rho_embs)
+        measurements = [("", partial(step_strategy_b, terms=terms, measurement=measurement,
+                                     mode=plan.mode, rho_embs=rho_embs, b_op=b_op))]
 
     ledger = ProbabilityLedger()
-    measurement = "local" if plan.strategy == "B-local" else "global"
-    for step in range(plan.n_steps):
-        if plan.strategy == "A":
-            for k, ((term, delta), emb) in enumerate(zip(steps, rho_embs)):
-                res = step_strategy_a(sigma, term, delta, mode=plan.mode, rho_emb=emb)
-                sigma = res.state
-                step_id = f"{step + 1}.{k + 1}"
-                ledger.record(step_id, res.probability, "faithful-exact")
-                ledger.record(step_id, res.formula_probability, "paper-formula")
-        elif steps:
-            res = step_strategy_b(
-                sigma,
-                steps,
-                measurement=measurement,
-                mode=plan.mode,
-                rho_embs=rho_embs,
-                b_op=b_op,
-            )
+    for step in range(1, plan.n_steps + 1):
+        for suffix, measure in measurements:
+            res = measure(sigma)
             sigma = res.state
-            ledger.record(f"{step + 1}", res.probability, "faithful-exact")
-            ledger.record(f"{step + 1}", res.formula_probability, "paper-formula")
+            ledger.record(f"{step}{suffix}", res.probability, res.formula_probability)
     final = _density(sigma) if sigma.ndim == 1 else sigma
-    return Trajectory(plan, initial, final, ledger, time.perf_counter() - t0)
+    return Trajectory(plan, final, ledger, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ class SpectralData:
     eigenvectors: np.ndarray
 
 
-def ground(h: np.ndarray, degeneracy_atol: float = DEGENERACY_ATOL) -> SpectralData:
+def ground(h: np.ndarray) -> SpectralData:
     """Ground energy, vector, and gap, with a deterministic phase convention
     (largest-magnitude amplitude made real positive)."""
     vals, vecs = hermitian_eig(h)
@@ -45,7 +45,7 @@ def ground(h: np.ndarray, degeneracy_atol: float = DEGENERACY_ATOL) -> SpectralD
         ground_vector=v,
         gap=gap,
         spectrum=vals.copy(),
-        degenerate=gap < degeneracy_atol,
+        degenerate=gap < DEGENERACY_ATOL,
         eigenvectors=vecs,
     )
 
@@ -110,13 +110,13 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     two evaluation orders, which agree in exact arithmetic, so the result is
     symmetric by construction.
     """
-    check_density_matrix(a, trace=1.0, trace_atol=1e-8)
+    check_density_matrix(a, trace_atol=1e-8)
     b = np.asarray(b)
     if b.ndim == 1:
         check_unit_vector(b)
         f = float(np.vdot(b, a @ b).real)
         return min(max(f, 0.0), 1.0)
-    check_density_matrix(b, trace=1.0, trace_atol=1e-8)
+    check_density_matrix(b, trace_atol=1e-8)
     for first, second in ((a, b), (b, a)):
         v = _principal_vector(second)
         if v is not None:

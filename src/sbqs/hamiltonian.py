@@ -49,10 +49,10 @@ class PauliString:
     def is_identity(self) -> bool:
         return set(self.letters) <= {"I"}
 
-    def dense(self, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         out = np.array([[self.coefficient + 0j]])
         for letter in self.letters:
-            out = kron(out, PAULI[letter], cap=cap)
+            out = kron(out, PAULI[letter])
         return out
 
 
@@ -153,27 +153,22 @@ def build_ising(p: IsingParams) -> PauliSum:
     return PauliSum(p.n, tuple(terms))
 
 
-def densify(obj: PauliSum | ResourceDecomposition, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def densify(obj: PauliSum | ResourceDecomposition) -> np.ndarray:
     """Full 2^n x 2^n matrix, including the identity offset."""
+    if not isinstance(obj, (PauliSum, ResourceDecomposition)):
+        raise TypeError(f"cannot densify {type(obj).__name__}")
+    dim = 2**obj.n
+    if dim > DEFAULT_DIM_CAP:
+        raise linalg.CapacityError(f"dense form has dimension {dim} > cap {DEFAULT_DIM_CAP}")
+    out = obj.identity_offset * np.eye(dim, dtype=complex)
     if isinstance(obj, PauliSum):
-        dim = 2**obj.n
-        if dim > cap:
-            raise linalg.CapacityError(f"dense form has dimension {dim} > cap {cap}")
-        out = obj.identity_offset * np.eye(dim, dtype=complex)
         for t in obj.terms:
-            out += t.dense(cap=cap)
-        return out
-    if isinstance(obj, ResourceDecomposition):
-        dim = 2**obj.n
-        if dim > cap:
-            raise linalg.CapacityError(f"dense form has dimension {dim} > cap {cap}")
+            out += t.dense()
+    else:
         layout = qubit_layout(obj.n)
-        out = obj.identity_offset * np.eye(dim, dtype=complex)
         for t in obj.terms:
-            labels = [f"q{s}" for s in t.support]
-            out += t.weight * linalg.embed_operator(t.rho, layout, labels)
-        return out
-    raise TypeError(f"cannot densify {type(obj).__name__}")
+            out += t.weight * linalg.embed_operator(t.rho, layout, [f"q{s}" for s in t.support])
+    return out
 
 
 def shift_to_positive(h: PauliSum | np.ndarray) -> tuple[PauliSum | np.ndarray, float]:

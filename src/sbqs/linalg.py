@@ -58,9 +58,9 @@ class RegisterLayout:
         raise KeyError(f"unknown subsystem {label!r}; layout has {list(self.labels)}")
 
 
-def qubit_layout(n: int, prefix: str = "q") -> RegisterLayout:
+def qubit_layout(n: int) -> RegisterLayout:
     """Layout of ``n`` qubits labeled ``q0 .. q{n-1}``."""
-    return RegisterLayout(tuple((f"{prefix}{i}", 2) for i in range(n)))
+    return RegisterLayout(tuple((f"q{i}", 2) for i in range(n)))
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -68,21 +68,19 @@ def dag(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a capacity guard on the resulting dimension."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     out_dim = max(a.shape[0] * b.shape[0], a.shape[-1] * b.shape[-1])
-    if out_dim > cap:
-        raise CapacityError(
-            f"kron would produce dimension {out_dim} > cap {cap}"
-        )
+    if out_dim > DEFAULT_DIM_CAP:
+        raise CapacityError(f"kron would produce dimension {out_dim} > cap {DEFAULT_DIM_CAP}")
     return np.kron(a, b)
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dag(m))) <= atol
+    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dag(m))) <= HERMITICITY_ATOL
 
 
 def embed_operator(op: np.ndarray, layout: RegisterLayout, targets: Iterable[str]) -> np.ndarray:
@@ -113,32 +111,33 @@ def embed_operator(op: np.ndarray, layout: RegisterLayout, targets: Iterable[str
     return tensor.reshape(layout.dim, layout.dim)
 
 
-def hermitian_eig(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     The input is symmetrized as (h + h†)/2 before decomposition; deviations
-    beyond ``atol`` raise instead of being silently averaged away.  Returns
-    eigenvalues ascending and orthonormal eigenvector columns.
+    beyond ``HERMITICITY_ATOL`` raise instead of being silently averaged away.
+    Returns eigenvalues ascending and orthonormal eigenvector columns.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     drift = np.max(np.abs(h - dag(h))) if h.size else 0.0
-    if drift > atol:
-        raise NonHermitianError(f"matrix deviates from Hermitian by {drift:.3e} > {atol:.0e}")
+    if drift > HERMITICITY_ATOL:
+        raise NonHermitianError(
+            f"matrix deviates from Hermitian by {drift:.3e} > {HERMITICITY_ATOL:.0e}")
     vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
     return vals, vecs
 
 
-def sqrt_psd(m: np.ndarray, neg_atol: float = 1e-10) -> np.ndarray:
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Matrix square root of a positive-semidefinite Hermitian matrix.
 
-    Eigenvalues in [-neg_atol, 0) are clamped to zero; anything more negative
+    Eigenvalues in [-1e-10, 0) are clamped to zero; anything more negative
     is a genuine domain violation.
     """
     vals, vecs = hermitian_eig(m)
-    if np.any(vals < -neg_atol):
-        raise MatrixDomainError(f"matrix has eigenvalue {vals.min():.3e} < -{neg_atol:.0e}")
+    if np.any(vals < -1e-10):
+        raise MatrixDomainError(f"matrix has eigenvalue {vals.min():.3e} < -1e-10")
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dag(vecs)
 
 
@@ -164,22 +163,16 @@ def check_unit_vector(psi: np.ndarray) -> None:
         raise ValueError(f"state vector has norm {np.linalg.norm(psi)}, expected 1")
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    trace: float = 1.0,
-    herm_atol: float = HERMITICITY_ATOL,
-    eig_atol: float = 1e-10,
-    trace_atol: float = 1e-10,
-) -> None:
-    """Raise unless ``rho`` is Hermitian, PSD, and has the recorded trace."""
+def check_density_matrix(rho: np.ndarray, trace_atol: float = 1e-10) -> None:
+    """Raise unless ``rho`` is Hermitian, PSD, and has trace 1 to within ``trace_atol``."""
     rho = np.asarray(rho)
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
-    if not is_hermitian(rho, herm_atol):
+    if not is_hermitian(rho):
         raise NonHermitianError("density matrix is not Hermitian within tolerance")
     vals = np.linalg.eigvalsh((rho + dag(rho)) / 2)
-    if vals.min() < -eig_atol:
-        raise ValueError(f"density matrix has eigenvalue {vals.min():.3e} < -{eig_atol:.0e}")
+    if vals.min() < -1e-10:
+        raise ValueError(f"density matrix has eigenvalue {vals.min():.3e} < -1e-10")
     tr = float(np.trace(rho).real)
-    if abs(tr - trace) > trace_atol:
-        raise ValueError(f"trace {tr} differs from recorded {trace} by more than {trace_atol:.0e}")
+    if abs(tr - 1.0) > trace_atol:
+        raise ValueError(f"trace {tr} differs from 1 by more than {trace_atol:.0e}")

@@ -106,7 +106,7 @@ def exact_ite(h: np.ndarray, rho0: np.ndarray, beta: float) -> np.ndarray:
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    check_density_matrix(rho0, trace=1.0, trace_atol=1e-8)
+    check_density_matrix(rho0, trace_atol=1e-8)
     if beta == 0:
         return np.array(rho0, dtype=complex)
     vals, vecs = hermitian_eig(h)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sbqs.engine import (
+    LEDGER_SOURCES,
     ProbabilityLedger,
     cswap_channel,
     make_plan,
@@ -269,6 +270,13 @@ class TestMakePlan:
             make_plan(dec, 1.0, 10, strategy="C")
         with pytest.raises(PlanError):
             make_plan(dec, 1.0, 10, mode="approximate")
+        for beta in (np.nan, np.inf):
+            with pytest.raises(PlanError, match="beta"):
+                make_plan(dec, beta, 10)
+        # 10.5 would size delta with N = 10.5 but run 10 steps
+        for n_steps in (10.5, 10.0, True):
+            with pytest.raises(PlanError, match="integer"):
+                make_plan(dec, 0.1, n_steps)
 
 
 class TestRun:
@@ -306,7 +314,7 @@ class TestRun:
     def test_strategy_b_local_through_run(self):
         dec = toy_decomposition(2, seed=8)
         traj = run(make_plan(dec, 0.1, 3, "B-local", "faithful"), PLUS)
-        steps = [(t, d) for t, (_, d) in zip(dec.terms, traj.plan.sub_steps)]
+        steps = list(zip(dec.terms, traj.plan.deltas))
         sigma, expected = PLUS, []
         for _ in range(3):
             res = step_strategy_b(sigma, steps, "local", "faithful")
@@ -410,27 +418,57 @@ class TestVectorPath:
 class TestLedger:
     def test_sources_tracked_independently(self):
         ledger = ProbabilityLedger()
-        ledger.record("1", 0.5, "faithful-exact")
-        ledger.record("1", 0.6, "paper-formula")
-        ledger.record("2", 0.5, "faithful-exact")
+        ledger.record("1", 0.5, 0.6)
+        ledger.record("2", 0.5, 1.0)
         assert ledger.cumulative("faithful-exact") == pytest.approx(0.25)
         assert ledger.cumulative("paper-formula") == pytest.approx(0.6)
+        # two entries per measurement: the benchmark counts them
+        assert [e.source for e in ledger.entries] == ["faithful-exact", "paper-formula"] * 2
+        assert [e.step_id for e in ledger.entries] == ["1", "1", "2", "2"]
+
+    def test_empty_ledger(self):
+        ledger = ProbabilityLedger()
+        for source in LEDGER_SOURCES:
+            assert ledger.cumulative(source) == 1.0
+            assert ledger.log_cumulative(source) == 0.0
+
+    def test_unknown_source_rejected(self):
+        ledger = ProbabilityLedger()
+        ledger.record("1", 0.5, 0.5)
+        for read in (ledger.probabilities, ledger.cumulative, ledger.log_cumulative):
+            with pytest.raises(ValueError, match="unknown source"):
+                read("faithful")
 
     def test_formula_clamped_with_note(self):
         ledger = ProbabilityLedger()
-        ledger.record("1", 1.3, "paper-formula")
+        ledger.record("1", 0.5, 1.3)
         assert ledger.cumulative("paper-formula") == 1.0
+        assert ledger.cumulative("faithful-exact") == 0.5
         assert any("clamped" in note for note in ledger.notes)
+
+    def test_rounding_above_one_clamped_silently(self):
+        ledger = ProbabilityLedger()
+        ledger.record("1", 1.0 + 1e-13, 1.0 + 1e-13)
+        assert ledger.probabilities("faithful-exact") == ledger.probabilities("paper-formula") == [1.0]
+        assert ledger.notes == []
 
     def test_exact_above_one_rejected(self):
         ledger = ProbabilityLedger()
         with pytest.raises(ValueError):
-            ledger.record("1", 1.1, "faithful-exact")
+            ledger.record("1", 1.1, 0.5)
+        assert ledger.entries == []
+
+    @pytest.mark.parametrize("exact, formula", [(-0.1, 0.5), (0.5, -0.1), (np.nan, 0.5), (0.5, np.nan)])
+    def test_negative_or_nan_rejected(self, exact, formula):
+        ledger = ProbabilityLedger()
+        with pytest.raises(ValueError, match="negative or NaN"):
+            ledger.record("1", exact, formula)
+        assert ledger.entries == []
 
     def test_log_cumulative_survives_underflow(self):
         ledger = ProbabilityLedger()
         for i in range(3000):
-            ledger.record(str(i), 0.5, "faithful-exact")
+            ledger.record(str(i), 0.5, 0.5)
         assert ledger.cumulative("faithful-exact") == 0.0  # double underflow
         assert ledger.log_cumulative("faithful-exact") == pytest.approx(3000 * np.log(0.5))
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -216,6 +217,48 @@ class TestRunExperiment:
         assert len(ndims) == 3 * config.n_steps * (9 if strategy == "A" else 1)
         assert set(ndims) == {1}
 
+    @pytest.mark.parametrize("strategy", ["A", "B-global"])
+    def test_one_step_call_and_two_ledger_entries_per_measurement(self, monkeypatch, strategy):
+        # what the benchmark's tracer reads: run calls the step function bound
+        # on sbqs.engine once per measurement, and the ledger gets two entries each
+        import sbqs.engine as engine_mod
+        import sbqs.experiment as experiment_mod
+
+        calls, kept, trajectories = Counter(), [], []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                res = real(*args, **kwargs)
+                kept.append((res.probability, res.formula_probability))
+                return res
+            return wrapper
+
+        def keeping(*args, **kwargs):
+            trajectories.append(engine_mod.run(*args, **kwargs))
+            return trajectories[-1]
+
+        for name in ("step_strategy_a", "step_strategy_b"):
+            monkeypatch.setattr(engine_mod, name, counting(name, getattr(engine_mod, name)))
+        monkeypatch.setattr(experiment_mod, "run", keeping)
+        config = validate_config(ising_config(strategy=strategy, mode="faithful", beta_grid=[0.5, 1.0]))
+        run_experiment(config)
+        ell = trajectories[0].plan.decomposition.ell
+        per_row = config.n_steps * (ell if strategy == "A" else 1)
+        assert calls == {f"step_strategy_{strategy[0].lower()}": 2 * per_row}
+        assert [len(t.ledger.entries) for t in trajectories] == [2 * per_row] * 2
+        # the products equal a running product and sum over the step results, bit for bit
+        for row, t in enumerate(trajectories):
+            results = kept[row * per_row:(row + 1) * per_row]
+            for source, column in zip(("faithful-exact", "paper-formula"), zip(*results)):
+                product, log_sum = 1.0, 0.0
+                for p in column:
+                    product *= p
+                    log_sum += math.log(p)
+                assert 0.0 < product < 1.0
+                assert t.ledger.cumulative(source) == product
+                assert t.ledger.log_cumulative(source) == log_sum
+
     def test_beta_zero_columns(self):
         config = validate_config(ising_config(beta_grid=[0.0], n_steps=2))
         rows, report = run_experiment(config)
@@ -405,6 +448,9 @@ class TestCli:
                      id="model.terms.string-5"),
         pytest.param("model.terms[0].coeff", {**PAULI, "terms": [{"string": "ZZ", "coeff": True}]},
                      id="model.terms.coeff-True"),
+        # appended, so that the automatic ids of the cases above keep their indices
+        ("strategy", 5),
+        ("mode", None),
     ])
     def test_mistyped_field_exits_2(self, tmp_path, monkeypatch, capsys, field, value):
         monkeypatch.chdir(tmp_path)  # a relative out_dir would land here
@@ -413,6 +459,8 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+        if field in ("strategy", "mode"):
+            assert f"got {value!r}" in err  # the JSON value, not its str()
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("model", [{**ISING, "n": 13}, {"model": "pauli", "n": 13}],

@@ -58,7 +58,7 @@ class TestKron:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            kron(np.eye(64), np.eye(128), cap=4096)
+            kron(np.eye(64), np.eye(128))
 
     def test_associativity_random(self):
         rng = np.random.default_rng(11)
