@@ -25,6 +25,7 @@ from .engine import (
     cswap_channel,
     make_plan,
     run,
+    run_rows,
     sample_run,
     step_strategy_a,
     step_strategy_b,

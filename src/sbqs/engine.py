@@ -34,9 +34,19 @@ one matrix-vector product per measurement, with probability |A psi|^2 / denom.
 Only "faithful" needs a density matrix, because its delta^2 leak mixes the
 state; its first step promotes a vector to |psi><psi|.
 
-:func:`run` applies a row's measurements, one per term (strategy A) or per
-Trotter step (strategy B), in a single loop; :class:`ProbabilityLedger` stores
-each probability once and reads the success products from its entries.
+The rows of a beta sweep differ only in their deltas, delta_i = beta h_i / N,
+so :func:`run_rows` advances them together as one stacked (rows, d, d) state
+with the deltas broadcast per row: each measurement, one per term (strategy
+A) or per Trotter step (strategy B), is one call of the step function for
+the whole stack.  The support plan of every term (the einsum labels of
+rho ⊗ Tr_S sigma and rho on the qubit tensor) is built once per run.  Every
+operation acts on each row on its own, so a row comes out bit for bit the
+same alone or in any stack, and a row whose probability reaches
+``EXTINCTION_P`` leaves the stack while the others go on.  :func:`run` is
+the one row of :func:`run_rows` for a density matrix or faithful mode, and
+a loop of its own for an effective or sampled vector.
+:class:`ProbabilityLedger` keeps each row's probabilities as two float
+arrays and reads the success products from them.
 
 No control register or Kraus operator is built, so faithful strategy B runs
 at any size the dense simulator state allows.  :func:`cswap_channel` keeps
@@ -48,6 +58,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -120,49 +131,74 @@ def cswap_channel(rho: np.ndarray, support: tuple[int, ...], n_sites: int) -> li
     return kraus
 
 
-def replace_support(sigma: np.ndarray, rho: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
-    """rho ⊗ Tr_S sigma: the ``support`` qubits of ``sigma`` traced out and
-    replaced by ``rho``, whose qubit m sits on site ``support[m]``.
+def _support_plan(rho: np.ndarray, support: tuple[int, ...], n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """sigma -> rho ⊗ Tr_S sigma for one resource term on ``n`` qubits, with
+    the einsum labels of the partial trace and rho reshaped and transposed
+    onto the qubit tensor built once, for every call to reuse.
 
-    This is what a controlled-SWAP with its control set leaves on the
-    simulator once the resource is traced out.  The trace and the product are
-    taken on the 2n-axis qubit tensor, so no operator on the full register is
-    built.
+    The function takes a d×d state or a (rows, d, d) stack of them.  The
+    support qubits of sigma are traced out and replaced by rho, whose qubit m
+    sits on site ``support[m]``.  This is what a controlled-SWAP with its
+    control set leaves on the simulator once the resource is traced out.  The
+    trace and the product are taken on the 2n-axis qubit tensor, so no
+    operator on the full register is built.
     """
-    dim = sigma.shape[0]
-    n = dim.bit_length() - 1
     k = len(support)
-    tied = list(range(2 * n))
+    tied = [..., *range(2 * n)]
     for q in support:
-        tied[n + q] = q  # one label on the row and column axes of q sums its diagonal
+        tied[1 + n + q] = q  # one label on the row and column axes of q sums its diagonal
     kept = [q for q in range(n) if q not in support]
-    rest = np.einsum(sigma.reshape((2,) * 2 * n), tied, kept + [n + q for q in kept])
+    kept = [..., *kept, *(n + q for q in kept)]
     # both factors broadcast onto all 2n axes, with size 1 where the other one lives
     order = sorted(range(k), key=support.__getitem__)
-    rho_t = rho.reshape((2,) * 2 * k).transpose(order + [k + m for m in order])
     on_support = [2 if q in support else 1 for q in range(n)] * 2
-    off_support = [1 if q in support else 2 for q in range(n)] * 2
-    return (rho_t.reshape(on_support) * rest.reshape(off_support)).reshape(dim, dim)
+    rho_t = rho.reshape((2,) * 2 * k).transpose(order + [k + m for m in order]).reshape(on_support)
+    off_support = tuple([1 if q in support else 2 for q in range(n)] * 2)
+
+    def replace(sigma: np.ndarray) -> np.ndarray:
+        lead = sigma.shape[:-2]
+        rest = np.einsum(sigma.reshape(lead + (2,) * 2 * n), tied, kept)
+        return (rho_t * rest.reshape(lead + off_support)).reshape(sigma.shape)
+
+    return replace
+
+
+def replace_support(sigma: np.ndarray, rho: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
+    """rho ⊗ Tr_S sigma for a state or a stack of states ``sigma``; see
+    :func:`_support_plan`, which a run builds once per term."""
+    return _support_plan(rho, support, sigma.shape[-1].bit_length() - 1)(sigma)
 
 
 def _embed(term: ResourceTerm, n_sites: int) -> np.ndarray:
     return embed_operator(term.rho, qubit_layout(n_sites), [f"q{s}" for s in term.support])
 
 
+def _per_row(delta):
+    """A scalar delta as is; a (rows,) one shaped to broadcast over a stack of states."""
+    return np.reshape(delta, (-1, 1, 1)) if np.ndim(delta) else delta
+
+
 def _b_operator(
     terms: list[tuple[ResourceTerm, float]], n_sites: int, rho_embs: list[np.ndarray] | None
 ) -> np.ndarray:
-    """B = sum_i delta_i rho_i on the full register.  Without ``rho_embs`` each
-    embedding is built, added and dropped in turn, so only one is held."""
+    """B = sum_i delta_i rho_i on the full register, one per row for (rows,)
+    deltas.  Without ``rho_embs`` each embedding is built, added and dropped
+    in turn, so only one is held."""
     embs = rho_embs if rho_embs is not None else (_embed(t, n_sites) for t, _ in terms)
-    b_op = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    rows = np.shape(terms[0][1]) if terms else ()
+    b_op = np.zeros(rows + (2**n_sites, 2**n_sites), dtype=complex)
     for (_, delta), emb in zip(terms, embs):
-        b_op += delta * emb
+        b_op += _per_row(delta) * emb
     return b_op
 
 
 def _density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    """Real part of the trace of a matrix, or of each matrix in a stack."""
+    return m.trace(0, -2, -1).real
 
 
 def _check_probability(p: float, step_id: str) -> float:
@@ -171,27 +207,31 @@ def _check_probability(p: float, step_id: str) -> float:
     return min(p, 1.0)
 
 
-def _formula_probability(sigma: np.ndarray, sb: np.ndarray, b_op: np.ndarray, denom: float) -> float:
-    """Tr[A sigma A] / denom with A = I - B, read from ``sb`` = sigma B alone."""
-    return float(sigma.trace().real - 2 * sb.trace().real + np.vdot(b_op, sb).real) / denom
+def _formula_probability(sigma: np.ndarray, sb: np.ndarray, b_op: np.ndarray, denom: float):
+    """Tr[A sigma A] / denom with A = I - B, read from ``sb`` = sigma B alone,
+    per row of a stack."""
+    # Re Tr[B sigma B] = Re sum conj(B) * (sigma B), a real dot product of the float views
+    b_re, sb_re = (np.ascontiguousarray(m, dtype=complex).view(float) for m in (b_op, sb))
+    bsb = np.einsum("...ij,...ij->...", b_re, sb_re)
+    return (_trace(sigma) - 2 * _trace(sb) + bsb) / denom
 
 
 def _post_select(
     sigma: np.ndarray,
-    group: list[tuple[ResourceTerm, float]],
-    embs: list[np.ndarray],
+    group: list[tuple[float | np.ndarray, np.ndarray, Callable | None]],
     b_op: np.ndarray,
     denom: float,
     faithful: bool,
-) -> tuple[np.ndarray, float, float]:
-    """One measurement post-selected over the (term, delta) pairs of ``group``,
-    whose resources embedded on the full register are ``embs``, with
-    ``b_op`` = B = sum_i delta_i rho_i = I - A.
+):
+    """One measurement post-selected over the (delta, embedded resource,
+    support plan) triples of ``group``, with ``b_op`` = B = sum_i delta_i rho_i
+    = I - A.  ``sigma`` is a d×d state with scalar deltas, or a (rows, d, d)
+    stack with deltas and B per row (deltas shaped (rows, 1, 1)).
 
     Returns the unnormalized state (sigma - (sigma B + B sigma) + second) / scale,
     its trace (the post-selection probability) and the paper-formula
-    probability Tr[A sigma A] / denom.  Effective: second = B sigma B and
-    scale = denom, so the two probabilities agree.  Faithful:
+    probability Tr[A sigma A] / denom, each per row.  Effective: second =
+    B sigma B and scale = denom, so the two probabilities agree.  Faithful:
     second = sum_i delta_i^2 rho_i ⊗ Tr_Si sigma + [B sigma B - sum_i delta_i^2 rho_i sigma rho_i]
     and scale = denom prod_i (1 + delta_i^2); the bracket holds the cross
     terms i != j, so a one-term group skips it and B sigma B alike.  Linear
@@ -207,22 +247,39 @@ def _post_select(
         raw = np.subtract(sigma, sb, out=sb)
         raw -= b_op @ raw
         if faithful:
-            for (_, delta), emb in zip(group, embs):
+            for delta, emb, _ in group:
                 raw -= (delta * delta) * (emb @ sigma @ emb)
     scale = denom
     if faithful:
-        for term, delta in group:
-            raw += (delta * delta) * replace_support(sigma, term.rho, term.support)
-            scale *= 1 + delta * delta
+        for delta, _, support in group:
+            raw += (delta * delta) * support(sigma)
+            scale = scale * (1 + delta * delta)
     raw *= 1 / scale
-    return raw, float(raw.trace().real), p_formula
+    return raw, _trace(raw), p_formula
 
 
 @dataclass(frozen=True)
 class StepResult:
+    """The normalized state after one measurement and its probabilities.
+    For a stack of states, ``probability`` and ``formula_probability`` are
+    (rows,) arrays, and a row whose probability is at or below
+    ``EXTINCTION_P`` keeps its unnormalized state."""
+
     state: np.ndarray
-    probability: float
-    formula_probability: float
+    probability: float | np.ndarray
+    formula_probability: float | np.ndarray
+
+
+def _normalized(raw: np.ndarray, trace, p_formula, faithful: bool, step_id: str) -> StepResult:
+    """``raw`` divided by its trace.  A single state raises
+    :class:`ExtinctionError` at a trace at or below ``EXTINCTION_P``; a stack
+    leaves such rows as they are, for :func:`run_rows` to drop."""
+    if raw.ndim == 2:
+        p = _check_probability(float(trace), step_id)
+        return StepResult(raw * (1 / trace), p, float(p_formula) if faithful else p)
+    p = np.minimum(trace, 1.0)
+    state = raw * (1 / np.where(trace > EXTINCTION_P, trace, 1.0))[:, None, None]
+    return StepResult(state, p, p_formula if faithful else p)
 
 
 def _pure_step(psi: np.ndarray, b_psi: np.ndarray, denom: float, step_id: str) -> StepResult:
@@ -238,10 +295,11 @@ def _pure_step(psi: np.ndarray, b_psi: np.ndarray, denom: float, step_id: str) -
 def step_strategy_a(
     sigma: np.ndarray,
     term: ResourceTerm,
-    delta: float,
+    delta: float | np.ndarray,
     mode: str = "faithful",
     kraus: list[np.ndarray] | None = None,
     rho_emb: np.ndarray | None = None,
+    support: Callable | None = None,
 ) -> StepResult:
     """One measured sub-step: the one-term group of :func:`_post_select`, whose
     control is projected onto |+> (denominator 2).
@@ -250,7 +308,10 @@ def step_strategy_a(
     state is renormalized.  The formula probability
     Tr[(I - delta rho) sigma (I - delta rho)] / 2 is reported in both modes
     and equals the probability in effective mode.  ``rho_emb`` is
-    ``term.rho`` embedded on the full register, built here when not given.
+    ``term.rho`` embedded on the full register and ``support`` its
+    :func:`_support_plan`, each built here when not given.
+    ``sigma`` is a d×d state with a scalar ``delta``, or a (rows, d, d) stack
+    with one delta per row; see :class:`StepResult` for a stack's extinct rows.
     A 1-D ``sigma`` is a state vector: effective and sampled modes return the
     updated vector, faithful mode works on |sigma><sigma|.
     ``kraus`` is ignored: the closed form needs no Kraus operators, and the
@@ -258,28 +319,32 @@ def step_strategy_a(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    n_sites = sigma.shape[-1].bit_length() - 1
     if rho_emb is None:
-        rho_emb = _embed(term, sigma.shape[0].bit_length() - 1)
+        rho_emb = _embed(term, n_sites)
     faithful = mode == "faithful"
     if sigma.ndim == 1:
         if not faithful:
             return _pure_step(sigma, delta * (rho_emb @ sigma), 2.0, "sub-step")
         sigma = _density(sigma)
+    if faithful and support is None:
+        support = _support_plan(term.rho, term.support, n_sites)
+    delta = _per_row(delta)
     raw, trace, p_formula = _post_select(
-        sigma, [(term, delta)], [rho_emb], delta * rho_emb, 2.0, faithful
+        sigma, [(delta, rho_emb, support)], delta * rho_emb, 2.0, faithful
     )
-    p = _check_probability(trace, "sub-step")
-    return StepResult(raw * (1 / trace), p, p_formula if faithful else p)
+    return _normalized(raw, trace, p_formula, faithful, "sub-step")
 
 
 def step_strategy_b(
     sigma: np.ndarray,
-    terms: list[tuple[ResourceTerm, float]],
+    terms: list[tuple[ResourceTerm, float | np.ndarray]],
     measurement: str = "global",
     mode: str = "faithful",
     embedded_kraus: list[list[np.ndarray]] | None = None,
     rho_embs: list[np.ndarray] | None = None,
     b_op: np.ndarray | None = None,
+    supports: list[Callable] | None = None,
 ) -> StepResult:
     """One deferred-measurement Trotter step over all ``terms``: the full group
     of :func:`_post_select`, with denominator l+1 ("global", the uniform
@@ -290,15 +355,16 @@ def step_strategy_b(
     renormalized only at the end, because |+>^l projects each control on its
     own; its formula probability Tr[A sigma A] / 2^l still comes from the
     full group.  ``b_op`` = sum_i delta_i rho_i is built here when not given,
-    and so are ``rho_embs``, which only faithful mode reads.  A 1-D ``sigma``
-    is handled as in :func:`step_strategy_a`.  ``embedded_kraus`` is ignored,
-    like ``kraus`` there.
+    and so are ``rho_embs`` and ``supports``, which only faithful mode reads.
+    ``sigma`` and the deltas are a state and scalars or a stack and (rows,)
+    arrays, as in :func:`step_strategy_a`, and so is a 1-D ``sigma``.
+    ``embedded_kraus`` is ignored, like ``kraus`` there.
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    n_sites = sigma.shape[0].bit_length() - 1
+    n_sites = sigma.shape[-1].bit_length() - 1
     faithful = mode == "faithful"
     if faithful and rho_embs is None:
         rho_embs = [_embed(t, n_sites) for t, _ in terms]
@@ -310,16 +376,21 @@ def step_strategy_b(
         if not faithful:
             return _pure_step(sigma, b_op @ sigma, denom, "step")
         sigma = _density(sigma)
+    group = []
+    if faithful:
+        if supports is None:
+            supports = [_support_plan(t.rho, t.support, n_sites) for t, _ in terms]
+        group = [(_per_row(delta), emb, support)
+                 for (_, delta), emb, support in zip(terms, rho_embs, supports)]
     if faithful and measurement == "local":
         p_formula = _formula_probability(sigma, sigma @ b_op, b_op, denom)
         raw = sigma
-        for (term, delta), emb in zip(terms, rho_embs):
-            raw = _post_select(raw, [(term, delta)], [emb], delta * emb, 2.0, faithful=True)[0]
-        trace = float(raw.trace().real)
+        for delta, emb, support in group:
+            raw = _post_select(raw, [(delta, emb, support)], delta * emb, 2.0, faithful=True)[0]
+        trace = _trace(raw)
     else:
-        raw, trace, p_formula = _post_select(sigma, terms, rho_embs, b_op, denom, faithful)
-    p = _check_probability(trace, "step")
-    return StepResult(raw * (1 / trace), p, p_formula if faithful else p)
+        raw, trace, p_formula = _post_select(sigma, group, b_op, denom, faithful)
+    return _normalized(raw, trace, p_formula, faithful, "step")
 
 
 @dataclass(frozen=True)
@@ -371,35 +442,59 @@ class LedgerEntry:
 
 
 class ProbabilityLedger:
-    """Per-measurement post-selection probabilities, each stored once.
+    """Per-measurement post-selection probabilities, kept as two float arrays.
 
-    Every measurement records the exactly computed probability
-    ("faithful-exact") and the paper-convention value ("paper-formula"); in
-    effective mode the two coincide.  An exact one above 1 + 1e-12 raises, a
-    formula one is clamped to 1 with a note, and a negative or NaN one raises.
-    Products are read from the entries, also in log space so that long runs
-    whose product underflows double precision stay inspectable.
+    ``exact`` holds the exactly computed probability of every measurement
+    ("faithful-exact") and ``formula`` the paper-convention value
+    ("paper-formula"); in effective mode the two coincide.  Measurement i has
+    step id ``<i // m + 1><suffixes[i % m]>`` for the m ``suffixes`` of a
+    Trotter step.  The arrays are checked when the ledger is built, and every
+    message names the step: an exact probability above 1 + 1e-12 raises, a
+    formula one is clamped to 1 with one note per entry, and a negative or
+    NaN one raises.  Products are read from the arrays in measurement order,
+    also in log space so that long runs whose product underflows double
+    precision stay inspectable.
     """
 
-    def __init__(self):
-        self.entries: list[LedgerEntry] = []
-        self.notes: list[str] = []
+    def __init__(self, exact=(), formula=(), suffixes: tuple[str, ...] = ("",)):
+        exact = np.array(exact, dtype=float)
+        formula = np.array(formula, dtype=float)
+        self.suffixes = tuple(suffixes)
+        if exact.ndim != 1 or exact.shape != formula.shape or (exact.size and not self.suffixes):
+            raise ValueError(f"ledger columns of shapes {exact.shape} and {formula.shape} "
+                             f"for {len(self.suffixes)} measurements per step")
+        invalid = ~((exact >= 0.0) & (formula >= 0.0))
+        bad = np.flatnonzero(invalid | (exact > 1.0 + 1e-12))
+        if bad.size:
+            i = int(bad[0])
+            if invalid[i]:
+                raise ValueError(f"probabilities {exact[i]}, {formula[i]} at {self.step_id(i)}: "
+                                 "negative or NaN")
+            raise ValueError(f"exact probability {exact[i]} > 1 at {self.step_id(i)}")
+        self.notes = [f"{self.step_id(i)}: formula probability {formula[i]:.6g} clamped to 1"
+                      for i in np.flatnonzero(formula > 1.0 + 1e-12)]
+        self.exact = np.minimum(exact, 1.0)
+        self.formula = np.minimum(formula, 1.0)
+        self.exact.flags.writeable = self.formula.flags.writeable = False
 
-    def record(self, step_id: str, exact: float, formula: float) -> None:
-        exact, formula = float(exact), float(formula)
-        if not (exact >= 0.0 and formula >= 0.0):
-            raise ValueError(f"probabilities {exact}, {formula} at {step_id}: negative or NaN")
-        if exact > 1.0 + 1e-12:
-            raise ValueError(f"exact probability {exact} > 1 at {step_id}")
-        if formula > 1.0 + 1e-12:
-            self.notes.append(f"{step_id}: formula probability {formula:.6g} clamped to 1")
-        self.entries.append(LedgerEntry(step_id, min(exact, 1.0), "faithful-exact"))
-        self.entries.append(LedgerEntry(step_id, min(formula, 1.0), "paper-formula"))
+    def step_id(self, i: int) -> str:
+        step, k = divmod(i, len(self.suffixes))
+        return f"{step + 1}{self.suffixes[k]}"
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        """Both probabilities of every measurement, in order, built from the
+        arrays on each read."""
+        return [
+            LedgerEntry(self.step_id(i), p, source)
+            for i, pair in enumerate(zip(self.exact.tolist(), self.formula.tolist()))
+            for p, source in zip(pair, LEDGER_SOURCES)
+        ]
 
     def probabilities(self, source: str = "faithful-exact") -> list[float]:
         if source not in LEDGER_SOURCES:
             raise ValueError(f"unknown source {source!r}")
-        return [e.probability for e in self.entries if e.source == source]
+        return (self.exact if source == "faithful-exact" else self.formula).tolist()
 
     def cumulative(self, source: str = "faithful-exact") -> float:
         return math.prod(self.probabilities(source), start=1.0)
@@ -415,12 +510,120 @@ class ProbabilityLedger:
 class Trajectory:
     """The normalized simulator state after the last Trotter step, plus
     bookkeeping.  Intermediate states are not kept: the ledger records every
-    post-selection probability along the way."""
+    post-selection probability along the way.
+
+    A row that went extinct in :func:`run_rows` has no final state;
+    ``extinction`` says where, and its ledger ends before that measurement.
+    """
 
     plan: TrotterPlan
-    final_state: np.ndarray  # a density matrix in every mode
+    final_state: np.ndarray | None  # a density matrix in every mode
     ledger: ProbabilityLedger
     wall_time_s: float
+    extinction: str | None = None
+
+
+def _initial_state(state: np.ndarray, n_sites: int) -> np.ndarray:
+    """``state`` as a complex array, checked as a unit vector or a density matrix."""
+    dim = 2**n_sites
+    state = np.array(state, dtype=complex)
+    if state.shape == (dim,):
+        check_unit_vector(state)
+    elif state.shape == (dim, dim):
+        check_density_matrix(state, trace_atol=1e-8)
+    else:
+        raise ValueError(f"state shape {state.shape} does not match {n_sites} sites")
+    return state
+
+
+def _measurements(plan: TrotterPlan, deltas) -> list[tuple[str, partial]]:
+    """(step id suffix, step function) for each measurement of one Trotter
+    step of ``plan``: one :func:`step_strategy_a` per term for strategy A,
+    one :func:`step_strategy_b` over all terms for strategy B.  ``deltas``
+    holds one delta per term, a scalar for one row or a (rows,) array for a
+    stack.  The embedded resources are built for strategy A and faithful
+    mode, the support plans for faithful mode; the rest of strategy B reads
+    only B = sum_i delta_i rho_i.  The step functions are read from the
+    module now, as a tracer may wrap them."""
+    dec = plan.decomposition
+    faithful = plan.mode == "faithful"
+    embs = [_embed(t, dec.n) for t in dec.terms] if plan.strategy == "A" or faithful else None
+    supports = [_support_plan(t.rho, t.support, dec.n) if faithful else None for t in dec.terms]
+    if plan.strategy == "A":
+        return [
+            (f".{k}", partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,
+                              rho_emb=emb, support=support))
+            for k, (term, delta, emb, support)
+            in enumerate(zip(dec.terms, deltas, embs, supports), start=1)
+        ]
+    if not dec.terms:
+        return []
+    terms = list(zip(dec.terms, deltas))
+    measurement = "local" if plan.strategy == "B-local" else "global"
+    return [("", partial(step_strategy_b, terms=terms, measurement=measurement, mode=plan.mode,
+                         rho_embs=embs, b_op=_b_operator(terms, dec.n, embs),
+                         supports=supports if faithful else None))]
+
+
+def run_rows(plans: list[TrotterPlan], state: np.ndarray) -> list[Trajectory]:
+    """Execute ``plans`` on the same initial ``state`` as one stacked
+    (rows, d, d) state, one row per plan; a vector state is promoted to
+    |psi><psi|.
+
+    The plans must come from one decomposition and share their step count,
+    strategy and mode, so that they differ only in their deltas, which every
+    measurement broadcasts per row.  Each Trotter step applies the
+    measurements of :func:`run` in turn, one call of the step function per
+    measurement for the whole stack, and each call fills one column of every
+    row's ledger arrays.  A row whose probability is at or below
+    ``EXTINCTION_P`` leaves the stack: its trajectory has no final state and
+    its ``extinction`` names the step.  Every operation acts on each row on
+    its own, so a row's state and probabilities are bit for bit the same
+    whether it runs alone or with any other rows.  ``wall_time_s`` is the
+    whole stack's.
+    """
+    if not plans:
+        return []
+    t0 = time.perf_counter()
+    first = plans[0]
+    dec = first.decomposition
+    shared = (first.n_steps, first.strategy, first.mode)
+    if any(p.decomposition is not dec or (p.n_steps, p.strategy, p.mode) != shared for p in plans):
+        raise ValueError("run_rows needs plans of one decomposition, step count, strategy and mode")
+    state = _initial_state(state, dec.n)
+    sigma = np.repeat((_density(state) if state.ndim == 1 else state)[None], len(plans), axis=0)
+    rows = np.arange(len(plans))  # the rows still in the stack, in plan order
+    deltas = np.array([p.deltas for p in plans], dtype=float).T  # (terms, rows)
+    measurements = _measurements(first, deltas)
+    suffixes = tuple(suffix for suffix, _ in measurements)
+    count = first.n_steps * len(measurements)
+    exact, formula = np.empty((len(plans), count)), np.empty((len(plans), count))
+    ends = [count] * len(plans)
+    extinctions: list[str | None] = [None] * len(plans)
+    for j in range(count):
+        step, k = divmod(j, len(measurements))
+        res = measurements[k][1](sigma)
+        exact[rows, j] = res.probability
+        formula[rows, j] = res.formula_probability
+        sigma = res.state
+        extinct = res.probability <= EXTINCTION_P
+        if extinct.any():
+            for row, p in zip(rows[extinct].tolist(), res.probability[extinct].tolist()):
+                ends[row] = j
+                extinctions[row] = f"post-selection probability {p:.3e} at step {step + 1}{suffixes[k]}"
+            kept = ~extinct
+            rows, sigma, deltas = rows[kept], sigma[kept], deltas[:, kept]
+            if not rows.size:
+                break
+            measurements = _measurements(first, deltas)
+    wall = time.perf_counter() - t0
+    final = dict(zip(rows.tolist(), sigma))
+    return [
+        Trajectory(plan, final.get(row),
+                   ProbabilityLedger(exact[row, :ends[row]], formula[row, :ends[row]], suffixes),
+                   wall, extinctions[row])
+        for row, plan in enumerate(plans)
+    ]
 
 
 def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
@@ -430,47 +633,28 @@ def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
     Every Trotter step applies the row's measurements in turn, strategy A one
     :func:`step_strategy_a` per term (step id ``<step>.<k>``), strategy B one
     :func:`step_strategy_b` over all terms (``<step>``), and the ledger
-    records each.  Effective and sampled modes keep a vector a vector; faithful
-    mode promotes it to |psi><psi| at its first step.  Deterministic: the
+    records each.  Faithful mode, and any density-matrix state, runs as the
+    one row of :func:`run_rows`, which promotes a vector to |psi><psi|; an
+    extinct row raises :class:`ExtinctionError`.  Effective and sampled modes
+    keep a vector a vector, in a loop of their own.  Deterministic: the
     post-selected branch has no randomness, which :func:`sample_run` adds.
     """
+    if plan.mode == "faithful" or np.ndim(state) != 1:
+        (trajectory,) = run_rows([plan], state)
+        if trajectory.extinction is not None:
+            raise ExtinctionError(trajectory.extinction)
+        return trajectory
     t0 = time.perf_counter()
-    dec = plan.decomposition
-    dim = 2**dec.n
-    sigma = np.array(state, dtype=complex)
-    if sigma.shape == (dim,):
-        check_unit_vector(sigma)
-    elif sigma.shape == (dim, dim):
-        check_density_matrix(sigma, trace_atol=1e-8)
-    else:
-        raise ValueError(f"state shape {sigma.shape} does not match {dec.n} sites")
-
-    terms = list(zip(dec.terms, plan.deltas))
-    # the embedded resources are read by strategy A and by faithful mode; the
-    # rest of strategy B reads only B = sum_i delta_i rho_i, fixed by the row's deltas
-    embedded = plan.strategy == "A" or plan.mode == "faithful"
-    rho_embs = [_embed(t, dec.n) for t, _ in terms] if embedded else None
-    # (step id suffix, step function read from the module now, as a tracer may wrap it)
-    measurements = []
-    if plan.strategy == "A":
-        measurements = [
-            (f".{k}", partial(step_strategy_a, term=term, delta=delta, mode=plan.mode, rho_emb=emb))
-            for k, ((term, delta), emb) in enumerate(zip(terms, rho_embs), start=1)
-        ]
-    elif terms:
-        measurement = "local" if plan.strategy == "B-local" else "global"
-        b_op = _b_operator(terms, dec.n, rho_embs)
-        measurements = [("", partial(step_strategy_b, terms=terms, measurement=measurement,
-                                     mode=plan.mode, rho_embs=rho_embs, b_op=b_op))]
-
-    ledger = ProbabilityLedger()
-    for step in range(1, plan.n_steps + 1):
-        for suffix, measure in measurements:
-            res = measure(sigma)
-            sigma = res.state
-            ledger.record(f"{step}{suffix}", res.probability, res.formula_probability)
-    final = _density(sigma) if sigma.ndim == 1 else sigma
-    return Trajectory(plan, final, ledger, time.perf_counter() - t0)
+    psi = _initial_state(state, plan.decomposition.n)
+    measurements = _measurements(plan, plan.deltas)
+    count = plan.n_steps * len(measurements)
+    exact, formula = np.empty(count), np.empty(count)
+    for j in range(count):
+        res = measurements[j % len(measurements)][1](psi)
+        psi = res.state
+        exact[j], formula[j] = res.probability, res.formula_probability
+    ledger = ProbabilityLedger(exact, formula, tuple(suffix for suffix, _ in measurements))
+    return Trajectory(plan, _density(psi), ledger, time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import exact
 from .config import ExperimentConfig
-from .engine import make_plan, run, sample_run
+from .engine import ProbabilityLedger, Trajectory, make_plan, run, run_rows, sample_run
 from .errors import ExtinctionError
 from .hamiltonian import (
     IsingParams,
@@ -115,42 +115,69 @@ def _prepare(config: ExperimentConfig) -> _Setup:
     )
 
 
-def _compute_row(setup: _Setup, config: ExperimentConfig, beta: float, index: int) -> ResultRow:
+def _vector_run(plan, setup: _Setup, config: ExperimentConfig, index: int):
+    """(trajectory, empirical frequency) of an effective or sampled row, which
+    evolves |+>^n as a vector; an extinct row comes back without a final state."""
+    try:
+        if config.mode == "sampled":  # sample_run runs the engine once for both
+            sampled = sample_run(plan, setup.psi0, config.trials, seed=config.seed + index)
+            return sampled.trajectory, sampled.frequency
+        return run(plan, setup.psi0), None
+    except ExtinctionError as err:
+        return Trajectory(plan, None, ProbabilityLedger(), 0.0, str(err)), None
+
+
+def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) -> ResultRow:
     dec = setup.decomposition
-    bound = bounds_mod.sim_distance_bound(dec.ell, beta, dec.h_max, config.n_steps)
+    plan = trajectory.plan
+    beta = plan.beta
+    bound = bounds_mod.sim_distance_bound(dec.ell, beta, dec.h_max, plan.n_steps)
     try:
         fid_sm = bounds_mod.fidelity_lower_bound(
             beta, setup.spectral.gap, float(setup.populations[0]), variant="sm"
         )
     except ValueError:
         fid_sm = math.nan
+    nan = math.nan
+    extinct = ResultRow(beta, nan, nan, nan, nan, nan, None, nan, bound, fid_sm,
+                        setup.ground_space_dim)
+    sigma = trajectory.final_state
+    if sigma is None:
+        return extinct
     try:
-        plan = make_plan(dec, beta, config.n_steps, config.strategy, config.mode)
-        empirical = None
-        if config.mode == "sampled":  # sample_run runs the engine once for both
-            sampled = sample_run(plan, setup.psi0, config.trials, seed=config.seed + index)
-            trajectory, empirical = sampled.trajectory, sampled.frequency
-        else:
-            trajectory = run(plan, setup.psi0)
-        sigma = trajectory.final_state
         phi = exact.exact_ite(setup.spectral, setup.psi0, beta)
-        return ResultRow(
-            beta=beta,
-            fidelity_sbqs_vs_ground=float(np.trace(setup.projector @ sigma).real),
-            fidelity_exact_ite_vs_ground=float(np.vdot(phi, setup.projector @ phi).real),
-            bures_sbqs_vs_exact_ite=exact.bures_distance(sigma, phi),
-            success_prob_formula=trajectory.ledger.cumulative("paper-formula"),
-            success_prob_faithful=trajectory.ledger.cumulative("faithful-exact"),
-            success_prob_empirical=empirical,
-            energy_sbqs=exact.energy(setup.h_model, sigma),
-            bound_eq15=bound,
-            fidelity_bound_sm=fid_sm,
-            ground_space_dim=setup.ground_space_dim,
-        )
     except ExtinctionError:
-        nan = math.nan
-        return ResultRow(beta, nan, nan, nan, nan, nan, None, nan, bound, fid_sm,
-                         setup.ground_space_dim)
+        return extinct
+    return ResultRow(
+        beta=beta,
+        fidelity_sbqs_vs_ground=float(np.trace(setup.projector @ sigma).real),
+        fidelity_exact_ite_vs_ground=float(np.vdot(phi, setup.projector @ phi).real),
+        bures_sbqs_vs_exact_ite=exact.bures_distance(sigma, phi),
+        success_prob_formula=trajectory.ledger.cumulative("paper-formula"),
+        success_prob_faithful=trajectory.ledger.cumulative("faithful-exact"),
+        success_prob_empirical=empirical,
+        energy_sbqs=exact.energy(setup.h_model, sigma),
+        bound_eq15=bound,
+        fidelity_bound_sm=fid_sm,
+        ground_space_dim=setup.ground_space_dim,
+    )
+
+
+def _compute_rows(
+    setup: _Setup, config: ExperimentConfig, betas: list[float], first: int
+) -> list[ResultRow]:
+    """The rows of ``betas``, grid points ``first``, ``first + 1``, ...
+
+    Faithful rows advance together as one stacked state (``run_rows``);
+    effective and sampled rows run one at a time, each as a state vector.
+    An extinct row is all NaN but for its bounds."""
+    plans = [make_plan(setup.decomposition, beta, config.n_steps, config.strategy, config.mode)
+             for beta in betas]
+    if config.mode == "faithful":
+        return [_result_row(setup, trajectory, None) for trajectory in run_rows(plans, setup.psi0)]
+    # each row's state is dropped once its result row is read from it
+    return [_result_row(setup, *_vector_run(plan, setup, config, first + i))
+            for i, plan in enumerate(plans)]
 
 
 def _bounds_report(config: ExperimentConfig, setup: _Setup) -> bounds_mod.BoundsReport:
@@ -170,21 +197,23 @@ def _bounds_report(config: ExperimentConfig, setup: _Setup) -> bounds_mod.Bounds
 def run_experiment(config: ExperimentConfig) -> tuple[list[ResultRow], bounds_mod.BoundsReport]:
     """One row per beta grid point, plus the bounds report at the endpoint.
 
-    The set-up is computed once and shared by every row.  Rows are
-    independent; with parallel width > 1 they are computed in a process pool
-    of at most one worker per row and per CPU, and re-assembled in grid
-    order, so the output is identical to a serial sweep.
+    The set-up is computed once and shared by every row.  With parallel
+    width > 1 the grid is cut into one contiguous chunk per worker, at most
+    one worker per row and per CPU, each chunk is computed in a process pool
+    and the chunks are re-assembled in grid order.  A row comes out bit for
+    bit the same in any chunk, so the output is identical to a serial sweep.
     """
     setup = _prepare(config)
     betas = config.beta_grid
-    jobs = (repeat(setup), repeat(config), betas, range(len(betas)))
     workers = min(config.parallel, len(betas), os.cpu_count() or 1)
+    cuts = [len(betas) * w // workers for w in range(workers + 1)]
+    jobs = (repeat(setup), repeat(config), [betas[a:b] for a, b in zip(cuts, cuts[1:])], cuts)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_compute_row, *jobs))
+            chunks = list(pool.map(_compute_rows, *jobs))
     else:
-        rows = list(map(_compute_row, *jobs))
-    return rows, _bounds_report(config, setup)
+        chunks = list(map(_compute_rows, *jobs))
+    return [row for chunk in chunks for row in chunk], _bounds_report(config, setup)
 
 
 def _format(value: float | int | None) -> str:
@@ -249,7 +278,8 @@ def emit_svg(rows: list[ResultRow], path: str | Path) -> Path:
     """Minimal line chart of both fidelity series vs beta.
 
     Exactly two <polyline> elements (protocol in green, exact reference in
-    red); axes and ticks are drawn with <line>/<text>.
+    red), each through the rows whose value is finite; axes and ticks are
+    drawn with <line>/<text>.
     """
     if not rows:
         raise ValueError("no rows to plot")
@@ -266,8 +296,9 @@ def emit_svg(rows: list[ResultRow], path: str | Path) -> Path:
     def sy(f: float) -> float:
         return top + (1.0 - min(max(f, 0.0), 1.0)) * (height - top - bottom)
 
-    def points(values: list[float]) -> str:
-        return " ".join(f"{sx(r.beta):.2f},{sy(v):.2f}" for r, v in zip(rows, values))
+    def points(values: list[float]) -> str:  # an extinct row's NaN is left out
+        return " ".join(f"{sx(r.beta):.2f},{sy(v):.2f}"
+                        for r, v in zip(rows, values) if math.isfinite(v))
 
     sbqs = points([r.fidelity_sbqs_vs_ground for r in rows])
     ref = points([r.fidelity_exact_ite_vs_ground for r in rows])

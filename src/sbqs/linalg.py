@@ -64,8 +64,8 @@ def qubit_layout(n: int) -> RegisterLayout:
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

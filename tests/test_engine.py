@@ -7,6 +7,7 @@ from sbqs.engine import (
     cswap_channel,
     make_plan,
     run,
+    run_rows,
     sample_run,
     step_strategy_a,
     step_strategy_b,
@@ -306,6 +307,19 @@ class TestRun:
             manual = float(np.prod(ps))
             assert traj.ledger.cumulative(source) == pytest.approx(manual, rel=1e-12)
 
+    def test_run_rows_needs_plans_that_differ_only_in_beta(self):
+        dec = toy_decomposition(2, seed=8)
+        plan = make_plan(dec, 0.1, 3, "A", "faithful")
+        assert run_rows([], PLUS) == []
+        for other in (make_plan(dec, 0.2, 4, "A", "faithful"),
+                      make_plan(dec, 0.2, 3, "B-global", "faithful"),
+                      make_plan(dec, 0.2, 3, "A", "effective"),
+                      make_plan(toy_decomposition(2, seed=8), 0.2, 3, "A", "faithful")):
+            with pytest.raises(ValueError, match="run_rows"):
+                run_rows([plan, other], PLUS)
+        with pytest.raises(ValueError, match="shape"):
+            run_rows([plan], np.eye(4, dtype=complex) / 4)
+
     def test_strategy_b_measures_every_trotter_step(self):
         dec = toy_decomposition(2, seed=8)
         traj = run(make_plan(dec, 0.1, 6, "B-global", "faithful"), PLUS)
@@ -417,9 +431,7 @@ class TestVectorPath:
 
 class TestLedger:
     def test_sources_tracked_independently(self):
-        ledger = ProbabilityLedger()
-        ledger.record("1", 0.5, 0.6)
-        ledger.record("2", 0.5, 1.0)
+        ledger = ProbabilityLedger([0.5, 0.5], [0.6, 1.0])
         assert ledger.cumulative("faithful-exact") == pytest.approx(0.25)
         assert ledger.cumulative("paper-formula") == pytest.approx(0.6)
         # two entries per measurement: the benchmark counts them
@@ -427,48 +439,90 @@ class TestLedger:
         assert [e.step_id for e in ledger.entries] == ["1", "1", "2", "2"]
 
     def test_empty_ledger(self):
-        ledger = ProbabilityLedger()
-        for source in LEDGER_SOURCES:
-            assert ledger.cumulative(source) == 1.0
-            assert ledger.log_cumulative(source) == 0.0
+        for ledger in (ProbabilityLedger(), ProbabilityLedger([], [], suffixes=())):
+            assert ledger.entries == [] and ledger.notes == []
+            assert ledger.exact.shape == ledger.formula.shape == (0,)
+            for source in LEDGER_SOURCES:
+                assert ledger.probabilities(source) == []
+                assert ledger.cumulative(source) == 1.0
+                assert ledger.log_cumulative(source) == 0.0
 
     def test_unknown_source_rejected(self):
-        ledger = ProbabilityLedger()
-        ledger.record("1", 0.5, 0.5)
+        ledger = ProbabilityLedger([0.5], [0.5])
         for read in (ledger.probabilities, ledger.cumulative, ledger.log_cumulative):
             with pytest.raises(ValueError, match="unknown source"):
                 read("faithful")
 
     def test_formula_clamped_with_note(self):
-        ledger = ProbabilityLedger()
-        ledger.record("1", 0.5, 1.3)
+        ledger = ProbabilityLedger([0.5], [1.3])
         assert ledger.cumulative("paper-formula") == 1.0
         assert ledger.cumulative("faithful-exact") == 0.5
         assert any("clamped" in note for note in ledger.notes)
 
+    def test_every_clamped_formula_entry_noted_with_its_step(self):
+        ledger = ProbabilityLedger([0.5] * 6, [0.5, 1.3, 0.5, 0.5, 1.0 + 1e-13, 1.2],
+                                   suffixes=(".1", ".2", ".3"))
+        assert ledger.notes == ["1.2: formula probability 1.3 clamped to 1",
+                                "2.3: formula probability 1.2 clamped to 1"]
+        assert ledger.probabilities("paper-formula") == [0.5, 1.0, 0.5, 0.5, 1.0, 1.0]
+
     def test_rounding_above_one_clamped_silently(self):
-        ledger = ProbabilityLedger()
-        ledger.record("1", 1.0 + 1e-13, 1.0 + 1e-13)
+        ledger = ProbabilityLedger([1.0 + 1e-13], [1.0 + 1e-13])
         assert ledger.probabilities("faithful-exact") == ledger.probabilities("paper-formula") == [1.0]
         assert ledger.notes == []
 
     def test_exact_above_one_rejected(self):
-        ledger = ProbabilityLedger()
-        with pytest.raises(ValueError):
-            ledger.record("1", 1.1, 0.5)
-        assert ledger.entries == []
+        with pytest.raises(ValueError, match="> 1"):
+            ProbabilityLedger([1.1], [0.5])
 
     @pytest.mark.parametrize("exact, formula", [(-0.1, 0.5), (0.5, -0.1), (np.nan, 0.5), (0.5, np.nan)])
     def test_negative_or_nan_rejected(self, exact, formula):
-        ledger = ProbabilityLedger()
         with pytest.raises(ValueError, match="negative or NaN"):
-            ledger.record("1", exact, formula)
-        assert ledger.entries == []
+            ProbabilityLedger([exact], [formula])
+
+    @pytest.mark.parametrize("exact, formula, message", [
+        (1.0 + 2e-12, 0.5, "exact probability 1.000000000002 > 1 at 3.2"),
+        (-0.1, 0.5, "probabilities -0.1, 0.5 at 3.2: negative or NaN"),
+        (0.5, np.nan, "probabilities 0.5, nan at 3.2: negative or NaN"),
+    ])
+    def test_rejection_names_the_first_offending_step(self, exact, formula, message):
+        # entry 5 of a two-measurement step is step 3, measurement 2; entry 6 is bad too
+        exacts, formulas = [0.5] * 7, [0.5] * 7
+        exacts[5], formulas[5] = exact, formula
+        exacts[6] = np.nan
+        with pytest.raises(ValueError) as err:
+            ProbabilityLedger(exacts, formulas, suffixes=(".1", ".2"))
+        assert str(err.value) == message
+
+    def test_columns_must_match(self):
+        for exact, formula, suffixes in (([0.5], [0.5, 0.5], ("",)), ([[0.5]], [[0.5]], ("",)),
+                                         ([0.5], [0.5], ())):
+            with pytest.raises(ValueError, match="ledger columns"):
+                ProbabilityLedger(exact, formula, suffixes)
+
+    def test_entries_agree_with_the_arrays(self):
+        rng = np.random.default_rng(5)
+        exact, formula = rng.uniform(0.1, 1.0, 12), rng.uniform(0.1, 1.2, 12)
+        ledger = ProbabilityLedger(exact, formula, suffixes=(".1", ".2", ".3"))
+        entries = ledger.entries
+        assert len(entries) == 24
+        assert [e.probability for e in entries[0::2]] == ledger.exact.tolist() == exact.tolist()
+        assert [e.probability for e in entries[1::2]] == ledger.formula.tolist()
+        assert ledger.formula.tolist() == np.minimum(formula, 1.0).tolist()
+        assert {e.source for e in entries[0::2]} == {"faithful-exact"}
+        assert {e.source for e in entries[1::2]} == {"paper-formula"}
+        assert [e.step_id for e in entries[0::2]] == [
+            f"{step}.{k}" for step in range(1, 5) for k in range(1, 4)]
+        assert [e.step_id for e in entries] == [ledger.step_id(i // 2) for i in range(24)]
+        # the arrays are the ledger's own: neither the input nor the entries write to them
+        exact[0] = 0.0
+        entries[0] = None
+        assert ledger.exact[0] > 0.0 and ledger.entries[0] is not None
+        with pytest.raises(ValueError):
+            ledger.exact[0] = 0.0
 
     def test_log_cumulative_survives_underflow(self):
-        ledger = ProbabilityLedger()
-        for i in range(3000):
-            ledger.record(str(i), 0.5, 0.5)
+        ledger = ProbabilityLedger([0.5] * 3000, [0.5] * 3000)
         assert ledger.cumulative("faithful-exact") == 0.0  # double underflow
         assert ledger.log_cumulative("faithful-exact") == pytest.approx(3000 * np.log(0.5))
 

@@ -3,7 +3,7 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from sbqs.bounds import build_bounds_report, n_star
 from sbqs.cli import main
 from sbqs.config import DEFAULT_BETA_GRID, load_config, validate_config
+from sbqs.engine import make_plan, run, run_rows
 from sbqs.errors import ConfigError
 from sbqs.exact import ground, populations
 from sbqs.experiment import (
@@ -219,8 +220,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("strategy", ["A", "B-global"])
     def test_one_step_call_and_two_ledger_entries_per_measurement(self, monkeypatch, strategy):
-        # what the benchmark's tracer reads: run calls the step function bound
-        # on sbqs.engine once per measurement, and the ledger gets two entries each
+        # what the benchmark's tracer reads: a faithful sweep's rows advance as
+        # one stack, so run_rows calls the step function bound on sbqs.engine
+        # once per measurement for the whole stack, and each row's ledger gets
+        # two entries per measurement
         import sbqs.engine as engine_mod
         import sbqs.experiment as experiment_mod
 
@@ -235,25 +238,27 @@ class TestRunExperiment:
             return wrapper
 
         def keeping(*args, **kwargs):
-            trajectories.append(engine_mod.run(*args, **kwargs))
-            return trajectories[-1]
+            trajectories.extend(engine_mod.run_rows(*args, **kwargs))
+            return trajectories
 
         for name in ("step_strategy_a", "step_strategy_b"):
             monkeypatch.setattr(engine_mod, name, counting(name, getattr(engine_mod, name)))
-        monkeypatch.setattr(experiment_mod, "run", keeping)
+        monkeypatch.setattr(experiment_mod, "run_rows", keeping)
         config = validate_config(ising_config(strategy=strategy, mode="faithful", beta_grid=[0.5, 1.0]))
         run_experiment(config)
         ell = trajectories[0].plan.decomposition.ell
         per_row = config.n_steps * (ell if strategy == "A" else 1)
-        assert calls == {f"step_strategy_{strategy[0].lower()}": 2 * per_row}
+        assert calls == {f"step_strategy_{strategy[0].lower()}": per_row}
         assert [len(t.ledger.entries) for t in trajectories] == [2 * per_row] * 2
-        # the products equal a running product and sum over the step results, bit for bit
+        # the products equal a running product and sum over each row's column of
+        # the step results, bit for bit
+        assert all(np.shape(p) == np.shape(f) == (2,) for p, f in kept)
         for row, t in enumerate(trajectories):
-            results = kept[row * per_row:(row + 1) * per_row]
+            results = [(p[row], f[row]) for p, f in kept]
             for source, column in zip(("faithful-exact", "paper-formula"), zip(*results)):
                 product, log_sum = 1.0, 0.0
                 for p in column:
-                    product *= p
+                    product *= float(p)
                     log_sum += math.log(p)
                 assert 0.0 < product < 1.0
                 assert t.ledger.cumulative(source) == product
@@ -282,6 +287,79 @@ class TestRunExperiment:
         parallel, _ = run_experiment(validate_config(ising_config(parallel=3)))
         for a, b in zip(serial, parallel):
             assert a == b
+
+    @pytest.mark.parametrize("strategy", ["A", "B-global"])
+    def test_faithful_rows_identical_alone_in_chunks_and_in_the_batch(self, strategy):
+        # criterion 9 on the faithful path: a row's state and probabilities do
+        # not depend on which other rows share its stack
+        import sbqs.experiment as experiment_mod
+
+        config = validate_config(ising_config(mode="faithful", strategy=strategy,
+                                              beta_grid=[0.0, 0.25, 0.5, 0.75, 1.0]))
+        setup = experiment_mod._prepare(config)
+        plans = [make_plan(setup.decomposition, beta, config.n_steps, strategy, "faithful")
+                 for beta in config.beta_grid]
+        batch = run_rows(plans, setup.psi0)
+        for size in (1, 2, 3, 4):
+            chunked = [t for i in range(0, len(plans), size)
+                       for t in run_rows(plans[i:i + size], setup.psi0)]
+            for a, b in zip(batch, chunked):
+                assert np.array_equal(a.final_state, b.final_state)
+                assert np.array_equal(a.ledger.exact, b.ledger.exact)
+                assert np.array_equal(a.ledger.formula, b.ledger.formula)
+        for a, plan in zip(batch, plans):
+            alone = run(plan, setup.psi0)
+            assert np.array_equal(a.final_state, alone.final_state)
+            assert a.ledger.probabilities("faithful-exact") == alone.ledger.probabilities("faithful-exact")
+
+    def test_faithful_parallel_matches_serial(self, monkeypatch):
+        import sbqs.experiment as experiment_mod
+
+        raw = ising_config(mode="faithful", beta_grid=[0.0, 0.25, 0.5, 0.75, 1.0])
+        serial, _ = run_experiment(validate_config(raw))
+        # four CPUs as far as the sweep knows, so parallel = 3 cuts three chunks
+        monkeypatch.setattr(experiment_mod.os, "cpu_count", lambda: 4)
+        for width in (2, 3):
+            parallel, _ = run_experiment(validate_config({**raw, "parallel": width}))
+            assert parallel == serial
+
+    def test_extinct_row_inside_a_faithful_batch(self, monkeypatch):
+        # one row of a real batch falls below the extinction level mid-run: it
+        # leaves the stack and its row is NaN, the others go on bit for bit
+        import sbqs.engine as engine_mod
+        import sbqs.experiment as experiment_mod
+
+        raw = ising_config(mode="faithful", beta_grid=[0.0, 0.5, 1.0, 1.5], n_steps=60)
+        config = validate_config(raw)
+        setup = experiment_mod._prepare(config)
+        plans = [make_plan(setup.decomposition, beta, config.n_steps, "A", "faithful")
+                 for beta in config.beta_grid]
+        alone = [run(plan, setup.psi0) for plan in plans]
+        lows = [min(t.ledger.probabilities()) for t in alone]
+        doomed = int(np.argmin(lows))
+        level = (lows[doomed] + min(low for i, low in enumerate(lows) if i != doomed)) / 2
+        dies_at = int(np.argmax(alone[doomed].ledger.exact <= level))
+        assert 0 < dies_at < len(alone[doomed].ledger.exact) - 1
+        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+
+        batch = run_rows(plans, setup.psi0)
+        assert batch[doomed].final_state is None
+        assert len(batch[doomed].ledger.exact) == dies_at
+        assert batch[doomed].ledger.step_id(dies_at) in batch[doomed].extinction
+        for i, (t, ref) in enumerate(zip(batch, alone)):
+            if i != doomed:
+                assert t.extinction is None
+                assert np.array_equal(t.final_state, ref.final_state)
+                assert np.array_equal(t.ledger.exact, ref.ledger.exact)
+                assert np.array_equal(t.ledger.formula, ref.ledger.formula)
+
+        rows, _ = run_experiment(config)
+        survivors = [beta for i, beta in enumerate(config.beta_grid) if i != doomed]
+        without, _ = run_experiment(validate_config({**raw, "beta_grid": survivors}))
+        assert math.isnan(rows[doomed].fidelity_sbqs_vs_ground)
+        assert math.isnan(rows[doomed].success_prob_faithful)
+        assert math.isfinite(rows[doomed].bound_eq15)
+        assert [r for i, r in enumerate(rows) if i != doomed] == without
 
     def test_sampled_mode_fills_empirical(self):
         config = validate_config(
@@ -374,6 +452,18 @@ class TestSvg:
         text = emit_svg(rows, tmp_path / "f.svg").read_text()
         assert text.count("<polyline") == 2
         assert text.startswith("<svg")
+
+    def test_extinct_row_left_out_of_the_polyline(self, tmp_path):
+        rows, _ = run_experiment(validate_config(ising_config(beta_grid=[0.0, 1.0])))
+        nan = math.nan
+        extinct = replace(rows[1], fidelity_sbqs_vs_ground=nan, fidelity_exact_ite_vs_ground=nan)
+        text = emit_svg([rows[0], extinct], tmp_path / "f.svg").read_text()
+        assert text.count("<polyline") == 2
+        assert "nan" not in text.lower()
+        polylines = re.findall(r'<polyline [^>]*points="([^"]*)"', text)
+        # both series keep the beta = 0 point, at the left margin, and drop beta = 1
+        assert [p.split() for p in polylines] == [[p] for p in polylines]
+        assert all(p.startswith("60.00,") for p in polylines)
 
 
 class TestCli:
