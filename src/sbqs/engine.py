@@ -1,55 +1,48 @@
 """Protocol engine: post-selected controlled-SWAP steps in closed form.
 
 A Hamiltonian decomposition drives a Trotterized nonunitary update of the
-simulator state.  Every step is one primitive: a control qubit
+simulator state.  Every measurement is one primitive: a control qubit
 (|0> - delta |1>)/sqrt(1 + delta^2) per (term, delta) pair, a controlled-SWAP
 of a fresh resource state rho into the simulator on each, the resources
-traced out, and one post-selected measurement of the controls.  The
-strategies differ only in which pairs one measurement reads:
+traced out, and one post-selection of the controls.  One kernel,
+:func:`_measure`, computes it for a group of pairs; the strategies differ
+only in the group:
 
-- strategy "A" measures every term on its own (l = 1, projection onto |+>);
-- strategies "B-local" / "B-global" defer the measurement to the end of each
-  Trotter step and read all l terms, projecting the control register onto
-  |+>^l or onto the uniform superposition over {all-zeros, one-hots}.
-  Measurements are never deferred across Trotter steps.
+- strategy "A" is the one-term group, each term measured on its own (|+>,
+  denominator 2);
+- "B-local" / "B-global" are the group of all l terms of a Trotter step,
+  projected onto |+>^l (2^l) or onto the uniform superposition over
+  {all-zeros, one-hots} (l + 1).  Measurements are never deferred across
+  Trotter steps.
 
-With B = sum_i delta_i rho_i = I - A over the pairs read, the post-selected
-state is (sigma - (sigma B + B sigma) + second) / scale, a polynomial in the
-deltas of a few products of sigma with the embedded resources:
+With B = sum_i delta_i rho_i = I - A over the group, the post-selected state
+is (sigma - (sigma B + B sigma) + second) / scale.  "Effective" has second =
+B sigma B, the first-order update A sigma A.  "Faithful" keeps what the
+circuit produces: each delta_i^2 rho_i sigma rho_i of B sigma B becomes
+delta_i^2 rho_i ⊗ Tr_Si sigma (the support qubits of sigma replaced by
+rho_i), and scale gains prod_i (1 + delta_i^2); this delta^2 leak is the one
+known from density-matrix exponentiation.  "Sampled" evolves like
+"effective" and leaves the accept/reject randomness to :func:`sample_run`.
+Since delta_i = beta w_i / N, a run's strategy-B B is (beta / N) W, with W =
+sum_i w_i rho_i the decomposition's operator, built once per decomposition;
+strategy A's B is delta rho.
 
-- "effective" has second = B sigma B, which gives the first-order update
-  A sigma A;
-- "faithful" keeps what the circuit produces: each delta_i^2 rho_i sigma rho_i
-  of B sigma B becomes delta_i^2 rho_i ⊗ Tr_Si sigma (the support qubits of
-  sigma replaced by rho_i), and the normalization gains prod_i (1 + delta_i^2).
-  This delta^2 leak is the one known from density-matrix exponentiation.
-  The |+>^l projection of "B-local" acts on each control alone, so faithful
-  B-local is the l one-term updates in term order, renormalized once;
-- "sampled" evolves like "effective" and leaves the accept/reject randomness
-  to :func:`sample_run`.
+A sigma A maps a pure state to a pure state, so effective and sampled rows
+evolve a state vector as a vector, psi <- A psi / |A psi|, one
+matrix-vector product per measurement in :func:`run`'s own loop.  Running
+vectors as one-row stacks instead measured 2.9x slower per step at d = 16
+and 3.3x on an effective-A row at n = 4, so vectors keep their 1-D path.
+Only "faithful" needs a density matrix; its first step promotes a vector to
+|psi><psi|.  The rows of a faithful beta sweep differ only in their deltas,
+so :func:`run_rows` advances them as one (rows, d, d) stack with the deltas
+broadcast per row, one step call per measurement for the whole stack; a
+single d×d state is a one-row stack.  Every operation acts on each row on
+its own, so a row comes out bit for bit the same alone or in any stack, and
+a row whose probability reaches ``EXTINCTION_P`` leaves the stack while the
+others go on.  :class:`ProbabilityLedger` keeps each row's probabilities as
+two float arrays and reads the success products from them.
 
-The effective update A sigma A maps a pure state to a pure state, so
-"effective" and "sampled" evolve a state vector as a vector: psi <- A psi / |A psi|,
-one matrix-vector product per measurement, with probability |A psi|^2 / denom.
-Only "faithful" needs a density matrix, because its delta^2 leak mixes the
-state; its first step promotes a vector to |psi><psi|.
-
-The rows of a beta sweep differ only in their deltas, delta_i = beta h_i / N,
-so :func:`run_rows` advances them together as one stacked (rows, d, d) state
-with the deltas broadcast per row: each measurement, one per term (strategy
-A) or per Trotter step (strategy B), is one call of the step function for
-the whole stack.  The support plan of every term (the einsum labels of
-rho ⊗ Tr_S sigma and rho on the qubit tensor) is built once per run.  Every
-operation acts on each row on its own, so a row comes out bit for bit the
-same alone or in any stack, and a row whose probability reaches
-``EXTINCTION_P`` leaves the stack while the others go on.  :func:`run` is
-the one row of :func:`run_rows` for a density matrix or faithful mode, and
-a loop of its own for an effective or sampled vector.
-:class:`ProbabilityLedger` keeps each row's probabilities as two float
-arrays and reads the success products from them.
-
-No control register or Kraus operator is built, so faithful strategy B runs
-at any size the dense simulator state allows.  :func:`cswap_channel` keeps
+No control register or Kraus operator is built.  :func:`cswap_channel` keeps
 the Kraus form of one controlled-SWAP as a reference for tests.
 """
 
@@ -174,22 +167,8 @@ def _embed(term: ResourceTerm, n_sites: int) -> np.ndarray:
 
 
 def _per_row(delta):
-    """A scalar delta as is; a (rows,) one shaped to broadcast over a stack of states."""
-    return np.reshape(delta, (-1, 1, 1)) if np.ndim(delta) else delta
-
-
-def _b_operator(
-    terms: list[tuple[ResourceTerm, float]], n_sites: int, rho_embs: list[np.ndarray] | None
-) -> np.ndarray:
-    """B = sum_i delta_i rho_i on the full register, one per row for (rows,)
-    deltas.  Without ``rho_embs`` each embedding is built, added and dropped
-    in turn, so only one is held."""
-    embs = rho_embs if rho_embs is not None else (_embed(t, n_sites) for t, _ in terms)
-    rows = np.shape(terms[0][1]) if terms else ()
-    b_op = np.zeros(rows + (2**n_sites, 2**n_sites), dtype=complex)
-    for (_, delta), emb in zip(terms, embs):
-        b_op += _per_row(delta) * emb
-    return b_op
+    """A scalar or (rows,) delta shaped (rows, 1, 1), to broadcast over a stack of states."""
+    return np.reshape(delta, (-1, 1, 1))
 
 
 def _density(psi: np.ndarray) -> np.ndarray:
@@ -197,13 +176,17 @@ def _density(psi: np.ndarray) -> np.ndarray:
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
-    """Real part of the trace of a matrix, or of each matrix in a stack."""
+    """Real part of the trace of each matrix in a stack."""
     return m.trace(0, -2, -1).real
+
+
+def _extinction(p: float, step_id: str) -> str:
+    return f"post-selection probability {p:.3e} at step {step_id}"
 
 
 def _check_probability(p: float, step_id: str) -> float:
     if p <= EXTINCTION_P:
-        raise ExtinctionError(f"post-selection probability {p:.3e} at step {step_id}")
+        raise ExtinctionError(_extinction(p, step_id), p)
     return min(p, 1.0)
 
 
@@ -218,24 +201,22 @@ def _formula_probability(sigma: np.ndarray, sb: np.ndarray, b_op: np.ndarray, de
 
 def _post_select(
     sigma: np.ndarray,
-    group: list[tuple[float | np.ndarray, np.ndarray, Callable | None]],
+    group: list[tuple[np.ndarray, np.ndarray, Callable | None]],
     b_op: np.ndarray,
     denom: float,
     faithful: bool,
 ):
     """One measurement post-selected over the (delta, embedded resource,
-    support plan) triples of ``group``, with ``b_op`` = B = sum_i delta_i rho_i
-    = I - A.  ``sigma`` is a d×d state with scalar deltas, or a (rows, d, d)
-    stack with deltas and B per row (deltas shaped (rows, 1, 1)).
+    support plan) triples of ``group``, with ``b_op`` = B = I - A, on a
+    (rows, d, d) stack ``sigma`` with deltas shaped (rows, 1, 1) and B one
+    d×d matrix or one per row.
 
     Returns the unnormalized state (sigma - (sigma B + B sigma) + second) / scale,
     its trace (the post-selection probability) and the paper-formula
-    probability Tr[A sigma A] / denom, each per row.  Effective: second =
-    B sigma B and scale = denom, so the two probabilities agree.  Faithful:
-    second = sum_i delta_i^2 rho_i ⊗ Tr_Si sigma + [B sigma B - sum_i delta_i^2 rho_i sigma rho_i]
-    and scale = denom prod_i (1 + delta_i^2); the bracket holds the cross
-    terms i != j, so a one-term group skips it and B sigma B alike.  Linear
-    in ``sigma``, which need not have unit trace.
+    probability Tr[A sigma A] / denom, each per row.  Faithful second =
+    sum_i delta_i^2 rho_i ⊗ Tr_Si sigma + [B sigma B - sum_i delta_i^2 rho_i sigma rho_i]:
+    the bracket holds the cross terms i != j, so a one-term group skips it
+    and B sigma B alike.  Linear in ``sigma``, which need not have unit trace.
     """
     sb = sigma @ b_op
     p_formula = _formula_probability(sigma, sb, b_op, denom)
@@ -270,26 +251,52 @@ class StepResult:
     formula_probability: float | np.ndarray
 
 
-def _normalized(raw: np.ndarray, trace, p_formula, faithful: bool, step_id: str) -> StepResult:
-    """``raw`` divided by its trace.  A single state raises
-    :class:`ExtinctionError` at a trace at or below ``EXTINCTION_P``; a stack
-    leaves such rows as they are, for :func:`run_rows` to drop."""
-    if raw.ndim == 2:
-        p = _check_probability(float(trace), step_id)
-        return StepResult(raw * (1 / trace), p, float(p_formula) if faithful else p)
+def _measure(sigma, group, denom: float, mode: str, step_id: str, b_op=None,
+             local: bool = False) -> StepResult:
+    """One measurement over the (delta, embedded resource, support plan)
+    triples of ``group`` with denominator ``denom``: the kernel of both step
+    functions.  ``b_op`` is B = sum_i delta_i rho_i, or None for the one-term
+    group's delta rho.  ``sigma`` and a given B are cast to complex here.
+
+    A 1-D ``sigma`` is a state vector, which effective and sampled modes
+    update as psi <- A psi / |A psi| with probability |A psi|^2 / denom (the
+    formula probability too); faithful mode promotes it to |psi><psi|.
+    Density matrices run as a (rows, d, d) stack through :func:`_post_select`,
+    each row divided by its trace unless that is at or below ``EXTINCTION_P``;
+    a single d×d state is a one-row stack, unwrapped after, and raises
+    :class:`ExtinctionError` instead.  ``local`` marks faithful B-local, whose
+    |+>^l projection acts on each control alone: the one-term updates chain
+    in term order and renormalize once, and the formula probability
+    Tr[A sigma A] / denom reads the whole group.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    faithful = mode == "faithful"
+    sigma = np.asarray(sigma, dtype=complex)
+    b_op = None if b_op is None else np.asarray(b_op, dtype=complex)
+    if sigma.ndim == 1 and not faithful:
+        out = sigma - (group[0][0] * (group[0][1] @ sigma) if b_op is None else b_op @ sigma)
+        norm2 = float(np.vdot(out, out).real)
+        p = _check_probability(norm2 / denom, step_id)
+        return StepResult(out * (1 / math.sqrt(norm2)), p, p)
+    stack = sigma if sigma.ndim == 3 else (_density(sigma) if sigma.ndim == 1 else sigma)[None]
+    group = [(_per_row(delta), emb, support) for delta, emb, support in group]
+    if b_op is None:
+        b_op = group[0][0] * group[0][1]
+    if faithful and local:
+        p_formula = _formula_probability(stack, stack @ b_op, b_op, denom)
+        raw = stack
+        for delta, emb, support in group:
+            raw = _post_select(raw, [(delta, emb, support)], delta * emb, 2.0, faithful=True)[0]
+        trace = _trace(raw)
+    else:
+        raw, trace, p_formula = _post_select(stack, group, b_op, denom, faithful)
     p = np.minimum(trace, 1.0)
     state = raw * (1 / np.where(trace > EXTINCTION_P, trace, 1.0))[:, None, None]
-    return StepResult(state, p, p_formula if faithful else p)
-
-
-def _pure_step(psi: np.ndarray, b_psi: np.ndarray, denom: float, step_id: str) -> StepResult:
-    """The effective measurement on a state vector: A psi / |A psi| with
-    A psi = psi - ``b_psi``.  Its probability |A psi|^2 / denom is the formula
-    probability too, as Tr[A sigma A] / denom is for sigma = |psi><psi|."""
-    out = psi - b_psi
-    norm2 = float(np.vdot(out, out).real)
-    p = _check_probability(norm2 / denom, step_id)
-    return StepResult(out * (1 / math.sqrt(norm2)), p, p)
+    if sigma.ndim == 3:
+        return StepResult(state, p, p_formula if faithful else p)
+    p = _check_probability(float(p[0]), step_id)
+    return StepResult(state[0], p, float(p_formula[0]) if faithful else p)
 
 
 def step_strategy_a(
@@ -301,39 +308,23 @@ def step_strategy_a(
     rho_emb: np.ndarray | None = None,
     support: Callable | None = None,
 ) -> StepResult:
-    """One measured sub-step: the one-term group of :func:`_post_select`, whose
+    """One measured sub-step: the one-term group of :func:`_measure`, whose
     control is projected onto |+> (denominator 2).
 
-    The probability is the trace of the unnormalized post-selected state; the
-    state is renormalized.  The formula probability
-    Tr[(I - delta rho) sigma (I - delta rho)] / 2 is reported in both modes
-    and equals the probability in effective mode.  ``rho_emb`` is
-    ``term.rho`` embedded on the full register and ``support`` its
-    :func:`_support_plan`, each built here when not given.
-    ``sigma`` is a d×d state with a scalar ``delta``, or a (rows, d, d) stack
-    with one delta per row; see :class:`StepResult` for a stack's extinct rows.
-    A 1-D ``sigma`` is a state vector: effective and sampled modes return the
-    updated vector, faithful mode works on |sigma><sigma|.
-    ``kraus`` is ignored: the closed form needs no Kraus operators, and the
-    keyword stays only for callers written against the earlier Kraus engine.
+    The probability is the trace of the unnormalized post-selected state, and
+    the formula probability Tr[(I - delta rho) sigma (I - delta rho)] / 2
+    equals it in effective mode.  ``sigma`` is a state vector or a d×d state
+    with a scalar ``delta``, or a (rows, d, d) stack with one delta per row.
+    ``rho_emb`` is ``term.rho`` embedded on the full register and ``support``
+    its :func:`_support_plan`, each built here when not given.  ``kraus`` is
+    ignored; it stays for callers written against the earlier Kraus engine.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    n_sites = sigma.shape[-1].bit_length() - 1
+    n_sites = np.shape(sigma)[-1].bit_length() - 1
     if rho_emb is None:
         rho_emb = _embed(term, n_sites)
-    faithful = mode == "faithful"
-    if sigma.ndim == 1:
-        if not faithful:
-            return _pure_step(sigma, delta * (rho_emb @ sigma), 2.0, "sub-step")
-        sigma = _density(sigma)
-    if faithful and support is None:
+    if support is None and mode == "faithful":
         support = _support_plan(term.rho, term.support, n_sites)
-    delta = _per_row(delta)
-    raw, trace, p_formula = _post_select(
-        sigma, [(delta, rho_emb, support)], delta * rho_emb, 2.0, faithful
-    )
-    return _normalized(raw, trace, p_formula, faithful, "sub-step")
+    return _measure(sigma, [(delta, rho_emb, support)], 2.0, mode, "sub-step")
 
 
 def step_strategy_b(
@@ -346,51 +337,30 @@ def step_strategy_b(
     b_op: np.ndarray | None = None,
     supports: list[Callable] | None = None,
 ) -> StepResult:
-    """One deferred-measurement Trotter step over all ``terms``: the full group
-    of :func:`_post_select`, with denominator l+1 ("global", the uniform
+    """One deferred-measurement Trotter step: the group of all ``terms`` in
+    :func:`_measure`, with denominator l+1 ("global", the uniform
     superposition over the all-zeros and one-hot control states) or 2^l
-    ("local", |+>^l).
+    ("local", |+>^l).  ``sigma`` and the deltas are as in
+    :func:`step_strategy_a`.
 
-    Faithful "local" is the one-term faithful updates in term order,
-    renormalized only at the end, because |+>^l projects each control on its
-    own; its formula probability Tr[A sigma A] / 2^l still comes from the
-    full group.  ``b_op`` = sum_i delta_i rho_i is built here when not given,
-    and so are ``rho_embs`` and ``supports``, which only faithful mode reads.
-    ``sigma`` and the deltas are a state and scalars or a stack and (rows,)
-    arrays, as in :func:`step_strategy_a`, and so is a 1-D ``sigma``.
-    ``embedded_kraus`` is ignored, like ``kraus`` there.
+    ``b_op`` = sum_i delta_i rho_i is summed from ``rho_embs`` when not given
+    (a run passes (beta/N) W); ``rho_embs`` and ``supports`` are built when
+    needed and not given.  ``embedded_kraus`` is ignored, like ``kraus``.
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    n_sites = sigma.shape[-1].bit_length() - 1
+    n_sites = np.shape(sigma)[-1].bit_length() - 1
     faithful = mode == "faithful"
-    if faithful and rho_embs is None:
+    if rho_embs is None and (faithful or b_op is None):
         rho_embs = [_embed(t, n_sites) for t, _ in terms]
     if b_op is None:
-        b_op = _b_operator(terms, n_sites, rho_embs)
-    ell = len(terms)
-    denom = float(ell + 1) if measurement == "global" else float(2**ell)
-    if sigma.ndim == 1:
-        if not faithful:
-            return _pure_step(sigma, b_op @ sigma, denom, "step")
-        sigma = _density(sigma)
-    group = []
-    if faithful:
-        if supports is None:
-            supports = [_support_plan(t.rho, t.support, n_sites) for t, _ in terms]
-        group = [(_per_row(delta), emb, support)
-                 for (_, delta), emb, support in zip(terms, rho_embs, supports)]
-    if faithful and measurement == "local":
-        p_formula = _formula_probability(sigma, sigma @ b_op, b_op, denom)
-        raw = sigma
-        for delta, emb, support in group:
-            raw = _post_select(raw, [(delta, emb, support)], delta * emb, 2.0, faithful=True)[0]
-        trace = _trace(raw)
-    else:
-        raw, trace, p_formula = _post_select(sigma, group, b_op, denom, faithful)
-    return _normalized(raw, trace, p_formula, faithful, "step")
+        b_op = sum((np.multiply.outer(delta, emb) for (_, delta), emb in zip(terms, rho_embs)),
+                   np.zeros((2**n_sites,) * 2, dtype=complex))
+    if faithful and supports is None:
+        supports = [_support_plan(t.rho, t.support, n_sites) for t, _ in terms]
+    group = list(zip((delta for _, delta in terms), rho_embs, supports)) if faithful else []
+    denom = float(len(terms) + 1) if measurement == "global" else float(2 ** len(terms))
+    return _measure(sigma, group, denom, mode, "step", b_op, local=measurement == "local")
 
 
 @dataclass(frozen=True)
@@ -536,15 +506,15 @@ def _initial_state(state: np.ndarray, n_sites: int) -> np.ndarray:
     return state
 
 
-def _measurements(plan: TrotterPlan, deltas) -> list[tuple[str, partial]]:
+def _measurements(plan: TrotterPlan, deltas, scale) -> list[tuple[str, partial]]:
     """(step id suffix, step function) for each measurement of one Trotter
     step of ``plan``: one :func:`step_strategy_a` per term for strategy A,
-    one :func:`step_strategy_b` over all terms for strategy B.  ``deltas``
-    holds one delta per term, a scalar for one row or a (rows,) array for a
-    stack.  The embedded resources are built for strategy A and faithful
-    mode, the support plans for faithful mode; the rest of strategy B reads
-    only B = sum_i delta_i rho_i.  The step functions are read from the
-    module now, as a tracer may wrap them."""
+    one :func:`step_strategy_b` over all terms for strategy B, whose B is
+    ``scale`` * W.  ``deltas`` (one per term) and ``scale`` = beta / N are
+    scalars for one row or (rows,) arrays for a stack.  Embedded resources
+    are built for strategy A and faithful mode, support plans for faithful
+    mode.  The step functions are read from the module now, as a tracer may
+    wrap them."""
     dec = plan.decomposition
     faithful = plan.mode == "faithful"
     embs = [_embed(t, dec.n) for t in dec.terms] if plan.strategy == "A" or faithful else None
@@ -558,10 +528,10 @@ def _measurements(plan: TrotterPlan, deltas) -> list[tuple[str, partial]]:
         ]
     if not dec.terms:
         return []
-    terms = list(zip(dec.terms, deltas))
     measurement = "local" if plan.strategy == "B-local" else "global"
-    return [("", partial(step_strategy_b, terms=terms, measurement=measurement, mode=plan.mode,
-                         rho_embs=embs, b_op=_b_operator(terms, dec.n, embs),
+    return [("", partial(step_strategy_b, terms=list(zip(dec.terms, deltas)),
+                         measurement=measurement, mode=plan.mode, rho_embs=embs,
+                         b_op=np.multiply.outer(scale, dec.operator),
                          supports=supports if faithful else None))]
 
 
@@ -571,16 +541,12 @@ def run_rows(plans: list[TrotterPlan], state: np.ndarray) -> list[Trajectory]:
     |psi><psi|.
 
     The plans must come from one decomposition and share their step count,
-    strategy and mode, so that they differ only in their deltas, which every
-    measurement broadcasts per row.  Each Trotter step applies the
-    measurements of :func:`run` in turn, one call of the step function per
-    measurement for the whole stack, and each call fills one column of every
-    row's ledger arrays.  A row whose probability is at or below
+    strategy and mode, so that they differ only in beta.  Each measurement of
+    :func:`run` is one step call for the whole stack and fills one column of
+    every row's ledger arrays.  A row whose probability is at or below
     ``EXTINCTION_P`` leaves the stack: its trajectory has no final state and
-    its ``extinction`` names the step.  Every operation acts on each row on
-    its own, so a row's state and probabilities are bit for bit the same
-    whether it runs alone or with any other rows.  ``wall_time_s`` is the
-    whole stack's.
+    its ``extinction`` names the step.  A row comes out bit for bit the same
+    alone or with any other rows.  ``wall_time_s`` is the whole stack's.
     """
     if not plans:
         return []
@@ -594,7 +560,8 @@ def run_rows(plans: list[TrotterPlan], state: np.ndarray) -> list[Trajectory]:
     sigma = np.repeat((_density(state) if state.ndim == 1 else state)[None], len(plans), axis=0)
     rows = np.arange(len(plans))  # the rows still in the stack, in plan order
     deltas = np.array([p.deltas for p in plans], dtype=float).T  # (terms, rows)
-    measurements = _measurements(first, deltas)
+    scales = np.array([p.beta / p.n_steps for p in plans])
+    measurements = _measurements(first, deltas, scales)
     suffixes = tuple(suffix for suffix, _ in measurements)
     count = first.n_steps * len(measurements)
     exact, formula = np.empty((len(plans), count)), np.empty((len(plans), count))
@@ -610,12 +577,12 @@ def run_rows(plans: list[TrotterPlan], state: np.ndarray) -> list[Trajectory]:
         if extinct.any():
             for row, p in zip(rows[extinct].tolist(), res.probability[extinct].tolist()):
                 ends[row] = j
-                extinctions[row] = f"post-selection probability {p:.3e} at step {step + 1}{suffixes[k]}"
+                extinctions[row] = _extinction(p, f"{step + 1}{suffixes[k]}")
             kept = ~extinct
-            rows, sigma, deltas = rows[kept], sigma[kept], deltas[:, kept]
+            rows, sigma, deltas, scales = rows[kept], sigma[kept], deltas[:, kept], scales[kept]
             if not rows.size:
                 break
-            measurements = _measurements(first, deltas)
+            measurements = _measurements(first, deltas, scales)
     wall = time.perf_counter() - t0
     final = dict(zip(rows.tolist(), sigma))
     return [
@@ -634,10 +601,11 @@ def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
     :func:`step_strategy_a` per term (step id ``<step>.<k>``), strategy B one
     :func:`step_strategy_b` over all terms (``<step>``), and the ledger
     records each.  Faithful mode, and any density-matrix state, runs as the
-    one row of :func:`run_rows`, which promotes a vector to |psi><psi|; an
-    extinct row raises :class:`ExtinctionError`.  Effective and sampled modes
-    keep a vector a vector, in a loop of their own.  Deterministic: the
-    post-selected branch has no randomness, which :func:`sample_run` adds.
+    one row of :func:`run_rows`, which promotes a vector to |psi><psi|.
+    Effective and sampled modes keep a vector a vector, in a loop of their
+    own.  Extinction raises :class:`ExtinctionError` naming the step id in
+    either case.  Deterministic: the post-selected branch has no randomness,
+    which :func:`sample_run` adds.
     """
     if plan.mode == "faithful" or np.ndim(state) != 1:
         (trajectory,) = run_rows([plan], state)
@@ -646,11 +614,16 @@ def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
         return trajectory
     t0 = time.perf_counter()
     psi = _initial_state(state, plan.decomposition.n)
-    measurements = _measurements(plan, plan.deltas)
+    measurements = _measurements(plan, plan.deltas, plan.beta / plan.n_steps)
     count = plan.n_steps * len(measurements)
     exact, formula = np.empty(count), np.empty(count)
     for j in range(count):
-        res = measurements[j % len(measurements)][1](psi)
+        step, k = divmod(j, len(measurements))
+        try:
+            res = measurements[k][1](psi)
+        except ExtinctionError as err:  # a step function cannot know the step id
+            raise ExtinctionError(_extinction(err.probability, f"{step + 1}{measurements[k][0]}"),
+                                  err.probability) from None
         psi = res.state
         exact[j], formula[j] = res.probability, res.formula_probability
     ledger = ProbabilityLedger(exact, formula, tuple(suffix for suffix, _ in measurements))

@@ -18,7 +18,12 @@ class PlanError(ValueError):
 
 
 class ExtinctionError(RuntimeError):
-    """A post-selection or normalization probability vanished numerically."""
+    """A post-selection or normalization probability vanished numerically;
+    ``probability`` is the value when it is one measurement's, else None."""
+
+    def __init__(self, message: str, probability: float | None = None):
+        super().__init__(message)
+        self.probability = probability
 
 
 class ConfigError(ValueError):

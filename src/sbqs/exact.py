@@ -114,8 +114,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if b.ndim == 1:
         check_unit_vector(b)
-        f = float(np.vdot(b, a @ b).real)
-        return min(max(f, 0.0), 1.0)
+        return _vector_fidelity(a, b)
     check_density_matrix(b, trace_atol=1e-8)
     for first, second in ((a, b), (b, a)):
         v = _principal_vector(second)
@@ -126,11 +125,20 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return min(max(f, 0.0), 1.0)
 
 
+def _vector_fidelity(a: np.ndarray, phi: np.ndarray) -> float:
+    """<phi|a|phi> clamped into [0, 1], unchecked: :func:`fidelity` checks
+    both arguments first, a sweep's rows pass states the engine built."""
+    return min(max(float(np.vdot(phi, a @ phi).real), 0.0), 1.0)
+
+
+def _bures(f: float) -> float:
+    return float(np.sqrt(2.0 * max(0.0, 1.0 - np.sqrt(f))))
+
+
 def bures_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Bures distance in the D^2 = 2(1 - sqrt(F)) convention; ``b`` may be a
     state vector, as in :func:`fidelity`."""
-    f = fidelity(a, b)
-    return float(np.sqrt(2.0 * max(0.0, 1.0 - np.sqrt(f))))
+    return _bures(fidelity(a, b))
 
 
 def energy(h: np.ndarray, rho: np.ndarray) -> float:

@@ -152,7 +152,8 @@ def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) 
         beta=beta,
         fidelity_sbqs_vs_ground=float(np.trace(setup.projector @ sigma).real),
         fidelity_exact_ite_vs_ground=float(np.vdot(phi, setup.projector @ phi).real),
-        bures_sbqs_vs_exact_ite=exact.bures_distance(sigma, phi),
+        # sigma is the engine's own density matrix: no eigvalsh check per row
+        bures_sbqs_vs_exact_ite=exact._bures(exact._vector_fidelity(sigma, phi)),
         success_prob_formula=trajectory.ledger.cumulative("paper-formula"),
         success_prob_faithful=trajectory.ledger.cumulative("faithful-exact"),
         success_prob_empirical=empirical,

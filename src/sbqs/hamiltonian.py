@@ -9,6 +9,7 @@ every Pauli string onto a full-register state.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -140,6 +141,18 @@ class ResourceDecomposition:
     def h_max(self) -> float:
         return max((abs(t.weight) for t in self.terms), default=0.0)
 
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """W = sum_i weight_i * embed(rho_i) on the full register, without the
+        identity offset: the operator the protocol simulates.  Built on first
+        read, once per decomposition, and read-only."""
+        w = np.zeros((2**self.n, 2**self.n), dtype=complex)
+        layout = qubit_layout(self.n)
+        for t in self.terms:
+            w += t.weight * linalg.embed_operator(t.rho, layout, [f"q{s}" for s in t.support])
+        w.flags.writeable = False
+        return w
+
 
 def build_ising(p: IsingParams) -> PauliSum:
     """Pauli-sum form of the transverse-field Ising chain."""
@@ -154,20 +167,18 @@ def build_ising(p: IsingParams) -> PauliSum:
 
 
 def densify(obj: PauliSum | ResourceDecomposition) -> np.ndarray:
-    """Full 2^n x 2^n matrix, including the identity offset."""
+    """Full 2^n x 2^n matrix, including the identity offset; for a
+    decomposition, the offset plus its cached :attr:`ResourceDecomposition.operator`."""
     if not isinstance(obj, (PauliSum, ResourceDecomposition)):
         raise TypeError(f"cannot densify {type(obj).__name__}")
     dim = 2**obj.n
     if dim > DEFAULT_DIM_CAP:
         raise linalg.CapacityError(f"dense form has dimension {dim} > cap {DEFAULT_DIM_CAP}")
     out = obj.identity_offset * np.eye(dim, dtype=complex)
-    if isinstance(obj, PauliSum):
-        for t in obj.terms:
-            out += t.dense()
-    else:
-        layout = qubit_layout(obj.n)
-        for t in obj.terms:
-            out += t.weight * linalg.embed_operator(t.rho, layout, [f"q{s}" for s in t.support])
+    if isinstance(obj, ResourceDecomposition):
+        return out + obj.operator
+    for t in obj.terms:
+        out += t.dense()
     return out
 
 

@@ -5,10 +5,13 @@ unitaries, explicit einsum traces, power series) or from references pinned to
 them, rather than through the code paths under test.  ``exact_ite`` is the
 dense density-matrix evolution, with its own eigendecomposition, that the
 library's state-vector reference is checked against and that tests of mixed
-states use.
+states use.  ``effective_b_filter`` is effective strategy B in closed form,
+read from an eigendecomposition of its own.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -119,6 +122,37 @@ def exact_ite(h: np.ndarray, rho0: np.ndarray, beta: float) -> np.ndarray:
             f"normalization trace {tr:.3e} vanished at beta={beta}"
         )
     return out / tr
+
+
+def effective_b_filter(h: np.ndarray, shift: float, psi0: np.ndarray, beta: float,
+                       n_steps: int, denom: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Effective strategy B as a polynomial filter of ``h``.
+
+    Every Trotter step applies A = I - (beta/N) W with W = h + shift * I, which
+    is diagonal in the eigenbasis V of ``h``, with a_k = 1 - (beta/N)(lambda_k + shift).
+    Returns:
+
+    - the final state psi_N ∝ V diag(a_k^N) V† psi0, normalized;
+    - each step's probability p_j = (sum_k pi_k a_k^{2j} / sum_k pi_k a_k^{2j-2}) / denom,
+      with pi_k = |<v_k|psi0>|^2, the weights renormalized after every step;
+    - the log of their telescoped product, sum_k pi_k a_k^{2N} / denom^N.
+
+    Powers of a are taken relative to max |a_k|, so nothing underflows.
+    """
+    vals, vecs = np.linalg.eigh((h + dagger(h)) / 2)
+    a = 1.0 - beta / n_steps * (vals + shift)
+    coeff = dagger(vecs) @ psi0
+    top = float(np.max(np.abs(a)))
+    psi = vecs @ ((a / top) ** n_steps * coeff)
+    weights = pi = np.abs(coeff) ** 2
+    probabilities = []
+    for _ in range(n_steps):
+        after = weights * a * a
+        probabilities.append(after.sum() / weights.sum() / denom)
+        weights = after / after.sum()
+    log_product = (math.log(float(np.sum(pi * (a / top) ** (2 * n_steps))))
+                   + 2 * n_steps * math.log(top) - n_steps * math.log(denom))
+    return psi / np.linalg.norm(psi), np.array(probabilities), log_product
 
 
 def cswap_unitary(support: tuple[int, ...], n: int) -> np.ndarray:

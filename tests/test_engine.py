@@ -31,6 +31,7 @@ from oracles import (
     cswap_reference_state,
     cswap_unitary,
     deferred_cswap_state,
+    effective_b_filter,
     random_density,
     random_pure_density,
     random_resource_terms,
@@ -216,6 +217,29 @@ class TestStepB:
             worst_p = max(worst_p, abs(faithful.formula_probability - dense(terms, 2 ** len(terms))[1]))
         assert worst_state <= 1e-12
         assert worst_p <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["faithful", "effective"])
+    def test_real_inputs_match_complex(self, mode):
+        # a float sigma, a float embedded resource and a float B are cast to
+        # complex where the one kernel starts, for A, B-local and B-global
+        rng = np.random.default_rng(15)
+        g = rng.normal(size=(4, 4))
+        sigma = g @ g.T / np.trace(g @ g.T)
+        terms = [(ResourceTerm(1.0, RHO_X, (1,), "x"), 0.08),
+                 (ResourceTerm(1.0, np.kron(RHO_Z, RHO_X), (0, 1), "zx"), -0.05)]
+        embs = [embed_operator(t.rho, qubit_layout(2), [f"q{s}" for s in t.support]).real
+                for t, _ in terms]
+        b_real = 0.08 * embs[0] - 0.05 * embs[1]
+        pairs = [(step_strategy_a(sigma, *terms[0], mode=mode, rho_emb=embs[0]),
+                  step_strategy_a(sigma.astype(complex), *terms[0], mode=mode))]
+        for measurement in ("local", "global"):
+            pairs.append((step_strategy_b(sigma, terms, measurement, mode, b_op=b_real),
+                          step_strategy_b(sigma.astype(complex), terms, measurement, mode)))
+        for real, cplx in pairs:
+            assert real.state.dtype == complex
+            assert np.max(np.abs(real.state - cplx.state)) <= 1e-15
+            assert real.probability == pytest.approx(cplx.probability, rel=1e-14)
+            assert real.formula_probability == pytest.approx(cplx.formula_probability, rel=1e-14)
 
     @pytest.mark.parametrize("measurement", ["global", "local"])
     def test_faithful_matches_kraus_composition(self, measurement):
@@ -420,6 +444,22 @@ class TestVectorPath:
         for source in ("faithful-exact", "paper-formula"):
             assert vec.ledger.probabilities(source) == mat.ledger.probabilities(source)
 
+    @pytest.mark.parametrize("strategy", ["A", "B-global"])
+    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    def test_extinction_names_the_step_for_a_vector(self, strategy, mode):
+        # one |+><+| term at delta = 1 - 1e-8 leaves |+> with p ~ 5e-17 at the
+        # first measurement: run's vector loop names it as run_rows does
+        dec = ResourceDecomposition(1, (ResourceTerm(1.0, PLUS, (0,), "x"),), 0.0, "pauli-generic")
+        with pytest.warns(UserWarning, match="delta"):
+            plan = make_plan(dec, 1 - 1e-8, 1, strategy, mode)
+        messages = []
+        for state in (np.full(2, 2**-0.5, dtype=complex), PLUS):
+            with pytest.raises(ExtinctionError) as err:
+                run(plan, state)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith(" at step 1.1" if strategy == "A" else " at step 1")
+
     def test_run_rejects_vector_off_unit_norm(self):
         plan = make_plan(toy_decomposition(2), 0.1, 2, "A", "effective")
         psi = np.full(2, 2**-0.5, dtype=complex)
@@ -427,6 +467,43 @@ class TestVectorPath:
             run(plan, 1.01 * psi)
         with pytest.raises(ValueError, match="shape"):
             run(plan, np.full(4, 0.5, dtype=complex))
+
+
+class TestEffectiveFilter:
+    """Effective strategy B applies A = I - (beta/N) W with W = H + c I in
+    every Trotter step, so its rows are checked against the closed-form
+    filter of ``oracles.effective_b_filter``, which never calls the engine."""
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        out = {}
+        for n in (6, 8):
+            params = IsingParams(n, 1.344422, 2.515909, "periodic")
+            out[n] = (params, decompose_ising_local(params), densify(build_ising(params)))
+        return out
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_operator_matches_the_pauli_path(self, chains, n):
+        _, dec, h = chains[n]
+        assert np.max(np.abs(dec.operator - (h - dec.identity_offset * np.eye(2**n)))) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    @pytest.mark.parametrize("strategy", ["B-global", "B-local"])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_rows_match_the_filter(self, chains, n, strategy, mode):
+        _, dec, h = chains[n]
+        psi0 = np.full(2**n, 2 ** (-n / 2), dtype=complex)
+        denom = dec.ell + 1 if strategy == "B-global" else 2.0**dec.ell
+        for beta in (1.0, 2.0):
+            traj = run(make_plan(dec, beta, 400, strategy, mode), psi0)
+            psi, probabilities, log_product = effective_b_filter(
+                h, -dec.identity_offset, psi0, beta, 400, denom)
+            assert np.max(np.abs(traj.final_state - np.outer(psi, psi.conj()))) <= 1e-12
+            for column in (traj.ledger.exact, traj.ledger.formula):
+                assert np.max(np.abs(column / probabilities - 1.0)) <= 1e-12
+            assert np.sum(np.log(probabilities)) == pytest.approx(log_product, rel=1e-12)
+            for source in LEDGER_SOURCES:
+                assert traj.ledger.log_cumulative(source) == pytest.approx(log_product, rel=1e-12)
 
 
 class TestLedger:

@@ -179,6 +179,22 @@ class TestIsingLocalDecomposition:
 
 
 class TestDensify:
+    def test_decomposition_reads_its_cached_operator(self, monkeypatch):
+        # W = sum_i w_i rho_i is embedded once per decomposition, read-only,
+        # and densify(dec) is identity_offset * I + W
+        import sbqs.linalg as linalg_mod
+
+        dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
+        calls = []
+        real = linalg_mod.embed_operator
+        monkeypatch.setattr(linalg_mod, "embed_operator",
+                            lambda *args: calls.append(1) or real(*args))
+        dense = densify(dec)
+        w = dec.operator
+        assert len(calls) == dec.ell  # a second read embeds nothing
+        assert dec.operator is w and not w.flags.writeable
+        assert dense.flags.writeable and np.array_equal(dense, dec.identity_offset * np.eye(8) + w)
+
     def test_empty_decomposition_is_offset(self):
         from sbqs.hamiltonian import ResourceDecomposition
 
