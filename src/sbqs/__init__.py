@@ -45,7 +45,7 @@ from .exact import (
     exact_ite,
     fidelity,
     ground,
-    ground_projector,
+    ground_basis,
     populations,
 )
 from .experiment import ResultRow, emit_csv, emit_svg, run_experiment, uniform_state

@@ -96,7 +96,7 @@ def _cmd_decompose(config, args) -> int:
           f"identity offset {dec.identity_offset:.12g}")
     for t in dec.terms:
         print(f"  {t.label:<12} weight {t.weight:+.12g}  support {list(t.support)}")
-    residual = float(np.max(np.abs(densify(dec) - densify(setup.working))))
+    residual = float(np.max(np.abs(densify(dec) - setup.h_model)))
     print(f"reconstruction residual (max abs) = {residual:.3e}")
     if dec.terms:
         print(f"min weight = {min(t.weight for t in dec.terms):+.12g}, "

@@ -22,7 +22,6 @@ MAX_SITES = DEFAULT_DIM_CAP.bit_length() - 1
 class ExperimentConfig:
     model: IsingParams | PauliSum
     decomposition: str
-    shift_positive: bool
     beta_grid: tuple[float, ...]
     n_steps: int
     strategy: str
@@ -194,8 +193,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if parallel is not None and parallel < 1:
         problems.append(f"parallel width must be >= 1, got {parallel}")
 
-    shift_positive = raw.get("shift_positive", False)
-    _typed(shift_positive, bool, "true or false", "shift_positive", problems)
     out_dir = raw.get("out_dir", "out")
     _typed(out_dir, str, "a string", "out_dir", problems)
 
@@ -204,7 +201,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         model=model,
         decomposition=decomposition,
-        shift_positive=shift_positive,
         beta_grid=beta_grid,
         n_steps=n_steps,
         strategy=strategy,

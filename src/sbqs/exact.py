@@ -50,12 +50,11 @@ def ground(h: np.ndarray) -> SpectralData:
     )
 
 
-def ground_projector(spectral: SpectralData, tol: float = DEGENERACY_ATOL) -> np.ndarray:
-    """Projector onto the span of eigenvectors within ``tol`` of the ground energy."""
+def ground_basis(spectral: SpectralData, tol: float = DEGENERACY_ATOL) -> np.ndarray:
+    """The eigenvectors within ``tol`` of the ground energy, as the d x k
+    matrix G whose columns span the ground space; its projector is G G^dagger."""
     vals = spectral.spectrum
-    k = int(np.sum(vals - vals[0] < tol))
-    low = spectral.eigenvectors[:, :k]
-    return low @ dag(low)
+    return spectral.eigenvectors[:, : int(np.sum(vals - vals[0] < tol))]
 
 
 def populations(spectral: SpectralData, psi: np.ndarray) -> np.ndarray:
@@ -142,12 +141,13 @@ def bures_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def energy(h: np.ndarray, rho: np.ndarray) -> float:
-    """Tr[h rho] as a real number."""
-    h = np.asarray(h, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if h.shape != rho.shape:
+    """Tr[h rho] as a real number, summed as sum_ij h_ij rho_ji in O(d^2)
+    without forming the product h rho."""
+    h = np.asanyarray(h, dtype=complex)
+    rho = np.asanyarray(rho, dtype=complex)
+    if h.shape != rho.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"dimension mismatch: {h.shape} vs {rho.shape}")
-    val = complex(np.trace(h @ rho))
+    val = complex(np.einsum("ij,ji->", h, rho))
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ValueError(f"energy has imaginary part {val.imag:.3e}")
     return float(val.real)

@@ -19,14 +19,13 @@ from .engine import ProbabilityLedger, Trajectory, make_plan, run, run_rows, sam
 from .errors import ExtinctionError
 from .hamiltonian import (
     IsingParams,
-    PauliSum,
     ResourceDecomposition,
     build_ising,
     decompose_ising_local,
     decompose_pauli_generic,
     densify,
-    shift_to_positive,
 )
+from .linalg import dag
 
 
 @dataclass(frozen=True)
@@ -61,20 +60,19 @@ class _Setup:
     """What a sweep computes once from its config and shares with every row,
     serial or in a pool worker, and with the bounds report.
 
-    ``working`` is the model plus the positivity shift when the config asks
-    for it; ``sbqs decompose`` checks the decomposition against it.
-    ``spectral`` is the sweep's only eigendecomposition; the protocol simulates
-    ``h_model + protocol_shift * I``, and ``populations[0]`` is f0.  ``psi0``
-    is |+>^n, every row's start state, handed to the engine as a vector.
+    ``h_model`` is the model's one dense form and ``spectral`` the sweep's
+    only eigendecomposition, of ``h_model``; the protocol simulates
+    W = ``h_model - decomposition.identity_offset * I``.  ``ground_basis`` is
+    the d x k matrix of the eigenvectors within the config's
+    ``degeneracy_tol`` of the ground energy, so k is the ground-space
+    dimension.  ``psi0`` is |+>^n, every row's start state, handed to the
+    engine as a vector, and ``populations[0]`` is f0.
     """
 
     h_model: np.ndarray
-    working: PauliSum
-    protocol_shift: float
     decomposition: ResourceDecomposition
     psi0: np.ndarray
-    projector: np.ndarray
-    ground_space_dim: int
+    ground_basis: np.ndarray
     spectral: exact.SpectralData
     populations: np.ndarray
 
@@ -85,31 +83,17 @@ def _prepare(config: ExperimentConfig) -> _Setup:
     else:
         pauli = config.model
     h_model = densify(pauli)
-    working = pauli
-    shift = 0.0
-    if config.shift_positive:
-        working, shift = shift_to_positive(pauli)
     if config.decomposition == "ising-local":
         dec = decompose_ising_local(config.model)
-        if shift:
-            # the shift only moves the identity offset; resource terms are untouched
-            dec = ResourceDecomposition(
-                dec.n, dec.terms, dec.identity_offset + shift, dec.provenance
-            )
     else:
-        dec = decompose_pauli_generic(working)
+        dec = decompose_pauli_generic(pauli)
     spectral = exact.ground(h_model)
-    projector = exact.ground_projector(spectral, tol=config.degeneracy_tol)
-    dim_g = int(round(np.trace(projector).real))
     psi0 = np.full(2**dec.n, 1.0 / math.sqrt(2**dec.n), dtype=complex)  # |+>^n
     return _Setup(
         h_model=h_model,
-        working=working,
-        protocol_shift=shift - dec.identity_offset,  # sum_i weight_i rho_i - h_model, times I
         decomposition=dec,
         psi0=psi0,
-        projector=projector,
-        ground_space_dim=dim_g,
+        ground_basis=exact.ground_basis(spectral, tol=config.degeneracy_tol),
         spectral=spectral,
         populations=exact.populations(spectral, psi0),
     )
@@ -129,6 +113,7 @@ def _vector_run(plan, setup: _Setup, config: ExperimentConfig, index: int):
 
 def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) -> ResultRow:
     dec = setup.decomposition
+    basis = setup.ground_basis
     plan = trajectory.plan
     beta = plan.beta
     bound = bounds_mod.sim_distance_bound(dec.ell, beta, dec.h_max, plan.n_steps)
@@ -140,7 +125,7 @@ def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) 
         fid_sm = math.nan
     nan = math.nan
     extinct = ResultRow(beta, nan, nan, nan, nan, nan, None, nan, bound, fid_sm,
-                        setup.ground_space_dim)
+                        basis.shape[1])
     sigma = trajectory.final_state
     if sigma is None:
         return extinct
@@ -148,10 +133,11 @@ def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) 
         phi = exact.exact_ite(setup.spectral, setup.psi0, beta)
     except ExtinctionError:
         return extinct
+    # every metric is O(d^2): the ground projector G G^dagger is never formed
     return ResultRow(
         beta=beta,
-        fidelity_sbqs_vs_ground=float(np.trace(setup.projector @ sigma).real),
-        fidelity_exact_ite_vs_ground=float(np.vdot(phi, setup.projector @ phi).real),
+        fidelity_sbqs_vs_ground=float(np.vdot(basis, sigma @ basis).real),
+        fidelity_exact_ite_vs_ground=float(np.sum(np.abs(dag(basis) @ phi) ** 2)),
         # sigma is the engine's own density matrix: no eigvalsh check per row
         bures_sbqs_vs_exact_ite=exact._bures(exact._vector_fidelity(sigma, phi)),
         success_prob_formula=trajectory.ledger.cumulative("paper-formula"),
@@ -160,7 +146,7 @@ def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) 
         energy_sbqs=exact.energy(setup.h_model, sigma),
         bound_eq15=bound,
         fidelity_bound_sm=fid_sm,
-        ground_space_dim=setup.ground_space_dim,
+        ground_space_dim=basis.shape[1],
     )
 
 
@@ -185,7 +171,7 @@ def _bounds_report(config: ExperimentConfig, setup: _Setup) -> bounds_mod.Bounds
     """The bounds report at the grid's largest beta."""
     return bounds_mod.build_bounds_report(
         spectral=setup.spectral,
-        shift=setup.protocol_shift,
+        shift=-setup.decomposition.identity_offset,  # W = h_model - offset * I
         populations=setup.populations,
         ell=setup.decomposition.ell,
         h_max=setup.decomposition.h_max,

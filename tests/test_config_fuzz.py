@@ -33,7 +33,6 @@ NUMBER = {"int", "float"}
 ISING = {
     "model": {"model": "ising", "n": 2, "J": 1.0, "B": 1.0, "boundary": "open"},
     "decomposition": "ising-local",
-    "shift_positive": False,
     "beta_grid": [0.0, 0.5],
     "n_steps": 10,
     "strategy": "A",
@@ -55,7 +54,6 @@ PAULI = {
 FIELD_TYPES = {
     ("model",): {"object"},
     ("decomposition",): {"string"},
-    ("shift_positive",): {"bool"},
     ("beta_grid",): {"list"},
     ("n_steps",): {"int"},
     ("strategy",): {"string"},

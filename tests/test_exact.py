@@ -8,7 +8,7 @@ from sbqs.exact import (
     exact_ite,
     fidelity,
     ground,
-    ground_projector,
+    ground_basis,
 )
 from sbqs.hamiltonian import IsingParams, build_ising, densify
 
@@ -135,8 +135,10 @@ class TestGround:
 
     def test_projector_rank_tracks_tolerance(self):
         h = densify(build_ising(IsingParams(4, 1.0, 0.1, "periodic")))
-        assert np.trace(ground_projector(ground(h), tol=1e-10)).real == pytest.approx(1.0)
-        assert np.trace(ground_projector(ground(h), tol=0.05)).real == pytest.approx(2.0)
+        spectral = ground(h)
+        assert ground_basis(spectral, tol=1e-10).shape == (16, 1)
+        assert ground_basis(spectral, tol=0.05).shape == (16, 2)
+        assert np.array_equal(ground_basis(spectral, tol=0.05), spectral.eigenvectors[:, :2])
 
 
 class TestFidelity:
@@ -214,6 +216,8 @@ class TestEnergy:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             energy(Z, np.eye(4) / 4)
+        with pytest.raises(ValueError):
+            energy(np.ones((1, 2)), np.ones((1, 2)))
 
 
 def test_near_degenerate_chain_converges_more_slowly():
@@ -224,10 +228,10 @@ def test_near_degenerate_chain_converges_more_slowly():
     gains = {}
     for field in (5.0, 0.1):
         spectral = ground(densify(build_ising(IsingParams(4, 1.0, field, "periodic"))))
-        proj = ground_projector(spectral, tol=0.05)
-        start = np.vdot(psi0, proj @ psi0).real
+        basis = ground_basis(spectral, tol=0.05)
+        start = np.sum(np.abs(basis.conj().T @ psi0) ** 2)
         phi = exact_ite(spectral, psi0, 2.0)
-        end = np.vdot(phi, proj @ phi).real
+        end = np.sum(np.abs(basis.conj().T @ phi) ** 2)
         gains[field] = end - start
     assert 0 < gains[0.1] < gains[5.0]
 

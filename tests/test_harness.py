@@ -13,7 +13,7 @@ import pytest
 from sbqs.bounds import build_bounds_report, n_star
 from sbqs.cli import main
 from sbqs.config import DEFAULT_BETA_GRID, load_config, validate_config
-from sbqs.engine import make_plan, run, run_rows
+from sbqs.engine import ProbabilityLedger, Trajectory, make_plan, run, run_rows
 from sbqs.errors import ConfigError
 from sbqs.exact import ground, populations
 from sbqs.experiment import (
@@ -23,10 +23,11 @@ from sbqs.experiment import (
     parse_csv,
     run_experiment,
 )
-from sbqs.hamiltonian import IsingParams
+from sbqs.hamiltonian import IsingParams, build_ising, densify
 from sbqs.linalg import operator_norm
 
-from oracles import protocol_operator
+from oracles import exact_ite as oracle_exact_ite
+from oracles import protocol_operator, random_density, random_pure_density
 
 
 ISING = {"model": "ising", "n": 3, "J": 1.0, "B": 1.0, "boundary": "periodic"}
@@ -109,7 +110,7 @@ class TestRunExperiment:
         # patched, so a call through any import path is seen
         import sbqs.experiment as experiment_mod
 
-        calls = {"_prepare": 0, "hermitian_eig": 0, "operator_norm": 0}
+        calls = {"_prepare": 0, "densify": 0, "hermitian_eig": 0, "operator_norm": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -126,8 +127,9 @@ class TestRunExperiment:
         assert config.parallel == 1
         rows, report = run_experiment(config)
         assert len(rows) == 3 and math.isfinite(report.n_star)
-        assert calls == {"_prepare": 1, "hermitian_eig": 1, "operator_norm": 0}
-        assert "h_protocol" not in {f.name for f in fields(experiment_mod._Setup)}
+        assert calls == {"_prepare": 1, "densify": 1, "hermitian_eig": 1, "operator_norm": 0}
+        assert [f.name for f in fields(experiment_mod._Setup)] == [
+            "h_model", "decomposition", "psi0", "ground_basis", "spectral", "populations"]
 
     @pytest.mark.parametrize("cpus, expected", [(64, 2), (1, None), (None, None)])
     def test_pool_width_capped_by_rows_and_cpus(self, monkeypatch, cpus, expected):
@@ -155,11 +157,8 @@ class TestRunExperiment:
         assert widths == ([] if expected is None else [expected])
         assert [r.beta for r in rows] == [0.0, 1.0]
 
-    @pytest.mark.parametrize("decomposition, shift", [
-        ("ising-local", False), ("ising-local", True),
-        ("pauli-generic", False), ("pauli-generic", True),
-    ])
-    def test_report_from_spectrum_matches_dense_protocol_operator(self, decomposition, shift):
+    @pytest.mark.parametrize("decomposition", ["ising-local", "pauli-generic"])
+    def test_report_from_spectrum_matches_dense_protocol_operator(self, decomposition):
         # reference: the protocol operator built densely and diagonalised on
         # its own, as the bounds report did before it read the shared spectrum
         import sbqs.experiment as experiment_mod
@@ -171,7 +170,7 @@ class TestRunExperiment:
             "terms": [{"string": string, "coeff": coeff} for string, coeff in terms],
         }
         config = validate_config(ising_config(model=dict(model), decomposition=decomposition,
-                                              shift_positive=shift, n_steps=20))
+                                              n_steps=20))
         setup = experiment_mod._prepare(config)
         report = experiment_mod._bounds_report(config, setup)
         dense = ground(protocol_operator(setup.decomposition))
@@ -445,6 +444,85 @@ class TestRunExperiment:
         assert all(r.ground_space_dim == 2 for r in rows)
 
 
+class _NoSquareProduct(np.ndarray):
+    """A d x d array whose matmul with another d x d operand raises; a product
+    with a vector or a d x k basis runs on the plain arrays."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and all(np.ndim(x) == 2 and np.shape(x)[0] == np.shape(x)[1]
+                                      for x in inputs):
+            raise AssertionError(f"d x d product of {[np.shape(x) for x in inputs]}")
+
+        plain = [x.view(np.ndarray) if isinstance(x, _NoSquareProduct) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestRowMetrics:
+    """A row's ground-fidelity and energy columns against the dense formulas
+    Tr(G G^dagger sigma), <phi|G G^dagger|phi> and Tr(H sigma), with G the
+    test's own k lowest eigenvectors of fig2_right's chain at n sites."""
+
+    @staticmethod
+    def chain(n: int, tol: float):
+        import sbqs.experiment as experiment_mod
+
+        model = {"model": "ising", "n": n, "J": 1.0, "B": 0.1, "boundary": "periodic"}
+        config = validate_config(ising_config(model=model, degeneracy_tol=tol, beta_grid=[1.5],
+                                              n_steps=100, mode="faithful"))
+        return config, experiment_mod._prepare(config)
+
+    @staticmethod
+    def assert_dense_metrics(row, config, setup, sigma, k):
+        h = densify(build_ising(config.model))
+        low = np.linalg.eigh(h)[1][:, :k]
+        projector = low @ low.conj().T
+        phi = oracle_exact_ite(h, np.outer(setup.psi0, setup.psi0.conj()), config.beta_grid[0])
+        assert row.ground_space_dim == k
+        assert row.fidelity_sbqs_vs_ground == pytest.approx(
+            np.trace(projector @ sigma).real, rel=1e-13)
+        assert row.fidelity_exact_ite_vs_ground == pytest.approx(
+            np.trace(projector @ phi).real, rel=1e-13)
+        assert row.energy_sbqs == pytest.approx(np.trace(h @ sigma).real, rel=1e-13)
+
+    @pytest.mark.parametrize("state", [random_density, random_pure_density], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("tol, k", [(1e-10, 1), (0.05, 2)])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_row_metrics_match_the_dense_formulas(self, n, tol, k, state):
+        import sbqs.experiment as experiment_mod
+
+        config, setup = self.chain(n, tol)
+        sigma = state(np.random.default_rng(10 * n + k), 2**n)
+        plan = make_plan(setup.decomposition, config.beta_grid[0], config.n_steps,
+                         config.strategy, config.mode)
+        row = experiment_mod._result_row(
+            setup, Trajectory(plan, sigma, ProbabilityLedger(), 0.0), None)
+        self.assert_dense_metrics(row, config, setup, sigma, k)
+
+    def test_faithful_row_runs_no_eigendecomposition_and_no_square_product(self, monkeypatch):
+        import sbqs.experiment as experiment_mod
+
+        config, setup = self.chain(4, 0.05)
+        plan = make_plan(setup.decomposition, config.beta_grid[0], config.n_steps,
+                         config.strategy, config.mode)
+        (trajectory,) = run_rows([plan], setup.psi0)
+        sigma = trajectory.final_state.view(_NoSquareProduct)
+        with pytest.raises(AssertionError, match="d x d product"):
+            sigma @ sigma
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition in a row")
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "sbqs"]:
+            if getattr(module, "hermitian_eig", None) is not None:
+                monkeypatch.setattr(module, "hermitian_eig", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        guarded = replace(setup, h_model=setup.h_model.view(_NoSquareProduct))
+        row = experiment_mod._result_row(guarded, replace(trajectory, final_state=sigma), None)
+        monkeypatch.undo()
+        self.assert_dense_metrics(row, config, setup, trajectory.final_state, 2)
+
+
 class TestCsv:
     def test_three_lines_for_two_rows(self, tmp_path):
         config = validate_config(ising_config(beta_grid=[0.0, 1.0]))
@@ -566,7 +644,6 @@ class TestCli:
         ("trials", 1.5),
         ("seed", True),
         ("parallel", "2"),
-        ("shift_positive", "no"),
         ("out_dir", 5),
         # model fields: ``value`` is the whole model, ``field`` the name the error gives
         pytest.param("model.n", {**ISING, "n": 2.5}, id="model.n-2.5"),
@@ -594,6 +671,14 @@ class TestCli:
         assert field in err and "Traceback" not in err
         if field in ("strategy", "mode"):
             assert f"got {value!r}" in err  # the JSON value, not its str()
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_shift_positive_is_an_unknown_field(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        path = self.write_config(tmp_path, shift_positive=value)
+        assert main(["run", str(path)]) == 2
+        assert "unknown config field(s): ['shift_positive']" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("model", [{**ISING, "n": 13}, {"model": "pauli", "n": 13}],
