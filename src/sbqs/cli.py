@@ -20,7 +20,9 @@ from .config import load_config
 from .engine import make_plan, sample_run
 from .errors import CapacityError, ConfigError, ExtinctionError, PlanError
 from .exact import energy
-from .experiment import CSV_FIELDS, _bounds_report, _prepare, emit_csv, emit_svg, run_experiment
+from .experiment import (
+    CSV_FIELDS, _bounds_report, _model, _prepare, emit_csv, emit_svg, run_experiment,
+)
 from .hamiltonian import densify
 
 
@@ -30,26 +32,11 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("run", "bounds", "decompose", "sample"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON experiment config")
-        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--out", dest="out_dir", help="output directory (the config's out_dir)")
         p.add_argument("--svg", action="store_true", help="also emit the fidelity chart")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--parallel", type=int, help="row parallelism (overrides config)")
+        p.add_argument("--seed", type=int, help="RNG seed (the config's seed)")
+        p.add_argument("--parallel", type=int, help="row parallelism (the config's parallel)")
     return parser
-
-
-def _apply_overrides(config, args):
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {args.seed}")
-        updates["seed"] = args.seed
-    if args.parallel is not None:
-        if args.parallel < 1:
-            raise ConfigError(f"parallel width must be >= 1, got {args.parallel}")
-        updates["parallel"] = args.parallel
-    return config.override(**updates) if updates else config
 
 
 def _cmd_run(config, args) -> int:
@@ -82,7 +69,7 @@ def _cmd_bounds(config, args) -> int:
     report = _bounds_report(config, _prepare(config))
     text = json.dumps(report.to_dict(), indent=2)
     print(text)
-    if args.out is not None:
+    if args.out_dir is not None:
         path = Path(config.out_dir) / "bounds.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
@@ -90,13 +77,12 @@ def _cmd_bounds(config, args) -> int:
 
 
 def _cmd_decompose(config, args) -> int:
-    setup = _prepare(config)
-    dec = setup.decomposition
+    h_model, dec, _ = _model(config)
     print(f"{dec.provenance} decomposition on {dec.n} sites: {dec.ell} terms, "
           f"identity offset {dec.identity_offset:.12g}")
     for t in dec.terms:
         print(f"  {t.label:<12} weight {t.weight:+.12g}  support {list(t.support)}")
-    residual = float(np.max(np.abs(densify(dec) - setup.h_model)))
+    residual = float(np.max(np.abs(densify(dec) - h_model)))
     print(f"reconstruction residual (max abs) = {residual:.3e}")
     if dec.terms:
         print(f"min weight = {min(t.weight for t in dec.terms):+.12g}, "
@@ -105,10 +91,10 @@ def _cmd_decompose(config, args) -> int:
 
 
 def _cmd_sample(config, args) -> int:
-    setup = _prepare(config)
+    h_model, dec, psi0 = _model(config)
     beta = config.beta_grid[-1]
-    plan = make_plan(setup.decomposition, beta, config.n_steps, config.strategy, config.mode)
-    result = sample_run(plan, setup.psi0, config.trials, seed=config.seed)
+    plan = make_plan(dec, beta, config.n_steps, config.strategy, config.mode)
+    result = sample_run(plan, psi0, config.trials, seed=config.seed)
     ledger = result.trajectory.ledger
     exact_p = ledger.cumulative("faithful-exact")
     sigma = math.sqrt(max(exact_p * (1 - exact_p), 1e-300) / config.trials)
@@ -119,14 +105,17 @@ def _cmd_sample(config, args) -> int:
     print(f"formula product             = {ledger.cumulative('paper-formula'):.6g}")
     if result.accepted_average is not None:
         print(f"accepted-state energy       = "
-              f"{energy(setup.h_model, result.accepted_average):.6g}")
+              f"{energy(h_model, result.accepted_average):.6g}")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        # the flags are config fields, validated with the file's own
+        flags = {name: getattr(args, name) for name in ("out_dir", "seed", "parallel")
+                 if getattr(args, name) is not None}
+        config = load_config(args.config, flags)
         handler = {
             "run": _cmd_run,
             "bounds": _cmd_bounds,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import MODES, STRATEGIES
@@ -32,9 +32,6 @@ class ExperimentConfig:
     degeneracy_tol: float
     out_dir: str
     parallel: int
-
-    def override(self, **kwargs) -> ExperimentConfig:
-        return replace(self, **kwargs)
 
 
 #: The JSON config's fields: one per ExperimentConfig field.
@@ -214,8 +211,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
+def load_config(path: str | Path, updates: dict | None = None) -> ExperimentConfig:
+    """Read a JSON config file, set ``updates`` (the command line's values) on
+    its object, and validate the result, so a field set either way is checked
+    the same way and its problems are named in the same message."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -227,4 +226,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     except ValueError as err:  # an integer literal longer than int() converts
         raise ConfigError(f"{path}: {err}") from err
+    if updates and isinstance(raw, dict):  # validate_config refuses any other value
+        raw = {**raw, **updates}
     return validate_config(raw)

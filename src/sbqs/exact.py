@@ -59,7 +59,7 @@ def ground_basis(spectral: SpectralData, tol: float = DEGENERACY_ATOL) -> np.nda
 
 def populations(spectral: SpectralData, psi: np.ndarray) -> np.ndarray:
     """Weights |<v_k|psi>|^2 of a unit vector, capped at 1 against rounding."""
-    return np.minimum(np.abs(dag(spectral.eigenvectors) @ psi) ** 2, 1.0)
+    return np.minimum(np.abs(psi.conj() @ spectral.eigenvectors) ** 2, 1.0)
 
 
 def exact_ite(spectral: SpectralData, psi0: np.ndarray, beta: float) -> np.ndarray:
@@ -77,7 +77,8 @@ def exact_ite(spectral: SpectralData, psi0: np.ndarray, beta: float) -> np.ndarr
         return psi0
     vals, vecs = spectral.spectrum, spectral.eigenvectors
     weights = np.exp(-beta * (vals - vals[0]))
-    out = vecs @ (weights * (dag(vecs) @ psi0))
+    # the overlaps V^dagger psi0, without copying the d x d V^dagger
+    out = vecs @ (weights * (psi0.conj() @ vecs).conj())
     norm2 = float(np.vdot(out, out).real)
     if not norm2 > TRACE_FLOOR:
         raise ExtinctionError(f"normalization trace {norm2:.3e} vanished at beta={beta}")

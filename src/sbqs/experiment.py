@@ -77,18 +77,21 @@ class _Setup:
     populations: np.ndarray
 
 
-def _prepare(config: ExperimentConfig) -> _Setup:
-    if isinstance(config.model, IsingParams):
-        pauli = build_ising(config.model)
-    else:
-        pauli = config.model
-    h_model = densify(pauli)
+def _model(config: ExperimentConfig) -> tuple[np.ndarray, ResourceDecomposition, np.ndarray]:
+    """The dense model, its decomposition and |+>^n as a vector: all that
+    ``sbqs decompose`` and ``sbqs sample`` read, with no spectrum."""
+    pauli = build_ising(config.model) if isinstance(config.model, IsingParams) else config.model
     if config.decomposition == "ising-local":
         dec = decompose_ising_local(config.model)
     else:
         dec = decompose_pauli_generic(pauli)
+    psi0 = np.full(2**dec.n, 1.0 / math.sqrt(2**dec.n), dtype=complex)
+    return densify(pauli), dec, psi0
+
+
+def _prepare(config: ExperimentConfig) -> _Setup:
+    h_model, dec, psi0 = _model(config)
     spectral = exact.ground(h_model)
-    psi0 = np.full(2**dec.n, 1.0 / math.sqrt(2**dec.n), dtype=complex)  # |+>^n
     return _Setup(
         h_model=h_model,
         decomposition=dec,
@@ -232,29 +235,17 @@ def emit_csv(rows: list[ResultRow], path: str | Path) -> Path:
     return path
 
 
+#: Readers of the CSV fields that are not plain floats.
+_PARSE = {"success_prob_empirical": lambda text: float(text) if text else None,
+          "ground_space_dim": int}
+
+
 def parse_csv(path: str | Path) -> list[ResultRow]:
-    """Inverse of :func:`emit_csv` (used for round-trip checks)."""
+    """Inverse of :func:`emit_csv` (used for round-trip checks); a missing
+    ``ground_space_dim`` column keeps the field's default."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for record in reader:
-            empirical = record.get("success_prob_empirical", "")
-            rows.append(
-                ResultRow(
-                    beta=float(record["beta"]),
-                    fidelity_sbqs_vs_ground=float(record["fidelity_sbqs_vs_ground"]),
-                    fidelity_exact_ite_vs_ground=float(record["fidelity_exact_ite_vs_ground"]),
-                    bures_sbqs_vs_exact_ite=float(record["bures_sbqs_vs_exact_ite"]),
-                    success_prob_formula=float(record["success_prob_formula"]),
-                    success_prob_faithful=float(record["success_prob_faithful"]),
-                    success_prob_empirical=float(empirical) if empirical else None,
-                    energy_sbqs=float(record["energy_sbqs"]),
-                    bound_eq15=float(record["bound_eq15"]),
-                    fidelity_bound_sm=float(record["fidelity_bound_sm"]),
-                    ground_space_dim=int(record.get("ground_space_dim", 1)),
-                )
-            )
-    return rows
+        return [ResultRow(**{name: _PARSE.get(name, float)(text) for name, text in record.items()})
+                for record in csv.DictReader(fh)]
 
 
 _SVG_SIZE = (640, 440)

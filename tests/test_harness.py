@@ -12,7 +12,7 @@ import pytest
 
 from sbqs.bounds import build_bounds_report, n_star
 from sbqs.cli import main
-from sbqs.config import DEFAULT_BETA_GRID, load_config, validate_config
+from sbqs.config import DEFAULT_BETA_GRID, ExperimentConfig, load_config, validate_config
 from sbqs.engine import ProbabilityLedger, Trajectory, make_plan, run, run_rows
 from sbqs.errors import ConfigError
 from sbqs.exact import ground, populations
@@ -69,6 +69,10 @@ class TestConfigValidation:
             validate_config(ising_config(mode="sampled", trials=10))
         with pytest.raises(ConfigError, match="trials"):
             validate_config(ising_config(mode="sampled", seed=1, trials=0))
+
+    def test_config_has_no_unchecked_override(self):
+        # a field set after validation would skip its checks
+        assert not hasattr(ExperimentConfig, "override")
 
     def test_local_decomposition_needs_ising(self):
         raw = ising_config(
@@ -710,6 +714,73 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         rows = parse_csv(tmp_path / "out" / "results.csv")
         assert all(0.0 < r.fidelity_sbqs_vs_ground <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    def test_seed_flag_is_the_explicit_seed_of_sampled_mode(self, tmp_path, capsys, command):
+        sampled = dict(mode="sampled", trials=200, beta_grid=[0.0, 0.25], n_steps=10)
+        flagged = self.write_config(tmp_path, **sampled)
+        in_file = tmp_path / "seeded.json"
+        in_file.write_text(json.dumps({**json.loads(flagged.read_text()), "seed": 5}))
+        runs = []
+        for argv in ([str(flagged), "--seed", "5"], [str(in_file)]):
+            assert main([command, *argv]) == 0
+            csv_path = tmp_path / "out" / "results.csv"
+            runs.append((capsys.readouterr().out, csv_path.exists() and csv_path.read_bytes()))
+            csv_path.unlink(missing_ok=True)
+        assert runs[0] == runs[1]
+        stdout, csv_bytes = runs[0]
+        if command == "run":  # every sampled row has its empirical frequency
+            assert csv_bytes.count(b"\n") == 3 and b",," not in csv_bytes
+        else:
+            assert "empirical success frequency" in stdout
+
+    def test_flag_and_file_problems_in_one_message(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = self.write_config(tmp_path, n_steps="abc")
+        argv = ["run", str(path), "--seed", "-1", "--parallel", "0", "--out", "flagged"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+        for problem in ("n_steps must be an integer, got 'abc'", "seed must be >= 0, got -1",
+                        "parallel width must be >= 1, got 0"):
+            assert problem in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_array_config_with_flags_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["run", str(path), "--seed", "3", "--parallel", "2", "--out", "o"]) == 2
+        err = capsys.readouterr().err
+        assert "config must be a JSON object, got list" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", ["decompose", "sample"])
+    def test_decompose_and_sample_build_no_spectrum(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        # n = 3: the model is 8 x 8, the ising-local resource states, whose
+        # density-matrix check runs eigvalsh, are at most 4 x 4
+        path = self.write_config(tmp_path, mode="sampled", seed=3, trials=200,
+                                 beta_grid=[0.0, 0.25], n_steps=10)
+        assert main([command, str(path)]) == 0
+        unpatched = capsys.readouterr().out
+
+        def refusing(real):
+            def eig(m, *args, **kwargs):
+                if np.shape(m)[-1] >= 8:
+                    raise AssertionError(f"eigendecomposition of a {np.shape(m)} matrix")
+                return real(m, *args, **kwargs)
+            return eig
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "sbqs"]:
+            if hasattr(module, "hermitian_eig"):
+                monkeypatch.setattr(module, "hermitian_eig", refusing(module.hermitian_eig))
+        monkeypatch.setattr(np.linalg, "eigh", refusing(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", refusing(np.linalg.eigvalsh))
+        with pytest.raises(AssertionError, match="eigendecomposition"):
+            main(["bounds", str(path)])  # the patch bites where a spectrum is built
+        assert main([command, str(path)]) == 0
+        assert capsys.readouterr().out == unpatched
 
     def test_decompose_and_bounds_and_sample(self, tmp_path, capsys):
         path = self.write_config(tmp_path, mode="sampled", seed=3, trials=200,
