@@ -4,16 +4,13 @@ A Hamiltonian decomposition drives a Trotterized nonunitary update of the
 simulator state.  Every measurement is one primitive: a control qubit
 (|0> - delta |1>)/sqrt(1 + delta^2) per (term, delta) pair, a controlled-SWAP
 of a fresh resource state rho into the simulator on each, the resources
-traced out, and one post-selection of the controls.  One kernel,
-:func:`_measure`, computes it for a group of pairs; the strategies differ
-only in the group:
+traced out, and one post-selection of the controls.  The strategies differ
+only in the group of pairs measured together:
 
-- strategy "A" is the one-term group, each term measured on its own (|+>,
-  denominator 2);
-- "B-local" / "B-global" are the group of all l terms of a Trotter step,
-  projected onto |+>^l (2^l) or onto the uniform superposition over
-  {all-zeros, one-hots} (l + 1).  Measurements are never deferred across
-  Trotter steps.
+- strategy "A" measures each term on its own (|+>, denominator 2);
+- "B-local" / "B-global" measure all l terms of a Trotter step, projected
+  onto |+>^l (2^l) or onto the uniform superposition over {all-zeros,
+  one-hots} (l + 1).  Measurements are never deferred across Trotter steps.
 
 With B = sum_i delta_i rho_i = I - A over the group, the post-selected state
 is (sigma - (sigma B + B sigma) + second) / scale.  "Effective" has second =
@@ -24,23 +21,41 @@ rho_i), and scale gains prod_i (1 + delta_i^2); this delta^2 leak is the one
 known from density-matrix exponentiation.  "Sampled" evolves like
 "effective" and leaves the accept/reject randomness to :func:`sample_run`.
 Since delta_i = beta w_i / N, a run's strategy-B B is (beta / N) W, with W =
-sum_i w_i rho_i the decomposition's operator, built once per decomposition;
-strategy A's B is delta rho.
+sum_i w_i rho_i the decomposition's operator, built once per decomposition.
+
+Faithful updates act on each term's support alone.  Moving the k support
+qubits of a (rows, d, d) stack last makes it (rows, d_R^2, d_S^2), one
+vec(X) per d_S x d_S block X, and the one-term update is one d_S^2 x d_S^2
+matrix on those rows, K = (I - delta (rho ⊗ I + I ⊗ rho^T)
++ delta^2 vec(rho) vec(I)^T) / (2 (1 + delta^2)): the k-qubit superoperator
+kernel of density-matrix simulators (Jones et al., QuEST, Sci. Rep. 9, 10736
+(2019)).  A run builds K once per term and row (:class:`_Kernel`), with two
+functionals that read the probability Tr K(sigma) and the paper's
+Tr[A sigma A] / 2 off vec(Tr_rest sigma).  A strategy-A measurement is then
+one transpose, one trace, one batched GEMM scaled by 1/p per row and the
+inverse transpose; no embedded rho and no d×d product.  Faithful B-local
+chains the same K over its terms; faithful B-global applies each term's leak
+delta^2 (rho ⊗ Tr_S sigma - rho sigma rho) the same way, beside the dense
+B sigma B of W.  A support of more than ``_MATRIX_QUBITS`` qubits (a
+pauli-generic term spans the register) applies the same map as block
+products, as its matrix would outgrow the state.
 
 A sigma A maps a pure state to a pure state, so effective and sampled rows
 evolve a state vector as a vector, psi <- A psi / |A psi|, one
-matrix-vector product per measurement in :func:`run`'s own loop.  Running
-vectors as one-row stacks instead measured 2.9x slower per step at d = 16
-and 3.3x on an effective-A row at n = 4, so vectors keep their 1-D path.
-Only "faithful" needs a density matrix; its first step promotes a vector to
+matrix-vector product per measurement in :func:`run`'s own loop, with
+strategy A's B = delta rho embedded on the register.  Running vectors as
+one-row stacks instead measured 2.9x slower per step at d = 16 and 3.3x on
+an effective-A row at n = 4, so vectors keep their 1-D path.  Only
+"faithful" needs a density matrix; its first step promotes a vector to
 |psi><psi|.  The rows of a faithful beta sweep differ only in their deltas,
 so :func:`run_rows` advances them as one (rows, d, d) stack with the deltas
 broadcast per row, one step call per measurement for the whole stack; a
 single d×d state is a one-row stack.  Every operation acts on each row on
-its own, so a row comes out bit for bit the same alone or in any stack, and
-a row whose probability reaches ``EXTINCTION_P`` leaves the stack while the
-others go on.  :class:`ProbabilityLedger` keeps each row's probabilities as
-two float arrays and reads the success products from them.
+its own (a batched GEMM is one BLAS call per row), so a row comes out bit
+for bit the same alone or in any stack, and a row whose probability reaches
+``EXTINCTION_P`` leaves the stack while the others go on.
+:class:`ProbabilityLedger` keeps each row's probabilities as two float
+arrays and reads the success products from them.
 
 No control register or Kraus operator is built.  :func:`cswap_channel` keeps
 the Kraus form of one controlled-SWAP as a reference for tests.
@@ -51,7 +66,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -62,7 +76,6 @@ from .hamiltonian import ResourceDecomposition, ResourceTerm
 from .linalg import (
     check_density_matrix,
     check_unit_vector,
-    dag,
     embed_operator,
     hermitian_eig,
     qubit_layout,
@@ -124,42 +137,113 @@ def cswap_channel(rho: np.ndarray, support: tuple[int, ...], n_sites: int) -> li
     return kraus
 
 
-def _support_plan(rho: np.ndarray, support: tuple[int, ...], n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """sigma -> rho ⊗ Tr_S sigma for one resource term on ``n`` qubits, with
-    the einsum labels of the partial trace and rho reshaped and transposed
-    onto the qubit tensor built once, for every call to reuse.
+#: A kernel on at most this many support qubits applies its d_S^2 x d_S^2
+#: matrix; on more, that matrix would outgrow the state (a full-register
+#: pauli-generic term at n = 6 needs 256 MiB per row), so it applies its terms
+#: as block products.
+_MATRIX_QUBITS = 3
 
-    The function takes a d×d state or a (rows, d, d) stack of them.  The
-    support qubits of sigma are traced out and replaced by rho, whose qubit m
-    sits on site ``support[m]``.  This is what a controlled-SWAP with its
-    control set leaves on the simulator once the resource is traced out.  The
-    trace and the product are taken on the 2n-axis qubit tensor, so no
-    operator on the full register is built.
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices; np.kron's general-shape path costs
+    about 40 us a call, which was most of building a kernel."""
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(len(a) * len(b), -1)
+
+
+class _Kernel:
+    """X -> c0 X + c1 (rho X + X rho) + c2 rho Tr X + c3 rho X rho on every
+    d_S x d_S block X of a (rows, d, d) stack that its support qubits index,
+    with one set of coefficients per row (or one for every row).
+
+    Moving the support qubits last turns the stack into (rows, d_R^2, d_S^2),
+    one row-major vec(X) per block of the d_R x d_R rest.  On those rows the
+    map is one d_S^2 x d_S^2 matrix, the transpose of
+    c0 I + c1 (rho ⊗ I + I ⊗ rho^T) + c2 vec(rho) vec(I)^T + c3 rho ⊗ rho^T,
+    so a call is one batched GEMM, one BLAS call per row: a row comes out bit
+    for bit the same in any stack.  ``rho``'s qubit m sits on site
+    ``support[m]``.  ``probes``, when set, reads the traces a measurement
+    needs off vec(Tr_rest sigma), one dot product each.
     """
-    k = len(support)
-    tied = [..., *range(2 * n)]
-    for q in support:
-        tied[1 + n + q] = q  # one label on the row and column axes of q sums its diagonal
-    kept = [q for q in range(n) if q not in support]
-    kept = [..., *kept, *(n + q for q in kept)]
-    # both factors broadcast onto all 2n axes, with size 1 where the other one lives
-    order = sorted(range(k), key=support.__getitem__)
-    on_support = [2 if q in support else 1 for q in range(n)] * 2
-    rho_t = rho.reshape((2,) * 2 * k).transpose(order + [k + m for m in order]).reshape(on_support)
-    off_support = tuple([1 if q in support else 2 for q in range(n)] * 2)
 
-    def replace(sigma: np.ndarray) -> np.ndarray:
-        lead = sigma.shape[:-2]
-        rest = np.einsum(sigma.reshape(lead + (2,) * 2 * n), tied, kept)
-        return (rho_t * rest.reshape(lead + off_support)).reshape(sigma.shape)
+    def __init__(self, rho: np.ndarray, support: tuple[int, ...], n: int, coefs):
+        self.n, self.rho = n, rho
+        rest = [q for q in range(n) if q not in support]
+        self.axes = (0, *(1 + q for q in rest), *(1 + n + q for q in rest),
+                     *(1 + q for q in support), *(1 + n + q for q in support))
+        self.inverse = tuple(np.argsort(self.axes).tolist())
+        # coefficients shaped (rows, 1, 1); None drops a term
+        self.coefs = [None if c is None else np.reshape(c, (-1, 1, 1)) for c in coefs]
+        s = len(rho)
+        self.matrix = self.probes = None
+        if len(support) <= _MATRIX_QUBITS:
+            eye = np.eye(s)
+            parts = (np.eye(s * s), _kron(rho.T, eye) + _kron(eye, rho),
+                     np.outer(eye.ravel(), rho.ravel()), _kron(rho.T, rho))
+            self.matrix = sum(c * m for c, m in zip(self.coefs, parts) if c is not None)
 
-    return replace
+    def gather(self, sigma: np.ndarray) -> np.ndarray:
+        rows, s = len(sigma), len(self.rho)
+        return sigma.reshape((rows,) + (2,) * 2 * self.n).transpose(self.axes).reshape(rows, -1, s * s)
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        rows, d = len(v), 2**self.n
+        return v.reshape((rows,) + (2,) * 2 * self.n).transpose(self.inverse).reshape(rows, d, d)
+
+    def apply(self, v: np.ndarray, scale=None) -> np.ndarray:
+        """The map on the gathered rows ``v``, times ``scale`` per row if given."""
+        if self.matrix is not None:
+            return v @ (self.matrix if scale is None else self.matrix * _per_row(scale))
+        rows, s = len(v), len(self.rho)
+        r = math.isqrt(v.shape[1])
+        x = v.reshape(rows, r, r, s, s)
+        c0, c1, c2, c3 = (None if c is None else c[..., None, None] for c in self.coefs)
+        out = np.zeros_like(x) if c0 is None else c0 * x
+        if c1 is not None:
+            out += c1 * (self.rho @ x + x @ self.rho)
+        if c2 is not None:
+            out += c2 * np.einsum("...ii->...", x)[..., None, None] * self.rho
+        if c3 is not None:
+            out += c3 * (self.rho @ x @ self.rho)
+        if scale is not None:
+            out *= _per_row(scale)[..., None, None]
+        return out.reshape(v.shape)
+
+    def __call__(self, sigma: np.ndarray) -> np.ndarray:
+        return self.scatter(self.apply(self.gather(sigma)))
+
+
+def _swap_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
+    """K_delta of one faithful one-term measurement, sigma ->
+    (sigma - delta {rho, sigma} + delta^2 rho ⊗ Tr_S sigma) / (2 (1 + delta^2)),
+    for a scalar or (rows,) ``delta``; ``probes`` maps vec(Tr_rest sigma) to
+    the probability Tr K(sigma) and to the paper's Tr[A sigma A] / 2, with
+    A = I - delta rho."""
+    delta = np.reshape(delta, (-1, 1, 1))
+    norm = 2 * (1 + delta * delta)
+    kernel = _Kernel(term.rho, term.support, n, (1 / norm, -delta / norm, delta * delta / norm, None))
+    eye = np.eye(len(term.rho))
+    a = eye - delta * term.rho
+    # Tr(M X) = vec(M^T) . vec(X): Tr K(X) = Tr[((1 + delta^2) I - 2 delta rho) X] / norm
+    kept = ((1 + delta * delta) * eye - 2 * delta * term.rho) / norm
+    kernel.probes = np.stack([kept.transpose(0, 2, 1), (a @ a).transpose(0, 2, 1) / 2],
+                             axis=-1).reshape(len(delta), -1, 2)
+    return kernel
+
+
+def _leak_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
+    """sigma -> delta^2 (rho ⊗ Tr_S sigma - rho sigma rho): what faithful mode
+    has in place of one term's delta^2 rho sigma rho of B sigma B."""
+    d2 = np.square(delta)
+    return _Kernel(term.rho, term.support, n, (None, None, d2, -d2))
 
 
 def replace_support(sigma: np.ndarray, rho: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
-    """rho ⊗ Tr_S sigma for a state or a stack of states ``sigma``; see
-    :func:`_support_plan`, which a run builds once per term."""
-    return _support_plan(rho, support, sigma.shape[-1].bit_length() - 1)(sigma)
+    """rho ⊗ Tr_S sigma for a state or a stack of states ``sigma``: the
+    support qubits traced out and replaced by ``rho``, whose qubit m sits on
+    site ``support[m]``."""
+    n = sigma.shape[-1].bit_length() - 1
+    kernel = _Kernel(np.asarray(rho, dtype=complex), tuple(support), n, (None, None, 1.0, None))
+    return kernel(np.asarray(sigma, dtype=complex).reshape(-1, 2**n, 2**n)).reshape(sigma.shape)
 
 
 def _embed(term: ResourceTerm, n_sites: int) -> np.ndarray:
@@ -173,6 +257,11 @@ def _per_row(delta):
 
 def _density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
+
+
+def _as_stack(sigma: np.ndarray) -> np.ndarray:
+    """A (rows, d, d) stack, a d×d state as one row, a vector as |psi><psi|."""
+    return sigma if sigma.ndim == 3 else (_density(sigma) if sigma.ndim == 1 else sigma)[None]
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
@@ -199,46 +288,6 @@ def _formula_probability(sigma: np.ndarray, sb: np.ndarray, b_op: np.ndarray, de
     return (_trace(sigma) - 2 * _trace(sb) + bsb) / denom
 
 
-def _post_select(
-    sigma: np.ndarray,
-    group: list[tuple[np.ndarray, np.ndarray, Callable | None]],
-    b_op: np.ndarray,
-    denom: float,
-    faithful: bool,
-):
-    """One measurement post-selected over the (delta, embedded resource,
-    support plan) triples of ``group``, with ``b_op`` = B = I - A, on a
-    (rows, d, d) stack ``sigma`` with deltas shaped (rows, 1, 1) and B one
-    d×d matrix or one per row.
-
-    Returns the unnormalized state (sigma - (sigma B + B sigma) + second) / scale,
-    its trace (the post-selection probability) and the paper-formula
-    probability Tr[A sigma A] / denom, each per row.  Faithful second =
-    sum_i delta_i^2 rho_i ⊗ Tr_Si sigma + [B sigma B - sum_i delta_i^2 rho_i sigma rho_i]:
-    the bracket holds the cross terms i != j, so a one-term group skips it
-    and B sigma B alike.  Linear in ``sigma``, which need not have unit trace.
-    """
-    sb = sigma @ b_op
-    p_formula = _formula_probability(sigma, sb, b_op, denom)
-    if faithful and len(group) == 1:
-        raw = sigma - (sb + dag(sb))  # B sigma = (sigma B)^dagger for Hermitian B and sigma
-    else:
-        # A sigma A = sigma A - B sigma A, in the buffer of sigma B: this skips
-        # the strided sum with (sigma B)^dagger, which is slow at large d
-        raw = np.subtract(sigma, sb, out=sb)
-        raw -= b_op @ raw
-        if faithful:
-            for delta, emb, _ in group:
-                raw -= (delta * delta) * (emb @ sigma @ emb)
-    scale = denom
-    if faithful:
-        for delta, _, support in group:
-            raw += (delta * delta) * support(sigma)
-            scale = scale * (1 + delta * delta)
-    raw *= 1 / scale
-    return raw, _trace(raw), p_formula
-
-
 @dataclass(frozen=True)
 class StepResult:
     """The normalized state after one measurement and its probabilities.
@@ -251,52 +300,79 @@ class StepResult:
     formula_probability: float | np.ndarray
 
 
-def _measure(sigma, group, denom: float, mode: str, step_id: str, b_op=None,
-             local: bool = False) -> StepResult:
-    """One measurement over the (delta, embedded resource, support plan)
-    triples of ``group`` with denominator ``denom``: the kernel of both step
-    functions.  ``b_op`` is B = sum_i delta_i rho_i, or None for the one-term
-    group's delta rho.  ``sigma`` and a given B are cast to complex here.
+def _result(ndim: int, state: np.ndarray, p: np.ndarray, p_formula: np.ndarray | None,
+            step_id: str) -> StepResult:
+    """The result for a ``state`` stack computed from a state of ``ndim``
+    dimensions: a stack as it is, one state unwrapped, raising
+    :class:`ExtinctionError` at or below ``EXTINCTION_P``.  A ``p_formula``
+    of None is the probability itself."""
+    p = np.minimum(p, 1.0)
+    if ndim == 3:
+        return StepResult(state, p, p if p_formula is None else p_formula)
+    p = _check_probability(float(p[0]), step_id)
+    return StepResult(state[0], p, p if p_formula is None else float(p_formula[0]))
 
-    A 1-D ``sigma`` is a state vector, which effective and sampled modes
-    update as psi <- A psi / |A psi| with probability |A psi|^2 / denom (the
-    formula probability too); faithful mode promotes it to |psi><psi|.
-    Density matrices run as a (rows, d, d) stack through :func:`_post_select`,
-    each row divided by its trace unless that is at or below ``EXTINCTION_P``;
-    a single d×d state is a one-row stack, unwrapped after, and raises
-    :class:`ExtinctionError` instead.  ``local`` marks faithful B-local, whose
-    |+>^l projection acts on each control alone: the one-term updates chain
-    in term order and renormalize once, and the formula probability
-    Tr[A sigma A] / denom reads the whole group.
+
+def _swap_step(sigma: np.ndarray, kernel: _Kernel, step_id: str) -> StepResult:
+    """One faithful one-term measurement through its :func:`_swap_kernel`:
+    the probabilities are read from vec(Tr_rest sigma), and 1/p scales K per
+    row before the one GEMM, so the state comes out normalized (a row at or
+    below ``EXTINCTION_P`` keeps its unnormalized state)."""
+    v = kernel.gather(_as_stack(np.asarray(sigma, dtype=complex)))
+    r = math.isqrt(v.shape[1])
+    rest_trace = np.einsum("rkkj->rj", v.reshape(len(v), r, r, v.shape[2]))  # vec(Tr_rest sigma)
+    p, p_formula = (rest_trace[:, None] @ kernel.probes)[:, 0].real.T
+    state = kernel.scatter(kernel.apply(v, 1 / np.where(p > EXTINCTION_P, p, 1.0)))
+    return _result(np.ndim(sigma), state, p, p_formula, step_id)
+
+
+def _measure(sigma, b_op, denom: float, mode: str, step_id: str, delta=None,
+             kernels: list[_Kernel] = (), scale=None, local: bool = False) -> StepResult:
+    """One measurement with B = I - A: ``b_op``, one d×d matrix or one per
+    row, or ``delta`` times the d×d ``b_op``.  ``sigma`` and B are cast to
+    complex here.
+
+    Effective and sampled modes update a 1-D ``sigma`` as a vector, psi <-
+    A psi / |A psi| with probability |A psi|^2 / denom.  Anything else runs
+    as a (rows, d, d) stack (a faithful vector as |psi><psi|): the state is
+    (sigma - (sigma B + B sigma) + B sigma B + sum_k kernel_k(sigma)) / scale,
+    with one :func:`_leak_kernel` per term for faithful B-global and none for
+    effective mode, or, with ``local`` (faithful B-local, whose |+>^l
+    projection acts on each control alone), its terms' :func:`_swap_kernel`
+    chained in term order.  Each row is divided by its trace unless that is
+    at or below ``EXTINCTION_P``; the formula probability Tr[A sigma A] /
+    denom reads the whole group.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     faithful = mode == "faithful"
     sigma = np.asarray(sigma, dtype=complex)
-    b_op = None if b_op is None else np.asarray(b_op, dtype=complex)
+    b_op = np.asarray(b_op, dtype=complex)
     if sigma.ndim == 1 and not faithful:
-        out = sigma - (group[0][0] * (group[0][1] @ sigma) if b_op is None else b_op @ sigma)
+        out = sigma - (b_op @ sigma if delta is None else delta * (b_op @ sigma))
         norm2 = float(np.vdot(out, out).real)
         p = _check_probability(norm2 / denom, step_id)
         return StepResult(out * (1 / math.sqrt(norm2)), p, p)
-    stack = sigma if sigma.ndim == 3 else (_density(sigma) if sigma.ndim == 1 else sigma)[None]
-    group = [(_per_row(delta), emb, support) for delta, emb, support in group]
-    if b_op is None:
-        b_op = group[0][0] * group[0][1]
-    if faithful and local:
-        p_formula = _formula_probability(stack, stack @ b_op, b_op, denom)
+    stack = _as_stack(sigma)
+    if delta is not None:
+        b_op = _per_row(delta) * b_op
+    sb = stack @ b_op
+    p_formula = _formula_probability(stack, sb, b_op, denom)
+    if local:
         raw = stack
-        for delta, emb, support in group:
-            raw = _post_select(raw, [(delta, emb, support)], delta * emb, 2.0, faithful=True)[0]
-        trace = _trace(raw)
+        for kernel in kernels:
+            raw = kernel(raw)
     else:
-        raw, trace, p_formula = _post_select(stack, group, b_op, denom, faithful)
-    p = np.minimum(trace, 1.0)
+        # A sigma A = sigma A - B sigma A, in the buffer of sigma B: this skips
+        # the strided sum with (sigma B)^dagger, which is slow at large d
+        raw = np.subtract(stack, sb, out=sb)
+        raw -= b_op @ raw
+        for kernel in kernels:
+            raw += kernel(stack)
+        raw *= 1 / _per_row(denom if scale is None else scale)
+    trace = _trace(raw)
     state = raw * (1 / np.where(trace > EXTINCTION_P, trace, 1.0))[:, None, None]
-    if sigma.ndim == 3:
-        return StepResult(state, p, p_formula if faithful else p)
-    p = _check_probability(float(p[0]), step_id)
-    return StepResult(state[0], p, float(p_formula[0]) if faithful else p)
+    return _result(sigma.ndim, state, trace, p_formula if faithful else None, step_id)
 
 
 def step_strategy_a(
@@ -306,25 +382,27 @@ def step_strategy_a(
     mode: str = "faithful",
     kraus: list[np.ndarray] | None = None,
     rho_emb: np.ndarray | None = None,
-    support: Callable | None = None,
+    kernel: _Kernel | None = None,
 ) -> StepResult:
-    """One measured sub-step: the one-term group of :func:`_measure`, whose
-    control is projected onto |+> (denominator 2).
+    """One measured sub-step: the one-term group, whose control is projected
+    onto |+> (denominator 2).
 
     The probability is the trace of the unnormalized post-selected state, and
     the formula probability Tr[(I - delta rho) sigma (I - delta rho)] / 2
     equals it in effective mode.  ``sigma`` is a state vector or a d×d state
     with a scalar ``delta``, or a (rows, d, d) stack with one delta per row.
-    ``rho_emb`` is ``term.rho`` embedded on the full register and ``support``
-    its :func:`_support_plan`, each built here when not given.  ``kraus`` is
-    ignored; it stays for callers written against the earlier Kraus engine.
+    Faithful mode applies ``kernel``, the term's :func:`_swap_kernel`, on the
+    term's support; effective and sampled modes apply B = delta rho_emb, with
+    ``rho_emb`` = ``term.rho`` embedded on the full register.  Each is built
+    here when needed and not given.  ``kraus`` is ignored, and ``rho_emb`` in
+    faithful mode; they stay for callers written against earlier engines.
     """
     n_sites = np.shape(sigma)[-1].bit_length() - 1
+    if mode == "faithful":
+        return _swap_step(sigma, kernel or _swap_kernel(term, n_sites, delta), "sub-step")
     if rho_emb is None:
         rho_emb = _embed(term, n_sites)
-    if support is None and mode == "faithful":
-        support = _support_plan(term.rho, term.support, n_sites)
-    return _measure(sigma, [(delta, rho_emb, support)], 2.0, mode, "sub-step")
+    return _measure(sigma, rho_emb, 2.0, mode, "sub-step", delta=delta)
 
 
 def step_strategy_b(
@@ -335,32 +413,36 @@ def step_strategy_b(
     embedded_kraus: list[list[np.ndarray]] | None = None,
     rho_embs: list[np.ndarray] | None = None,
     b_op: np.ndarray | None = None,
-    supports: list[Callable] | None = None,
+    kernels: list[_Kernel] | None = None,
 ) -> StepResult:
-    """One deferred-measurement Trotter step: the group of all ``terms`` in
-    :func:`_measure`, with denominator l+1 ("global", the uniform
-    superposition over the all-zeros and one-hot control states) or 2^l
-    ("local", |+>^l).  ``sigma`` and the deltas are as in
-    :func:`step_strategy_a`.
+    """One deferred-measurement Trotter step over all ``terms``, with
+    denominator l+1 ("global", the uniform superposition over the all-zeros
+    and one-hot control states) or 2^l ("local", |+>^l).  ``sigma`` and the
+    deltas are as in :func:`step_strategy_a`.
 
-    ``b_op`` = sum_i delta_i rho_i is summed from ``rho_embs`` when not given
-    (a run passes (beta/N) W); ``rho_embs`` and ``supports`` are built when
-    needed and not given.  ``embedded_kraus`` is ignored, like ``kraus``.
+    A run passes ``b_op`` = sum_i delta_i rho_i as (beta/N) W; without it, B
+    is summed from ``rho_embs``, embedded here if not given either.  Faithful
+    mode also applies ``kernels``, one per term: :func:`_swap_kernel` for
+    "local", :func:`_leak_kernel` for "global", built here when not given.
+    ``embedded_kraus`` is ignored, like ``kraus``.
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
     n_sites = np.shape(sigma)[-1].bit_length() - 1
-    faithful = mode == "faithful"
-    if rho_embs is None and (faithful or b_op is None):
-        rho_embs = [_embed(t, n_sites) for t, _ in terms]
+    local = measurement == "local"
     if b_op is None:
+        if rho_embs is None:
+            rho_embs = [_embed(t, n_sites) for t, _ in terms]
         b_op = sum((np.multiply.outer(delta, emb) for (_, delta), emb in zip(terms, rho_embs)),
                    np.zeros((2**n_sites,) * 2, dtype=complex))
-    if faithful and supports is None:
-        supports = [_support_plan(t.rho, t.support, n_sites) for t, _ in terms]
-    group = list(zip((delta for _, delta in terms), rho_embs, supports)) if faithful else []
-    denom = float(len(terms) + 1) if measurement == "global" else float(2 ** len(terms))
-    return _measure(sigma, group, denom, mode, "step", b_op, local=measurement == "local")
+    denom = float(2 ** len(terms)) if local else float(len(terms) + 1)
+    if mode != "faithful":
+        return _measure(sigma, b_op, denom, mode, "step")
+    if kernels is None:
+        build = _swap_kernel if local else _leak_kernel
+        kernels = [build(t, n_sites, delta) for t, delta in terms]
+    scale = math.prod((1 + np.square(delta) for _, delta in terms), start=denom)
+    return _measure(sigma, b_op, denom, mode, "step", kernels=kernels, scale=scale, local=local)
 
 
 @dataclass(frozen=True)
@@ -511,28 +593,28 @@ def _measurements(plan: TrotterPlan, deltas, scale) -> list[tuple[str, partial]]
     step of ``plan``: one :func:`step_strategy_a` per term for strategy A,
     one :func:`step_strategy_b` over all terms for strategy B, whose B is
     ``scale`` * W.  ``deltas`` (one per term) and ``scale`` = beta / N are
-    scalars for one row or (rows,) arrays for a stack.  Embedded resources
-    are built for strategy A and faithful mode, support plans for faithful
-    mode.  The step functions are read from the module now, as a tracer may
-    wrap them."""
+    scalars for one row or (rows,) arrays for a stack.  Faithful mode gets one
+    support kernel per term, built here once for the run; effective and
+    sampled strategy A get each term embedded.  The step functions are read
+    from the module now, as a tracer may wrap them."""
     dec = plan.decomposition
     faithful = plan.mode == "faithful"
-    embs = [_embed(t, dec.n) for t in dec.terms] if plan.strategy == "A" or faithful else None
-    supports = [_support_plan(t.rho, t.support, dec.n) if faithful else None for t in dec.terms]
     if plan.strategy == "A":
         return [
             (f".{k}", partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,
-                              rho_emb=emb, support=support))
-            for k, (term, delta, emb, support)
-            in enumerate(zip(dec.terms, deltas, embs, supports), start=1)
+                              rho_emb=None if faithful else _embed(term, dec.n),
+                              kernel=_swap_kernel(term, dec.n, delta) if faithful else None))
+            for k, (term, delta) in enumerate(zip(dec.terms, deltas), start=1)
         ]
     if not dec.terms:
         return []
     measurement = "local" if plan.strategy == "B-local" else "global"
+    build = _swap_kernel if measurement == "local" else _leak_kernel
     return [("", partial(step_strategy_b, terms=list(zip(dec.terms, deltas)),
-                         measurement=measurement, mode=plan.mode, rho_embs=embs,
+                         measurement=measurement, mode=plan.mode,
                          b_op=np.multiply.outer(scale, dec.operator),
-                         supports=supports if faithful else None))]
+                         kernels=[build(t, dec.n, delta) for t, delta in zip(dec.terms, deltas)]
+                         if faithful else None))]
 
 
 def run_rows(plans: list[TrotterPlan], state: np.ndarray) -> list[Trajectory]:

@@ -52,9 +52,13 @@ def ground(h: np.ndarray) -> SpectralData:
 
 def ground_basis(spectral: SpectralData, tol: float = DEGENERACY_ATOL) -> np.ndarray:
     """The eigenvectors within ``tol`` of the ground energy, as the d x k
-    matrix G whose columns span the ground space; its projector is G G^dagger."""
+    matrix G whose columns span the ground space; its projector is G G^dagger.
+
+    G is a C-contiguous copy, not a strided view of the eigenvectors: a pool
+    worker unpickles it contiguous, and BLAS may round sigma @ G differently
+    on the two layouts, so a row's fidelity would depend on the pool."""
     vals = spectral.spectrum
-    return spectral.eigenvectors[:, : int(np.sum(vals - vals[0] < tol))]
+    return np.ascontiguousarray(spectral.eigenvectors[:, : int(np.sum(vals - vals[0] < tol))])
 
 
 def populations(spectral: SpectralData, psi: np.ndarray) -> np.ndarray:

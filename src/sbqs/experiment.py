@@ -146,7 +146,8 @@ def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) 
         success_prob_formula=trajectory.ledger.cumulative("paper-formula"),
         success_prob_faithful=trajectory.ledger.cumulative("faithful-exact"),
         success_prob_empirical=empirical,
-        energy_sbqs=exact.energy(setup.h_model, sigma),
+        # Tr(H sigma) for the engine's Hermitian sigma: one conjugating dot product
+        energy_sbqs=float(np.vdot(sigma, setup.h_model).real),
         bound_eq15=bound,
         fidelity_bound_sm=fid_sm,
         ground_space_dim=basis.shape[1],

@@ -259,6 +259,117 @@ class TestStepB:
         assert worst_p <= 1e-12
 
 
+def replaced_support(sigma, rho, support, n):
+    """rho ⊗ Tr_S sigma with dense matrices: a basis permutation P puts the
+    support qubits first, so that the replacement is kron(rho, Tr_1 P sigma P^T)."""
+    order = [*support, *(q for q in range(n) if q not in support)]
+    perm = np.eye(2**n).reshape((2,) * n + (2**n,)).transpose(order + [n]).reshape(2**n, 2**n)
+    s, r = len(rho), 2**n // len(rho)
+    rest = np.einsum("iaib->ab", (perm @ sigma @ perm.T).reshape(s, r, s, r))
+    return perm.T @ np.kron(rho, rest) @ perm
+
+
+class TestSupportKernel:
+    """The faithful one-term update, applied by a superoperator on the term's
+    support, against the dense closed form and the controlled-SWAP unitary."""
+
+    @staticmethod
+    def cases(n):
+        pairs = [(2, 0), (0, 2)] if n >= 3 else [(1, 0)]
+        return [(0,), (n - 1,), *pairs, tuple(range(n))[::-1]]
+
+    @staticmethod
+    def closed_form(sigma, rho, support, n, delta):
+        """2 (1 + delta^2) p times the post-selected state, from dense products."""
+        emb = embed_operator(rho, qubit_layout(n), [f"q{s}" for s in support])
+        return (sigma - delta * (emb @ sigma + sigma @ emb)
+                + delta**2 * replaced_support(sigma, rho, support, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_one_term_step_matches_closed_form_and_unitary(self, n):
+        # supports on the first and last site, a reversed and a non-adjacent
+        # pair, and the whole register reversed, which at n >= 4 takes the
+        # block-product form; every resource is mixed (rank > 1)
+        rng = np.random.default_rng(30 + n)
+        plus = np.full(2, 2**-0.5, dtype=complex)
+        worst = 0.0
+        for support in self.cases(n):
+            rho = random_density(rng, 2 ** len(support))
+            assert np.linalg.matrix_rank(rho) > 1
+            term = ResourceTerm(1.0, rho, support, "r")
+            sigma = random_density(rng, 2**n)
+            delta = float(rng.uniform(-0.2, 0.2))
+            res = step_strategy_a(sigma, term, delta, "faithful")
+            raw = res.state * res.probability
+            want = self.closed_form(sigma, rho, support, n, delta) / (2 * (1 + delta**2))
+            worst = max(worst, np.max(np.abs(raw - want)), abs(res.probability - np.trace(want).real))
+            a = np.eye(2**n) - delta * embed_operator(rho, qubit_layout(n), [f"q{s}" for s in support])
+            assert res.formula_probability == pytest.approx(np.trace(a @ sigma @ a).real / 2, abs=1e-12)
+            if 2 * 2 ** (len(support) + n) <= 512:
+                joint = cswap_reference_state(rho, support, n, control_state(delta), sigma)
+                projected = np.einsum("a,aibj,b->ij", plus, joint.reshape(2, 2**n, 2, 2**n), plus)
+                worst = max(worst, np.max(np.abs(raw - projected)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_per_row_deltas_on_a_stack_match_each_row_alone(self, n):
+        rng = np.random.default_rng(40 + n)
+        deltas = np.array([0.0, 0.13, -0.07, 0.19])
+        for support in self.cases(n):
+            term = ResourceTerm(1.0, random_density(rng, 2 ** len(support)), support, "r")
+            stack = np.stack([random_density(rng, 2**n) for _ in deltas])
+            res = step_strategy_a(stack, term, deltas, "faithful")
+            for row, (sigma, delta) in enumerate(zip(stack, deltas)):
+                alone = step_strategy_a(sigma, term, float(delta), "faithful")
+                want = self.closed_form(sigma, term.rho, support, n, delta) / (2 * (1 + delta**2))
+                assert np.max(np.abs(res.state[row] * res.probability[row] - want)) <= 1e-12
+                assert np.max(np.abs(res.state[row] - alone.state)) <= 1e-12
+                assert res.probability[row] == pytest.approx(alone.probability, abs=1e-14)
+                assert res.formula_probability[row] == pytest.approx(alone.formula_probability,
+                                                                     abs=1e-14)
+
+    def test_matrix_and_block_products_agree(self, monkeypatch):
+        # every term of the kernel map, with per-row coefficients, in both forms
+        import sbqs.engine as engine_mod
+
+        rng = np.random.default_rng(50)
+        n, support = 4, (3, 1)
+        rho = random_density(rng, 4)
+        coefs = [rng.normal(size=3) for _ in range(4)]
+        stack = np.stack([random_density(rng, 16) for _ in range(3)])
+        matrix = engine_mod._Kernel(rho, support, n, coefs)
+        monkeypatch.setattr(engine_mod, "_MATRIX_QUBITS", 0)
+        blocks = engine_mod._Kernel(rho, support, n, coefs)
+        assert matrix.matrix is not None and blocks.matrix is None
+        emb = embed_operator(rho, qubit_layout(n), [f"q{s}" for s in support])
+        want = [c0 * s + c1 * (emb @ s + s @ emb) + c2 * replaced_support(s, rho, support, n)
+                + c3 * emb @ s @ emb for s, c0, c1, c2, c3 in zip(stack, *coefs)]
+        assert np.max(np.abs(matrix(stack) - want)) <= 1e-14
+        assert np.max(np.abs(blocks(stack) - want)) <= 1e-14
+
+    def test_faithful_a_sweep_embeds_nothing_and_skips_the_dense_update(self, monkeypatch):
+        # a faithful strategy-A run reads each term's kernel only: no embedded
+        # resource and no pass through the d x d post-selection
+        import sbqs.engine as engine_mod
+        import sbqs.linalg as linalg_mod
+
+        dec = decompose_ising_local(IsingParams(4, 1.0, 0.7, "periodic"))
+        plans = [make_plan(dec, beta, 50) for beta in (0.5, 1.0)]
+        psi = np.full(16, 0.25, dtype=complex)
+        want = run_rows(plans, psi)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense resource in a faithful strategy-A run")
+
+        for module, name in ((linalg_mod, "embed_operator"), (engine_mod, "embed_operator"),
+                             (engine_mod, "_embed"), (engine_mod, "_measure")):
+            monkeypatch.setattr(module, name, refuse)
+        got = run_rows(plans, psi)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.final_state, b.final_state)
+            assert np.array_equal(a.ledger.exact, b.ledger.exact)
+
+
 class TestMakePlan:
     def test_ising_deltas(self):
         # weights (-4, +2, +2) at beta=1, N=100; exact reconstruction forces

@@ -527,6 +527,27 @@ class TestRowMetrics:
         self.assert_dense_metrics(row, config, setup, trajectory.final_state, 2)
 
 
+    @pytest.mark.parametrize("tol, k", [(1e-10, 1), (0.05, 2)])
+    def test_row_metrics_identical_with_the_setup_a_pool_worker_unpickles(self, tol, k):
+        # criterion 9 by construction: a pool worker gets the set-up pickled,
+        # which makes every array C-contiguous, so the ground basis must be
+        # contiguous in the parent too; on a strided basis BLAS rounds
+        # sigma @ G differently in about a third of the rows
+        import pickle
+
+        import sbqs.experiment as experiment_mod
+
+        config, setup = self.chain(4, tol)
+        worker = pickle.loads(pickle.dumps(setup))
+        plan = make_plan(setup.decomposition, config.beta_grid[0], config.n_steps)
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            trajectory = Trajectory(plan, random_density(rng, 16), ProbabilityLedger(), 0.0)
+            serial = experiment_mod._result_row(setup, trajectory, None)
+            assert serial.ground_space_dim == k
+            assert serial == experiment_mod._result_row(worker, trajectory, None)
+
+
 class TestCsv:
     def test_three_lines_for_two_rows(self, tmp_path):
         config = validate_config(ising_config(beta_grid=[0.0, 1.0]))
