@@ -29,16 +29,19 @@ vec(X) per d_S x d_S block X, and the one-term update is one d_S^2 x d_S^2
 matrix on those rows, K = (I - delta (rho ⊗ I + I ⊗ rho^T)
 + delta^2 vec(rho) vec(I)^T) / (2 (1 + delta^2)): the k-qubit superoperator
 kernel of density-matrix simulators (Jones et al., QuEST, Sci. Rep. 9, 10736
-(2019)).  A run builds K once per term and row (:class:`_Kernel`), with two
-functionals that read the probability Tr K(sigma) and the paper's
-Tr[A sigma A] / 2 off vec(Tr_rest sigma).  A strategy-A measurement is then
-one transpose, one trace, one batched GEMM scaled by 1/p per row and the
-inverse transpose; no embedded rho and no d×d product.  Faithful B-local
-chains the same K over its terms; faithful B-global applies each term's leak
-delta^2 (rho ⊗ Tr_S sigma - rho sigma rho) the same way, beside the dense
-B sigma B of W.  A support of more than ``_MATRIX_QUBITS`` qubits (a
-pauli-generic term spans the register) applies the same map as block
-products, as its matrix would outgrow the state.
+(2019)).  A run builds K once per term and row (:class:`_Kernel`).  The
+probability Tr K(sigma) and the paper's Tr[A sigma A] / 2 are polynomials in
+delta over Tr X, Tr rho X and Tr rho^2 X of X = Tr_rest sigma, which one
+probe per term, shared by the rows, reads off vec(Tr_rest sigma).  A
+strategy-A measurement is then one transpose, one trace, one batched GEMM
+scaled by 1/p per row and the inverse transpose; no embedded rho and no d×d
+product.  Faithful B-local chains the same K over its terms; faithful
+B-global applies each term's leak delta^2 (rho ⊗ Tr_S sigma - rho sigma rho)
+the same way, beside the dense B sigma B of W.  A support of more than
+``_MATRIX_QUBITS`` qubits (a pauli-generic term spans the register) applies
+the same map as block products, one GEMM X H per row with H = c0 / 2 + c1 rho
+and its block-transposed adjoint H X, where the matrix would cost more and
+outgrow the state.
 
 A sigma A maps a pure state to a pure state, so effective and sampled rows
 evolve a state vector as a vector, psi <- A psi / |A psi|, one
@@ -67,7 +70,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -138,9 +141,15 @@ def cswap_channel(rho: np.ndarray, support: tuple[int, ...], n_sites: int) -> li
 
 
 #: A kernel on at most this many support qubits applies its d_S^2 x d_S^2
-#: matrix; on more, that matrix would outgrow the state (a full-register
-#: pauli-generic term at n = 6 needs 256 MiB per row), so it applies its terms
-#: as block products.
+#: matrix, d_S^2 multiply-adds per entry of the state in one GEMM; on more, it
+#: applies its terms as block products, d_S per entry plus a few passes over
+#: the stack, and its matrix would outgrow the state (256 MiB per row for a
+#: full-register term at n = 6).  k = 3 is the crossover.  One faithful step
+#: of a 9-row stack, one BLAS thread, 2-vCPU host, matrix / blocks:
+#:   k = 2, n = 3, 4, 6, 8:  57 / 99 us, 117 / 185 us, 0.80 / 1.23 ms, 14.8 / 22.9 ms;
+#:   k = 3, n = 3, 4, 6, 8:  190 / 145 us, 325 / 205 us, 1.76 / 1.55 ms, 19.7 / 20.6 ms,
+#:                           and 67 / 86 ms at n = 10 (2 rows);
+#:   k = 4, n = 4, 6, 8:     2.0 / 0.17 ms, 4.7 / 0.68 ms, 36 / 26 ms.
 _MATRIX_QUBITS = 3
 
 
@@ -160,9 +169,10 @@ class _Kernel:
     map is one d_S^2 x d_S^2 matrix, the transpose of
     c0 I + c1 (rho ⊗ I + I ⊗ rho^T) + c2 vec(rho) vec(I)^T + c3 rho ⊗ rho^T,
     so a call is one batched GEMM, one BLAS call per row: a row comes out bit
-    for bit the same in any stack.  ``rho``'s qubit m sits on site
-    ``support[m]``.  ``probes``, when set, reads the traces a measurement
-    needs off vec(Tr_rest sigma), one dot product each.
+    for bit the same in any stack.  Past ``_MATRIX_QUBITS`` support qubits the
+    map is applied as block products instead, which read rho X off X rho and
+    so need a Hermitian stack, as every state is.  ``rho``'s qubit m sits on
+    site ``support[m]``; the coefficients are real.
     """
 
     def __init__(self, rho: np.ndarray, support: tuple[int, ...], n: int, coefs):
@@ -174,7 +184,7 @@ class _Kernel:
         # coefficients shaped (rows, 1, 1); None drops a term
         self.coefs = [None if c is None else np.reshape(c, (-1, 1, 1)) for c in coefs]
         s = len(rho)
-        self.matrix = self.probes = None
+        self.matrix = None
         if len(support) <= _MATRIX_QUBITS:
             eye = np.eye(s)
             parts = (np.eye(s * s), _kron(rho.T, eye) + _kron(eye, rho),
@@ -193,40 +203,60 @@ class _Kernel:
         """The map on the gathered rows ``v``, times ``scale`` per row if given."""
         if self.matrix is not None:
             return v @ (self.matrix if scale is None else self.matrix * _per_row(scale))
+        c0, c1, c2, c3 = (c if c is None or scale is None else c * _per_row(scale)
+                          for c in self.coefs)
         rows, s = len(v), len(self.rho)
         r = math.isqrt(v.shape[1])
         x = v.reshape(rows, r, r, s, s)
-        c0, c1, c2, c3 = (None if c is None else c[..., None, None] for c in self.coefs)
-        out = np.zeros_like(x) if c0 is None else c0 * x
-        if c1 is not None:
-            out += c1 * (self.rho @ x + x @ self.rho)
+        blocks = v.reshape(rows, -1, s)  # the rows of every block, for X M as one GEMM per row
+        out = np.zeros_like(x)
         if c2 is not None:
-            out += c2 * np.einsum("...ii->...", x)[..., None, None] * self.rho
+            np.multiply((c2 * np.einsum("...ii->...", x))[..., None, None], self.rho, out=out)
+        if c0 is not None or c1 is not None:
+            # c0 X + c1 (rho X + X rho) = X H + H X with H = c0 / 2 + c1 rho
+            half = sum(c * m for c, m in ((c0, np.eye(s) / 2), (c1, self.rho)) if c is not None)
+            _add_adjoint_pair(out, (blocks @ half).reshape(x.shape))
         if c3 is not None:
-            out += c3 * (self.rho @ x @ self.rho)
-        if scale is not None:
-            out *= _per_row(scale)[..., None, None]
+            # rho X rho = (X rho)^‡ rho, two GEMMs per row
+            rx = np.conjugate((blocks @ self.rho).reshape(x.shape)).transpose(0, 2, 1, 4, 3)
+            out += c3[..., None, None] * (rx @ self.rho)
         return out.reshape(v.shape)
 
     def __call__(self, sigma: np.ndarray) -> np.ndarray:
         return self.scatter(self.apply(self.gather(sigma)))
 
+    @cached_property
+    def probe(self) -> np.ndarray:
+        """(d_S^2, 3): Tr X, Tr rho X and Tr rho^2 X of a row-major vec(X),
+        as Tr(M X) = vec(M^T) . vec(X) and rho^T = conj(rho).  Shared by every
+        row and built on the first measurement that reads it."""
+        conj = self.rho.conj()
+        return np.stack([np.eye(len(conj)).ravel(), conj.ravel(), (conj @ conj).ravel()], axis=1)
+
+
+def _add_adjoint_pair(out: np.ndarray, y: np.ndarray) -> None:
+    """out += y + y^‡ on (rows, r, r, s, s) blocks, where y^‡ puts the adjoint
+    of block (b, a) on block (a, b).  For y = X M on the blocks X of a
+    Hermitian stack (X_ba^dagger = X_ab), y^‡ = M^dagger X, so one GEMM gives
+    both sides of the product.  ``y`` is overwritten."""
+    out += y
+    out += np.conjugate(y, out=y).transpose(0, 2, 1, 4, 3)
+
 
 def _swap_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
     """K_delta of one faithful one-term measurement, sigma ->
     (sigma - delta {rho, sigma} + delta^2 rho ⊗ Tr_S sigma) / (2 (1 + delta^2)),
-    for a scalar or (rows,) ``delta``; ``probes`` maps vec(Tr_rest sigma) to
-    the probability Tr K(sigma) and to the paper's Tr[A sigma A] / 2, with
-    A = I - delta rho."""
+    for a scalar or (rows,) ``delta``.  ``weights`` (rows, 3, 2) turns the
+    kernel's ``probe`` traces (Tr X, Tr rho X, Tr rho^2 X) into the
+    probability Tr K(sigma) = Tr X / 2 - delta Tr rho X / (1 + delta^2) and the
+    paper's Tr[A sigma A] / 2 = Tr X / 2 - delta Tr rho X + delta^2 Tr rho^2 X / 2,
+    with A = I - delta rho."""
     delta = np.reshape(delta, (-1, 1, 1))
     norm = 2 * (1 + delta * delta)
     kernel = _Kernel(term.rho, term.support, n, (1 / norm, -delta / norm, delta * delta / norm, None))
-    eye = np.eye(len(term.rho))
-    a = eye - delta * term.rho
-    # Tr(M X) = vec(M^T) . vec(X): Tr K(X) = Tr[((1 + delta^2) I - 2 delta rho) X] / norm
-    kept = ((1 + delta * delta) * eye - 2 * delta * term.rho) / norm
-    kernel.probes = np.stack([kept.transpose(0, 2, 1), (a @ a).transpose(0, 2, 1) / 2],
-                             axis=-1).reshape(len(delta), -1, 2)
+    half, zero = np.full_like(delta, 0.5), np.zeros_like(delta)
+    weights = np.block([[half, half], [-2 * delta / norm, -delta], [zero, delta * delta / 2]])
+    kernel.weights = weights.astype(complex)  # as the probe: a mixed-type matmul casts per call
     return kernel
 
 
@@ -315,13 +345,14 @@ def _result(ndim: int, state: np.ndarray, p: np.ndarray, p_formula: np.ndarray |
 
 def _swap_step(sigma: np.ndarray, kernel: _Kernel, step_id: str) -> StepResult:
     """One faithful one-term measurement through its :func:`_swap_kernel`:
-    the probabilities are read from vec(Tr_rest sigma), and 1/p scales K per
-    row before the one GEMM, so the state comes out normalized (a row at or
-    below ``EXTINCTION_P`` keeps its unnormalized state)."""
+    both probabilities are read from vec(Tr_rest sigma) through the kernel's
+    ``probe`` and ``weights``, and 1/p scales K per row before the one GEMM,
+    so the state comes out normalized (a row at or below ``EXTINCTION_P``
+    keeps its unnormalized state)."""
     v = kernel.gather(_as_stack(np.asarray(sigma, dtype=complex)))
     r = math.isqrt(v.shape[1])
     rest_trace = np.einsum("rkkj->rj", v.reshape(len(v), r, r, v.shape[2]))  # vec(Tr_rest sigma)
-    p, p_formula = (rest_trace[:, None] @ kernel.probes)[:, 0].real.T
+    p, p_formula = (rest_trace[:, None] @ kernel.probe @ kernel.weights)[:, 0].real.T
     state = kernel.scatter(kernel.apply(v, 1 / np.where(p > EXTINCTION_P, p, 1.0)))
     return _result(np.ndim(sigma), state, p, p_formula, step_id)
 
@@ -391,11 +422,12 @@ def step_strategy_a(
     the formula probability Tr[(I - delta rho) sigma (I - delta rho)] / 2
     equals it in effective mode.  ``sigma`` is a state vector or a d×d state
     with a scalar ``delta``, or a (rows, d, d) stack with one delta per row.
-    Faithful mode applies ``kernel``, the term's :func:`_swap_kernel`, on the
-    term's support; effective and sampled modes apply B = delta rho_emb, with
-    ``rho_emb`` = ``term.rho`` embedded on the full register.  Each is built
-    here when needed and not given.  ``kraus`` is ignored, and ``rho_emb`` in
-    faithful mode; they stay for callers written against earlier engines.
+    Faithful mode applies ``kernel``, the term's :func:`_swap_kernel` for
+    ``delta``, on the term's support; effective and sampled modes apply B =
+    delta rho_emb, with ``rho_emb`` = ``term.rho`` embedded on the full
+    register.  Each is built here when needed and not given.  ``kraus`` is
+    ignored, and ``rho_emb`` in faithful mode; they stay for callers written
+    against earlier engines.
     """
     n_sites = np.shape(sigma)[-1].bit_length() - 1
     if mode == "faithful":

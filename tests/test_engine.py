@@ -347,6 +347,36 @@ class TestSupportKernel:
         assert np.max(np.abs(matrix(stack) - want)) <= 1e-14
         assert np.max(np.abs(blocks(stack) - want)) <= 1e-14
 
+    @pytest.mark.parametrize("measurement", ["local", "global"])
+    def test_strategy_b_steps_agree_in_both_forms(self, monkeypatch, measurement):
+        # full-register terms at n = 4: chained swap kernels (B-local) and leak
+        # kernels (B-global) as block products against their matrices
+        import sbqs.engine as engine_mod
+
+        rng = np.random.default_rng(60)
+        n, deltas = 4, np.array([0.02, -0.05, 0.09])
+        terms = [(ResourceTerm(1.0, random_density(rng, 16), tuple(range(n))[::-1], "r"), deltas)
+                 for _ in range(2)]
+        stack = np.stack([random_density(rng, 16) for _ in deltas])
+        blocks = step_strategy_b(stack, terms, measurement, "faithful")
+        monkeypatch.setattr(engine_mod, "_MATRIX_QUBITS", n)
+        matrix = step_strategy_b(stack, terms, measurement, "faithful")
+        assert np.max(np.abs(blocks.state - matrix.state)) <= 1e-14
+        assert np.max(np.abs(blocks.probability - matrix.probability)) <= 1e-14
+
+    def test_probe_is_shared_by_the_rows_and_built_only_for_strategy_a(self):
+        import sbqs.engine as engine_mod
+
+        rng = np.random.default_rng(70)
+        term = ResourceTerm(1.0, random_density(rng, 4), (2, 0), "r")
+        deltas = np.array([0.01, 0.03, -0.02, 0.05])
+        stack = np.stack([random_density(rng, 8) for _ in deltas])
+        kernel = engine_mod._swap_kernel(term, 3, deltas)
+        step_strategy_b(stack, [(term, deltas)], "local", "faithful", kernels=[kernel])
+        assert "probe" not in vars(kernel)
+        step_strategy_a(stack, term, deltas, "faithful", kernel=kernel)
+        assert kernel.probe.shape == (16, 3)
+
     def test_faithful_a_sweep_embeds_nothing_and_skips_the_dense_update(self, monkeypatch):
         # a faithful strategy-A run reads each term's kernel only: no embedded
         # resource and no pass through the d x d post-selection
