@@ -141,8 +141,7 @@ def strategy_b_probability(
 
 def bures_distance_sm(a: np.ndarray, b: np.ndarray) -> float:
     """Bures distance in the bound chain's D^2 = 1 - sqrt(F) convention."""
-    f = exact.fidelity(a, b)
-    return math.sqrt(max(0.0, 1.0 - math.sqrt(f)))
+    return exact.bures_distance(a, b) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,6 @@ class BoundsReport:
 
 def build_bounds_report(
     spectral: exact.SpectralData,
-    shift: float,
     populations: np.ndarray,
     ell: int,
     h_max: float,
@@ -265,10 +263,10 @@ def build_bounds_report(
 ) -> BoundsReport:
     """Assemble the report; boundary cases land as NaN with a note instead of raising.
 
-    The protocol operator is H + shift*I for the H that ``spectral`` describes,
-    and f0 is ``populations[0]`` (see :func:`sbqs.exact.populations`)."""
+    ``spectral`` describes the protocol operator W = sum_i w_i rho_i, and f0 is
+    ``populations[0]`` (see :func:`sbqs.exact.populations`)."""
     notes = [CONVENTION_NOTE]
-    spectrum = spectral.spectrum + shift
+    spectrum = spectral.spectrum
     dim = len(spectrum)
     f0 = float(populations[0])
     gap = spectral.gap

@@ -77,12 +77,12 @@ def _cmd_bounds(config, args) -> int:
 
 
 def _cmd_decompose(config, args) -> int:
-    h_model, dec, _ = _model(config)
+    pauli, dec, _ = _model(config)
     print(f"{dec.provenance} decomposition on {dec.n} sites: {dec.ell} terms, "
           f"identity offset {dec.identity_offset:.12g}")
     for t in dec.terms:
         print(f"  {t.label:<12} weight {t.weight:+.12g}  support {list(t.support)}")
-    residual = float(np.max(np.abs(densify(dec) - h_model)))
+    residual = float(np.max(np.abs(densify(dec) - densify(pauli))))
     print(f"reconstruction residual (max abs) = {residual:.3e}")
     if dec.terms:
         print(f"min weight = {min(t.weight for t in dec.terms):+.12g}, "
@@ -91,7 +91,7 @@ def _cmd_decompose(config, args) -> int:
 
 
 def _cmd_sample(config, args) -> int:
-    h_model, dec, psi0 = _model(config)
+    _, dec, psi0 = _model(config)
     beta = config.beta_grid[-1]
     plan = make_plan(dec, beta, config.n_steps, config.strategy, config.mode)
     result = sample_run(plan, psi0, config.trials, seed=config.seed)
@@ -105,7 +105,7 @@ def _cmd_sample(config, args) -> int:
     print(f"formula product             = {ledger.cumulative('paper-formula'):.6g}")
     if result.accepted_average is not None:
         print(f"accepted-state energy       = "
-              f"{energy(h_model, result.accepted_average):.6g}")
+              f"{energy(densify(dec), result.accepted_average):.6g}")
     return 0
 
 

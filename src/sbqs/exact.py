@@ -4,6 +4,7 @@ distance, and energy."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +137,8 @@ def _vector_fidelity(a: np.ndarray, phi: np.ndarray) -> float:
 
 
 def _bures(f: float) -> float:
-    return float(np.sqrt(2.0 * max(0.0, 1.0 - np.sqrt(f))))
+    # 1 - sqrt(f) as (1 - f) / (1 + sqrt(f)): no digits cancel near f = 1
+    return math.sqrt(2.0 * max(0.0, 1.0 - f) / (1.0 + math.sqrt(f)))
 
 
 def bures_distance(a: np.ndarray, b: np.ndarray) -> float:

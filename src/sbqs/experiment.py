@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -19,11 +18,11 @@ from .engine import ProbabilityLedger, Trajectory, make_plan, run, run_rows, sam
 from .errors import ExtinctionError
 from .hamiltonian import (
     IsingParams,
+    PauliSum,
     ResourceDecomposition,
     build_ising,
     decompose_ising_local,
     decompose_pauli_generic,
-    densify,
 )
 from .linalg import dag
 
@@ -60,16 +59,13 @@ class _Setup:
     """What a sweep computes once from its config and shares with every row,
     serial or in a pool worker, and with the bounds report.
 
-    ``h_model`` is the model's one dense form and ``spectral`` the sweep's
-    only eigendecomposition, of ``h_model``; the protocol simulates
-    W = ``h_model - decomposition.identity_offset * I``.  ``ground_basis`` is
-    the d x k matrix of the eigenvectors within the config's
-    ``degeneracy_tol`` of the ground energy, so k is the ground-space
-    dimension.  ``psi0`` is |+>^n, every row's start state, handed to the
-    engine as a vector, and ``populations[0]`` is f0.
-    """
+    ``spectral`` is the sweep's only eigendecomposition, of the protocol's
+    W = ``decomposition.operator``, cached in the decomposition and so pickled
+    with it.  ``ground_basis`` is the d x k matrix of the eigenvectors within
+    ``degeneracy_tol`` of the ground energy (k: the ground-space dimension).
+    ``psi0`` is |+>^n as a vector, every row's start state; ``populations[0]``
+    is f0."""
 
-    h_model: np.ndarray
     decomposition: ResourceDecomposition
     psi0: np.ndarray
     ground_basis: np.ndarray
@@ -77,8 +73,8 @@ class _Setup:
     populations: np.ndarray
 
 
-def _model(config: ExperimentConfig) -> tuple[np.ndarray, ResourceDecomposition, np.ndarray]:
-    """The dense model, its decomposition and |+>^n as a vector: all that
+def _model(config: ExperimentConfig) -> tuple[PauliSum, ResourceDecomposition, np.ndarray]:
+    """The Pauli model, its decomposition and |+>^n as a vector: all that
     ``sbqs decompose`` and ``sbqs sample`` read, with no spectrum."""
     pauli = build_ising(config.model) if isinstance(config.model, IsingParams) else config.model
     if config.decomposition == "ising-local":
@@ -86,14 +82,13 @@ def _model(config: ExperimentConfig) -> tuple[np.ndarray, ResourceDecomposition,
     else:
         dec = decompose_pauli_generic(pauli)
     psi0 = np.full(2**dec.n, 1.0 / math.sqrt(2**dec.n), dtype=complex)
-    return densify(pauli), dec, psi0
+    return pauli, dec, psi0
 
 
 def _prepare(config: ExperimentConfig) -> _Setup:
-    h_model, dec, psi0 = _model(config)
-    spectral = exact.ground(h_model)
+    _, dec, psi0 = _model(config)
+    spectral = exact.ground(dec.operator)
     return _Setup(
-        h_model=h_model,
         decomposition=dec,
         psi0=psi0,
         ground_basis=exact.ground_basis(spectral, tol=config.degeneracy_tol),
@@ -146,8 +141,8 @@ def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) 
         success_prob_formula=trajectory.ledger.cumulative("paper-formula"),
         success_prob_faithful=trajectory.ledger.cumulative("faithful-exact"),
         success_prob_empirical=empirical,
-        # Tr(H sigma) for the engine's Hermitian sigma: one conjugating dot product
-        energy_sbqs=float(np.vdot(sigma, setup.h_model).real),
+        # Tr(H sigma) = Tr(W sigma) + offset for the engine's Hermitian sigma
+        energy_sbqs=float(np.vdot(sigma, dec.operator).real) + dec.identity_offset,
         bound_eq15=bound,
         fidelity_bound_sm=fid_sm,
         ground_space_dim=basis.shape[1],
@@ -175,7 +170,6 @@ def _bounds_report(config: ExperimentConfig, setup: _Setup) -> bounds_mod.Bounds
     """The bounds report at the grid's largest beta."""
     return bounds_mod.build_bounds_report(
         spectral=setup.spectral,
-        shift=-setup.decomposition.identity_offset,  # W = h_model - offset * I
         populations=setup.populations,
         ell=setup.decomposition.ell,
         h_max=setup.decomposition.h_max,
@@ -200,6 +194,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[ResultRow], bounds_mo
     cuts = [len(betas) * w // workers for w in range(workers + 1)]
     jobs = (repeat(setup), repeat(config), [betas[a:b] for a, b in zip(cuts, cuts[1:])], cuts)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial sweep skips this import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_compute_rows, *jobs))
     else:

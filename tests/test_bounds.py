@@ -263,10 +263,9 @@ def test_bures_sm_convention():
 def test_report_assembly():
     params = IsingParams(2, 1.0, 1.0, "open")
     dec = decompose_ising_local(params)
-    spectral = ground(densify(build_ising(params)))
+    spectral = ground(protocol_operator(dec))
     report = build_bounds_report(
         spectral=spectral,
-        shift=-dec.identity_offset,
         populations=populations(spectral, uniform_vector(2)),
         ell=dec.ell,
         h_max=dec.h_max,

@@ -1,6 +1,9 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
+from sbqs.bounds import bures_distance_sm
 from sbqs.errors import ExtinctionError
 from sbqs.exact import (
     bures_distance,
@@ -200,6 +203,20 @@ class TestBures:
         for _ in range(20):
             a, b, c = (random_density(rng, 2) for _ in range(3))
             assert bures_distance(a, c) <= bures_distance(a, b) + bures_distance(b, c) + 1e-9
+
+    def test_full_precision_near_unit_fidelity(self):
+        # sigma = diag(F, 1 - F) against |0> has fidelity exactly F = 1 - 2^-k;
+        # both conventions must hold D to a few ulps of a 60-digit reference,
+        # where forming 1 - sqrt(F) directly loses up to 2e-9 relative
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for k in range(10, 53):
+                f = 1.0 - 2.0**-k
+                sigma = np.diag([f, 2.0**-k]).astype(complex)
+                deficit = 1 - Decimal(f).sqrt()
+                for got, want in ((bures_distance(sigma, ket(1, 0)), (2 * deficit).sqrt()),
+                                  (bures_distance_sm(sigma, ket(1, 0)), deficit.sqrt())):
+                    assert abs(Decimal(got) / want - 1) <= Decimal("4.5e-16"), k
 
 
 class TestEnergy:

@@ -180,8 +180,9 @@ class TestIsingLocalDecomposition:
 
 class TestDensify:
     def test_decomposition_reads_its_cached_operator(self, monkeypatch):
-        # W = sum_i w_i rho_i is embedded once per decomposition, read-only,
-        # and densify(dec) is identity_offset * I + W
+        # W = sum_i w_i rho_i is embedded once per decomposition and distinct
+        # support (x(i) and z(i) share one), read-only, and densify(dec) is
+        # identity_offset * I + W
         import sbqs.linalg as linalg_mod
 
         dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
@@ -191,7 +192,8 @@ class TestDensify:
                             lambda *args: calls.append(1) or real(*args))
         dense = densify(dec)
         w = dec.operator
-        assert len(calls) == dec.ell  # a second read embeds nothing
+        assert (len({t.support for t in dec.terms}), dec.ell) == (6, 9)
+        assert len(calls) == 6  # a second read embeds nothing
         assert dec.operator is w and not w.flags.writeable
         assert dense.flags.writeable and np.array_equal(dense, dec.identity_offset * np.eye(8) + w)
 

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import math
@@ -23,7 +24,7 @@ from sbqs.experiment import (
     parse_csv,
     run_experiment,
 )
-from sbqs.hamiltonian import IsingParams, build_ising, densify
+from sbqs.hamiltonian import IsingParams, densify
 from sbqs.linalg import operator_norm
 
 from oracles import exact_ite as oracle_exact_ite
@@ -131,12 +132,14 @@ class TestRunExperiment:
         assert config.parallel == 1
         rows, report = run_experiment(config)
         assert len(rows) == 3 and math.isfinite(report.n_star)
-        assert calls == {"_prepare": 1, "densify": 1, "hermitian_eig": 1, "operator_norm": 0}
+        assert calls == {"_prepare": 1, "densify": 0, "hermitian_eig": 1, "operator_norm": 0}
         assert [f.name for f in fields(experiment_mod._Setup)] == [
-            "h_model", "decomposition", "psi0", "ground_basis", "spectral", "populations"]
+            "decomposition", "psi0", "ground_basis", "spectral", "populations"]
 
     @pytest.mark.parametrize("cpus, expected", [(64, 2), (1, None), (None, None)])
     def test_pool_width_capped_by_rows_and_cpus(self, monkeypatch, cpus, expected):
+        import concurrent.futures
+
         import sbqs.experiment as experiment_mod
 
         widths = []
@@ -154,7 +157,7 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiment_mod.os, "cpu_count", lambda: cpus)
         config = validate_config(ising_config(beta_grid=[0.0, 1.0], parallel=100000))
         rows, _ = run_experiment(config)
@@ -180,7 +183,6 @@ class TestRunExperiment:
         dense = ground(protocol_operator(setup.decomposition))
         expected = build_bounds_report(
             spectral=dense,
-            shift=0.0,
             populations=populations(dense, setup.psi0),
             ell=setup.decomposition.ell,
             h_max=setup.decomposition.h_max,
@@ -269,14 +271,17 @@ class TestRunExperiment:
                 assert t.ledger.log_cumulative(source) == log_sum
 
     def test_effective_b_embeds_each_term_once_per_sweep(self, monkeypatch):
-        # B = (beta/N) W with W built once per decomposition: a 2-row effective
-        # B-global sweep embeds each of its l terms once, not once per row
+        # B = (beta/N) W with W built once per decomposition, one embedding per
+        # distinct support: a 2-row effective B-global sweep on the 3-site
+        # periodic chain embeds 6 supports for its 9 terms, not once per row
         import sbqs.engine as engine_mod
         import sbqs.experiment as experiment_mod
         import sbqs.linalg as linalg_mod
 
         config = validate_config(ising_config(strategy="B-global", beta_grid=[0.5, 1.0]))
-        ell = experiment_mod._prepare(config).decomposition.ell
+        dec = experiment_mod._prepare(config).decomposition
+        supports = {t.support for t in dec.terms}
+        assert (len(supports), dec.ell) == (6, 9)
         calls = []
 
         def counting(*args, **kwargs):
@@ -288,7 +293,29 @@ class TestRunExperiment:
             monkeypatch.setattr(module, "embed_operator", counting)
         rows, _ = run_experiment(config)
         assert len(rows) == 2 and all(0.0 < r.fidelity_sbqs_vs_ground <= 1.0 for r in rows)
-        assert len(calls) == ell
+        assert len(calls) == len(supports)
+
+    def test_a_pool_worker_reads_the_cached_operator(self, monkeypatch):
+        # the set-up reaches a pool worker pickled, with W in the
+        # decomposition's cache: a worker's rows embed nothing and densify no
+        # Pauli string, and equal the serial rows
+        import pickle
+
+        import sbqs.experiment as experiment_mod
+        import sbqs.hamiltonian as hamiltonian_mod
+        import sbqs.linalg as linalg_mod
+
+        config = validate_config(ising_config(strategy="B-global", beta_grid=[0.5, 1.0]))
+        setup = experiment_mod._prepare(config)
+        worker = pickle.loads(pickle.dumps(setup))  # as run_experiment hands it over
+        serial = experiment_mod._compute_rows(setup, config, config.beta_grid, 0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator built in a worker")
+
+        monkeypatch.setattr(linalg_mod, "embed_operator", refuse)
+        monkeypatch.setattr(hamiltonian_mod.PauliString, "dense", refuse)
+        assert experiment_mod._compute_rows(worker, config, config.beta_grid, 0) == serial
 
     def test_row_bures_reads_the_vector_branch_unchecked(self, monkeypatch):
         # a row's Bures distance takes fidelity's vector branch without the
@@ -464,7 +491,14 @@ class _NoSquareProduct(np.ndarray):
 class TestRowMetrics:
     """A row's ground-fidelity and energy columns against the dense formulas
     Tr(G G^dagger sigma), <phi|G G^dagger|phi> and Tr(H sigma), with G the
-    test's own k lowest eigenvectors of fig2_right's chain at n sites."""
+    test's own k lowest eigenvectors of fig2_right's chain at n sites.
+
+    G is read from W = ``setup.decomposition.operator``, the operator the
+    set-up diagonalises, and H is ``densify(setup.decomposition)``: the
+    chain's k = 1 ground vector is ill-conditioned (gap 5.4e-6 at n = 5), and
+    a 5e-16 change of the matrix, such as adding the identity offset or
+    summing the Pauli strings instead, moves the fidelities by more than the
+    1e-13 this test holds (6e-12 for phi's at n = 4)."""
 
     @staticmethod
     def chain(n: int, tol: float):
@@ -477,10 +511,11 @@ class TestRowMetrics:
 
     @staticmethod
     def assert_dense_metrics(row, config, setup, sigma, k):
-        h = densify(build_ising(config.model))
-        low = np.linalg.eigh(h)[1][:, :k]
+        w = setup.decomposition.operator
+        low = np.linalg.eigh(w)[1][:, :k]
         projector = low @ low.conj().T
-        phi = oracle_exact_ite(h, np.outer(setup.psi0, setup.psi0.conj()), config.beta_grid[0])
+        phi = oracle_exact_ite(w, np.outer(setup.psi0, setup.psi0.conj()), config.beta_grid[0])
+        h = densify(setup.decomposition)
         assert row.ground_space_dim == k
         assert row.fidelity_sbqs_vs_ground == pytest.approx(
             np.trace(projector @ sigma).real, rel=1e-13)
@@ -521,7 +556,9 @@ class TestRowMetrics:
                 monkeypatch.setattr(module, "hermitian_eig", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        guarded = replace(setup, h_model=setup.h_model.view(_NoSquareProduct))
+        dec = copy.copy(setup.decomposition)  # W sits in the copy's own cache
+        dec.__dict__["operator"] = dec.operator.view(_NoSquareProduct)
+        guarded = replace(setup, decomposition=dec)
         row = experiment_mod._result_row(guarded, replace(trajectory, final_state=sigma), None)
         monkeypatch.undo()
         self.assert_dense_metrics(row, config, setup, trajectory.final_state, 2)
@@ -860,20 +897,37 @@ def test_benchmark_scan_calls_still_run():
     assert len(ran) == 7 and ("faithful_bglobal", 2) in ran
 
 
+#: The seeded n = 8 periodic chain whose outputs the benchmark stores as its
+#: seed-0 ``ising8_bglobal`` reference.
+_ISING8_BGLOBAL = {
+    "model": {"model": "ising", "n": 8, "J": 1.344422, "B": 2.515909, "boundary": "periodic"},
+    "decomposition": "ising-local",
+    "seed": 0,
+    "beta_grid": [1.0, 2.0],
+    "n_steps": 400,
+    "strategy": "B-global",
+    "mode": "effective",
+}
+
+
 def test_effective_sweep_reproduces_reference(tmp_path):
-    """An effective strategy-B sweep end to end: the seeded n = 8 periodic chain
-    whose outputs the benchmark stores as its seed-0 reference."""
-    raw = {
-        "model": {"model": "ising", "n": 8, "J": 1.344422, "B": 2.515909,
-                  "boundary": "periodic"},
-        "decomposition": "ising-local",
-        "seed": 0,
-        "beta_grid": [1.0, 2.0],
-        "n_steps": 400,
-        "strategy": "B-global",
-        "mode": "effective",
-    }
+    """An effective strategy-B sweep end to end, on the benchmark's seed-0 chain."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(_ISING8_BGLOBAL))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
     _assert_reproduces(tmp_path / "out", _ROOT / "perfbench" / "reference" / "seed0" / "ising8_bglobal")
+
+
+@pytest.mark.parametrize("name", ["fig2_left", "fig2_right", "ising8_bglobal"])
+def test_decomposition_reconstructs_the_pauli_model(name):
+    """A sweep diagonalises and reads energies from the decomposition's W, so
+    the configs behind the goldens and the benchmark pin densify(dec) to the
+    Pauli model it was decomposed from."""
+    import sbqs.experiment as experiment_mod
+
+    if name == "ising8_bglobal":
+        config = validate_config(_ISING8_BGLOBAL)
+    else:
+        config = load_config(_ROOT / "configs" / f"{name}.json")
+    pauli, dec, _ = experiment_mod._model(config)
+    assert np.max(np.abs(densify(dec) - densify(pauli))) <= 1e-12
