@@ -29,13 +29,19 @@ from .hamiltonian import densify
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sbqs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {  # flag: (the subcommands that read it, its options); argparse exits 2 on others
+        "--out": ({"run", "bounds"},
+                  dict(dest="out_dir", help="output directory (the config's out_dir)")),
+        "--svg": ({"run"}, dict(action="store_true", help="also emit the fidelity chart")),
+        "--seed": ({"run", "sample"}, dict(type=int, help="RNG seed (the config's seed)")),
+        "--parallel": ({"run"}, dict(type=int, help="row parallelism (the config's parallel)")),
+    }
     for name in ("run", "bounds", "decompose", "sample"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON experiment config")
-        p.add_argument("--out", dest="out_dir", help="output directory (the config's out_dir)")
-        p.add_argument("--svg", action="store_true", help="also emit the fidelity chart")
-        p.add_argument("--seed", type=int, help="RNG seed (the config's seed)")
-        p.add_argument("--parallel", type=int, help="row parallelism (the config's parallel)")
+        for flag, (readers, options) in flags.items():
+            if name in readers:
+                p.add_argument(flag, **options)
     return parser
 
 
@@ -114,14 +120,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # the flags are config fields, validated with the file's own
         flags = {name: getattr(args, name) for name in ("out_dir", "seed", "parallel")
-                 if getattr(args, name) is not None}
+                 if getattr(args, name, None) is not None}
         config = load_config(args.config, flags)
-        handler = {
-            "run": _cmd_run,
-            "bounds": _cmd_bounds,
-            "decompose": _cmd_decompose,
-            "sample": _cmd_sample,
-        }[args.command]
+        handler = {"run": _cmd_run, "bounds": _cmd_bounds, "decompose": _cmd_decompose,
+                   "sample": _cmd_sample}[args.command]
         return handler(config, args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

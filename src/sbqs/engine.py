@@ -45,20 +45,20 @@ outgrow the state.
 
 A sigma A maps a pure state to a pure state, so effective and sampled rows
 evolve a state vector as a vector, psi <- A psi / |A psi|, one
-matrix-vector product per measurement in :func:`run`'s own loop, with
-strategy A's B = delta rho embedded on the register.  Running vectors as
-one-row stacks instead measured 2.9x slower per step at d = 16 and 3.3x on
-an effective-A row at n = 4, so vectors keep their 1-D path.  Only
-"faithful" needs a density matrix; its first step promotes a vector to
-|psi><psi|.  The rows of a faithful beta sweep differ only in their deltas,
-so :func:`run_rows` advances them as one (rows, d, d) stack with the deltas
-broadcast per row, one step call per measurement for the whole stack; a
-single d×d state is a one-row stack.  Every operation acts on each row on
-its own (a batched GEMM is one BLAS call per row), so a row comes out bit
-for bit the same alone or in any stack, and a row whose probability reaches
-``EXTINCTION_P`` leaves the stack while the others go on.
-:class:`ProbabilityLedger` keeps each row's probabilities as two float
-arrays and reads the success products from them.
+matrix-vector product per measurement, with strategy A's B = delta rho
+embedded on the register.  Running vectors as one-row stacks instead
+measured 2.9x slower per step at d = 16 and 3.3x on an effective-A row at
+n = 4, so vectors keep their 1-D path.  Only "faithful" needs a density
+matrix; its first step promotes a vector to |psi><psi|.  The rows of a
+faithful beta sweep differ only in their deltas, so :func:`run_rows`
+advances them as one (rows, d, d) stack with the deltas broadcast per row,
+one step call per measurement for the whole stack; a single d×d state is a
+one-row stack.  Every operation acts on each row on its own (a batched GEMM
+is one BLAS call per row), so a row comes out bit for bit the same alone or
+in any stack, and a row whose probability reaches ``EXTINCTION_P`` is zeroed
+and stays in the stack while the others go on.  :func:`run` and
+:func:`run_rows` share one loop over the measurements, which fills each
+row's :class:`ProbabilityLedger`, two float arrays.
 
 No control register or Kraus operator is built.  :func:`cswap_channel` keeps
 the Kraus form of one controlled-SWAP as a reference for tests.
@@ -81,6 +81,7 @@ from .linalg import (
     check_unit_vector,
     embed_operator,
     hermitian_eig,
+    kron,
     qubit_layout,
 )
 
@@ -153,12 +154,6 @@ def cswap_channel(rho: np.ndarray, support: tuple[int, ...], n_sites: int) -> li
 _MATRIX_QUBITS = 3
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices; np.kron's general-shape path costs
-    about 40 us a call, which was most of building a kernel."""
-    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(len(a) * len(b), -1)
-
-
 class _Kernel:
     """X -> c0 X + c1 (rho X + X rho) + c2 rho Tr X + c3 rho X rho on every
     d_S x d_S block X of a (rows, d, d) stack that its support qubits index,
@@ -187,8 +182,8 @@ class _Kernel:
         self.matrix = None
         if len(support) <= _MATRIX_QUBITS:
             eye = np.eye(s)
-            parts = (np.eye(s * s), _kron(rho.T, eye) + _kron(eye, rho),
-                     np.outer(eye.ravel(), rho.ravel()), _kron(rho.T, rho))
+            parts = (np.eye(s * s), kron(rho.T, eye) + kron(eye, rho),
+                     np.outer(eye.ravel(), rho.ravel()), kron(rho.T, rho))
             self.matrix = sum(c * m for c, m in zip(self.coefs, parts) if c is not None)
 
     def gather(self, sigma: np.ndarray) -> np.ndarray:
@@ -299,13 +294,14 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return m.trace(0, -2, -1).real
 
 
-def _extinction(p: float, step_id: str) -> str:
-    return f"post-selection probability {p:.3e} at step {step_id}"
+def _extinction(p: float) -> str:
+    """The message of an extinct measurement; a run appends its step id."""
+    return f"post-selection probability {p:.3e}"
 
 
-def _check_probability(p: float, step_id: str) -> float:
+def _check_probability(p: float) -> float:
     if p <= EXTINCTION_P:
-        raise ExtinctionError(_extinction(p, step_id), p)
+        raise ExtinctionError(_extinction(p), p)
     return min(p, 1.0)
 
 
@@ -330,8 +326,8 @@ class StepResult:
     formula_probability: float | np.ndarray
 
 
-def _result(ndim: int, state: np.ndarray, p: np.ndarray, p_formula: np.ndarray | None,
-            step_id: str) -> StepResult:
+def _result(ndim: int, state: np.ndarray, p: np.ndarray,
+            p_formula: np.ndarray | None) -> StepResult:
     """The result for a ``state`` stack computed from a state of ``ndim``
     dimensions: a stack as it is, one state unwrapped, raising
     :class:`ExtinctionError` at or below ``EXTINCTION_P``.  A ``p_formula``
@@ -339,11 +335,11 @@ def _result(ndim: int, state: np.ndarray, p: np.ndarray, p_formula: np.ndarray |
     p = np.minimum(p, 1.0)
     if ndim == 3:
         return StepResult(state, p, p if p_formula is None else p_formula)
-    p = _check_probability(float(p[0]), step_id)
+    p = _check_probability(float(p[0]))
     return StepResult(state[0], p, p if p_formula is None else float(p_formula[0]))
 
 
-def _swap_step(sigma: np.ndarray, kernel: _Kernel, step_id: str) -> StepResult:
+def _swap_step(sigma: np.ndarray, kernel: _Kernel) -> StepResult:
     """One faithful one-term measurement through its :func:`_swap_kernel`:
     both probabilities are read from vec(Tr_rest sigma) through the kernel's
     ``probe`` and ``weights``, and 1/p scales K per row before the one GEMM,
@@ -354,10 +350,10 @@ def _swap_step(sigma: np.ndarray, kernel: _Kernel, step_id: str) -> StepResult:
     rest_trace = np.einsum("rkkj->rj", v.reshape(len(v), r, r, v.shape[2]))  # vec(Tr_rest sigma)
     p, p_formula = (rest_trace[:, None] @ kernel.probe @ kernel.weights)[:, 0].real.T
     state = kernel.scatter(kernel.apply(v, 1 / np.where(p > EXTINCTION_P, p, 1.0)))
-    return _result(np.ndim(sigma), state, p, p_formula, step_id)
+    return _result(np.ndim(sigma), state, p, p_formula)
 
 
-def _measure(sigma, b_op, denom: float, mode: str, step_id: str, delta=None,
+def _measure(sigma, b_op, denom: float, mode: str, delta=None,
              kernels: list[_Kernel] = (), scale=None, local: bool = False) -> StepResult:
     """One measurement with B = I - A: ``b_op``, one d×d matrix or one per
     row, or ``delta`` times the d×d ``b_op``.  ``sigma`` and B are cast to
@@ -382,7 +378,7 @@ def _measure(sigma, b_op, denom: float, mode: str, step_id: str, delta=None,
     if sigma.ndim == 1 and not faithful:
         out = sigma - (b_op @ sigma if delta is None else delta * (b_op @ sigma))
         norm2 = float(np.vdot(out, out).real)
-        p = _check_probability(norm2 / denom, step_id)
+        p = _check_probability(norm2 / denom)
         return StepResult(out * (1 / math.sqrt(norm2)), p, p)
     stack = _as_stack(sigma)
     if delta is not None:
@@ -403,7 +399,7 @@ def _measure(sigma, b_op, denom: float, mode: str, step_id: str, delta=None,
         raw *= 1 / _per_row(denom if scale is None else scale)
     trace = _trace(raw)
     state = raw * (1 / np.where(trace > EXTINCTION_P, trace, 1.0))[:, None, None]
-    return _result(sigma.ndim, state, trace, p_formula if faithful else None, step_id)
+    return _result(sigma.ndim, state, trace, p_formula if faithful else None)
 
 
 def step_strategy_a(
@@ -431,10 +427,10 @@ def step_strategy_a(
     """
     n_sites = np.shape(sigma)[-1].bit_length() - 1
     if mode == "faithful":
-        return _swap_step(sigma, kernel or _swap_kernel(term, n_sites, delta), "sub-step")
+        return _swap_step(sigma, kernel or _swap_kernel(term, n_sites, delta))
     if rho_emb is None:
         rho_emb = _embed(term, n_sites)
-    return _measure(sigma, rho_emb, 2.0, mode, "sub-step", delta=delta)
+    return _measure(sigma, rho_emb, 2.0, mode, delta=delta)
 
 
 def step_strategy_b(
@@ -469,12 +465,12 @@ def step_strategy_b(
                    np.zeros((2**n_sites,) * 2, dtype=complex))
     denom = float(2 ** len(terms)) if local else float(len(terms) + 1)
     if mode != "faithful":
-        return _measure(sigma, b_op, denom, mode, "step")
+        return _measure(sigma, b_op, denom, mode)
     if kernels is None:
         build = _swap_kernel if local else _leak_kernel
         kernels = [build(t, n_sites, delta) for t, delta in terms]
     scale = math.prod((1 + np.square(delta) for _, delta in terms), start=denom)
-    return _measure(sigma, b_op, denom, mode, "step", kernels=kernels, scale=scale, local=local)
+    return _measure(sigma, b_op, denom, mode, kernels=kernels, scale=scale, local=local)
 
 
 @dataclass(frozen=True)
@@ -649,6 +645,53 @@ def _measurements(plan: TrotterPlan, deltas, scale) -> list[tuple[str, partial]]
                          if faithful else None))]
 
 
+def _advance(plans: list[TrotterPlan], state: np.ndarray,
+             vector: bool) -> list[tuple[Trajectory, float | None]]:
+    """The one loop over a run's measurements, for :func:`run` and
+    :func:`run_rows`: each row's trajectory and the probability that ended
+    it, or None.  With ``vector`` the one plan evolves a state vector, whose
+    step function raises :class:`ExtinctionError`.  Otherwise the rows advance
+    as one stack, an extinct row is zeroed and stays, so that every kernel is
+    built once, and the loop stops once no row is left."""
+    t0 = time.perf_counter()
+    first = plans[0]
+    state = _initial_state(state, first.decomposition.n)
+    if vector:
+        sigma, deltas, scales = state, first.deltas, first.beta / first.n_steps
+    else:
+        sigma = np.repeat((_density(state) if state.ndim == 1 else state)[None], len(plans), axis=0)
+        deltas = np.array([p.deltas for p in plans], dtype=float).T  # (terms, rows)
+        scales = np.array([p.beta / p.n_steps for p in plans])
+    measurements = _measurements(first, deltas, scales)
+    count = first.n_steps * len(measurements)
+    exact, formula = np.empty((count, len(plans))), np.empty((count, len(plans)))
+    lost: dict[int, tuple[int, float]] = {}  # extinct row -> (measurement, probability)
+    for j in range(count):
+        try:
+            res = measurements[j % len(measurements)][1](sigma)
+        except ExtinctionError as err:  # only a vector step raises
+            lost[0] = (j, err.probability)
+            break
+        exact[j], formula[j] = res.probability, res.formula_probability
+        sigma = res.state
+        if not vector and (extinct := res.probability <= EXTINCTION_P).any():
+            sigma[extinct] = 0.0
+            for row in np.flatnonzero(extinct).tolist():
+                lost.setdefault(row, (j, float(res.probability[row])))
+            if len(lost) == len(plans):
+                break
+    wall = time.perf_counter() - t0
+    suffixes = tuple(suffix for suffix, _ in measurements)
+    out = []
+    for row, plan in enumerate(plans):
+        end, p = lost.get(row, (count, None))
+        ledger = ProbabilityLedger(exact[:end, row], formula[:end, row], suffixes)
+        extinction = None if p is None else f"{_extinction(p)} at step {ledger.step_id(end)}"
+        final = None if extinction else _density(sigma) if vector else sigma[row]
+        out.append((Trajectory(plan, final, ledger, wall, extinction), p))
+    return out
+
+
 def run_rows(plans: list[TrotterPlan], state: np.ndarray) -> list[Trajectory]:
     """Execute ``plans`` on the same initial ``state`` as one stacked
     (rows, d, d) state, one row per plan; a vector state is promoted to
@@ -656,55 +699,17 @@ def run_rows(plans: list[TrotterPlan], state: np.ndarray) -> list[Trajectory]:
 
     The plans must come from one decomposition and share their step count,
     strategy and mode, so that they differ only in beta.  Each measurement of
-    :func:`run` is one step call for the whole stack and fills one column of
-    every row's ledger arrays.  A row whose probability is at or below
-    ``EXTINCTION_P`` leaves the stack: its trajectory has no final state and
-    its ``extinction`` names the step.  A row comes out bit for bit the same
-    alone or with any other rows.  ``wall_time_s`` is the whole stack's.
+    :func:`run` is one step call for the whole stack.  An extinct row is
+    zeroed and stays in the stack while the others go on; its trajectory has
+    no final state and its ``extinction`` names the step.  A row comes out bit
+    for bit the same alone or with any other rows.  ``wall_time_s`` is the
+    whole stack's.
     """
     if not plans:
         return []
-    t0 = time.perf_counter()
-    first = plans[0]
-    dec = first.decomposition
-    shared = (first.n_steps, first.strategy, first.mode)
-    if any(p.decomposition is not dec or (p.n_steps, p.strategy, p.mode) != shared for p in plans):
+    if len({(id(p.decomposition), p.n_steps, p.strategy, p.mode) for p in plans}) > 1:
         raise ValueError("run_rows needs plans of one decomposition, step count, strategy and mode")
-    state = _initial_state(state, dec.n)
-    sigma = np.repeat((_density(state) if state.ndim == 1 else state)[None], len(plans), axis=0)
-    rows = np.arange(len(plans))  # the rows still in the stack, in plan order
-    deltas = np.array([p.deltas for p in plans], dtype=float).T  # (terms, rows)
-    scales = np.array([p.beta / p.n_steps for p in plans])
-    measurements = _measurements(first, deltas, scales)
-    suffixes = tuple(suffix for suffix, _ in measurements)
-    count = first.n_steps * len(measurements)
-    exact, formula = np.empty((len(plans), count)), np.empty((len(plans), count))
-    ends = [count] * len(plans)
-    extinctions: list[str | None] = [None] * len(plans)
-    for j in range(count):
-        step, k = divmod(j, len(measurements))
-        res = measurements[k][1](sigma)
-        exact[rows, j] = res.probability
-        formula[rows, j] = res.formula_probability
-        sigma = res.state
-        extinct = res.probability <= EXTINCTION_P
-        if extinct.any():
-            for row, p in zip(rows[extinct].tolist(), res.probability[extinct].tolist()):
-                ends[row] = j
-                extinctions[row] = _extinction(p, f"{step + 1}{suffixes[k]}")
-            kept = ~extinct
-            rows, sigma, deltas, scales = rows[kept], sigma[kept], deltas[:, kept], scales[kept]
-            if not rows.size:
-                break
-            measurements = _measurements(first, deltas, scales)
-    wall = time.perf_counter() - t0
-    final = dict(zip(rows.tolist(), sigma))
-    return [
-        Trajectory(plan, final.get(row),
-                   ProbabilityLedger(exact[row, :ends[row]], formula[row, :ends[row]], suffixes),
-                   wall, extinctions[row])
-        for row, plan in enumerate(plans)
-    ]
+    return [trajectory for trajectory, _ in _advance(plans, state, vector=False)]
 
 
 def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
@@ -715,33 +720,17 @@ def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
     :func:`step_strategy_a` per term (step id ``<step>.<k>``), strategy B one
     :func:`step_strategy_b` over all terms (``<step>``), and the ledger
     records each.  Faithful mode, and any density-matrix state, runs as the
-    one row of :func:`run_rows`, which promotes a vector to |psi><psi|.
-    Effective and sampled modes keep a vector a vector, in a loop of their
-    own.  Extinction raises :class:`ExtinctionError` naming the step id in
-    either case.  Deterministic: the post-selected branch has no randomness,
-    which :func:`sample_run` adds.
+    one row of a stack, as in :func:`run_rows`, which promotes a vector to
+    |psi><psi|; effective and sampled modes keep a vector a vector.
+    Extinction raises :class:`ExtinctionError` naming the step id and carrying
+    the measurement's probability.  Deterministic: the post-selected branch
+    has no randomness, which :func:`sample_run` adds.
     """
-    if plan.mode == "faithful" or np.ndim(state) != 1:
-        (trajectory,) = run_rows([plan], state)
-        if trajectory.extinction is not None:
-            raise ExtinctionError(trajectory.extinction)
-        return trajectory
-    t0 = time.perf_counter()
-    psi = _initial_state(state, plan.decomposition.n)
-    measurements = _measurements(plan, plan.deltas, plan.beta / plan.n_steps)
-    count = plan.n_steps * len(measurements)
-    exact, formula = np.empty(count), np.empty(count)
-    for j in range(count):
-        step, k = divmod(j, len(measurements))
-        try:
-            res = measurements[k][1](psi)
-        except ExtinctionError as err:  # a step function cannot know the step id
-            raise ExtinctionError(_extinction(err.probability, f"{step + 1}{measurements[k][0]}"),
-                                  err.probability) from None
-        psi = res.state
-        exact[j], formula[j] = res.probability, res.formula_probability
-    ledger = ProbabilityLedger(exact, formula, tuple(suffix for suffix, _ in measurements))
-    return Trajectory(plan, _density(psi), ledger, time.perf_counter() - t0)
+    vector = plan.mode != "faithful" and np.ndim(state) == 1
+    ((trajectory, probability),) = _advance([plan], state, vector)
+    if trajectory.extinction is not None:
+        raise ExtinctionError(trajectory.extinction, probability)
+    return trajectory
 
 
 @dataclass(frozen=True)
@@ -776,19 +765,11 @@ def sample_run(
     rng = np.random.default_rng(seed)
     alive = np.ones(trials, dtype=bool)
     for p in probabilities:
-        n_alive = int(alive.sum())
-        if n_alive == 0:
+        live = np.flatnonzero(alive)
+        if not live.size:
             break
-        draws = rng.random(n_alive)
-        survivors = draws < p
-        alive[np.flatnonzero(alive)] = survivors
+        alive[live] = rng.random(live.size) < p
     successes = int(alive.sum())
     average = trajectory.final_state.copy() if successes else None
-    return SampleResult(
-        frequency=successes / trials,
-        successes=successes,
-        trials=trials,
-        accepted=alive,
-        accepted_average=average,
-        trajectory=trajectory,
-    )
+    return SampleResult(frequency=successes / trials, successes=successes, trials=trials,
+                        accepted=alive, accepted_average=average, trajectory=trajectory)

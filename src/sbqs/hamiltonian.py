@@ -97,6 +97,14 @@ class IsingParams:
         return pairs
 
 
+def _refreeze(obj, state: dict) -> None:
+    """``__setstate__`` that freezes every array again: numpy does not pickle the write flag."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    obj.__dict__.update(state)
+
+
 @dataclass(frozen=True)
 class ResourceTerm:
     """One weighted density matrix in a Hamiltonian decomposition."""
@@ -118,6 +126,8 @@ class ResourceTerm:
         object.__setattr__(self, "rho", rho)
         check_density_matrix(rho)
 
+    __setstate__ = _refreeze
+
 
 @dataclass(frozen=True)
 class ResourceDecomposition:
@@ -132,6 +142,8 @@ class ResourceDecomposition:
         for t in self.terms:
             if any(s < 0 or s >= self.n for s in t.support):
                 raise ValueError(f"term {t.label} has support {t.support} outside [0, {self.n})")
+
+    __setstate__ = _refreeze
 
     @property
     def ell(self) -> int:

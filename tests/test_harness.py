@@ -317,6 +317,19 @@ class TestRunExperiment:
         monkeypatch.setattr(hamiltonian_mod.PauliString, "dense", refuse)
         assert experiment_mod._compute_rows(worker, config, config.beta_grid, 0) == serial
 
+    def test_a_pool_worker_gets_the_shared_arrays_read_only(self):
+        # numpy does not pickle the write flag: the unpickled set-up freezes
+        # W and every resource state again
+        import pickle
+
+        import sbqs.experiment as experiment_mod
+
+        config = load_config(Path(__file__).parents[1] / "configs" / "fig2_left.json")
+        worker = pickle.loads(pickle.dumps(experiment_mod._prepare(config)))
+        dec = worker.decomposition
+        assert not dec.operator.flags.writeable
+        assert dec.terms and not any(t.rho.flags.writeable for t in dec.terms)
+
     def test_row_bures_reads_the_vector_branch_unchecked(self, monkeypatch):
         # a row's Bures distance takes fidelity's vector branch without the
         # eigvalsh check of the engine's own state; the public function keeps
@@ -839,6 +852,22 @@ class TestCli:
             main(["bounds", str(path)])  # the patch bites where a spectrum is built
         assert main([command, str(path)]) == 0
         assert capsys.readouterr().out == unpatched
+
+    @pytest.mark.parametrize("command, flag", [
+        ("bounds", ["--svg"]), ("bounds", ["--seed", "1"]), ("bounds", ["--parallel", "2"]),
+        ("decompose", ["--out", "o"]), ("decompose", ["--svg"]), ("decompose", ["--seed", "1"]),
+        ("decompose", ["--parallel", "2"]),
+        ("sample", ["--out", "o"]), ("sample", ["--svg"]), ("sample", ["--parallel", "2"]),
+    ])
+    def test_a_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                         command, flag):
+        monkeypatch.chdir(tmp_path)
+        path = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main([command, str(path), *flag])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_decompose_and_bounds_and_sample(self, tmp_path, capsys):
         path = self.write_config(tmp_path, mode="sampled", seed=3, trials=200,
