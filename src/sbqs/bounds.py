@@ -168,7 +168,7 @@ def product_error_report(
     if len(operators) != len(approximants) or not operators:
         raise ValueError("need equally many operators and approximants, at least one each")
     k = len(operators)
-    prod_a = np.eye(operators[0].shape[0], dtype=complex)
+    prod_a = np.eye(operators[0].shape[0])
     prod_b = prod_a.copy()
     for u, v in zip(operators, approximants):
         prod_a = u @ prod_a
@@ -179,7 +179,7 @@ def product_error_report(
     norms = [operator_norm(m) for m in operators] + [operator_norm(m) for m in approximants]
     big_m = max(norms)
     nonunitary_rhs = k * big_m ** (k - 1) * max(diffs)
-    eye = np.eye(operators[0].shape[0], dtype=complex)
+    eye = np.eye(operators[0].shape[0])
     inputs_unitary = all(
         np.max(np.abs(dag(m) @ m - eye)) < 1e-10 for m in operators + approximants
     )
@@ -211,7 +211,7 @@ def expansion_error_report(
         raise ValueError("need equally many deltas and operators, at least one each")
     n = len(operators)
     dim = operators[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(dim)
     prod = eye.copy()
     linear = eye.copy()
     for d, a in zip(deltas, operators):

@@ -146,7 +146,7 @@ def cswap_channel(rho: np.ndarray, support: tuple[int, ...], n_sites: int) -> li
 #: applies its terms as block products, d_S per entry plus a few passes over
 #: the stack, and its matrix would outgrow the state (256 MiB per row for a
 #: full-register term at n = 6).  k = 3 is the crossover.  One faithful step
-#: of a 9-row stack, one BLAS thread, 2-vCPU host, matrix / blocks:
+#: of a complex 9-row stack, one BLAS thread, 2-vCPU host, matrix / blocks:
 #:   k = 2, n = 3, 4, 6, 8:  57 / 99 us, 117 / 185 us, 0.80 / 1.23 ms, 14.8 / 22.9 ms;
 #:   k = 3, n = 3, 4, 6, 8:  190 / 145 us, 325 / 205 us, 1.76 / 1.55 ms, 19.7 / 20.6 ms,
 #:                           and 67 / 86 ms at n = 10 (2 rows);
@@ -204,7 +204,7 @@ class _Kernel:
         r = math.isqrt(v.shape[1])
         x = v.reshape(rows, r, r, s, s)
         blocks = v.reshape(rows, -1, s)  # the rows of every block, for X M as one GEMM per row
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape, np.result_type(x, self.rho))  # a real stack, a complex rho
         if c2 is not None:
             np.multiply((c2 * np.einsum("...ii->...", x))[..., None, None], self.rho, out=out)
         if c0 is not None or c1 is not None:
@@ -251,7 +251,7 @@ def _swap_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
     kernel = _Kernel(term.rho, term.support, n, (1 / norm, -delta / norm, delta * delta / norm, None))
     half, zero = np.full_like(delta, 0.5), np.zeros_like(delta)
     weights = np.block([[half, half], [-2 * delta / norm, -delta], [zero, delta * delta / 2]])
-    kernel.weights = weights.astype(complex)  # as the probe: a mixed-type matmul casts per call
+    kernel.weights = weights.astype(term.rho.dtype)  # as the probe, to skip a cast per call
     return kernel
 
 
@@ -260,15 +260,6 @@ def _leak_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
     has in place of one term's delta^2 rho sigma rho of B sigma B."""
     d2 = np.square(delta)
     return _Kernel(term.rho, term.support, n, (None, None, d2, -d2))
-
-
-def replace_support(sigma: np.ndarray, rho: np.ndarray, support: tuple[int, ...]) -> np.ndarray:
-    """rho ⊗ Tr_S sigma for a state or a stack of states ``sigma``: the
-    support qubits traced out and replaced by ``rho``, whose qubit m sits on
-    site ``support[m]``."""
-    n = sigma.shape[-1].bit_length() - 1
-    kernel = _Kernel(np.asarray(rho, dtype=complex), tuple(support), n, (None, None, 1.0, None))
-    return kernel(np.asarray(sigma, dtype=complex).reshape(-1, 2**n, 2**n)).reshape(sigma.shape)
 
 
 def _embed(term: ResourceTerm, n_sites: int) -> np.ndarray:
@@ -309,7 +300,7 @@ def _formula_probability(sigma: np.ndarray, sb: np.ndarray, b_op: np.ndarray, de
     """Tr[A sigma A] / denom with A = I - B, read from ``sb`` = sigma B alone,
     per row of a stack."""
     # Re Tr[B sigma B] = Re sum conj(B) * (sigma B), a real dot product of the float views
-    b_re, sb_re = (np.ascontiguousarray(m, dtype=complex).view(float) for m in (b_op, sb))
+    b_re, sb_re = (np.ascontiguousarray(m, dtype=sb.dtype).view(float) for m in (b_op, sb))
     bsb = np.einsum("...ij,...ij->...", b_re, sb_re)
     return (_trace(sigma) - 2 * _trace(sb) + bsb) / denom
 
@@ -345,7 +336,7 @@ def _swap_step(sigma: np.ndarray, kernel: _Kernel) -> StepResult:
     ``probe`` and ``weights``, and 1/p scales K per row before the one GEMM,
     so the state comes out normalized (a row at or below ``EXTINCTION_P``
     keeps its unnormalized state)."""
-    v = kernel.gather(_as_stack(np.asarray(sigma, dtype=complex)))
+    v = kernel.gather(_as_stack(np.asarray(sigma)))
     r = math.isqrt(v.shape[1])
     rest_trace = np.einsum("rkkj->rj", v.reshape(len(v), r, r, v.shape[2]))  # vec(Tr_rest sigma)
     p, p_formula = (rest_trace[:, None] @ kernel.probe @ kernel.weights)[:, 0].real.T
@@ -356,8 +347,8 @@ def _swap_step(sigma: np.ndarray, kernel: _Kernel) -> StepResult:
 def _measure(sigma, b_op, denom: float, mode: str, delta=None,
              kernels: list[_Kernel] = (), scale=None, local: bool = False) -> StepResult:
     """One measurement with B = I - A: ``b_op``, one d×d matrix or one per
-    row, or ``delta`` times the d×d ``b_op``.  ``sigma`` and B are cast to
-    complex here.
+    row, or ``delta`` times the d×d ``b_op``.  The state takes the wider dtype
+    of ``sigma`` and B: real for real inputs.
 
     Effective and sampled modes update a 1-D ``sigma`` as a vector, psi <-
     A psi / |A psi| with probability |A psi|^2 / denom.  Anything else runs
@@ -373,8 +364,8 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     faithful = mode == "faithful"
-    sigma = np.asarray(sigma, dtype=complex)
-    b_op = np.asarray(b_op, dtype=complex)
+    sigma = np.asarray(sigma)
+    b_op = np.asarray(b_op)
     if sigma.ndim == 1 and not faithful:
         out = sigma - (b_op @ sigma if delta is None else delta * (b_op @ sigma))
         norm2 = float(np.vdot(out, out).real)
@@ -462,7 +453,7 @@ def step_strategy_b(
         if rho_embs is None:
             rho_embs = [_embed(t, n_sites) for t, _ in terms]
         b_op = sum((np.multiply.outer(delta, emb) for (_, delta), emb in zip(terms, rho_embs)),
-                   np.zeros((2**n_sites,) * 2, dtype=complex))
+                   np.zeros((2**n_sites,) * 2))
     denom = float(2 ** len(terms)) if local else float(len(terms) + 1)
     if mode != "faithful":
         return _measure(sigma, b_op, denom, mode)
@@ -604,9 +595,10 @@ class Trajectory:
 
 
 def _initial_state(state: np.ndarray, n_sites: int) -> np.ndarray:
-    """``state`` as a complex array, checked as a unit vector or a density matrix."""
+    """A copy of ``state``, at least float, checked as a unit vector or a density matrix."""
     dim = 2**n_sites
-    state = np.array(state, dtype=complex)
+    state = np.asarray(state)
+    state = state.astype(np.promote_types(state.dtype, float))
     if state.shape == (dim,):
         check_unit_vector(state)
     elif state.shape == (dim, dim):

@@ -50,8 +50,8 @@ CSV_FIELDS = [f.name for f in fields(ResultRow)]
 def uniform_state(n: int) -> np.ndarray:
     """|+>^n as a density matrix."""
     dim = 2**n
-    v = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    return np.outer(v, v.conj())
+    v = np.full(dim, 1.0 / math.sqrt(dim))
+    return np.outer(v, v)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def _model(config: ExperimentConfig) -> tuple[PauliSum, ResourceDecomposition, n
         dec = decompose_ising_local(config.model)
     else:
         dec = decompose_pauli_generic(pauli)
-    psi0 = np.full(2**dec.n, 1.0 / math.sqrt(2**dec.n), dtype=complex)
+    psi0 = np.full(2**dec.n, 1.0 / math.sqrt(2**dec.n))
     return pauli, dec, psi0
 
 
@@ -134,8 +134,9 @@ def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) 
     # every metric is O(d^2): the ground projector G G^dagger is never formed
     return ResultRow(
         beta=beta,
-        fidelity_sbqs_vs_ground=float(np.vdot(basis, sigma @ basis).real),
-        fidelity_exact_ite_vs_ground=float(np.sum(np.abs(dag(basis) @ phi) ** 2)),
+        # fidelities clamped into [0, 1] against rounding, as exact.fidelity does
+        fidelity_sbqs_vs_ground=min(max(float(np.vdot(basis, sigma @ basis).real), 0.0), 1.0),
+        fidelity_exact_ite_vs_ground=min(float(np.sum(np.abs(dag(basis) @ phi) ** 2)), 1.0),
         # sigma is the engine's own density matrix: no eigvalsh check per row
         bures_sbqs_vs_exact_ite=exact._bures(exact._vector_fidelity(sigma, phi)),
         success_prob_formula=trajectory.ledger.cumulative("paper-formula"),

@@ -17,15 +17,15 @@ from . import linalg
 from .linalg import DEFAULT_DIM_CAP, check_density_matrix, frobenius_norm, kron, qubit_layout
 
 PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),  # the one complex input: the rest stays real
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
 }
 
 #: Single-qubit resource states: (I+X)/2 = |+><+| and (I+Z)/2 = |0><0|.
-RHO_X = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-RHO_Z = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+RHO_X = np.array([[0.5, 0.5], [0.5, 0.5]])
+RHO_Z = np.array([[1.0, 0.0], [0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class PauliString:
         return set(self.letters) <= {"I"}
 
     def dense(self) -> np.ndarray:
-        out = np.array([[self.coefficient + 0j]])
+        out = np.array([[float(self.coefficient)]])
         for letter in self.letters:
             out = kron(out, PAULI[letter])
         return out
@@ -121,7 +121,7 @@ class ResourceTerm:
         if d != 2 ** len(self.support):
             raise ValueError(f"state dim {d} does not match {len(self.support)} qubit support")
         # terms are shared across plans and worker processes: own a frozen copy
-        rho = np.array(self.rho, dtype=complex)
+        rho = np.array(self.rho, dtype=np.result_type(self.rho, float))
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         check_density_matrix(rho)
@@ -162,7 +162,7 @@ class ResourceDecomposition:
         local = {}  # support -> sum of its terms' weight * rho
         for t in self.terms:
             local[t.support] = local.get(t.support, 0) + t.weight * t.rho
-        w = np.zeros((2**self.n, 2**self.n), dtype=complex)
+        w = np.zeros((2**self.n, 2**self.n), dtype=np.result_type(float, *local.values()))
         layout = qubit_layout(self.n)
         for support, op in local.items():
             w += linalg.embed_operator(op, layout, [f"q{s}" for s in support])
@@ -190,12 +190,10 @@ def densify(obj: PauliSum | ResourceDecomposition) -> np.ndarray:
     dim = 2**obj.n
     if dim > DEFAULT_DIM_CAP:
         raise linalg.CapacityError(f"dense form has dimension {dim} > cap {DEFAULT_DIM_CAP}")
-    out = obj.identity_offset * np.eye(dim, dtype=complex)
+    out = obj.identity_offset * np.eye(dim)
     if isinstance(obj, ResourceDecomposition):
         return out + obj.operator
-    for t in obj.terms:
-        out += t.dense()
-    return out
+    return sum((t.dense() for t in obj.terms), out)
 
 
 def shift_to_positive(h: PauliSum | np.ndarray) -> tuple[PauliSum | np.ndarray, float]:
@@ -204,11 +202,11 @@ def shift_to_positive(h: PauliSum | np.ndarray) -> tuple[PauliSum | np.ndarray, 
     if isinstance(h, PauliSum):
         shift = frobenius_norm(densify(h))
         return replace(h, identity_offset=h.identity_offset + shift), shift
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     if not linalg.is_hermitian(h):
         raise linalg.NonHermitianError("positivity shift needs a Hermitian input")
     shift = frobenius_norm(h)
-    return h + shift * np.eye(h.shape[0], dtype=complex), shift
+    return h + shift * np.eye(h.shape[0]), shift
 
 
 def decompose_pauli_generic(h: PauliSum) -> ResourceDecomposition:
@@ -219,7 +217,7 @@ def decompose_pauli_generic(h: PauliSum) -> ResourceDecomposition:
     directly.
     """
     dim = 2**h.n
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(dim)
     offset = h.identity_offset
     terms = []
     support = tuple(range(h.n))

@@ -1,8 +1,9 @@
-"""Dense complex linear algebra: Kronecker products, operator embedding on
-labeled tensor-product registers, Hermitian eigendecomposition, the PSD
-square root, norms, and the state-vector and density-matrix checks.
+"""Dense linear algebra: Kronecker products, operator embedding on labeled
+tensor-product registers, Hermitian eigendecomposition, the PSD square root,
+norms, and the state-vector and density-matrix checks.
 
-All operators are plain ``numpy`` complex arrays in row-major order.
+All operators are plain ``numpy`` arrays in row-major order, real or complex
+as the data that built them: every function keeps its inputs' dtype.
 Subsystem structure is carried explicitly by :class:`RegisterLayout`, so
 operator embedding never relies on an implicit qubit-ordering convention.
 """
@@ -69,11 +70,11 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices, complex, with a capacity guard on
-    the resulting dimension.  As one outer product it takes 8 us at 4 x 4,
+    """Kronecker product of two matrices, with a capacity guard on the
+    resulting dimension.  As one outer product it takes 8 us at 4 x 4,
     np.kron 30 us (2-vCPU host), which was most of building a kernel."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = np.asarray(a)
+    b = np.asarray(b)
     rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
     if (dim := max(rows, cols)) > DEFAULT_DIM_CAP:
         raise CapacityError(f"kron would produce dimension {dim} > cap {DEFAULT_DIM_CAP}")
@@ -88,7 +89,7 @@ def is_hermitian(m: np.ndarray) -> bool:
 def embed_operator(op: np.ndarray, layout: RegisterLayout, targets: Iterable[str]) -> np.ndarray:
     """Embed an operator acting on ``targets`` (in the given order) into the
     full register, with identity on every other subsystem."""
-    op = np.asarray(op, dtype=complex)
+    op = np.asarray(op)
     targets = list(targets)
     t_idx = [layout.index(label) for label in targets]
     if len(set(t_idx)) != len(t_idx):
@@ -102,7 +103,7 @@ def embed_operator(op: np.ndarray, layout: RegisterLayout, targets: Iterable[str
 
     rest = [i for i in range(len(dims)) if i not in t_idx]
     d_rest = math.prod(dims[i] for i in rest) if rest else 1
-    full = np.kron(op, np.eye(d_rest, dtype=complex))
+    full = np.kron(op, np.eye(d_rest))
 
     # full is ordered (targets..., rest...) on rows and columns; permute back.
     order = t_idx + rest
@@ -120,7 +121,7 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     beyond ``HERMITICITY_ATOL`` raise instead of being silently averaged away.
     Returns eigenvalues ascending and orthonormal eigenvector columns.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     drift = np.max(np.abs(h - dag(h))) if h.size else 0.0
@@ -145,7 +146,7 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value."""
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return float(np.linalg.norm(m, 2))
@@ -153,7 +154,7 @@ def operator_norm(m: np.ndarray) -> float:
 
 def frobenius_norm(m: np.ndarray) -> float:
     """Schatten-2 norm, sqrt(sum |entries|^2)."""
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return float(np.linalg.norm(m))

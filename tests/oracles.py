@@ -93,6 +93,17 @@ def protocol_operator(d: ResourceDecomposition) -> np.ndarray:
     return densify(d) - d.identity_offset * np.eye(2**d.n, dtype=complex)
 
 
+def replaced_support(sigma: np.ndarray, rho: np.ndarray, support: tuple[int, ...],
+                     n: int) -> np.ndarray:
+    """rho ⊗ Tr_S sigma with dense matrices: a basis permutation P puts the
+    support qubits first, so that the replacement is kron(rho, Tr_1 P sigma P^T)."""
+    order = [*support, *(q for q in range(n) if q not in support)]
+    perm = np.eye(2**n).reshape((2,) * n + (2**n,)).transpose(order + [n]).reshape(2**n, 2**n)
+    s, r = len(rho), 2**n // len(rho)
+    rest = np.einsum("iaib->ab", (perm @ sigma @ perm.T).reshape(s, r, s, r))
+    return perm.T @ np.kron(rho, rest) @ perm
+
+
 def control_state(delta: float) -> np.ndarray:
     """Exactly normalized control qubit (|0> - delta |1>)/sqrt(1 + delta^2)."""
     if not abs(delta) < 1.0:

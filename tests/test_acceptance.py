@@ -23,7 +23,6 @@ from sbqs.cli import main
 from sbqs.config import validate_config
 from sbqs.engine import (
     make_plan,
-    replace_support,
     run,
     sample_run,
     step_strategy_a,
@@ -54,6 +53,7 @@ from oracles import (
     random_pure_density,
     random_unit_vector,
     random_unitary,
+    replaced_support,
     trace_distance,
     unitary_from_hermitian,
 )
@@ -70,7 +70,7 @@ def report(number: int, name: str, ok: bool, started: float, budget: float, deta
 def test_criterion_1_channel_exactness():
     """The joint control ⊗ simulator state the engine's closed form rests on,
     [[sigma, -delta sigma rho], [-delta rho sigma, delta^2 rho ⊗ Tr_S sigma]] / (1 + delta^2),
-    with the engine's own support replacement, against the explicit
+    with a dense support replacement, against the explicit
     controlled-SWAP unitary with the resource traced out; and the engine's
     faithful strategy-A output against that reference projected onto |+>."""
     t0 = time.perf_counter()
@@ -88,7 +88,7 @@ def test_criterion_1_channel_exactness():
         rho_emb = embed_operator(rho, qubit_layout(n), [f"q{s}" for s in support])
         block = np.block([
             [sigma, -delta * sigma @ rho_emb],
-            [-delta * rho_emb @ sigma, delta**2 * replace_support(sigma, rho, support)],
+            [-delta * rho_emb @ sigma, delta**2 * replaced_support(sigma, rho, support, n)],
         ]) / (1 + delta**2)
         via_unitary = cswap_reference_state(rho, support, n, psi, sigma)
         projected = np.einsum("a,aibj,b->ij", plus, via_unitary.reshape(2, 2**n, 2, 2**n), plus)

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sbqs.config import load_config
 from sbqs.engine import (
     LEDGER_SOURCES,
+    MODES,
+    STRATEGIES,
     ProbabilityLedger,
     cswap_channel,
     make_plan,
@@ -22,6 +27,7 @@ from sbqs.hamiltonian import (
     ResourceTerm,
     build_ising,
     decompose_ising_local,
+    decompose_pauli_generic,
     densify,
 )
 from sbqs.linalg import dag, embed_operator, qubit_layout
@@ -36,9 +42,13 @@ from oracles import (
     random_pure_density,
     random_resource_terms,
     random_unit_vector,
+    replaced_support,
     single_site_swap,
     trace_distance,
 )
+
+#: An n = 4 Pauli model with Y strings, also run by CI through the installed script.
+PAULI_Y4 = Path(__file__).parent / "data" / "pauli_y4.json"
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 KET0 = np.diag([1.0, 0.0]).astype(complex)
@@ -218,28 +228,46 @@ class TestStepB:
         assert worst_state <= 1e-12
         assert worst_p <= 1e-12
 
-    @pytest.mark.parametrize("mode", ["faithful", "effective"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_real_inputs_match_complex(self, mode):
-        # a float sigma, a float embedded resource and a float B are cast to
-        # complex where the one kernel starts, for A, B-local and B-global
+        # a float sigma, float resources and a float B give a float state, the
+        # same inputs cast to complex a complex one, equal to rounding, for A,
+        # B-local and B-global
         rng = np.random.default_rng(15)
         g = rng.normal(size=(4, 4))
         sigma = g @ g.T / np.trace(g @ g.T)
         terms = [(ResourceTerm(1.0, RHO_X, (1,), "x"), 0.08),
                  (ResourceTerm(1.0, np.kron(RHO_Z, RHO_X), (0, 1), "zx"), -0.05)]
-        embs = [embed_operator(t.rho, qubit_layout(2), [f"q{s}" for s in t.support]).real
+        cterms = [(ResourceTerm(1.0, t.rho.astype(complex), t.support, t.label), d)
+                  for t, d in terms]
+        embs = [embed_operator(t.rho, qubit_layout(2), [f"q{s}" for s in t.support])
                 for t, _ in terms]
         b_real = 0.08 * embs[0] - 0.05 * embs[1]
         pairs = [(step_strategy_a(sigma, *terms[0], mode=mode, rho_emb=embs[0]),
-                  step_strategy_a(sigma.astype(complex), *terms[0], mode=mode))]
+                  step_strategy_a(sigma.astype(complex), *cterms[0], mode=mode))]
         for measurement in ("local", "global"):
             pairs.append((step_strategy_b(sigma, terms, measurement, mode, b_op=b_real),
-                          step_strategy_b(sigma.astype(complex), terms, measurement, mode)))
+                          step_strategy_b(sigma.astype(complex), cterms, measurement, mode)))
         for real, cplx in pairs:
-            assert real.state.dtype == complex
+            assert (real.state.dtype, cplx.state.dtype) == (np.float64, np.complex128)
             assert np.max(np.abs(real.state - cplx.state)) <= 1e-15
             assert real.probability == pytest.approx(cplx.probability, rel=1e-14)
             assert real.formula_probability == pytest.approx(cplx.formula_probability, rel=1e-14)
+        # a float start in a model with Y strings: its rho are complex and span
+        # the n = 4 register (the kernel's block form), so every state turns
+        # complex, the same as from a complex start, through run and run_rows
+        dec = decompose_pauli_generic(load_config(PAULI_Y4).model)
+        psi = np.full(16, 0.25)
+        for strategy in STRATEGIES:
+            plans = [make_plan(dec, beta, 20, strategy, mode) for beta in (0.1, 0.2)]
+            pairs = [(run(plans[1], psi), run(plans[1], psi.astype(complex))),
+                     *zip(run_rows(plans, psi), run_rows(plans, psi.astype(complex)))]
+            for real, cplx in pairs:
+                assert real.final_state.dtype == cplx.final_state.dtype == np.complex128
+                assert np.max(np.abs(real.final_state - cplx.final_state)) <= 1e-15
+                for source in LEDGER_SOURCES:
+                    assert np.allclose(real.ledger.probabilities(source),
+                                       cplx.ledger.probabilities(source), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("measurement", ["global", "local"])
     def test_faithful_matches_kraus_composition(self, measurement):
@@ -257,16 +285,6 @@ class TestStepB:
             worst_p = max(worst_p, abs(res.probability - np.trace(want).real))
         assert worst_state <= 1e-12
         assert worst_p <= 1e-12
-
-
-def replaced_support(sigma, rho, support, n):
-    """rho ⊗ Tr_S sigma with dense matrices: a basis permutation P puts the
-    support qubits first, so that the replacement is kron(rho, Tr_1 P sigma P^T)."""
-    order = [*support, *(q for q in range(n) if q not in support)]
-    perm = np.eye(2**n).reshape((2,) * n + (2**n,)).transpose(order + [n]).reshape(2**n, 2**n)
-    s, r = len(rho), 2**n // len(rho)
-    rest = np.einsum("iaib->ab", (perm @ sigma @ perm.T).reshape(s, r, s, r))
-    return perm.T @ np.kron(rho, rest) @ perm
 
 
 class TestSupportKernel:

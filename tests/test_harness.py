@@ -776,6 +776,18 @@ class TestCli:
         assert "fidelity_bound_sm is NaN at beta = [0.0, 0.5, 1.0]" in err
         assert "initial fidelity" in err and "extinct" not in err
 
+    @pytest.mark.parametrize("mode", ["faithful", "effective"])
+    def test_no_fidelity_is_written_negative(self, tmp_path, mode):
+        # the same H = X: sigma's overlap with |-> is rounding, down to -1e-13
+        # in faithful rows and -6e-34 in effective ones, and is clamped at 0
+        model = {"model": "pauli", "n": 1, "terms": [{"string": "X", "coeff": 1.0}]}
+        path = self.write_config(tmp_path, model=model, mode=mode, n_steps=100,
+                                 beta_grid=[0.0, 0.5, 1.0, 1.5, 2.0])
+        assert main(["run", str(path)]) == 0
+        header, *rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        cells = [float(cell) for row in rows for cell in row.split(",") if cell]
+        assert len(rows) == 5 and not any(cell < 0 for cell in cells)
+
     def test_faithful_b_global_on_fig2_left(self, tmp_path):
         # 12 controls + 4 simulator qubits, beyond what the Kraus route could hold
         raw = json.loads((Path(__file__).parents[1] / "configs" / "fig2_left.json").read_text())
@@ -960,3 +972,30 @@ def test_decomposition_reconstructs_the_pauli_model(name):
         config = load_config(_ROOT / "configs" / f"{name}.json")
     pauli, dec, _ = experiment_mod._model(config)
     assert np.max(np.abs(densify(dec) - densify(pauli))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["fig2_left", "fig2_right", "ising8_bglobal", "pauli_y4"])
+def test_the_data_sets_the_dtype(name):
+    """A real model runs in float64 end to end: its resource states, W, the
+    eigenvectors, |+>^n and the row's final state.  In a model with Y strings
+    their resource states, W and every evolved state are complex128."""
+    import sbqs.experiment as experiment_mod
+
+    if name == "ising8_bglobal":
+        config = validate_config(_ISING8_BGLOBAL)
+    elif name == "pauli_y4":
+        config = load_config(_ROOT / "tests" / "data" / "pauli_y4.json")
+    else:
+        config = load_config(_ROOT / "configs" / f"{name}.json")
+    want = np.dtype(complex if name == "pauli_y4" else float)
+    setup = experiment_mod._prepare(config)
+    dec = setup.decomposition
+    assert setup.psi0.dtype == np.float64
+    assert [t.rho.dtype for t in dec.terms] == [want if "Y" in t.label else np.float64
+                                                for t in dec.terms]
+    assert dec.operator.dtype == setup.spectral.eigenvectors.dtype == setup.ground_basis.dtype == want
+    # the sweep's own path: one stack for faithful rows, a vector otherwise
+    plan = make_plan(dec, max(config.beta_grid), config.n_steps, config.strategy, config.mode)
+    trajectory = (run_rows([plan], setup.psi0)[0] if config.mode == "faithful"
+                  else run(plan, setup.psi0))
+    assert trajectory.final_state.dtype == want
