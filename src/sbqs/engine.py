@@ -32,16 +32,25 @@ kernel of density-matrix simulators (Jones et al., QuEST, Sci. Rep. 9, 10736
 (2019)).  A run builds K once per term and row (:class:`_Kernel`).  The
 probability Tr K(sigma) and the paper's Tr[A sigma A] / 2 are polynomials in
 delta over Tr X, Tr rho X and Tr rho^2 X of X = Tr_rest sigma, which one
-probe per term, shared by the rows, reads off vec(Tr_rest sigma).  A
-strategy-A measurement is then one transpose, one trace, one batched GEMM
-scaled by 1/p per row and the inverse transpose; no embedded rho and no d×d
-product.  Faithful B-local chains the same K over its terms; faithful
-B-global applies each term's leak delta^2 (rho ⊗ Tr_S sigma - rho sigma rho)
-the same way, beside the dense B sigma B of W.  A support of more than
-``_MATRIX_QUBITS`` qubits (a pauli-generic term spans the register) applies
-the same map as block products, one GEMM X H per row with H = c0 / 2 + c1 rho
-and its block-transposed adjoint H X, where the matrix would cost more and
-outgrow the state.
+probe per term, shared by the rows, reads off vec(Tr_rest sigma).
+
+A run keeps a faithful strategy-A stack flat, (rows, d^2), in the layout of
+the last kernel applied, so no measurement restores the canonical order.
+Each kernel holds an int32 index map, built once per run, from the layout
+the measurement before it leaves (the canonical one for a standalone call)
+to its own, and a measurement is one take through that map, the rest trace
+and the probe's two small products for both probabilities, one batched GEMM
+scaled by 1/p per row, and nothing else: no transpose, no embedded rho, no
+d×d product.  The take and the GEMM write into two stacks the run owns.
+The stack enters the chain once and goes back to the canonical layout once,
+at the end.  Faithful B-local chains its kernels through the same maps
+within a step and maps back once, as its formula probability reads the
+canonical stack; faithful B-global gathers and maps back each term's leak
+delta^2 (rho ⊗ Tr_S sigma - rho sigma rho), beside the dense B sigma B of W.
+A support of more than ``_MATRIX_QUBITS`` qubits (a pauli-generic term
+spans the register) applies the same map as block products, one GEMM X rho
+per row and its block-transposed adjoint rho X, where the matrix would cost
+more and outgrow the state.
 
 A sigma A maps a pure state to a pure state, so effective and sampled rows
 evolve a state vector as a vector, psi <- A psi / |A psi|, one
@@ -71,6 +80,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,13 +155,31 @@ def cswap_channel(rho: np.ndarray, support: tuple[int, ...], n_sites: int) -> li
 #: matrix, d_S^2 multiply-adds per entry of the state in one GEMM; on more, it
 #: applies its terms as block products, d_S per entry plus a few passes over
 #: the stack, and its matrix would outgrow the state (256 MiB per row for a
-#: full-register term at n = 6).  k = 3 is the crossover.  One faithful step
-#: of a complex 9-row stack, one BLAS thread, 2-vCPU host, matrix / blocks:
-#:   k = 2, n = 3, 4, 6, 8:  57 / 99 us, 117 / 185 us, 0.80 / 1.23 ms, 14.8 / 22.9 ms;
-#:   k = 3, n = 3, 4, 6, 8:  190 / 145 us, 325 / 205 us, 1.76 / 1.55 ms, 19.7 / 20.6 ms,
-#:                           and 67 / 86 ms at n = 10 (2 rows);
-#:   k = 4, n = 4, 6, 8:     2.0 / 0.17 ms, 4.7 / 0.68 ms, 36 / 26 ms.
+#: full-register term at n = 6).  One faithful strategy-A measurement of a
+#: float64 9-row stack (take, probabilities, GEMM), one BLAS thread, 2-vCPU
+#: host, matrix / blocks, median of five loops:
+#:   k = 2, n = 3, 4, 6, 8:  34 / 67 us, 39 / 85 us, 0.13 / 0.46 ms, 2.4 / 8.2 ms;
+#:   k = 3, n = 3, 4, 6, 8:  68 / 62 us, 75 / 80 us, 0.27 / 0.40 ms, 4.0 / 6.9 ms,
+#:                           and 26 / 55 ms at n = 10 (2 rows);
+#:   k = 4, n = 4, 6, 8:     0.83 / 0.07 ms, 1.5 / 0.40 ms, 10.6 / 7.0 ms.
+#: k = 3 is even up to n = 4 and takes the matrix from n = 6.
 _MATRIX_QUBITS = 3
+
+
+def _layout(support: tuple[int, ...], n: int) -> np.ndarray:
+    """The canonical flat index of every entry of a flat (d^2,) state laid out
+    for ``support``: the rest qubits first, bra then ket, and the support
+    qubits last, so that the state reads (d_R^2, d_S^2), one row-major vec(X)
+    per d_S x d_S block X of the rest."""
+    rest = [q for q in range(n) if q not in support]
+    axes = (*rest, *(n + q for q in rest), *support, *(n + q for q in support))
+    return np.arange(4**n, dtype=np.int32).reshape((2,) * 2 * n).transpose(axes).ravel()
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size, dtype=order.dtype)
+    return inverse
 
 
 class _Kernel:
@@ -159,9 +187,10 @@ class _Kernel:
     d_S x d_S block X of a (rows, d, d) stack that its support qubits index,
     with one set of coefficients per row (or one for every row).
 
-    Moving the support qubits last turns the stack into (rows, d_R^2, d_S^2),
-    one row-major vec(X) per block of the d_R x d_R rest.  On those rows the
-    map is one d_S^2 x d_S^2 matrix, the transpose of
+    The kernel reads a flat (rows, d^2) stack in the layout of ``source``, a
+    support (None: the canonical layout), and ``index`` maps it to its own
+    layout of :func:`_layout`, in which the stack is (rows, d_R^2, d_S^2).
+    On those rows the map is one d_S^2 x d_S^2 matrix, the transpose of
     c0 I + c1 (rho ⊗ I + I ⊗ rho^T) + c2 vec(rho) vec(I)^T + c3 rho ⊗ rho^T,
     so a call is one batched GEMM, one BLAS call per row: a row comes out bit
     for bit the same in any stack.  Past ``_MATRIX_QUBITS`` support qubits the
@@ -170,12 +199,15 @@ class _Kernel:
     site ``support[m]``; the coefficients are real.
     """
 
-    def __init__(self, rho: np.ndarray, support: tuple[int, ...], n: int, coefs):
-        self.n, self.rho = n, rho
-        rest = [q for q in range(n) if q not in support]
-        self.axes = (0, *(1 + q for q in rest), *(1 + n + q for q in rest),
-                     *(1 + q for q in support), *(1 + n + q for q in support))
-        self.inverse = tuple(np.argsort(self.axes).tolist())
+    def __init__(self, rho: np.ndarray, support: tuple[int, ...], n: int, coefs,
+                 source: tuple[int, ...] | None = None):
+        self.n, self.rho, self.support = n, rho, support
+        order = _layout(support, n)
+        self.index = order if source is None else _inverse(_layout(source, n))[order]
+        # take's mode "wrap" writes into out= directly ("raise" buffers it) but
+        # would wrap a bad index silently: the map must be a permutation
+        if not (np.bincount(self.index, minlength=order.size) == 1).all():
+            raise ValueError(f"layout map of {support} is not a permutation")
         # coefficients shaped (rows, 1, 1); None drops a term
         self.coefs = [None if c is None else np.reshape(c, (-1, 1, 1)) for c in coefs]
         s = len(rho)
@@ -186,39 +218,73 @@ class _Kernel:
                      np.outer(eye.ravel(), rho.ravel()), kron(rho.T, rho))
             self.matrix = sum(c * m for c, m in zip(self.coefs, parts) if c is not None)
 
-    def gather(self, sigma: np.ndarray) -> np.ndarray:
-        rows, s = len(sigma), len(self.rho)
-        return sigma.reshape((rows,) + (2,) * 2 * self.n).transpose(self.axes).reshape(rows, -1, s * s)
+    def take(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows of a flat stack in the source layout, in this kernel's."""
+        return flat.take(self.index, axis=1, out=out, mode="wrap")
 
-    def scatter(self, v: np.ndarray) -> np.ndarray:
-        rows, d = len(v), 2**self.n
-        return v.reshape((rows,) + (2,) * 2 * self.n).transpose(self.inverse).reshape(rows, d, d)
+    def enter(self, stack: np.ndarray) -> np.ndarray:
+        """A canonical (rows, d, d) stack, flat in this kernel's layout."""
+        return np.take(stack.reshape(len(stack), -1), _layout(self.support, self.n), axis=1)
 
-    def apply(self, v: np.ndarray, scale=None) -> np.ndarray:
-        """The map on the gathered rows ``v``, times ``scale`` per row if given."""
-        if self.matrix is not None:
-            return v @ (self.matrix if scale is None else self.matrix * _per_row(scale))
-        c0, c1, c2, c3 = (c if c is None or scale is None else c * _per_row(scale)
-                          for c in self.coefs)
+    @cached_property
+    def home(self) -> np.ndarray:
+        """The map from this kernel's layout back to the canonical one, built
+        on the first call that needs it: B-global and B-local go back once per
+        step and strategy A once per run."""
+        return _inverse(_layout(self.support, self.n))
+
+    def leave(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A flat stack in this kernel's layout, as a canonical (rows, d, d)
+        stack, written into the flat ``out`` if given."""
+        d = 2**self.n
+        return np.take(flat, self.home, axis=1, out=out, mode="wrap").reshape(len(flat), d, d)
+
+    def apply(self, v: np.ndarray, scale=None, out: np.ndarray | None = None) -> np.ndarray:
+        """The map on the flat rows ``v`` in this kernel's layout, times the
+        (rows,) ``scale`` if given, written into ``out`` if given.  ``v`` has
+        the dtype of the result, and the block form overwrites it."""
         rows, s = len(v), len(self.rho)
-        r = math.isqrt(v.shape[1])
+        if self.matrix is not None:
+            m = self.matrix if scale is None else self.matrix * scale[:, None, None]
+            y = np.matmul(v.reshape(rows, -1, s * s), m,
+                          out=None if out is None else out.reshape(rows, -1, s * s))
+            return y.reshape(rows, -1)
+        c0, c1, c2, c3 = (c if c is None or scale is None else c * scale[:, None, None]
+                          for c in self.coefs)
+        r = math.isqrt(v.shape[1]) // s
         x = v.reshape(rows, r, r, s, s)
         blocks = v.reshape(rows, -1, s)  # the rows of every block, for X M as one GEMM per row
-        out = np.zeros(x.shape, np.result_type(x, self.rho))  # a real stack, a complex rho
-        if c2 is not None:
-            np.multiply((c2 * np.einsum("...ii->...", x))[..., None, None], self.rho, out=out)
-        if c0 is not None or c1 is not None:
-            # c0 X + c1 (rho X + X rho) = X H + H X with H = c0 / 2 + c1 rho
-            half = sum(c * m for c, m in ((c0, np.eye(s) / 2), (c1, self.rho)) if c is not None)
-            _add_adjoint_pair(out, (blocks @ half).reshape(x.shape))
+        out = np.empty_like(v) if out is None else out
+        o = out.reshape(x.shape)
+        # the products that read X come first: its buffer then holds the terms
+        trace = None if c2 is None else (c2 * np.einsum("...ii->...", x))[..., None, None]
+        leak = None
         if c3 is not None:
             # rho X rho = (X rho)^‡ rho, two GEMMs per row
             rx = np.conjugate((blocks @ self.rho).reshape(x.shape)).transpose(0, 2, 1, 4, 3)
-            out += c3[..., None, None] * (rx @ self.rho)
-        return out.reshape(v.shape)
+            leak = c3[..., None, None] * (rx @ self.rho)
+        # c0 X + c1 (rho X + X rho) = Y + Y^‡ with Y = c1 X rho + c0 X / 2, one
+        # GEMM per row with the shared rho.  Y^‡ puts the adjoint of block
+        # (b, a) on block (a, b): it is H X for Y = X H, as X_ba^dagger = X_ab
+        # in a Hermitian stack
+        if c1 is None:
+            o.fill(0)
+        else:
+            np.matmul(blocks, self.rho, out=o.reshape(blocks.shape))
+            o *= c1[..., None, None]
+        if c0 is not None:
+            x *= c0[..., None, None] / 2
+            o += x
+        o += np.conjugate(o.transpose(0, 2, 1, 4, 3), out=x)
+        if trace is not None:
+            o += np.multiply(trace, self.rho, out=x)
+        if leak is not None:
+            o += leak
+        return out
 
     def __call__(self, sigma: np.ndarray) -> np.ndarray:
-        return self.scatter(self.apply(self.gather(sigma)))
+        """The map on a canonical (rows, d, d) stack, for a kernel whose source is canonical."""
+        return self.leave(self.apply(self.take(sigma.reshape(len(sigma), -1))))
 
     @cached_property
     def probe(self) -> np.ndarray:
@@ -229,30 +295,31 @@ class _Kernel:
         return np.stack([np.eye(len(conj)).ravel(), conj.ravel(), (conj @ conj).ravel()], axis=1)
 
 
-def _add_adjoint_pair(out: np.ndarray, y: np.ndarray) -> None:
-    """out += y + y^‡ on (rows, r, r, s, s) blocks, where y^‡ puts the adjoint
-    of block (b, a) on block (a, b).  For y = X M on the blocks X of a
-    Hermitian stack (X_ba^dagger = X_ab), y^‡ = M^dagger X, so one GEMM gives
-    both sides of the product.  ``y`` is overwritten."""
-    out += y
-    out += np.conjugate(y, out=y).transpose(0, 2, 1, 4, 3)
-
-
-def _swap_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
+def _swap_kernel(term: ResourceTerm, n: int, delta,
+                 source: tuple[int, ...] | None = None) -> _Kernel:
     """K_delta of one faithful one-term measurement, sigma ->
     (sigma - delta {rho, sigma} + delta^2 rho ⊗ Tr_S sigma) / (2 (1 + delta^2)),
-    for a scalar or (rows,) ``delta``.  ``weights`` (rows, 3, 2) turns the
-    kernel's ``probe`` traces (Tr X, Tr rho X, Tr rho^2 X) into the
+    for a scalar or (rows,) ``delta``, reading the layout of ``source``.
+    ``weights`` (rows, 3, 2) turns Tr X, Tr rho X and Tr rho^2 X into the
     probability Tr K(sigma) = Tr X / 2 - delta Tr rho X / (1 + delta^2) and the
     paper's Tr[A sigma A] / 2 = Tr X / 2 - delta Tr rho X + delta^2 Tr rho^2 X / 2,
     with A = I - delta rho."""
     delta = np.reshape(delta, (-1, 1, 1))
     norm = 2 * (1 + delta * delta)
-    kernel = _Kernel(term.rho, term.support, n, (1 / norm, -delta / norm, delta * delta / norm, None))
+    kernel = _Kernel(term.rho, term.support, n,
+                     (1 / norm, -delta / norm, delta * delta / norm, None), source)
     half, zero = np.full_like(delta, 0.5), np.zeros_like(delta)
     weights = np.block([[half, half], [-2 * delta / norm, -delta], [zero, delta * delta / 2]])
     kernel.weights = weights.astype(term.rho.dtype)  # as the probe, to skip a cast per call
     return kernel
+
+
+def _swap_chain(terms: list[tuple[ResourceTerm, object]], n: int, cyclic: bool) -> list[_Kernel]:
+    """One :func:`_swap_kernel` per (term, delta), each reading the layout the
+    one before leaves; the first reads the canonical layout, or with
+    ``cyclic`` the last one's, as strategy A's Trotter steps follow each other."""
+    return [_swap_kernel(term, n, delta, terms[k - 1][0].support if k or cyclic else None)
+            for k, (term, delta) in enumerate(terms)]
 
 
 def _leak_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
@@ -305,8 +372,7 @@ def _formula_probability(sigma: np.ndarray, sb: np.ndarray, b_op: np.ndarray, de
     return (_trace(sigma) - 2 * _trace(sb) + bsb) / denom
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """The normalized state after one measurement and its probabilities.
     For a stack of states, ``probability`` and ``formula_probability`` are
     (rows,) arrays, and a row whose probability is at or below
@@ -330,18 +396,32 @@ def _result(ndim: int, state: np.ndarray, p: np.ndarray,
     return StepResult(state[0], p, p if p_formula is None else float(p_formula[0]))
 
 
-def _swap_step(sigma: np.ndarray, kernel: _Kernel) -> StepResult:
-    """One faithful one-term measurement through its :func:`_swap_kernel`:
-    both probabilities are read from vec(Tr_rest sigma) through the kernel's
-    ``probe`` and ``weights``, and 1/p scales K per row before the one GEMM,
-    so the state comes out normalized (a row at or below ``EXTINCTION_P``
-    keeps its unnormalized state)."""
-    v = kernel.gather(_as_stack(np.asarray(sigma)))
-    r = math.isqrt(v.shape[1])
-    rest_trace = np.einsum("rkkj->rj", v.reshape(len(v), r, r, v.shape[2]))  # vec(Tr_rest sigma)
+def _swap_measure(state: np.ndarray, kernel: _Kernel, spare: np.ndarray):
+    """One faithful strategy-A measurement on a flat (rows, d^2) ``state`` in
+    the layout that ``kernel``'s map reads: the state in the kernel's own
+    layout, normalized (a row at or below ``EXTINCTION_P`` keeps its
+    unnormalized state), and both probabilities per row.  One take fills
+    ``spare``; both probabilities are read off its vec(Tr_rest sigma) through
+    the kernel's ``probe`` and ``weights``; 1/p scales K per row, and the one
+    GEMM writes into ``state``.  A run owns the two stacks."""
+    x = kernel.take(state, out=spare)
+    s2 = len(kernel.rho) ** 2
+    r = math.isqrt(x.shape[1] // s2)
+    rest_trace = np.einsum("rkkj->rj", x.reshape(-1, r, r, s2))
+    # p <= 1/2 + |delta| / (1 + delta^2) < 1 for |delta| < 1: nothing to clamp
     p, p_formula = (rest_trace[:, None] @ kernel.probe @ kernel.weights)[:, 0].real.T
-    state = kernel.scatter(kernel.apply(v, 1 / np.where(p > EXTINCTION_P, p, 1.0)))
-    return _result(np.ndim(sigma), state, p, p_formula)
+    kernel.apply(x, 1 / np.where(p > EXTINCTION_P, p, 1.0), out=state)
+    return state, p, p_formula
+
+
+def _swap_step(sigma: np.ndarray, kernel: _Kernel) -> StepResult:
+    """:func:`_swap_measure` on a canonical state, for a kernel that reads the
+    canonical layout, mapped back to it."""
+    stack = _as_stack(np.asarray(sigma))
+    state = stack.reshape(len(stack), -1).astype(np.result_type(stack, kernel.rho))  # a copy
+    spare = np.empty_like(state)
+    state, p, p_formula = _swap_measure(state, kernel, spare)
+    return _result(np.ndim(sigma), kernel.leave(state, out=spare), p, p_formula)
 
 
 def _measure(sigma, b_op, denom: float, mode: str, delta=None,
@@ -356,10 +436,10 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     (sigma - (sigma B + B sigma) + B sigma B + sum_k kernel_k(sigma)) / scale,
     with one :func:`_leak_kernel` per term for faithful B-global and none for
     effective mode, or, with ``local`` (faithful B-local, whose |+>^l
-    projection acts on each control alone), its terms' :func:`_swap_kernel`
-    chained in term order.  Each row is divided by its trace unless that is
-    at or below ``EXTINCTION_P``; the formula probability Tr[A sigma A] /
-    denom reads the whole group.
+    projection acts on each control alone), its terms' :func:`_swap_chain`,
+    layout to layout in term order.  Each row is divided by its trace unless
+    that is at or below ``EXTINCTION_P``; the formula probability
+    Tr[A sigma A] / denom reads the whole group.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -371,15 +451,18 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
         norm2 = float(np.vdot(out, out).real)
         p = _check_probability(norm2 / denom)
         return StepResult(out * (1 / math.sqrt(norm2)), p, p)
-    stack = _as_stack(sigma)
+    # in the dtype of the result, as the block form writes into its input
+    stack = _as_stack(sigma).astype(np.result_type(sigma, b_op), copy=False)
     if delta is not None:
         b_op = _per_row(delta) * b_op
     sb = stack @ b_op
     p_formula = _formula_probability(stack, sb, b_op, denom)
     if local:
-        raw = stack
+        # the kernels chain layout to layout, and the last maps back
+        raw = stack.reshape(len(stack), -1)
         for kernel in kernels:
-            raw = kernel(raw)
+            raw = kernel.apply(kernel.take(raw))
+        raw = kernels[-1].leave(raw) if kernels else stack
     else:
         # A sigma A = sigma A - B sigma A, in the buffer of sigma B: this skips
         # the strided sum with (sigma B)^dagger, which is slow at large d
@@ -410,9 +493,10 @@ def step_strategy_a(
     equals it in effective mode.  ``sigma`` is a state vector or a d×d state
     with a scalar ``delta``, or a (rows, d, d) stack with one delta per row.
     Faithful mode applies ``kernel``, the term's :func:`_swap_kernel` for
-    ``delta``, on the term's support; effective and sampled modes apply B =
-    delta rho_emb, with ``rho_emb`` = ``term.rho`` embedded on the full
-    register.  Each is built here when needed and not given.  ``kraus`` is
+    ``delta`` reading the canonical layout, on the term's support, and the
+    state comes back in the canonical layout; effective and sampled modes
+    apply B = delta rho_emb, with ``rho_emb`` = ``term.rho`` embedded on the
+    full register.  Each is built here when needed and not given.  ``kraus`` is
     ignored, and ``rho_emb`` in faithful mode; they stay for callers written
     against earlier engines.
     """
@@ -441,9 +525,11 @@ def step_strategy_b(
 
     A run passes ``b_op`` = sum_i delta_i rho_i as (beta/N) W; without it, B
     is summed from ``rho_embs``, embedded here if not given either.  Faithful
-    mode also applies ``kernels``, one per term: :func:`_swap_kernel` for
-    "local", :func:`_leak_kernel` for "global", built here when not given.
-    ``embedded_kraus`` is ignored, like ``kraus``.
+    mode also applies ``kernels``, one per term, built here when not given:
+    for "local" the :func:`_swap_chain`, whose first kernel reads the
+    canonical layout, for "global" one :func:`_leak_kernel` each, reading it.
+    The state comes back in the canonical layout.  ``embedded_kraus`` is
+    ignored, like ``kraus``.
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
@@ -458,8 +544,8 @@ def step_strategy_b(
     if mode != "faithful":
         return _measure(sigma, b_op, denom, mode)
     if kernels is None:
-        build = _swap_kernel if local else _leak_kernel
-        kernels = [build(t, n_sites, delta) for t, delta in terms]
+        kernels = (_swap_chain(terms, n_sites, cyclic=False) if local
+                   else [_leak_kernel(t, n_sites, delta) for t, delta in terms])
     scale = math.prod((1 + np.square(delta) for _, delta in terms), start=denom)
     return _measure(sigma, b_op, denom, mode, kernels=kernels, scale=scale, local=local)
 
@@ -608,33 +694,42 @@ def _initial_state(state: np.ndarray, n_sites: int) -> np.ndarray:
     return state
 
 
-def _measurements(plan: TrotterPlan, deltas, scale) -> list[tuple[str, partial]]:
+def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = None,
+                  ) -> tuple[list[tuple[str, partial]], _Kernel | None]:
     """(step id suffix, step function) for each measurement of one Trotter
-    step of ``plan``: one :func:`step_strategy_a` per term for strategy A,
-    one :func:`step_strategy_b` over all terms for strategy B, whose B is
-    ``scale`` * W.  ``deltas`` (one per term) and ``scale`` = beta / N are
-    scalars for one row or (rows,) arrays for a stack.  Faithful mode gets one
-    support kernel per term, built here once for the run; effective and
-    sampled strategy A get each term embedded.  The step functions are read
-    from the module now, as a tracer may wrap them."""
+    step of ``plan``, and the kernel in whose layout a faithful strategy-A
+    ``stack`` rests between measurements (None: the canonical layout).
+    ``deltas`` (one per term) and ``scale`` = beta / N are scalars for one row
+    or (rows,) arrays for a stack.  Each step function maps a state to (state,
+    probability, formula probability).  Faithful strategy A chains one
+    :func:`_swap_measure` per term through its support kernel, built here
+    once for the run with the spare stack they share.  Otherwise strategy A
+    is one :func:`step_strategy_a` per term, each term embedded, and strategy
+    B one :func:`step_strategy_b` over all terms, whose B is ``scale`` * W,
+    with its faithful kernels built here.  The step functions are read from
+    the module now, as a tracer may wrap them."""
     dec = plan.decomposition
+    terms = list(zip(dec.terms, deltas))
     faithful = plan.mode == "faithful"
+    if plan.strategy == "A" and faithful:
+        kernels = _swap_chain(terms, dec.n, cyclic=True)
+        spare = np.empty((len(stack), stack[0].size), stack.dtype)
+        return ([(f".{k}", partial(_swap_measure, kernel=kernel, spare=spare))
+                 for k, kernel in enumerate(kernels, start=1)], kernels[-1] if kernels else None)
     if plan.strategy == "A":
-        return [
-            (f".{k}", partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,
-                              rho_emb=None if faithful else _embed(term, dec.n),
-                              kernel=_swap_kernel(term, dec.n, delta) if faithful else None))
-            for k, (term, delta) in enumerate(zip(dec.terms, deltas), start=1)
-        ]
-    if not dec.terms:
-        return []
-    measurement = "local" if plan.strategy == "B-local" else "global"
-    build = _swap_kernel if measurement == "local" else _leak_kernel
-    return [("", partial(step_strategy_b, terms=list(zip(dec.terms, deltas)),
-                         measurement=measurement, mode=plan.mode,
-                         b_op=np.multiply.outer(scale, dec.operator),
-                         kernels=[build(t, dec.n, delta) for t, delta in zip(dec.terms, deltas)]
-                         if faithful else None))]
+        return [(f".{k}", partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,
+                                  rho_emb=_embed(term, dec.n)))
+                for k, (term, delta) in enumerate(terms, start=1)], None
+    if not terms:
+        return [], None
+    local = plan.strategy == "B-local"
+    kernels = None
+    if faithful:
+        kernels = (_swap_chain(terms, dec.n, cyclic=False) if local
+                   else [_leak_kernel(t, dec.n, delta) for t, delta in terms])
+    return [("", partial(step_strategy_b, terms=terms, measurement="local" if local else "global",
+                         mode=plan.mode, b_op=np.multiply.outer(scale, dec.operator),
+                         kernels=kernels))], None
 
 
 def _advance(plans: list[TrotterPlan], state: np.ndarray,
@@ -643,35 +738,43 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray,
     :func:`run_rows`: each row's trajectory and the probability that ended
     it, or None.  With ``vector`` the one plan evolves a state vector, whose
     step function raises :class:`ExtinctionError`.  Otherwise the rows advance
-    as one stack, an extinct row is zeroed and stays, so that every kernel is
-    built once, and the loop stops once no row is left."""
+    as one stack in the dtype of the state and the resources; an extinct row
+    is zeroed and stays, so that every kernel is built once, and the loop
+    stops once no row is left.  A faithful strategy-A stack enters its
+    kernels' chain once at the start and goes back to the canonical layout
+    once at the end."""
     t0 = time.perf_counter()
     first = plans[0]
-    state = _initial_state(state, first.decomposition.n)
+    dec = first.decomposition
+    state = _initial_state(state, dec.n)
     if vector:
         sigma, deltas, scales = state, first.deltas, first.beta / first.n_steps
     else:
         sigma = np.repeat((_density(state) if state.ndim == 1 else state)[None], len(plans), axis=0)
+        sigma = sigma.astype(np.result_type(sigma, *(t.rho for t in dec.terms)), copy=False)
         deltas = np.array([p.deltas for p in plans], dtype=float).T  # (terms, rows)
         scales = np.array([p.beta / p.n_steps for p in plans])
-    measurements = _measurements(first, deltas, scales)
+    measurements, chain = _measurements(first, deltas, scales, None if vector else sigma)
+    if chain is not None:
+        sigma = chain.enter(sigma)
     count = first.n_steps * len(measurements)
     exact, formula = np.empty((count, len(plans))), np.empty((count, len(plans)))
     lost: dict[int, tuple[int, float]] = {}  # extinct row -> (measurement, probability)
     for j in range(count):
         try:
-            res = measurements[j % len(measurements)][1](sigma)
+            sigma, p, p_formula = measurements[j % len(measurements)][1](sigma)
         except ExtinctionError as err:  # only a vector step raises
             lost[0] = (j, err.probability)
             break
-        exact[j], formula[j] = res.probability, res.formula_probability
-        sigma = res.state
-        if not vector and (extinct := res.probability <= EXTINCTION_P).any():
+        exact[j], formula[j] = p, p_formula
+        if not vector and (extinct := p <= EXTINCTION_P).any():
             sigma[extinct] = 0.0
             for row in np.flatnonzero(extinct).tolist():
-                lost.setdefault(row, (j, float(res.probability[row])))
+                lost.setdefault(row, (j, float(p[row])))
             if len(lost) == len(plans):
                 break
+    if chain is not None:
+        sigma = chain.leave(sigma)
     wall = time.perf_counter() - t0
     suffixes = tuple(suffix for suffix, _ in measurements)
     out = []

@@ -23,6 +23,10 @@ PAULI = {
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
 }
 
+#: Y = i [[0, -1], [1, 0]]: a string with k Y letters is i^k times a real
+#: matrix, and i^k is a real sign for even k.
+_REAL_Y = np.array([[0.0, -1.0], [1.0, 0.0]])
+
 #: Single-qubit resource states: (I+X)/2 = |+><+| and (I+Z)/2 = |0><0|.
 RHO_X = np.array([[0.5, 0.5], [0.5, 0.5]])
 RHO_Z = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -51,10 +55,12 @@ class PauliString:
         return set(self.letters) <= {"I"}
 
     def dense(self) -> np.ndarray:
+        """The matrix, real unless the string has an odd number of Y letters."""
         out = np.array([[float(self.coefficient)]])
         for letter in self.letters:
-            out = kron(out, PAULI[letter])
-        return out
+            out = kron(out, _REAL_Y if letter == "Y" else PAULI[letter])
+        k = self.letters.count("Y")
+        return out * (-1) ** (k // 2) * (1j if k % 2 else 1)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -397,7 +398,10 @@ class TestSupportKernel:
 
     def test_faithful_a_sweep_embeds_nothing_and_skips_the_dense_update(self, monkeypatch):
         # a faithful strategy-A run reads each term's kernel only: no embedded
-        # resource and no pass through the d x d post-selection
+        # resource, no pass through the d x d post-selection and no public step
+        # function, which would map every measurement back to the canonical
+        # layout; the stack enters the kernels' chain once, takes one gather
+        # per measurement and leaves once
         import sbqs.engine as engine_mod
         import sbqs.linalg as linalg_mod
 
@@ -407,15 +411,128 @@ class TestSupportKernel:
         want = run_rows(plans, psi)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("dense resource in a faithful strategy-A run")
+            raise AssertionError("dense resource or canonical step in a faithful strategy-A run")
 
         for module, name in ((linalg_mod, "embed_operator"), (engine_mod, "embed_operator"),
-                             (engine_mod, "_embed"), (engine_mod, "_measure")):
+                             (engine_mod, "_embed"), (engine_mod, "_measure"),
+                             (engine_mod, "step_strategy_a"), (engine_mod, "_as_stack")):
             monkeypatch.setattr(module, name, refuse)
+        calls = Counter()
+        def counting(name, real):
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return real(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("enter", "take", "leave"):
+            real = getattr(engine_mod._Kernel, name)
+            monkeypatch.setattr(engine_mod._Kernel, name, counting(name, real))
         got = run_rows(plans, psi)
+        assert calls == {"enter": 1, "take": 50 * dec.ell, "leave": 1}
         for a, b in zip(got, want):
             assert np.array_equal(a.final_state, b.final_state)
             assert np.array_equal(a.ledger.exact, b.ledger.exact)
+
+
+class TestChain:
+    """A faithful run keeps its stack in the layout of the last kernel applied
+    and maps it back once; every result must match a loop of the public step
+    functions, each of which starts and ends in the canonical layout."""
+
+    @staticmethod
+    def decomposition(n, seed):
+        """Mixed resources on the first and last site, a reversed pair, a
+        non-adjacent pair and the whole register reversed (the block form at
+        n >= 4), alternately complex and real."""
+        rng = np.random.default_rng(seed)
+        supports = [(0,), (n - 1,), (1, 0), *([(0, 2), (n - 1, 1)] if n >= 3 else []),
+                    tuple(range(n))[::-1]]
+        terms = []
+        for i, support in enumerate(supports):
+            rho = random_density(rng, 2 ** len(support))
+            terms.append(ResourceTerm(float(rng.uniform(0.5, 1.5)), rho if i % 2 else rho.real,
+                                      support, f"t{i}"))
+        return ResourceDecomposition(n, tuple(terms), 0.0, "pauli-generic")
+
+    @staticmethod
+    def reference(plan, psi):
+        """One row through public step-function calls: its final state and its
+        (exact, formula) probability per measurement."""
+        sigma, ledger = np.outer(psi, psi.conj()), []
+        terms = list(zip(plan.decomposition.terms, plan.deltas))
+        for _ in range(plan.n_steps):
+            for group in ([[t] for t in terms] if plan.strategy == "A" else [terms]):
+                res = (step_strategy_a(sigma, *group[0], "faithful") if plan.strategy == "A"
+                       else step_strategy_b(sigma, group, "local", "faithful"))
+                sigma = res.state
+                ledger.append((res.probability, res.formula_probability))
+        return sigma, np.array(ledger)
+
+    @staticmethod
+    def assert_matches(trajectory, want):
+        sigma, ledger = want
+        assert np.max(np.abs(trajectory.final_state - sigma)) <= 1e-12
+        got = np.stack([trajectory.ledger.exact, trajectory.ledger.formula], axis=1)
+        assert np.max(np.abs(got - ledger) / ledger) <= 1e-12
+
+    @pytest.mark.parametrize("strategy", ["A", "B-local"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_run_rows_matches_the_step_functions(self, n, strategy):
+        dec = self.decomposition(n, 80 + n)
+        plans = [make_plan(dec, beta, 6, strategy) for beta in (0.0, 0.2, 0.4)]
+        psi = random_unit_vector(np.random.default_rng(90 + n), 2**n)
+        for trajectory, plan in zip(run_rows(plans, psi), plans):
+            assert trajectory.final_state.dtype == np.complex128
+            self.assert_matches(trajectory, self.reference(plan, psi))
+
+    @pytest.mark.parametrize("strategy", ["A", "B-local"])
+    def test_a_complex_pauli_model_matches_the_step_functions(self, strategy):
+        # full-register Y strings: complex resources in the block form, from
+        # the real start |+>^n
+        dec = decompose_pauli_generic(load_config(PAULI_Y4).model)
+        plans = [make_plan(dec, beta, 8, strategy) for beta in (0.05, 0.1)]
+        psi = np.full(16, 0.25)
+        for trajectory, plan in zip(run_rows(plans, psi), plans):
+            self.assert_matches(trajectory, self.reference(plan, psi))
+
+    @pytest.mark.parametrize("strategy", ["A", "B-local"])
+    @pytest.mark.parametrize("model", ["random", "pauli_y4"])
+    def test_a_row_is_the_same_alone_in_chunks_and_in_the_stack(self, model, strategy):
+        dec = (self.decomposition(3, 99) if model == "random"
+               else decompose_pauli_generic(load_config(PAULI_Y4).model))
+        plans = [make_plan(dec, beta, 8, strategy) for beta in (0.0, 0.02, 0.05, 0.08, 0.1)]
+        psi = np.full(2**dec.n, 2 ** (-dec.n / 2))
+        full = run_rows(plans, psi)
+        for chunk in ([0], [3], [0, 1], [2, 3, 4], [4, 1]):
+            for row, t in zip(chunk, run_rows([plans[i] for i in chunk], psi)):
+                assert np.array_equal(t.final_state, full[row].final_state)
+                assert np.array_equal(t.ledger.exact, full[row].ledger.exact)
+                assert np.array_equal(t.ledger.formula, full[row].ledger.formula)
+
+    def test_a_row_extinct_mid_chain_leaves_the_others_on_the_reference(self, monkeypatch):
+        # the doomed row dies inside a Trotter step, with its stack in a
+        # kernel's layout: it stays zeroed, and the survivors still come back
+        # in the canonical layout, on the step-function loop
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
+        plans = [make_plan(dec, beta, 60) for beta in (0.0, 0.5, 1.0)]
+        psi = np.full(8, 8**-0.5)
+        wants = [self.reference(plan, psi) for plan in plans]
+        lows = [ledger[:, 0].min() for _, ledger in wants]
+        doomed = int(np.argmin(lows))
+        level = (lows[doomed] + min(low for i, low in enumerate(lows) if i != doomed)) / 2
+        dies_at = int(np.argmax(wants[doomed][1][:, 0] <= level))
+        assert 0 < dies_at and dies_at % dec.ell != dec.ell - 1
+        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        batch = run_rows(plans, psi)
+        assert batch[doomed].final_state is None
+        step_id = batch[doomed].ledger.step_id(dies_at)
+        assert batch[doomed].extinction.endswith(f" at step {step_id}")
+        assert np.array_equal(batch[doomed].ledger.exact, wants[doomed][1][:dies_at, 0])
+        for i, (t, want) in enumerate(zip(batch, wants)):
+            if i != doomed:
+                self.assert_matches(t, want)
 
 
 class TestMakePlan:
@@ -520,11 +637,11 @@ class TestRun:
         assert 0 < dies_at < len(unforced[doomed].ledger.exact) - 1
         monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
         built, doomed_size = [], []  # doomed_size[j]: max |entry| of its row entering j
-        real_kernel, real_step = engine_mod._swap_kernel, engine_mod.step_strategy_a
+        real_kernel, real_step = engine_mod._swap_kernel, engine_mod._swap_measure
         monkeypatch.setattr(engine_mod, "_swap_kernel",
                             lambda *args: built.append(1) or real_kernel(*args))
-        monkeypatch.setattr(engine_mod, "step_strategy_a", lambda sigma, **kwargs: (
-            doomed_size.append(np.abs(sigma[doomed]).max()) or real_step(sigma, **kwargs)))
+        monkeypatch.setattr(engine_mod, "_swap_measure", lambda state, **kwargs: (
+            doomed_size.append(np.abs(state[doomed]).max()) or real_step(state, **kwargs)))
 
         batch = run_rows(plans, psi)
         assert len(built) == dec.ell
@@ -552,8 +669,8 @@ class TestRun:
         assert j > 0
         monkeypatch.setattr(engine_mod, "EXTINCTION_P", exact[j])
         calls = []
-        real = engine_mod.step_strategy_a
-        monkeypatch.setattr(engine_mod, "step_strategy_a",
+        real = engine_mod._swap_measure
+        monkeypatch.setattr(engine_mod, "_swap_measure",
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         with pytest.raises(ExtinctionError) as err:
             run(plan, psi)

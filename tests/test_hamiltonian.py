@@ -141,6 +141,20 @@ class TestGenericDecomposition:
             assert ident_residual(dec, densify(ham)) <= 1e-10
             assert np.max(np.abs(densify(dec) - densify(ham))) <= 1e-10
 
+    def test_an_even_number_of_y_letters_stays_real(self):
+        # YY = (iXZ)(iXZ) = -XZ ⊗ XZ is real: its rho and W are float64 and
+        # equal to the build from the complex Y; one Y makes them complex
+        y = np.array([[0, -1j], [1j, 0]])
+        dec = decompose_pauli_generic(PauliSum(2, (PauliString("YY", 1.0), PauliString("ZI", 0.5))))
+        assert [t.rho.dtype for t in dec.terms] == [np.float64, np.float64]
+        assert dec.operator.dtype == np.float64
+        want = (np.eye(4) + np.kron(y, y)) / 4
+        assert np.array_equal(dec.terms[0].rho, want)
+        assert np.array_equal(dec.operator, 4 * want + np.kron(np.eye(2) + Z, np.eye(2)) / 2)
+        odd = decompose_pauli_generic(PauliSum(2, (PauliString("YZ", 1.0),)))
+        assert np.array_equal(odd.terms[0].rho, (np.eye(4) + np.kron(y, Z)) / 4)
+        assert odd.terms[0].rho.dtype == np.complex128
+
 
 class TestIsingLocalDecomposition:
     def test_periodic_three_sites(self):

@@ -226,10 +226,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("strategy", ["A", "B-global"])
     def test_one_step_call_and_two_ledger_entries_per_measurement(self, monkeypatch, strategy):
-        # what the benchmark's tracer reads: a faithful sweep's rows advance as
-        # one stack, so run_rows calls the step function bound on sbqs.engine
-        # once per measurement for the whole stack, and each row's ledger gets
-        # two entries per measurement
+        # a faithful sweep's rows advance as one stack, so run_rows calls the
+        # step function bound on sbqs.engine once per measurement for the whole
+        # stack (strategy A's chained _swap_measure, strategy B's public
+        # step_strategy_b, which the benchmark's tracer reads), and each row's
+        # ledger gets two entries per measurement
         import sbqs.engine as engine_mod
         import sbqs.experiment as experiment_mod
 
@@ -239,7 +240,7 @@ class TestRunExperiment:
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 res = real(*args, **kwargs)
-                kept.append((res.probability, res.formula_probability))
+                kept.append(tuple(res)[1:])  # the probabilities of (state, p, p_formula)
                 return res
             return wrapper
 
@@ -247,14 +248,14 @@ class TestRunExperiment:
             trajectories.extend(engine_mod.run_rows(*args, **kwargs))
             return trajectories
 
-        for name in ("step_strategy_a", "step_strategy_b"):
+        for name in ("step_strategy_a", "_swap_measure", "step_strategy_b"):
             monkeypatch.setattr(engine_mod, name, counting(name, getattr(engine_mod, name)))
         monkeypatch.setattr(experiment_mod, "run_rows", keeping)
         config = validate_config(ising_config(strategy=strategy, mode="faithful", beta_grid=[0.5, 1.0]))
         run_experiment(config)
         ell = trajectories[0].plan.decomposition.ell
         per_row = config.n_steps * (ell if strategy == "A" else 1)
-        assert calls == {f"step_strategy_{strategy[0].lower()}": per_row}
+        assert calls == {"_swap_measure" if strategy == "A" else "step_strategy_b": per_row}
         assert [len(t.ledger.entries) for t in trajectories] == [2 * per_row] * 2
         # the products equal a running product and sum over each row's column of
         # the step results, bit for bit
