@@ -34,7 +34,6 @@ from .errors import (
     CapacityError,
     ConfigError,
     ExtinctionError,
-    MatrixDomainError,
     NonHermitianError,
     PlanError,
 )

@@ -19,7 +19,6 @@ import numpy as np
 from .config import load_config
 from .engine import make_plan, sample_run
 from .errors import CapacityError, ConfigError, ExtinctionError, PlanError
-from .exact import energy
 from .experiment import (
     CSV_FIELDS, _bounds_report, _model, _prepare, emit_csv, emit_svg, run_experiment,
 )
@@ -109,9 +108,9 @@ def _cmd_sample(config, args) -> int:
           f"({result.successes}/{config.trials})")
     print(f"exact product               = {exact_p:.6g} (binomial sigma {sigma:.3g})")
     print(f"formula product             = {ledger.cumulative('paper-formula'):.6g}")
-    if result.accepted_average is not None:
-        print(f"accepted-state energy       = "
-              f"{energy(densify(dec), result.accepted_average):.6g}")
+    if (average := result.accepted_average) is not None:  # Tr[average H], as a row reads it
+        e = float(np.vdot(average, dec.operator).real) + dec.identity_offset
+        print(f"accepted-state energy       = {e:.6g}")
     return 0
 
 
@@ -133,6 +132,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ExtinctionError, CapacityError, PlanError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:  # e.g. the trials or n_steps of a config too large to hold
+        print(f"numeric failure: out of memory: {err}", file=sys.stderr)
         return 3
 
 

@@ -9,10 +9,6 @@ class NonHermitianError(ValueError):
     """A matrix expected to be Hermitian deviates beyond tolerance."""
 
 
-class MatrixDomainError(ValueError):
-    """A spectral function was evaluated outside its domain."""
-
-
 class PlanError(ValueError):
     """Trotter plan parameters are unusable (e.g. some |delta| >= 1)."""
 

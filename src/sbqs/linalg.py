@@ -1,6 +1,6 @@
 """Dense linear algebra: Kronecker products, operator embedding on labeled
-tensor-product registers, Hermitian eigendecomposition, the PSD square root,
-norms, and the state-vector and density-matrix checks.
+tensor-product registers, Hermitian eigendecomposition, norms, and the
+state-vector and density-matrix checks.
 
 All operators are plain ``numpy`` arrays in row-major order, real or complex
 as the data that built them: every function keeps its inputs' dtype.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, MatrixDomainError, NonHermitianError
+from .errors import CapacityError, NonHermitianError
 
 #: Hard ceiling on the dimension produced by tensor operations.  Everything
 #: in this package is desk scale; beyond this, dense storage stops making sense.
@@ -130,18 +130,6 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"matrix deviates from Hermitian by {drift:.3e} > {HERMITICITY_ATOL:.0e}")
     vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
     return vals, vecs
-
-
-def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Matrix square root of a positive-semidefinite Hermitian matrix.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything more negative
-    is a genuine domain violation.
-    """
-    vals, vecs = hermitian_eig(m)
-    if np.any(vals < -1e-10):
-        raise MatrixDomainError(f"matrix has eigenvalue {vals.min():.3e} < -1e-10")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dag(vecs)
 
 
 def operator_norm(m: np.ndarray) -> float:

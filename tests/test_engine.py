@@ -463,7 +463,7 @@ class TestChain:
         for _ in range(plan.n_steps):
             for group in ([[t] for t in terms] if plan.strategy == "A" else [terms]):
                 res = (step_strategy_a(sigma, *group[0], "faithful") if plan.strategy == "A"
-                       else step_strategy_b(sigma, group, "local", "faithful"))
+                       else step_strategy_b(sigma, group, plan.strategy[2:], "faithful"))
                 sigma = res.state
                 ledger.append((res.probability, res.formula_probability))
         return sigma, np.array(ledger)
@@ -475,7 +475,7 @@ class TestChain:
         got = np.stack([trajectory.ledger.exact, trajectory.ledger.formula], axis=1)
         assert np.max(np.abs(got - ledger) / ledger) <= 1e-12
 
-    @pytest.mark.parametrize("strategy", ["A", "B-local"])
+    @pytest.mark.parametrize("strategy", ["A", "B-local", "B-global"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_run_rows_matches_the_step_functions(self, n, strategy):
         dec = self.decomposition(n, 80 + n)
@@ -485,7 +485,7 @@ class TestChain:
             assert trajectory.final_state.dtype == np.complex128
             self.assert_matches(trajectory, self.reference(plan, psi))
 
-    @pytest.mark.parametrize("strategy", ["A", "B-local"])
+    @pytest.mark.parametrize("strategy", ["A", "B-local", "B-global"])
     def test_a_complex_pauli_model_matches_the_step_functions(self, strategy):
         # full-register Y strings: complex resources in the block form, from
         # the real start |+>^n
@@ -495,7 +495,7 @@ class TestChain:
         for trajectory, plan in zip(run_rows(plans, psi), plans):
             self.assert_matches(trajectory, self.reference(plan, psi))
 
-    @pytest.mark.parametrize("strategy", ["A", "B-local"])
+    @pytest.mark.parametrize("strategy", ["A", "B-local", "B-global"])
     @pytest.mark.parametrize("model", ["random", "pauli_y4"])
     def test_a_row_is_the_same_alone_in_chunks_and_in_the_stack(self, model, strategy):
         dec = (self.decomposition(3, 99) if model == "random"

@@ -16,7 +16,9 @@ from sbqs.exact import (
 from sbqs.hamiltonian import IsingParams, build_ising, densify
 
 from oracles import exact_ite as oracle_exact_ite
-from oracles import random_density, random_hermitian, random_pure_density, random_unit_vector
+from oracles import (
+    random_density, random_hermitian, random_pure_density, random_unit_vector, random_unitary,
+)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -189,6 +191,27 @@ class TestFidelity:
             a = random_pure_density(rng, 4)
             b = random_pure_density(rng, 4)
             assert fidelity(a, b) == pytest.approx(np.real(np.trace(a @ b)), abs=1e-10)
+
+    def test_mixed_qubit_pairs_match_the_determinant_form(self):
+        # for 2 x 2 states F = Tr a b + 2 sqrt(det a det b)
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            a, b = random_density(rng, 2), random_density(rng, 2)
+            det = np.linalg.det(a).real * np.linalg.det(b).real
+            want = np.trace(a @ b).real + 2 * np.sqrt(det)
+            assert fidelity(a, b) == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    def test_commuting_mixed_pairs_are_the_classical_fidelity(self, dim):
+        # a = U diag(p) U^dagger and b = U diag(q) U^dagger: F = (sum_i sqrt(p_i q_i))^2
+        rng = np.random.default_rng(16 + dim)
+        for _ in range(5):
+            u = random_unitary(rng, dim)
+            p, q = (w / w.sum() for w in rng.uniform(0.05, 1.0, size=(2, dim)))
+            a, b = ((u * w) @ u.conj().T for w in (p, q))
+            want = np.sum(np.sqrt(p * q)) ** 2
+            assert fidelity(a, b) == pytest.approx(want, abs=1e-13)
+            assert fidelity(b, a) == pytest.approx(want, abs=1e-13)
 
 
 class TestBures:

@@ -691,6 +691,22 @@ class TestCli:
         path = self.write_config(tmp_path, beta_grid=[0.0, 50.0], n_steps=5)
         assert main(["run", str(path)]) == 3
 
+    @pytest.mark.parametrize("command,callee", [("run", "run_experiment"),
+                                                ("sample", "sample_run")])
+    def test_allocation_failure_exits_3(self, tmp_path, monkeypatch, capsys, command, callee):
+        # a config whose trials or n_steps need more memory than the host has; a
+        # real huge np.empty may succeed or fail with the host's overcommit policy
+        import sbqs.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 93.1 GiB for an array")
+
+        monkeypatch.setattr(cli_mod, callee, refuse)
+        path = self.write_config(tmp_path, mode="sampled", trials=10, seed=0)
+        assert main([command, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: out of memory: Unable to allocate 93.1 GiB for an array\n"
+
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         path = self.write_config(tmp_path, beta_grid=[0.0], n_steps=2)
         assert main(["run", str(path), "--out", "/proc/nope"]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sbqs.errors import CapacityError, MatrixDomainError, NonHermitianError
+from sbqs.errors import CapacityError, NonHermitianError
 from sbqs.linalg import (
     RegisterLayout,
     check_density_matrix,
@@ -11,7 +11,6 @@ from sbqs.linalg import (
     kron,
     operator_norm,
     qubit_layout,
-    sqrt_psd,
 )
 
 from oracles import random_hermitian
@@ -112,21 +111,6 @@ class TestHermitianEig:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitianError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-class TestHermitianFunc:
-    """Functions of a Hermitian matrix through its spectrum: the PSD square root."""
-
-    def test_domain_error(self):
-        with pytest.raises(MatrixDomainError):
-            sqrt_psd(np.diag([-1.0, 1.0]))
-
-    def test_sqrt_scalar_case(self):
-        assert np.allclose(sqrt_psd(np.eye(2) / 2), np.eye(2) / np.sqrt(2))
-
-    def test_sqrt_clamps_tiny_negatives(self):
-        out = sqrt_psd(np.diag([-5e-11, 4.0]))
-        assert np.allclose(out, np.diag([0.0, 2.0]))
 
 
 class TestNorms:
