@@ -32,21 +32,28 @@ kernel of density-matrix simulators (Jones et al., QuEST, Sci. Rep. 9, 10736
 (2019)).  A run builds K once per term and row (:class:`_Kernel`).  The
 probability Tr K(sigma) and the paper's Tr[A sigma A] / 2 are polynomials in
 delta over Tr X, Tr rho X and Tr rho^2 X of X = Tr_rest sigma, which one
-probe per term, shared by the rows, reads off vec(Tr_rest sigma).
+probe per term, shared by the rows, reads off vec(Tr_rest sigma); a
+matrix-form kernel folds the probe and each row's polynomial weights into one
+(rows, d_S^2, 2) functional.
 
 A run keeps a faithful strategy-A stack flat, (rows, d^2), in the layout of
 the last kernel applied, so no measurement restores the canonical order.
 Each kernel holds an int32 index map, built once per run, from the layout
 the measurement before it leaves (the canonical one for a standalone call)
-to its own, and a measurement is one take through that map, the rest trace
-and the probe's two small products for both probabilities, one batched GEMM
-scaled by 1/p per row, and nothing else: no transpose, no embedded rho, no
-d×d product.  The take and the GEMM write into two stacks the run owns.
-The stack enters the chain once and goes back to the canonical layout once,
-at the end.  Faithful B-local chains its kernels through the same maps
-within a step and maps back once, as its formula probability reads the
-canonical stack; faithful B-global gathers and maps back each term's leak
-delta^2 (rho ⊗ Tr_S sigma - rho sigma rho), beside the dense B sigma B of W.
+to its own, and a measurement is one take through that map, one product
+that sums the rest's diagonal blocks (a strided view) into vec(Tr_rest
+sigma), one through the functional for both traces, one batched GEMM of the
+unscaled K, and nothing else: no transpose, no embedded rho, no d×d product.
+The take and the GEMM write into two stacks the run owns.  Within a Trotter
+step the stack is not normalized: each row carries its running trace t, and
+a measurement's probabilities are its traces divided by t.  The 1/t scale is
+folded into K at the step's last measurement, and at least every 21, so that
+the trace of a row that is not extinct cannot underflow.  The stack enters
+the chain once and goes back to the canonical layout once, at the end.
+Faithful B-local chains its kernels through the same maps within a step and
+maps back once, as its formula probability reads the canonical stack;
+faithful B-global gathers and maps back each term's leak delta^2 (rho ⊗
+Tr_S sigma - rho sigma rho), beside the dense B sigma B of W.
 A support of more than ``_MATRIX_QUBITS`` qubits (a pauli-generic term
 spans the register) applies the same map as block products, one GEMM X rho
 per row and its block-transposed adjoint rho X, where the matrix would cost
@@ -76,6 +83,7 @@ the Kraus form of one controlled-SWAP as a reference for tests.
 from __future__ import annotations
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -290,9 +298,16 @@ class _Kernel:
     def probe(self) -> np.ndarray:
         """(d_S^2, 3): Tr X, Tr rho X and Tr rho^2 X of a row-major vec(X),
         as Tr(M X) = vec(M^T) . vec(X) and rho^T = conj(rho).  Shared by every
-        row and built on the first measurement that reads it."""
+        row and built on the first strategy-A measurement that reads it."""
         conj = self.rho.conj()
         return np.stack([np.eye(len(conj)).ravel(), conj.ravel(), (conj @ conj).ravel()], axis=1)
+
+    @cached_property
+    def functional(self) -> np.ndarray | None:
+        """``probe`` @ ``weights``, (rows, d_S^2, 2): a swap kernel's two
+        traces of a vec(X) in one product, built on first read; None in the
+        block form, where it would take rows x d^2 per term."""
+        return None if self.matrix is None else self.probe @ self.weights
 
 
 def _swap_kernel(term: ResourceTerm, n: int, delta,
@@ -300,10 +315,12 @@ def _swap_kernel(term: ResourceTerm, n: int, delta,
     """K_delta of one faithful one-term measurement, sigma ->
     (sigma - delta {rho, sigma} + delta^2 rho ⊗ Tr_S sigma) / (2 (1 + delta^2)),
     for a scalar or (rows,) ``delta``, reading the layout of ``source``.
-    ``weights`` (rows, 3, 2) turns Tr X, Tr rho X and Tr rho^2 X into the
-    probability Tr K(sigma) = Tr X / 2 - delta Tr rho X / (1 + delta^2) and the
-    paper's Tr[A sigma A] / 2 = Tr X / 2 - delta Tr rho X + delta^2 Tr rho^2 X / 2,
-    with A = I - delta rho."""
+    ``weights`` (rows, 3, 2) turns Tr X, Tr rho X and Tr rho^2 X of X =
+    Tr_rest sigma into the probability Tr K(sigma) = Tr X / 2 - delta Tr rho X
+    / (1 + delta^2) and the paper's Tr[A sigma A] / 2 = Tr X / 2 - delta Tr rho X
+    + delta^2 Tr rho^2 X / 2, with A = I - delta rho; the kernel's
+    ``functional`` folds the probe into them.  ``ones`` (1, d_R) sums the d_R
+    diagonal blocks of the rest, Tr_rest sigma, as one product."""
     delta = np.reshape(delta, (-1, 1, 1))
     norm = 2 * (1 + delta * delta)
     kernel = _Kernel(term.rho, term.support, n,
@@ -311,6 +328,7 @@ def _swap_kernel(term: ResourceTerm, n: int, delta,
     half, zero = np.full_like(delta, 0.5), np.zeros_like(delta)
     weights = np.block([[half, half], [-2 * delta / norm, -delta], [zero, delta * delta / 2]])
     kernel.weights = weights.astype(term.rho.dtype)  # as the probe, to skip a cast per call
+    kernel.ones = np.ones((1, 2 ** (n - len(term.support))), term.rho.dtype)
     return kernel
 
 
@@ -396,21 +414,36 @@ def _result(ndim: int, state: np.ndarray, p: np.ndarray,
     return StepResult(state[0], p, p if p_formula is None else float(p_formula[0]))
 
 
-def _swap_measure(state: np.ndarray, kernel: _Kernel, spare: np.ndarray):
+def _swap_measure(state: np.ndarray, kernel: _Kernel, spare: np.ndarray, trace: np.ndarray,
+                  fold: bool):
     """One faithful strategy-A measurement on a flat (rows, d^2) ``state`` in
-    the layout that ``kernel``'s map reads: the state in the kernel's own
-    layout, normalized (a row at or below ``EXTINCTION_P`` keeps its
-    unnormalized state), and both probabilities per row.  One take fills
-    ``spare``; both probabilities are read off its vec(Tr_rest sigma) through
-    the kernel's ``probe`` and ``weights``; 1/p scales K per row, and the one
-    GEMM writes into ``state``.  A run owns the two stacks."""
+    the layout that ``kernel``'s map reads, whose rows have the running traces
+    ``trace``: the state in the kernel's own layout and both probabilities per
+    row.  One take fills ``spare``; the sum of its d_R diagonal blocks of the
+    rest, a strided view, is vec(Tr_rest sigma), and the kernel's
+    ``functional`` (or its ``probe`` and ``weights``) reads both traces off it,
+    each divided by the running trace into a probability.  K is applied
+    unscaled, in one GEMM into ``state``, and ``trace`` takes the new trace of
+    every row above ``EXTINCTION_P``; with ``fold`` the traces scale K
+    instead, so the state comes out normalized (a row at or below
+    ``EXTINCTION_P`` divided by its last trace above), and reset to 1.  A run
+    owns the stacks and the traces."""
     x = kernel.take(state, out=spare)
-    s2 = len(kernel.rho) ** 2
-    r = math.isqrt(x.shape[1] // s2)
-    rest_trace = np.einsum("rkkj->rj", x.reshape(-1, r, r, s2))
+    rows, s2 = len(x), len(kernel.rho) ** 2
+    r = kernel.ones.shape[1]
+    y = x.reshape(rows, r * r, s2)[:, ::r + 1]  # the r diagonal blocks of the rest
+    if r > 1:  # a full-register block is its own sum, and the product would copy it
+        y = kernel.ones @ y
+    f = kernel.functional
+    q = (y @ f if f is not None else y @ kernel.probe @ kernel.weights)[:, 0].real
     # p <= 1/2 + |delta| / (1 + delta^2) < 1 for |delta| < 1: nothing to clamp
-    p, p_formula = (rest_trace[:, None] @ kernel.probe @ kernel.weights)[:, 0].real.T
-    kernel.apply(x, 1 / np.where(p > EXTINCTION_P, p, 1.0), out=state)
+    p, p_formula = (q / trace[:, None]).T
+    np.copyto(trace, q[:, 0], where=p > EXTINCTION_P)  # never 0: a zeroed row keeps its last
+    if fold:
+        kernel.apply(x, 1 / trace, out=state)
+        trace.fill(1.0)
+    else:
+        kernel.apply(x, out=state)
     return state, p, p_formula
 
 
@@ -420,7 +453,7 @@ def _swap_step(sigma: np.ndarray, kernel: _Kernel) -> StepResult:
     stack = _as_stack(np.asarray(sigma))
     state = stack.reshape(len(stack), -1).astype(np.result_type(stack, kernel.rho))  # a copy
     spare = np.empty_like(state)
-    state, p, p_formula = _swap_measure(state, kernel, spare)
+    state, p, p_formula = _swap_measure(state, kernel, spare, np.ones(len(state)), fold=True)
     return _result(np.ndim(sigma), kernel.leave(state, out=spare), p, p_formula)
 
 
@@ -703,18 +736,23 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
     or (rows,) arrays for a stack.  Each step function maps a state to (state,
     probability, formula probability).  Faithful strategy A chains one
     :func:`_swap_measure` per term through its support kernel, built here
-    once for the run with the spare stack they share.  Otherwise strategy A
-    is one :func:`step_strategy_a` per term, each term embedded, and strategy
-    B one :func:`step_strategy_b` over all terms, whose B is ``scale`` * W,
-    with its faithful kernels built here.  The step functions are read from
-    the module now, as a tracer may wrap them."""
+    once for the run with the spare stack and the running traces they share,
+    normalizing at each Trotter step's last measurement and at least every
+    21.  Otherwise strategy A is one :func:`step_strategy_a` per term, each
+    term embedded, and strategy B one :func:`step_strategy_b` over all terms,
+    whose B is ``scale`` * W, with its faithful kernels built here.  The step
+    functions are read from the module now, as a tracer may wrap them."""
     dec = plan.decomposition
     terms = list(zip(dec.terms, deltas))
     faithful = plan.mode == "faithful"
     if plan.strategy == "A" and faithful:
         kernels = _swap_chain(terms, dec.n, cyclic=True)
         spare = np.empty((len(stack), stack[0].size), stack.dtype)
-        return ([(f".{k}", partial(_swap_measure, kernel=kernel, spare=spare))
+        trace = np.ones(len(stack))
+        # this many probabilities above EXTINCTION_P (21) multiply to a normal float
+        every = math.floor(math.log(sys.float_info.min) / math.log(EXTINCTION_P))
+        return ([(f".{k}", partial(_swap_measure, kernel=kernel, spare=spare, trace=trace,
+                                   fold=k % every == 0 or k == len(kernels)))
                  for k, kernel in enumerate(kernels, start=1)], kernels[-1] if kernels else None)
     if plan.strategy == "A":
         return [(f".{k}", partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,

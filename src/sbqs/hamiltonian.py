@@ -163,15 +163,16 @@ class ResourceDecomposition:
     def operator(self) -> np.ndarray:
         """W = sum_i weight_i * embed(rho_i) on the full register, without the
         identity offset: the operator the protocol simulates.  Built on first
-        read, once per decomposition and distinct support, read-only, and
-        pickled with the decomposition (the cache is its ``__dict__`` entry)."""
+        read, once per decomposition, each distinct support embedded once in
+        place, read-only, and pickled with the decomposition (the cache is its
+        ``__dict__`` entry)."""
         local = {}  # support -> sum of its terms' weight * rho
         for t in self.terms:
             local[t.support] = local.get(t.support, 0) + t.weight * t.rho
         w = np.zeros((2**self.n, 2**self.n), dtype=np.result_type(float, *local.values()))
         layout = qubit_layout(self.n)
         for support, op in local.items():
-            w += linalg.embed_operator(op, layout, [f"q{s}" for s in support])
+            linalg.embed_operator(op, layout, [f"q{s}" for s in support], w)
         w.flags.writeable = False
         return w
 

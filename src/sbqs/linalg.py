@@ -86,9 +86,12 @@ def is_hermitian(m: np.ndarray) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - dag(m))) <= HERMITICITY_ATOL
 
 
-def embed_operator(op: np.ndarray, layout: RegisterLayout, targets: Iterable[str]) -> np.ndarray:
+def embed_operator(op: np.ndarray, layout: RegisterLayout, targets: Iterable[str],
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Embed an operator acting on ``targets`` (in the given order) into the
-    full register, with identity on every other subsystem."""
+    full register, with identity on every other subsystem, added into the
+    C-contiguous matrix ``out`` if given (a fresh zero matrix if not), which
+    is returned."""
     op = np.asarray(op)
     targets = list(targets)
     t_idx = [layout.index(label) for label in targets]
@@ -100,18 +103,20 @@ def embed_operator(op: np.ndarray, layout: RegisterLayout, targets: Iterable[str
         raise ValueError(f"operator shape {op.shape} does not match target dims product {d_t}")
     if layout.dim > DEFAULT_DIM_CAP:
         raise CapacityError(f"embedding into dimension {layout.dim} > cap {DEFAULT_DIM_CAP}")
+    if out is None:
+        out = np.zeros((layout.dim, layout.dim), dtype=np.result_type(op, float))
+    elif out.shape != (layout.dim, layout.dim) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {layout.dim} x {layout.dim} matrix")
 
-    rest = [i for i in range(len(dims)) if i not in t_idx]
-    d_rest = math.prod(dims[i] for i in rest) if rest else 1
-    full = np.kron(op, np.eye(d_rest))
-
-    # full is ordered (targets..., rest...) on rows and columns; permute back.
-    order = t_idx + rest
+    # a view of out's entries that are diagonal on the rest: an axis of the
+    # rest shares its label between the bra and the ket side
     k = len(dims)
-    perm = [order.index(i) for i in range(k)]
-    tensor = full.reshape(tuple(dims[i] for i in order) * 2)
-    tensor = tensor.transpose(perm + [p + k for p in perm])
-    return tensor.reshape(layout.dim, layout.dim)
+    rest = [i for i in range(k) if i not in t_idx]
+    bra = list(range(k))
+    ket = [k + i if i in t_idx else i for i in range(k)]
+    view = np.einsum(out.reshape(dims * 2), bra + ket, t_idx + [k + i for i in t_idx] + rest)
+    view += op.reshape(tuple(dims[i] for i in t_idx) * 2 + (1,) * len(rest))
+    return out
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

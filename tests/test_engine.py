@@ -511,13 +511,17 @@ class TestChain:
 
     def test_a_row_extinct_mid_chain_leaves_the_others_on_the_reference(self, monkeypatch):
         # the doomed row dies inside a Trotter step, with its stack in a
-        # kernel's layout: it stays zeroed, and the survivors still come back
-        # in the canonical layout, on the step-function loop
+        # kernel's layout and unnormalized: it stays zeroed, and the survivors
+        # still come back in the canonical layout, on the step-function loop.
+        # The chain normalizes once per Trotter step and the step functions on
+        # every call, so the doomed row's ledger is bit for bit that of an
+        # unforced run and within 1e-12 of the loop
         import sbqs.engine as engine_mod
 
         dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
         plans = [make_plan(dec, beta, 60) for beta in (0.0, 0.5, 1.0)]
         psi = np.full(8, 8**-0.5)
+        unforced = run_rows(plans, psi)
         wants = [self.reference(plan, psi) for plan in plans]
         lows = [ledger[:, 0].min() for _, ledger in wants]
         doomed = int(np.argmin(lows))
@@ -529,7 +533,10 @@ class TestChain:
         assert batch[doomed].final_state is None
         step_id = batch[doomed].ledger.step_id(dies_at)
         assert batch[doomed].extinction.endswith(f" at step {step_id}")
-        assert np.array_equal(batch[doomed].ledger.exact, wants[doomed][1][:dies_at, 0])
+        got = batch[doomed].ledger.exact
+        assert np.array_equal(got, unforced[doomed].ledger.exact[:dies_at])
+        want = wants[doomed][1][:dies_at, 0]
+        assert np.max(np.abs(got - want) / want) <= 1e-12
         for i, (t, want) in enumerate(zip(batch, wants)):
             if i != doomed:
                 self.assert_matches(t, want)
@@ -677,6 +684,29 @@ class TestRun:
         assert len(calls) == j + 1
         assert err.value.probability == exact[j]
         assert str(err.value).endswith(f" at step {ledger.step_id(j)}")
+
+    def test_a_long_trotter_step_normalizes_before_its_trace_underflows(self):
+        # 600 terms rho = I/2 on one qubit: every measurement has p = (1 - delta
+        # + delta^2) / (2 (1 + delta^2)) and Tr[A sigma A] / 2 = (1 - delta/2)^2
+        # / 2 whatever the state, 0.25 at delta = 0.99, whose product over one
+        # Trotter step (1e-361) is below the smallest float
+        rho = np.eye(2) / 2
+        terms = tuple(ResourceTerm(0.99, rho, (0,), f"t{i}") for i in range(600))
+        dec = ResourceDecomposition(1, terms, 0.0, "pauli-generic")
+        with pytest.warns(UserWarning, match="delta"):
+            plans = [make_plan(dec, beta, 2) for beta in (2.0, 0.2)]
+        psi = np.array([0.6, 0.8])
+        full = run_rows(plans, psi)
+        for row, (t, plan) in enumerate(zip(full, plans)):
+            delta = plan.deltas[0]
+            assert t.extinction is None and len(t.ledger.exact) == 1200
+            p = (1 - delta + delta**2) / (2 * (1 + delta**2))
+            assert np.max(np.abs(t.ledger.exact - p)) <= 1e-15
+            assert np.max(np.abs(t.ledger.formula - (1 - delta / 2) ** 2 / 2)) <= 1e-15
+            (alone,) = run_rows([plan], psi)
+            assert np.array_equal(alone.final_state, t.final_state)
+            assert np.array_equal(alone.ledger.exact, t.ledger.exact)
+            assert np.array_equal(alone.ledger.formula, t.ledger.formula)
 
     def test_strategy_b_measures_every_trotter_step(self):
         dec = toy_decomposition(2, seed=8)

@@ -83,6 +83,21 @@ class TestEmbed:
         assert np.allclose(straight, op)
         assert np.allclose(swapped, swap @ op @ swap, atol=1e-12)
 
+    def test_adds_into_out_in_place(self):
+        # op on (q2, q0) of three qubits: I_q1 ⊗ op with its qubits
+        # reordered, added into out and returned as out
+        rng = np.random.default_rng(6)
+        op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        base = rng.normal(size=(8, 8)) + 0j
+        out = base.copy()
+        got = embed_operator(op, qubit_layout(3), ["q2", "q0"], out)
+        # op's axes are (q2, q0, q2', q0'), the identity's (q1, q1')
+        want = np.einsum("ABCD,EF->BEADFC", op.reshape(2, 2, 2, 2), np.eye(2)).reshape(8, 8)
+        assert got is out
+        assert np.array_equal(out, base + want)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            embed_operator(op, qubit_layout(3), ["q2", "q0"], np.zeros((8, 8), complex).T)
+
 
 class TestHermitianEig:
     def test_pauli_spectra(self):
