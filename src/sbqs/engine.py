@@ -36,24 +36,26 @@ probe per term, shared by the rows, reads off vec(Tr_rest sigma); a
 matrix-form kernel folds the probe and each row's polynomial weights into one
 (rows, d_S^2, 2) functional.
 
-A run keeps a faithful strategy-A stack flat, (rows, d^2), in the layout of
-the last kernel applied, so no measurement restores the canonical order.
-Each kernel holds an int32 index map, built once per run, from the layout
-the measurement before it leaves (the canonical one for a standalone call)
-to its own, and a measurement is one take through that map, one product
-that sums the rest's diagonal blocks (a strided view) into vec(Tr_rest
-sigma), one through the functional for both traces, one batched GEMM of the
-unscaled K, and nothing else: no transpose, no embedded rho, no d×d product.
+A run keeps a faithful strategy-A or B-local stack flat, (rows, d^2), in
+the layout of the last kernel applied, so no measurement restores the
+canonical order.  Each kernel holds an int32 index map, built once per run,
+from the layout the measurement before it leaves (the canonical one for a
+standalone call) to its own, and a measurement is one take through that
+map, one product that sums the rest's diagonal blocks (a strided view) into
+vec(Tr_rest sigma), one through the functional for both traces, one batched
+GEMM of the unscaled K, and nothing else: no transpose, no embedded rho.
 The take and the GEMM write into two stacks the run owns.  Within a Trotter
 step the stack is not normalized: each row carries its running trace t, and
 a measurement's probabilities are its traces divided by t.  The 1/t scale is
 folded into K at the step's last measurement, and at least every 21, so that
 the trace of a row that is not extinct cannot underflow.  The stack enters
 the chain once and goes back to the canonical layout once, at the end.
-Faithful B-local chains its kernels through the same maps within a step and
-maps back once, as its formula probability reads the canonical stack;
-faithful B-global gathers and maps back each term's leak delta^2 (rho ⊗
-Tr_S sigma - rho sigma rho), beside the dense B sigma B of W.
+Faithful B-local is strategy A's chain with one ledger entry per Trotter
+step, the product of its l probabilities (each control is projected onto
+|+> alone, and no later gate touches it); its formula probability reads W
+through one (d^2, 3) functional in the chain's layout.  Faithful B-global
+gathers and maps back each term's leak delta^2 (rho ⊗ Tr_S sigma - rho
+sigma rho), beside the dense B sigma B of W.
 A support of more than ``_MATRIX_QUBITS`` qubits (a pauli-generic term
 spans the register) applies the same map as block products, one GEMM X rho
 per row and its block-transposed adjoint rho X, where the matrix would cost
@@ -236,9 +238,8 @@ class _Kernel:
 
     @cached_property
     def home(self) -> np.ndarray:
-        """The map from this kernel's layout back to the canonical one, built
-        on the first call that needs it: B-global and B-local go back once per
-        step and strategy A once per run."""
+        """The map from this kernel's layout back to the canonical one, built on
+        first use: once per step for a B-global leak, once per run for a chain."""
         return _inverse(_layout(self.support, self.n))
 
     def leave(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -298,7 +299,7 @@ class _Kernel:
     def probe(self) -> np.ndarray:
         """(d_S^2, 3): Tr X, Tr rho X and Tr rho^2 X of a row-major vec(X),
         as Tr(M X) = vec(M^T) . vec(X) and rho^T = conj(rho).  Shared by every
-        row and built on the first strategy-A measurement that reads it."""
+        row and built on the first swap measurement that reads it."""
         conj = self.rho.conj()
         return np.stack([np.eye(len(conj)).ravel(), conj.ravel(), (conj @ conj).ravel()], axis=1)
 
@@ -330,14 +331,6 @@ def _swap_kernel(term: ResourceTerm, n: int, delta,
     kernel.weights = weights.astype(term.rho.dtype)  # as the probe, to skip a cast per call
     kernel.ones = np.ones((1, 2 ** (n - len(term.support))), term.rho.dtype)
     return kernel
-
-
-def _swap_chain(terms: list[tuple[ResourceTerm, object]], n: int, cyclic: bool) -> list[_Kernel]:
-    """One :func:`_swap_kernel` per (term, delta), each reading the layout the
-    one before leaves; the first reads the canonical layout, or with
-    ``cyclic`` the last one's, as strategy A's Trotter steps follow each other."""
-    return [_swap_kernel(term, n, delta, terms[k - 1][0].support if k or cyclic else None)
-            for k, (term, delta) in enumerate(terms)]
 
 
 def _leak_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
@@ -416,7 +409,7 @@ def _result(ndim: int, state: np.ndarray, p: np.ndarray,
 
 def _swap_measure(state: np.ndarray, kernel: _Kernel, spare: np.ndarray, trace: np.ndarray,
                   fold: bool):
-    """One faithful strategy-A measurement on a flat (rows, d^2) ``state`` in
+    """One faithful one-term measurement on a flat (rows, d^2) ``state`` in
     the layout that ``kernel``'s map reads, whose rows have the running traces
     ``trace``: the state in the kernel's own layout and both probabilities per
     row.  One take fills ``spare``; the sum of its d_R diagonal blocks of the
@@ -457,8 +450,49 @@ def _swap_step(sigma: np.ndarray, kernel: _Kernel) -> StepResult:
     return _result(np.ndim(sigma), kernel.leave(state, out=spare), p, p_formula)
 
 
+def _swap_chain(terms: list[tuple[ResourceTerm, object]], n: int,
+                stack: np.ndarray) -> tuple[list[partial], _Kernel]:
+    """One :func:`_swap_measure` per (term, delta) of a Trotter step, each
+    kernel reading the layout the one before leaves, the first the last one's
+    (returned), sharing a spare stack and running traces for ``stack``."""
+    kernels = [_swap_kernel(term, n, delta, terms[k - 1][0].support)
+               for k, (term, delta) in enumerate(terms)]
+    spare = np.empty((len(stack), stack[0].size), stack.dtype)
+    trace = np.ones(len(stack))
+    # this many probabilities above EXTINCTION_P (21) multiply to a normal float
+    every = math.floor(math.log(sys.float_info.min) / math.log(EXTINCTION_P))
+    return ([partial(_swap_measure, kernel=kernel, spare=spare, trace=trace,
+                     fold=k % every == 0 or k == len(kernels))
+             for k, kernel in enumerate(kernels, start=1)], kernels[-1])
+
+
+def _formula_functional(b_op: np.ndarray, kernel: _Kernel) -> np.ndarray:
+    """(d^2, 3), or (rows, d^2, 3) for one B per row: Tr sigma, Tr B sigma and
+    Tr B^2 sigma of a flat sigma in ``kernel``'s layout, as vec(M^T) . vec(sigma)."""
+    order = _layout(kernel.support, kernel.n)
+    eye = np.broadcast_to(np.eye(b_op.shape[-1], dtype=b_op.dtype), b_op.shape)
+    return np.stack([np.swapaxes(m, -1, -2).reshape(*b_op.shape[:-2], -1)[..., order]
+                     for m in (eye, b_op, b_op @ b_op)], axis=-1)
+
+
+def _local_step(state: np.ndarray, measures: list[partial], functional: np.ndarray,
+                weights: np.ndarray):
+    """One faithful B-local Trotter step: strategy A's ``measures`` on a
+    stack in their chain's layout, and the product of their probabilities,
+    each over the running trace as last updated (a measurement at or below
+    ``EXTINCTION_P`` leaves it).  The formula probability is read first, as
+    ``functional`` (:func:`_formula_functional`) times ``weights``."""
+    p_formula = ((state[:, None] @ functional)[:, 0].real * weights).sum(axis=-1)
+    p = settled = np.ones(len(state))
+    for measure in measures:
+        state, p_k, _ = measure(state)
+        p = settled * p_k
+        settled = np.where(p_k > EXTINCTION_P, p, settled)
+    return state, p, p_formula
+
+
 def _measure(sigma, b_op, denom: float, mode: str, delta=None,
-             kernels: list[_Kernel] = (), scale=None, local: bool = False) -> StepResult:
+             kernels: list[_Kernel] = (), scale=None) -> StepResult:
     """One measurement with B = I - A: ``b_op``, one d×d matrix or one per
     row, or ``delta`` times the d×d ``b_op``.  The state takes the wider dtype
     of ``sigma`` and B: real for real inputs.
@@ -468,11 +502,9 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     as a (rows, d, d) stack (a faithful vector as |psi><psi|): the state is
     (sigma - (sigma B + B sigma) + B sigma B + sum_k kernel_k(sigma)) / scale,
     with one :func:`_leak_kernel` per term for faithful B-global and none for
-    effective mode, or, with ``local`` (faithful B-local, whose |+>^l
-    projection acts on each control alone), its terms' :func:`_swap_chain`,
-    layout to layout in term order.  Each row is divided by its trace unless
-    that is at or below ``EXTINCTION_P``; the formula probability
-    Tr[A sigma A] / denom reads the whole group.
+    effective mode.  Each row is divided by its trace unless that is at or
+    below ``EXTINCTION_P``; the formula probability Tr[A sigma A] / denom
+    reads the whole group.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -490,20 +522,13 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
         b_op = _per_row(delta) * b_op
     sb = stack @ b_op
     p_formula = _formula_probability(stack, sb, b_op, denom)
-    if local:
-        # the kernels chain layout to layout, and the last maps back
-        raw = stack.reshape(len(stack), -1)
-        for kernel in kernels:
-            raw = kernel.apply(kernel.take(raw))
-        raw = kernels[-1].leave(raw) if kernels else stack
-    else:
-        # A sigma A = sigma A - B sigma A, in the buffer of sigma B: this skips
-        # the strided sum with (sigma B)^dagger, which is slow at large d
-        raw = np.subtract(stack, sb, out=sb)
-        raw -= b_op @ raw
-        for kernel in kernels:
-            raw += kernel(stack)
-        raw *= 1 / _per_row(denom if scale is None else scale)
+    # A sigma A = sigma A - B sigma A, in the buffer of sigma B: this skips
+    # the strided sum with (sigma B)^dagger, which is slow at large d
+    raw = np.subtract(stack, sb, out=sb)
+    raw -= b_op @ raw
+    for kernel in kernels:
+        raw += kernel(stack)
+    raw *= 1 / _per_row(denom if scale is None else scale)
     trace = _trace(raw)
     state = raw * (1 / np.where(trace > EXTINCTION_P, trace, 1.0))[:, None, None]
     return _result(sigma.ndim, state, trace, p_formula if faithful else None)
@@ -556,13 +581,13 @@ def step_strategy_b(
     and one-hot control states) or 2^l ("local", |+>^l).  ``sigma`` and the
     deltas are as in :func:`step_strategy_a`.
 
-    A run passes ``b_op`` = sum_i delta_i rho_i as (beta/N) W; without it, B
-    is summed from ``rho_embs``, embedded here if not given either.  Faithful
-    mode also applies ``kernels``, one per term, built here when not given:
-    for "local" the :func:`_swap_chain`, whose first kernel reads the
-    canonical layout, for "global" one :func:`_leak_kernel` each, reading it.
-    The state comes back in the canonical layout.  ``embedded_kraus`` is
-    ignored, like ``kraus``.
+    B = sum_i delta_i rho_i is ``b_op`` if given, else summed from
+    ``rho_embs``, embedded here if not given either.  Faithful "local" runs
+    :func:`_local_step` on a one-step :func:`_swap_chain` and reads B for the
+    formula probability alone; faithful "global" also applies ``kernels``,
+    one :func:`_leak_kernel` per term, built here when not given.  The state
+    comes back in the canonical layout.  ``embedded_kraus`` is ignored, like
+    ``kraus``.
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
@@ -576,11 +601,17 @@ def step_strategy_b(
     denom = float(2 ** len(terms)) if local else float(len(terms) + 1)
     if mode != "faithful":
         return _measure(sigma, b_op, denom, mode)
-    if kernels is None:
-        kernels = (_swap_chain(terms, n_sites, cyclic=False) if local
-                   else [_leak_kernel(t, n_sites, delta) for t, delta in terms])
-    scale = math.prod((1 + np.square(delta) for _, delta in terms), start=denom)
-    return _measure(sigma, b_op, denom, mode, kernels=kernels, scale=scale, local=local)
+    if not local or not terms:  # without terms, the step of either is sigma itself
+        if kernels is None:
+            kernels = [_leak_kernel(t, n_sites, delta) for t, delta in terms]
+        scale = math.prod((1 + np.square(delta) for _, delta in terms), start=denom)
+        return _measure(sigma, b_op, denom, mode, kernels=kernels, scale=scale)
+    stack = _as_stack(np.asarray(sigma))
+    stack = stack.astype(np.result_type(stack, b_op, *(t.rho for t, _ in terms)), copy=False)
+    measures, last = _swap_chain(terms, n_sites, stack)
+    state, p, p_formula = _local_step(last.enter(stack), measures, _formula_functional(
+        b_op, last), np.array([1.0, -2.0, 1.0]) / denom)
+    return _result(np.ndim(sigma), last.leave(state), p, p_formula)
 
 
 @dataclass(frozen=True)
@@ -730,42 +761,36 @@ def _initial_state(state: np.ndarray, n_sites: int) -> np.ndarray:
 def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = None,
                   ) -> tuple[list[tuple[str, partial]], _Kernel | None]:
     """(step id suffix, step function) for each measurement of one Trotter
-    step of ``plan``, and the kernel in whose layout a faithful strategy-A
-    ``stack`` rests between measurements (None: the canonical layout).
+    step of ``plan``, and the kernel in whose layout a faithful strategy-A or
+    B-local ``stack`` rests between steps (None: the canonical layout).
     ``deltas`` (one per term) and ``scale`` = beta / N are scalars for one row
     or (rows,) arrays for a stack.  Each step function maps a state to (state,
-    probability, formula probability).  Faithful strategy A chains one
-    :func:`_swap_measure` per term through its support kernel, built here
-    once for the run with the spare stack and the running traces they share,
-    normalizing at each Trotter step's last measurement and at least every
-    21.  Otherwise strategy A is one :func:`step_strategy_a` per term, each
-    term embedded, and strategy B one :func:`step_strategy_b` over all terms,
-    whose B is ``scale`` * W, with its faithful kernels built here.  The step
-    functions are read from the module now, as a tracer may wrap them."""
+    probability, formula probability).  Faithful strategy A is the terms'
+    :func:`_swap_chain`, and faithful B-local one :func:`_local_step` over
+    it, with W's functional and per-row weights (1, -2 scale, scale^2) / 2^l.
+    Otherwise strategy A is one :func:`step_strategy_a` per term, each term
+    embedded, and strategy B one :func:`step_strategy_b` over all terms,
+    whose B is ``scale`` * W, with faithful B-global's leak kernels built
+    here.  The step functions are read from the module now, as a tracer may
+    wrap them."""
     dec = plan.decomposition
     terms = list(zip(dec.terms, deltas))
+    if not terms:
+        return [], None
     faithful = plan.mode == "faithful"
-    if plan.strategy == "A" and faithful:
-        kernels = _swap_chain(terms, dec.n, cyclic=True)
-        spare = np.empty((len(stack), stack[0].size), stack.dtype)
-        trace = np.ones(len(stack))
-        # this many probabilities above EXTINCTION_P (21) multiply to a normal float
-        every = math.floor(math.log(sys.float_info.min) / math.log(EXTINCTION_P))
-        return ([(f".{k}", partial(_swap_measure, kernel=kernel, spare=spare, trace=trace,
-                                   fold=k % every == 0 or k == len(kernels)))
-                 for k, kernel in enumerate(kernels, start=1)], kernels[-1] if kernels else None)
+    if faithful and plan.strategy != "B-global":
+        measures, last = _swap_chain(terms, dec.n, stack)
+        if plan.strategy == "A":
+            return [(f".{k}", measure) for k, measure in enumerate(measures, start=1)], last
+        weights = np.stack([np.ones_like(scale), -2 * scale, scale * scale], axis=1) / 2**dec.ell
+        return [("", partial(_local_step, measures=measures, weights=weights,
+                             functional=_formula_functional(dec.operator, last)))], last
     if plan.strategy == "A":
         return [(f".{k}", partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,
                                   rho_emb=_embed(term, dec.n)))
                 for k, (term, delta) in enumerate(terms, start=1)], None
-    if not terms:
-        return [], None
-    local = plan.strategy == "B-local"
-    kernels = None
-    if faithful:
-        kernels = (_swap_chain(terms, dec.n, cyclic=False) if local
-                   else [_leak_kernel(t, dec.n, delta) for t, delta in terms])
-    return [("", partial(step_strategy_b, terms=terms, measurement="local" if local else "global",
+    kernels = [_leak_kernel(t, dec.n, delta) for t, delta in terms] if faithful else None
+    return [("", partial(step_strategy_b, terms=terms, measurement=plan.strategy[2:],
                          mode=plan.mode, b_op=np.multiply.outer(scale, dec.operator),
                          kernels=kernels))], None
 
@@ -778,9 +803,9 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray,
     step function raises :class:`ExtinctionError`.  Otherwise the rows advance
     as one stack in the dtype of the state and the resources; an extinct row
     is zeroed and stays, so that every kernel is built once, and the loop
-    stops once no row is left.  A faithful strategy-A stack enters its
-    kernels' chain once at the start and goes back to the canonical layout
-    once at the end."""
+    stops once no row is left.  A faithful strategy-A or B-local stack enters
+    its kernels' chain once at the start and goes back to the canonical
+    layout once at the end."""
     t0 = time.perf_counter()
     first = plans[0]
     dec = first.decomposition

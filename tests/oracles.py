@@ -6,7 +6,8 @@ them, rather than through the code paths under test.  ``exact_ite`` is the
 dense density-matrix evolution, with its own eigendecomposition, that the
 library's state-vector reference is checked against and that tests of mixed
 states use.  ``effective_b_filter`` is effective strategy B in closed form,
-read from an eigendecomposition of its own.
+read from an eigendecomposition of its own.  ``faithful_transfer`` runs a
+faithful row of any strategy by dense transfer matrices, with no engine code.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from sbqs.linalg import (
     dag,
     embed_operator,
     hermitian_eig,
+    qubit_layout,
 )
 
 
@@ -102,6 +104,71 @@ def replaced_support(sigma: np.ndarray, rho: np.ndarray, support: tuple[int, ...
     s, r = len(rho), 2**n // len(rho)
     rest = np.einsum("iaib->ab", (perm @ sigma @ perm.T).reshape(s, r, s, r))
     return perm.T @ np.kron(rho, rest) @ perm
+
+
+def superoperator(f, d: int) -> np.ndarray:
+    """The d^2 x d^2 matrix of a linear map ``f`` of d x d matrices on
+    row-major vec: its column k is vec f(E_k) of the k-th matrix unit."""
+    return np.stack([f(e).ravel() for e in np.eye(d * d).reshape(d * d, d, d)], axis=1)
+
+
+def faithful_transfer(plan, psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One faithful row by transfer matrices: the final state and the
+    (exact, formula) probability of every ledger entry.
+
+    Before normalization a faithful measurement is linear in sigma, so each
+    group of (term, delta) pairs is one d^2 x d^2 matrix L, built from the
+    dense closed form through :func:`superoperator`, and the state steps as
+    v <- L v / Tr(L v), whose trace is the exact probability.  A one-term
+    map is (sigma - delta {rho, sigma} + delta^2 rho ⊗ Tr_S sigma) /
+    (2 (1 + delta^2)) with rho embedded; strategy A measures each term,
+    B-local the product of a step's one-term maps, and B-global the map
+    (A sigma A + sum_i delta_i^2 (rho_i ⊗ Tr_Si sigma - rho_i sigma rho_i)) /
+    ((l + 1) prod_i (1 + delta_i^2)) with A = I - sum_i delta_i rho_i.  The
+    formula probability is Tr[A sigma A] / denom over the group.
+    """
+    dec, n = plan.decomposition, plan.decomposition.n
+    d = 2**n
+    terms = [(t, delta, embed_operator(t.rho, qubit_layout(n), [f"q{s}" for s in t.support]))
+             for t, delta in zip(dec.terms, plan.deltas)]
+
+    def formula(group, denom):  # Tr[A sigma A] = vec((A^2)^T) . vec(sigma)
+        a = np.eye(d) - sum(delta * emb for _, delta, emb in group)
+        return (a @ a).T.ravel() / denom
+
+    def swap(t, delta, emb):
+        return superoperator(lambda s: (s - delta * (emb @ s + s @ emb) + delta**2
+                                        * replaced_support(s, t.rho, t.support, n))
+                             / (2 * (1 + delta**2)), d)
+
+    def global_step(s):
+        out = a @ s @ a
+        for t, delta, emb in terms:
+            out = out + delta**2 * (replaced_support(s, t.rho, t.support, n) - emb @ s @ emb)
+        return out / scale
+
+    if plan.strategy == "A":
+        groups = [(swap(*term), formula([term], 2)) for term in terms]
+    elif plan.strategy == "B-local":
+        step = np.eye(d * d)
+        for term in terms:
+            step = swap(*term) @ step
+        groups = [(step, formula(terms, 2 ** len(terms)))]
+    else:
+        a = np.eye(d) - sum(delta * emb for _, delta, emb in terms)
+        scale = (len(terms) + 1) * math.prod(1 + delta**2 for _, delta, _ in terms)
+        groups = [(superoperator(global_step, d), formula(terms, len(terms) + 1))]
+    trace = np.eye(d).ravel()
+    v = np.outer(psi0, psi0.conj()).ravel()
+    ledger = []
+    for _ in range(plan.n_steps):
+        for step, f in groups:
+            p_formula = (f @ v).real
+            v = step @ v
+            p = (trace @ v).real
+            v = v / p
+            ledger.append((p, p_formula))
+    return v.reshape(d, d), np.array(ledger)
 
 
 def control_state(delta: float) -> np.ndarray:

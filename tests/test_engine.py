@@ -39,6 +39,7 @@ from oracles import (
     cswap_unitary,
     deferred_cswap_state,
     effective_b_filter,
+    faithful_transfer,
     random_density,
     random_pure_density,
     random_resource_terms,
@@ -383,39 +384,55 @@ class TestSupportKernel:
         assert np.max(np.abs(blocks.state - matrix.state)) <= 1e-14
         assert np.max(np.abs(blocks.probability - matrix.probability)) <= 1e-14
 
-    def test_probe_is_shared_by_the_rows_and_built_only_for_strategy_a(self):
+    def test_probe_is_shared_by_the_rows_and_kernels_serve_b_global(self, monkeypatch):
+        # a swap kernel builds one probe for all its rows, in strategy A and in
+        # B-local, which runs a chain of its own; a kernel list passed in is
+        # read by faithful B-global alone
         import sbqs.engine as engine_mod
 
         rng = np.random.default_rng(70)
         term = ResourceTerm(1.0, random_density(rng, 4), (2, 0), "r")
         deltas = np.array([0.01, 0.03, -0.02, 0.05])
         stack = np.stack([random_density(rng, 8) for _ in deltas])
+        terms = [(term, deltas)]
         kernel = engine_mod._swap_kernel(term, 3, deltas)
-        step_strategy_b(stack, [(term, deltas)], "local", "faithful", kernels=[kernel])
+        built, real = [], engine_mod._swap_kernel
+        monkeypatch.setattr(engine_mod, "_swap_kernel", lambda *args: built.append(real(*args))
+                            or built[-1])
+        local = step_strategy_b(stack, terms, "local", "faithful", kernels=[kernel])
         assert "probe" not in vars(kernel)
+        assert len(built) == 1 and vars(built[0])["probe"].shape == (16, 3)
+        assert np.array_equal(local.state, step_strategy_b(stack, terms, "local", "faithful").state)
         step_strategy_a(stack, term, deltas, "faithful", kernel=kernel)
         assert kernel.probe.shape == (16, 3)
+        own = step_strategy_b(stack, terms, "global", "faithful").state
+        given = engine_mod._leak_kernel(term, 3, deltas)
+        assert np.array_equal(step_strategy_b(stack, terms, "global", "faithful",
+                                              kernels=[given]).state, own)
+        assert not np.allclose(step_strategy_b(stack, terms, "global", "faithful",
+                                               kernels=[]).state, own)
 
-    def test_faithful_a_sweep_embeds_nothing_and_skips_the_dense_update(self, monkeypatch):
-        # a faithful strategy-A run reads each term's kernel only: no embedded
-        # resource, no pass through the d x d post-selection and no public step
-        # function, which would map every measurement back to the canonical
-        # layout; the stack enters the kernels' chain once, takes one gather
-        # per measurement and leaves once
+    @staticmethod
+    def chain_only(monkeypatch, strategy):
+        """Two faithful rows of the periodic n = 4 chain, 50 steps, run again
+        with every embedding, dense update and public step function refused:
+        the rows must come out bit for bit the same.  The count of the
+        kernels' enter, take and leave calls, the term count and the rows."""
         import sbqs.engine as engine_mod
         import sbqs.linalg as linalg_mod
 
         dec = decompose_ising_local(IsingParams(4, 1.0, 0.7, "periodic"))
-        plans = [make_plan(dec, beta, 50) for beta in (0.5, 1.0)]
+        plans = [make_plan(dec, beta, 50, strategy) for beta in (0.5, 1.0)]
         psi = np.full(16, 0.25, dtype=complex)
         want = run_rows(plans, psi)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("dense resource or canonical step in a faithful strategy-A run")
+            raise AssertionError(f"dense resource or update, or canonical step, in a {strategy} run")
 
         for module, name in ((linalg_mod, "embed_operator"), (engine_mod, "embed_operator"),
                              (engine_mod, "_embed"), (engine_mod, "_measure"),
-                             (engine_mod, "step_strategy_a"), (engine_mod, "_as_stack")):
+                             (engine_mod, "_formula_probability"), (engine_mod, "step_strategy_a"),
+                             (engine_mod, "step_strategy_b"), (engine_mod, "_as_stack")):
             monkeypatch.setattr(module, name, refuse)
         calls = Counter()
         def counting(name, real):
@@ -428,10 +445,28 @@ class TestSupportKernel:
             real = getattr(engine_mod._Kernel, name)
             monkeypatch.setattr(engine_mod._Kernel, name, counting(name, real))
         got = run_rows(plans, psi)
-        assert calls == {"enter": 1, "take": 50 * dec.ell, "leave": 1}
         for a, b in zip(got, want):
             assert np.array_equal(a.final_state, b.final_state)
             assert np.array_equal(a.ledger.exact, b.ledger.exact)
+            assert np.array_equal(a.ledger.formula, b.ledger.formula)
+        return calls, dec.ell, got
+
+    def test_faithful_a_sweep_embeds_nothing_and_skips_the_dense_update(self, monkeypatch):
+        # a faithful strategy-A run reads each term's kernel only: no embedded
+        # resource, no pass through the d x d post-selection and no public step
+        # function, which would map every measurement back to the canonical
+        # layout; the stack enters the kernels' chain once, takes one gather
+        # per measurement and leaves once
+        calls, ell, _ = self.chain_only(monkeypatch, "A")
+        assert calls == {"enter": 1, "take": 50 * ell, "leave": 1}
+
+    def test_faithful_b_local_sweep_is_strategy_a_chain_without_sigma_b(self, monkeypatch):
+        # faithful B-local runs the same chain with one ledger entry per Trotter
+        # step, and reads its formula probability through W's functional: no
+        # sigma B, no dense update and no public step function
+        calls, ell, got = self.chain_only(monkeypatch, "B-local")
+        assert calls == {"enter": 1, "take": 50 * ell, "leave": 1}
+        assert [len(t.ledger.exact) for t in got] == [50, 50]
 
 
 class TestChain:
@@ -509,6 +544,42 @@ class TestChain:
                 assert np.array_equal(t.ledger.exact, full[row].ledger.exact)
                 assert np.array_equal(t.ledger.formula, full[row].ledger.formula)
 
+    @pytest.mark.parametrize("model", [2, 3, 4, 5, "pauli_y4"])
+    def test_b_local_is_strategy_a_with_one_entry_per_step(self, model):
+        # B-local shares strategy A's chain, so the step-function loop above
+        # is no independent reference for it: check it against strategy A
+        # (states, and ln p per Trotter step against the sum of A's per-term
+        # ln p) and its formula probability against a dense Tr[A sigma A] /
+        # 2^l, with A = I - (beta / N) W, along A's step-function loop
+        dec = (decompose_pauli_generic(load_config(PAULI_Y4).model) if model == "pauli_y4"
+               else self.decomposition(model, 80 + model))
+        n_steps, betas = 16, (0.0, 0.1, 0.2)
+        psi = random_unit_vector(np.random.default_rng(90 + dec.n), 2**dec.n)
+        a_rows = run_rows([make_plan(dec, beta, n_steps, "A") for beta in betas], psi)
+        b_rows = run_rows([make_plan(dec, beta, n_steps, "B-local") for beta in betas], psi)
+        for beta, a, b in zip(betas, a_rows, b_rows):
+            assert np.max(np.abs(b.final_state - a.final_state)) <= 1e-12
+            ln_a = np.log(a.ledger.exact).reshape(n_steps, dec.ell).sum(axis=1)
+            assert np.max(np.abs(np.log(b.ledger.exact) - ln_a)) <= 1e-12
+            a_op = np.eye(2**dec.n) - beta / n_steps * dec.operator
+            sigma = np.outer(psi, psi.conj())
+            for got in b.ledger.formula:
+                want = np.trace(a_op @ sigma @ a_op).real / 2**dec.ell
+                assert abs(got - want) <= 1e-12 * want
+                for term, delta in zip(dec.terms, a.plan.deltas):
+                    sigma = step_strategy_a(sigma, term, delta, "faithful").state
+
+    @pytest.mark.parametrize("strategy", ["A", "B-local", "B-global"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_run_rows_matches_the_transfer_matrices(self, n, strategy):
+        # the one faithful reference that shares no code with the engine, over
+        # a long run: N = 400 steps, every ledger entry
+        dec = self.decomposition(n, 110 + n)
+        plans = [make_plan(dec, beta, 400, strategy) for beta in (0.5, 2.0)]
+        psi = random_unit_vector(np.random.default_rng(120 + n), 2**n)
+        for trajectory, plan in zip(run_rows(plans, psi), plans):
+            self.assert_matches(trajectory, faithful_transfer(plan, psi))
+
     def test_a_row_extinct_mid_chain_leaves_the_others_on_the_reference(self, monkeypatch):
         # the doomed row dies inside a Trotter step, with its stack in a
         # kernel's layout and unnormalized: it stays zeroed, and the survivors
@@ -540,6 +611,40 @@ class TestChain:
         for i, (t, want) in enumerate(zip(batch, wants)):
             if i != doomed:
                 self.assert_matches(t, want)
+
+    def test_a_b_local_row_extinct_mid_step_reports_the_step_probability(self, monkeypatch):
+        # the doomed row's first measurement of its second Trotter step (a
+        # term that penalizes |1> at delta = 0.9, after one that favours it)
+        # falls to the raised extinction level, which leaves its running
+        # trace as it was for the second measurement: the step's probability
+        # must still be the product of the two true ones, which a product of
+        # ratios to that trace would count the first of twice
+        import sbqs.engine as engine_mod
+
+        one = np.diag([0.0, 1.0])
+        dec = ResourceDecomposition(2, (ResourceTerm(1.0, one, (0,), "pen"),
+                                        ResourceTerm(-1.0, one, (0,), "fav")), 0.0, "pauli-generic")
+        with pytest.warns(UserWarning, match="delta"):
+            plans = [make_plan(dec, beta, 30, "B-local") for beta in (0.0, 6.0, 27.0)]
+            per_term = faithful_transfer(make_plan(dec, 27.0, 30, "A"), np.eye(4)[0])[1][:, 0]
+        psi = np.eye(4)[0]
+        unforced = run_rows(plans, psi)
+        want = faithful_transfer(plans[2], psi)[1][:, 0]
+        dies_at, level = 1, per_term[2] * (1 + 1e-9)  # at or above the engine's value
+        assert want[0] > level and min(t.ledger.exact.min() for t in unforced[:2]) > level
+        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        batch = run_rows(plans, psi)
+        assert batch[2].final_state is None
+        assert batch[2].extinction == f"post-selection probability {want[dies_at]:.3e} at step 2"
+        assert np.array_equal(batch[2].ledger.exact, unforced[2].ledger.exact[:dies_at])
+        with pytest.raises(ExtinctionError) as err:
+            run(plans[2], psi)
+        assert abs(err.value.probability - want[dies_at]) <= 1e-12 * want[dies_at]
+        for t, ref in zip(batch[:2], unforced):
+            assert t.extinction is None
+            assert np.array_equal(t.final_state, ref.final_state)
+            assert np.array_equal(t.ledger.exact, ref.ledger.exact)
+            assert np.array_equal(t.ledger.formula, ref.ledger.formula)
 
 
 class TestMakePlan:
@@ -722,7 +827,8 @@ class TestRun:
             res = step_strategy_b(sigma, steps, "local", "faithful")
             sigma = res.state
             expected.append(res.probability)
-        assert np.allclose(traj.ledger.probabilities("faithful-exact"), expected)
+        got = traj.ledger.exact
+        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-12
         assert np.max(np.abs(traj.final_state - sigma)) <= 1e-14
 
     def test_faithful_tracks_exact_ite(self):
