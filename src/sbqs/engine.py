@@ -39,17 +39,18 @@ matrix-form kernel folds the probe and each row's polynomial weights into one
 A run keeps a faithful strategy-A or B-local stack flat, (rows, d^2), in
 the layout of the last kernel applied, so no measurement restores the
 canonical order.  Each kernel holds an int32 index map, built once per run,
-from the layout the measurement before it leaves (the canonical one for a
-standalone call) to its own, and a measurement is one take through that
-map, one product that sums the rest's diagonal blocks (a strided view) into
-vec(Tr_rest sigma), one through the functional for both traces, one batched
-GEMM of the unscaled K, and nothing else: no transpose, no embedded rho.
+from the layout the measurement before it leaves to its own, and a
+measurement is one take through that map, one product that sums the rest's
+diagonal blocks (a strided view) into vec(Tr_rest sigma), one through the
+functional for both traces, one batched GEMM of the unscaled K, and nothing
+else: no transpose, no embedded rho.
 The take and the GEMM write into two stacks the run owns.  Within a Trotter
 step the stack is not normalized: each row carries its running trace t, and
 a measurement's probabilities are its traces divided by t.  The 1/t scale is
 folded into K at the step's last measurement, and at least every 21, so that
 the trace of a row that is not extinct cannot underflow.  The stack enters
-the chain once and goes back to the canonical layout once, at the end.
+the chain once and goes back to the canonical layout once, at the end; a
+public faithful strategy-A or B-local step is a one-step chain of its own.
 Faithful B-local is strategy A's chain with one ledger entry per Trotter
 step, the product of its l probabilities (each control is projected onto
 |+> alone, and no later gate touches it); its formula probability reads W
@@ -242,11 +243,10 @@ class _Kernel:
         first use: once per step for a B-global leak, once per run for a chain."""
         return _inverse(_layout(self.support, self.n))
 
-    def leave(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A flat stack in this kernel's layout, as a canonical (rows, d, d)
-        stack, written into the flat ``out`` if given."""
+    def leave(self, flat: np.ndarray) -> np.ndarray:
+        """A flat stack in this kernel's layout, as a canonical (rows, d, d) stack."""
         d = 2**self.n
-        return np.take(flat, self.home, axis=1, out=out, mode="wrap").reshape(len(flat), d, d)
+        return np.take(flat, self.home, axis=1).reshape(len(flat), d, d)
 
     def apply(self, v: np.ndarray, scale=None, out: np.ndarray | None = None) -> np.ndarray:
         """The map on the flat rows ``v`` in this kernel's layout, times the
@@ -311,8 +311,7 @@ class _Kernel:
         return None if self.matrix is None else self.probe @ self.weights
 
 
-def _swap_kernel(term: ResourceTerm, n: int, delta,
-                 source: tuple[int, ...] | None = None) -> _Kernel:
+def _swap_kernel(term: ResourceTerm, n: int, delta, source: tuple[int, ...]) -> _Kernel:
     """K_delta of one faithful one-term measurement, sigma ->
     (sigma - delta {rho, sigma} + delta^2 rho ⊗ Tr_S sigma) / (2 (1 + delta^2)),
     for a scalar or (rows,) ``delta``, reading the layout of ``source``.
@@ -353,9 +352,12 @@ def _density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _as_stack(sigma: np.ndarray) -> np.ndarray:
-    """A (rows, d, d) stack, a d×d state as one row, a vector as |psi><psi|."""
-    return sigma if sigma.ndim == 3 else (_density(sigma) if sigma.ndim == 1 else sigma)[None]
+def _as_stack(sigma, *operands) -> np.ndarray:
+    """A (rows, d, d) stack in the dtype of ``sigma`` and ``operands``, not
+    copied if it is one: a d×d state as one row, a vector as |psi><psi|."""
+    sigma = np.asarray(sigma)
+    stack = sigma if sigma.ndim == 3 else (_density(sigma) if sigma.ndim == 1 else sigma)[None]
+    return stack.astype(np.result_type(stack, *operands), copy=False)
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
@@ -440,16 +442,6 @@ def _swap_measure(state: np.ndarray, kernel: _Kernel, spare: np.ndarray, trace: 
     return state, p, p_formula
 
 
-def _swap_step(sigma: np.ndarray, kernel: _Kernel) -> StepResult:
-    """:func:`_swap_measure` on a canonical state, for a kernel that reads the
-    canonical layout, mapped back to it."""
-    stack = _as_stack(np.asarray(sigma))
-    state = stack.reshape(len(stack), -1).astype(np.result_type(stack, kernel.rho))  # a copy
-    spare = np.empty_like(state)
-    state, p, p_formula = _swap_measure(state, kernel, spare, np.ones(len(state)), fold=True)
-    return _result(np.ndim(sigma), kernel.leave(state, out=spare), p, p_formula)
-
-
 def _swap_chain(terms: list[tuple[ResourceTerm, object]], n: int,
                 stack: np.ndarray) -> tuple[list[partial], _Kernel]:
     """One :func:`_swap_measure` per (term, delta) of a Trotter step, each
@@ -491,6 +483,22 @@ def _local_step(state: np.ndarray, measures: list[partial], functional: np.ndarr
     return state, p, p_formula
 
 
+def _chain_step(sigma, terms: list, b_op=None, denom: float = 2.0) -> StepResult:
+    """One faithful step of ``terms`` on a canonical state, a one-step
+    :func:`_swap_chain` that the stack enters, runs and leaves: strategy A's
+    :func:`_swap_measure` without ``b_op``, else B-local's :func:`_local_step`,
+    whose formula probability is Tr[A sigma A] / ``denom`` with B = ``b_op``."""
+    stack = _as_stack(sigma, *(t.rho for t, _ in terms), *([] if b_op is None else [b_op]))
+    measures, last = _swap_chain(terms, np.shape(sigma)[-1].bit_length() - 1, stack)
+    state = last.enter(stack)
+    if b_op is None:
+        state, p, p_formula = measures[0](state)
+    else:
+        state, p, p_formula = _local_step(state, measures, _formula_functional(b_op, last),
+                                          np.array([1.0, -2.0, 1.0]) / denom)
+    return _result(np.ndim(sigma), last.leave(state), p, p_formula)
+
+
 def _measure(sigma, b_op, denom: float, mode: str, delta=None,
              kernels: list[_Kernel] = (), scale=None) -> StepResult:
     """One measurement with B = I - A: ``b_op``, one d×d matrix or one per
@@ -517,11 +525,11 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
         p = _check_probability(norm2 / denom)
         return StepResult(out * (1 / math.sqrt(norm2)), p, p)
     # in the dtype of the result, as the block form writes into its input
-    stack = _as_stack(sigma).astype(np.result_type(sigma, b_op), copy=False)
+    stack = _as_stack(sigma, b_op)
     if delta is not None:
         b_op = _per_row(delta) * b_op
     sb = stack @ b_op
-    p_formula = _formula_probability(stack, sb, b_op, denom)
+    p_formula = _formula_probability(stack, sb, b_op, denom) if faithful else None
     # A sigma A = sigma A - B sigma A, in the buffer of sigma B: this skips
     # the strided sum with (sigma B)^dagger, which is slow at large d
     raw = np.subtract(stack, sb, out=sb)
@@ -531,7 +539,7 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     raw *= 1 / _per_row(denom if scale is None else scale)
     trace = _trace(raw)
     state = raw * (1 / np.where(trace > EXTINCTION_P, trace, 1.0))[:, None, None]
-    return _result(sigma.ndim, state, trace, p_formula if faithful else None)
+    return _result(sigma.ndim, state, trace, p_formula)
 
 
 def step_strategy_a(
@@ -541,7 +549,6 @@ def step_strategy_a(
     mode: str = "faithful",
     kraus: list[np.ndarray] | None = None,
     rho_emb: np.ndarray | None = None,
-    kernel: _Kernel | None = None,
 ) -> StepResult:
     """One measured sub-step: the one-term group, whose control is projected
     onto |+> (denominator 2).
@@ -550,19 +557,17 @@ def step_strategy_a(
     the formula probability Tr[(I - delta rho) sigma (I - delta rho)] / 2
     equals it in effective mode.  ``sigma`` is a state vector or a d×d state
     with a scalar ``delta``, or a (rows, d, d) stack with one delta per row.
-    Faithful mode applies ``kernel``, the term's :func:`_swap_kernel` for
-    ``delta`` reading the canonical layout, on the term's support, and the
-    state comes back in the canonical layout; effective and sampled modes
-    apply B = delta rho_emb, with ``rho_emb`` = ``term.rho`` embedded on the
-    full register.  Each is built here when needed and not given.  ``kraus`` is
-    ignored, and ``rho_emb`` in faithful mode; they stay for callers written
-    against earlier engines.
+    Faithful mode runs the one-step :func:`_swap_chain` of the term, the
+    measurement a run makes, on the term's support, and the state comes back
+    in the canonical layout; effective and sampled modes apply B = delta
+    rho_emb, with ``rho_emb`` = ``term.rho`` embedded on the full register,
+    here if not given.  ``kraus`` is ignored, and ``rho_emb`` in faithful
+    mode; they stay for callers written against earlier engines.
     """
-    n_sites = np.shape(sigma)[-1].bit_length() - 1
     if mode == "faithful":
-        return _swap_step(sigma, kernel or _swap_kernel(term, n_sites, delta))
+        return _chain_step(sigma, [(term, delta)])
     if rho_emb is None:
-        rho_emb = _embed(term, n_sites)
+        rho_emb = _embed(term, np.shape(sigma)[-1].bit_length() - 1)
     return _measure(sigma, rho_emb, 2.0, mode, delta=delta)
 
 
@@ -583,11 +588,11 @@ def step_strategy_b(
 
     B = sum_i delta_i rho_i is ``b_op`` if given, else summed from
     ``rho_embs``, embedded here if not given either.  Faithful "local" runs
-    :func:`_local_step` on a one-step :func:`_swap_chain` and reads B for the
-    formula probability alone; faithful "global" also applies ``kernels``,
-    one :func:`_leak_kernel` per term, built here when not given.  The state
-    comes back in the canonical layout.  ``embedded_kraus`` is ignored, like
-    ``kraus``.
+    the one-step :func:`_swap_chain` of ``terms``, as faithful strategy A
+    does, and reads B for the formula probability alone; faithful "global"
+    also applies ``kernels``, one :func:`_leak_kernel` per term, built here
+    when not given.  The state comes back in the canonical layout.
+    ``embedded_kraus`` is ignored, like ``kraus``.
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
@@ -606,12 +611,7 @@ def step_strategy_b(
             kernels = [_leak_kernel(t, n_sites, delta) for t, delta in terms]
         scale = math.prod((1 + np.square(delta) for _, delta in terms), start=denom)
         return _measure(sigma, b_op, denom, mode, kernels=kernels, scale=scale)
-    stack = _as_stack(np.asarray(sigma))
-    stack = stack.astype(np.result_type(stack, b_op, *(t.rho for t, _ in terms)), copy=False)
-    measures, last = _swap_chain(terms, n_sites, stack)
-    state, p, p_formula = _local_step(last.enter(stack), measures, _formula_functional(
-        b_op, last), np.array([1.0, -2.0, 1.0]) / denom)
-    return _result(np.ndim(sigma), last.leave(state), p, p_formula)
+    return _chain_step(sigma, terms, b_op, denom)
 
 
 @dataclass(frozen=True)
@@ -734,7 +734,8 @@ class Trajectory:
     post-selection probability along the way.
 
     A row that went extinct in :func:`run_rows` has no final state;
-    ``extinction`` says where, and its ledger ends before that measurement.
+    ``extinction`` says where, ``extinction_probability`` is the probability
+    that ended it, and its ledger ends before that measurement.
     """
 
     plan: TrotterPlan
@@ -742,6 +743,7 @@ class Trajectory:
     ledger: ProbabilityLedger
     wall_time_s: float
     extinction: str | None = None
+    extinction_probability: float | None = None
 
 
 def _initial_state(state: np.ndarray, n_sites: int) -> np.ndarray:
@@ -795,17 +797,15 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
                          kernels=kernels))], None
 
 
-def _advance(plans: list[TrotterPlan], state: np.ndarray,
-             vector: bool) -> list[tuple[Trajectory, float | None]]:
+def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[Trajectory]:
     """The one loop over a run's measurements, for :func:`run` and
-    :func:`run_rows`: each row's trajectory and the probability that ended
-    it, or None.  With ``vector`` the one plan evolves a state vector, whose
-    step function raises :class:`ExtinctionError`.  Otherwise the rows advance
-    as one stack in the dtype of the state and the resources; an extinct row
-    is zeroed and stays, so that every kernel is built once, and the loop
-    stops once no row is left.  A faithful strategy-A or B-local stack enters
-    its kernels' chain once at the start and goes back to the canonical
-    layout once at the end."""
+    :func:`run_rows`: each row's trajectory.  With ``vector`` the one plan
+    evolves a state vector, whose step function raises
+    :class:`ExtinctionError`.  Otherwise the rows advance as one stack in the
+    dtype of the state and the resources; an extinct row is zeroed and stays,
+    so that every kernel is built once, and the loop stops once no row is
+    left.  A faithful strategy-A or B-local stack enters its kernels' chain
+    once at the start and goes back to the canonical layout once at the end."""
     t0 = time.perf_counter()
     first = plans[0]
     dec = first.decomposition
@@ -813,8 +813,7 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray,
     if vector:
         sigma, deltas, scales = state, first.deltas, first.beta / first.n_steps
     else:
-        sigma = np.repeat((_density(state) if state.ndim == 1 else state)[None], len(plans), axis=0)
-        sigma = sigma.astype(np.result_type(sigma, *(t.rho for t in dec.terms)), copy=False)
+        sigma = np.repeat(_as_stack(state, *(t.rho for t in dec.terms)), len(plans), axis=0)
         deltas = np.array([p.deltas for p in plans], dtype=float).T  # (terms, rows)
         scales = np.array([p.beta / p.n_steps for p in plans])
     measurements, chain = _measurements(first, deltas, scales, None if vector else sigma)
@@ -846,7 +845,7 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray,
         ledger = ProbabilityLedger(exact[:end, row], formula[:end, row], suffixes)
         extinction = None if p is None else f"{_extinction(p)} at step {ledger.step_id(end)}"
         final = None if extinction else _density(sigma) if vector else sigma[row]
-        out.append((Trajectory(plan, final, ledger, wall, extinction), p))
+        out.append(Trajectory(plan, final, ledger, wall, extinction, p))
     return out
 
 
@@ -867,7 +866,7 @@ def run_rows(plans: list[TrotterPlan], state: np.ndarray) -> list[Trajectory]:
         return []
     if len({(id(p.decomposition), p.n_steps, p.strategy, p.mode) for p in plans}) > 1:
         raise ValueError("run_rows needs plans of one decomposition, step count, strategy and mode")
-    return [trajectory for trajectory, _ in _advance(plans, state, vector=False)]
+    return _advance(plans, state, vector=False)
 
 
 def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
@@ -885,9 +884,9 @@ def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
     has no randomness, which :func:`sample_run` adds.
     """
     vector = plan.mode != "faithful" and np.ndim(state) == 1
-    ((trajectory, probability),) = _advance([plan], state, vector)
+    (trajectory,) = _advance([plan], state, vector)
     if trajectory.extinction is not None:
-        raise ExtinctionError(trajectory.extinction, probability)
+        raise ExtinctionError(trajectory.extinction, trajectory.extinction_probability)
     return trajectory
 
 

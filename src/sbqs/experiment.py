@@ -106,7 +106,7 @@ def _vector_run(plan, setup: _Setup, config: ExperimentConfig, index: int):
             return sampled.trajectory, sampled.frequency
         return run(plan, setup.psi0), None
     except ExtinctionError as err:
-        return Trajectory(plan, None, ProbabilityLedger(), 0.0, str(err)), None
+        return Trajectory(plan, None, ProbabilityLedger(), 0.0, str(err), err.probability), None
 
 
 def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) -> ResultRow:

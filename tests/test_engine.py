@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from sbqs.engine import (
     MODES,
     STRATEGIES,
     ProbabilityLedger,
+    StepResult,
     cswap_channel,
     make_plan,
     run,
@@ -288,6 +290,32 @@ class TestStepB:
         assert worst_state <= 1e-12
         assert worst_p <= 1e-12
 
+    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    def test_a_stack_step_outside_faithful_mode_skips_the_formula(self, monkeypatch, mode):
+        # the formula probability is the probability itself there: a stack
+        # step that computed the paper formula only to drop it must come out
+        # bit for bit the same without it
+        import sbqs.engine as engine_mod
+
+        rng = np.random.default_rng(14)
+        terms = [(term, delta * np.array([1.0, -0.5, 2.0]))
+                 for term, delta in random_resource_terms(rng, 3)]
+        stack = np.stack([random_density(rng, 8) for _ in range(3)])
+        steps = [partial(step_strategy_a, stack, *terms[0], mode),
+                 partial(step_strategy_b, stack, terms, "local", mode),
+                 partial(step_strategy_b, stack, terms, "global", mode)]
+        wants = [step() for step in steps]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"paper-formula probability in a {mode} step")
+
+        monkeypatch.setattr(engine_mod, "_formula_probability", refuse)
+        for step, want in zip(steps, wants):
+            got = step()
+            assert np.array_equal(got.probability, got.formula_probability)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
 
 class TestSupportKernel:
     """The faithful one-term update, applied by a superoperator on the term's
@@ -385,9 +413,9 @@ class TestSupportKernel:
         assert np.max(np.abs(blocks.probability - matrix.probability)) <= 1e-14
 
     def test_probe_is_shared_by_the_rows_and_kernels_serve_b_global(self, monkeypatch):
-        # a swap kernel builds one probe for all its rows, in strategy A and in
-        # B-local, which runs a chain of its own; a kernel list passed in is
-        # read by faithful B-global alone
+        # a swap kernel builds one probe for all its rows, in a strategy-A and
+        # in a B-local step, each a one-step chain of its own; a kernel list
+        # passed in is read by faithful B-global alone
         import sbqs.engine as engine_mod
 
         rng = np.random.default_rng(70)
@@ -395,7 +423,7 @@ class TestSupportKernel:
         deltas = np.array([0.01, 0.03, -0.02, 0.05])
         stack = np.stack([random_density(rng, 8) for _ in deltas])
         terms = [(term, deltas)]
-        kernel = engine_mod._swap_kernel(term, 3, deltas)
+        kernel = engine_mod._swap_kernel(term, 3, deltas, term.support)
         built, real = [], engine_mod._swap_kernel
         monkeypatch.setattr(engine_mod, "_swap_kernel", lambda *args: built.append(real(*args))
                             or built[-1])
@@ -403,8 +431,9 @@ class TestSupportKernel:
         assert "probe" not in vars(kernel)
         assert len(built) == 1 and vars(built[0])["probe"].shape == (16, 3)
         assert np.array_equal(local.state, step_strategy_b(stack, terms, "local", "faithful").state)
-        step_strategy_a(stack, term, deltas, "faithful", kernel=kernel)
-        assert kernel.probe.shape == (16, 3)
+        step_strategy_a(stack, term, deltas, "faithful")
+        assert len(built) == 3 and vars(built[2])["probe"].shape == (16, 3)
+        assert "probe" not in vars(kernel)
         own = step_strategy_b(stack, terms, "global", "faithful").state
         given = engine_mod._leak_kernel(term, 3, deltas)
         assert np.array_equal(step_strategy_b(stack, terms, "global", "faithful",
@@ -417,7 +446,8 @@ class TestSupportKernel:
         """Two faithful rows of the periodic n = 4 chain, 50 steps, run again
         with every embedding, dense update and public step function refused:
         the rows must come out bit for bit the same.  The count of the
-        kernels' enter, take and leave calls, the term count and the rows."""
+        ``_as_stack`` calls and of the kernels' enter, take and leave calls,
+        the term count and the rows."""
         import sbqs.engine as engine_mod
         import sbqs.linalg as linalg_mod
 
@@ -432,15 +462,17 @@ class TestSupportKernel:
         for module, name in ((linalg_mod, "embed_operator"), (engine_mod, "embed_operator"),
                              (engine_mod, "_embed"), (engine_mod, "_measure"),
                              (engine_mod, "_formula_probability"), (engine_mod, "step_strategy_a"),
-                             (engine_mod, "step_strategy_b"), (engine_mod, "_as_stack")):
+                             (engine_mod, "step_strategy_b")):
             monkeypatch.setattr(module, name, refuse)
         calls = Counter()
         def counting(name, real):
-            def wrapper(self, *args, **kwargs):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return real(self, *args, **kwargs)
+                return real(*args, **kwargs)
             return wrapper
 
+        # the stack is built once, at the start of the run
+        monkeypatch.setattr(engine_mod, "_as_stack", counting("_as_stack", engine_mod._as_stack))
         for name in ("enter", "take", "leave"):
             real = getattr(engine_mod._Kernel, name)
             monkeypatch.setattr(engine_mod._Kernel, name, counting(name, real))
@@ -455,17 +487,17 @@ class TestSupportKernel:
         # a faithful strategy-A run reads each term's kernel only: no embedded
         # resource, no pass through the d x d post-selection and no public step
         # function, which would map every measurement back to the canonical
-        # layout; the stack enters the kernels' chain once, takes one gather
-        # per measurement and leaves once
+        # layout; the stack is built once, enters the kernels' chain once,
+        # takes one gather per measurement and leaves once
         calls, ell, _ = self.chain_only(monkeypatch, "A")
-        assert calls == {"enter": 1, "take": 50 * ell, "leave": 1}
+        assert calls == {"_as_stack": 1, "enter": 1, "take": 50 * ell, "leave": 1}
 
     def test_faithful_b_local_sweep_is_strategy_a_chain_without_sigma_b(self, monkeypatch):
         # faithful B-local runs the same chain with one ledger entry per Trotter
         # step, and reads its formula probability through W's functional: no
         # sigma B, no dense update and no public step function
         calls, ell, got = self.chain_only(monkeypatch, "B-local")
-        assert calls == {"enter": 1, "take": 50 * ell, "leave": 1}
+        assert calls == {"_as_stack": 1, "enter": 1, "take": 50 * ell, "leave": 1}
         assert [len(t.ledger.exact) for t in got] == [50, 50]
 
 
@@ -645,6 +677,50 @@ class TestChain:
             assert np.array_equal(t.final_state, ref.final_state)
             assert np.array_equal(t.ledger.exact, ref.ledger.exact)
             assert np.array_equal(t.ledger.formula, ref.ledger.formula)
+
+    @pytest.mark.parametrize("strategy", ["A", "B-local", "B-global"])
+    def test_an_extinct_row_keeps_the_probability_a_run_raises(self, monkeypatch, strategy):
+        # a row forced extinct in a stack carries the probability that ended
+        # it, bit for bit the one ExtinctionError carries for its plan alone
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
+        plans = [make_plan(dec, beta, 60, strategy) for beta in (0.0, 0.5, 1.0)]
+        psi = np.full(8, 8**-0.5)
+        lows = [t.ledger.exact.min() for t in run_rows(plans, psi)]
+        doomed = int(np.argmin(lows))
+        level = (lows[doomed] + min(low for i, low in enumerate(lows) if i != doomed)) / 2
+        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        batch = run_rows(plans, psi)
+        with pytest.raises(ExtinctionError) as err:
+            run(plans[doomed], psi)
+        p = batch[doomed].extinction_probability
+        assert type(p) is float and p == err.value.probability and p <= level
+        assert batch[doomed].extinction == str(err.value)
+        assert [t.extinction_probability for t in batch].count(None) == 2
+
+    @pytest.mark.parametrize("support", [(2,), (2, 0), (3, 1, 0), (3, 1, 0, 2)])
+    def test_a_standalone_a_step_is_one_step_of_a_run(self, support):
+        # a public faithful strategy-A step runs the one-step chain a run
+        # makes: the state and both probabilities bit for bit, on one state
+        # and on a stack, for terms in the matrix form (a real one on one
+        # site) and a full-register term in the block form
+        rng = np.random.default_rng(130 + len(support))
+        rho, sigma = random_density(rng, 2 ** len(support)), random_density(rng, 16)
+        if len(support) == 1:
+            rho, sigma = rho.real, sigma.real
+        term = ResourceTerm(1.0, rho, support, "t")
+        dec = ResourceDecomposition(4, (term,), 0.0, "pauli-generic")
+        plans = [make_plan(dec, beta, 1) for beta in (0.03, 0.06, 0.09)]
+        deltas = np.array([plan.deltas[0] for plan in plans])
+        stacked = step_strategy_a(np.repeat(sigma[None], 3, axis=0), term, deltas, "faithful")
+        for i, (plan, t) in enumerate(zip(plans, run_rows(plans, sigma))):
+            alone = step_strategy_a(sigma, term, plan.deltas[0], "faithful")
+            assert t.final_state.dtype == (float if len(support) == 1 else complex)
+            for got in (alone, StepResult(*(field[i] for field in stacked))):
+                assert np.array_equal(got.state, t.final_state)
+                assert got.probability == t.ledger.exact[0]
+                assert got.formula_probability == t.ledger.formula[0]
 
 
 class TestMakePlan:

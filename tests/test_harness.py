@@ -369,11 +369,27 @@ class TestRunExperiment:
         rows, _ = run_experiment(config)
         assert [r.beta for r in rows] == [0.0, 0.5, 1.0]
 
-    def test_parallel_matches_serial(self):
-        serial, _ = run_experiment(validate_config(ising_config()))
-        parallel, _ = run_experiment(validate_config(ising_config(parallel=3)))
-        for a, b in zip(serial, parallel):
-            assert a == b
+    @staticmethod
+    def assert_parallel_matches_serial(monkeypatch, raw):
+        import sbqs.experiment as experiment_mod
+
+        serial, _ = run_experiment(validate_config(raw))
+        # four CPUs as far as the sweep knows, so parallel = 3 cuts three chunks
+        monkeypatch.setattr(experiment_mod.os, "cpu_count", lambda: 4)
+        parallel, _ = run_experiment(validate_config({**raw, "parallel": 3}))
+        assert parallel == serial
+        return serial
+
+    def test_parallel_matches_serial(self, monkeypatch):
+        self.assert_parallel_matches_serial(monkeypatch, ising_config())
+
+    def test_sampled_parallel_matches_serial(self, monkeypatch):
+        # a sampled row draws from seed + its grid index, so a chunk at the
+        # wrong offset would draw other trials: every row of sampled2 has
+        # successes to tell them apart
+        raw = json.loads((_ROOT / "tests" / "data" / "sampled2.json").read_text())
+        serial = self.assert_parallel_matches_serial(monkeypatch, raw)
+        assert all(row.success_prob_empirical > 0 for row in serial)
 
     @pytest.mark.parametrize("strategy", ["A", "B-global"])
     def test_faithful_rows_identical_alone_in_chunks_and_in_the_batch(self, strategy):
@@ -475,6 +491,22 @@ class TestRunExperiment:
         assert math.isnan(rows[1].fidelity_sbqs_vs_ground)
         assert not math.isnan(rows[0].fidelity_sbqs_vs_ground)
         assert not math.isnan(rows[2].fidelity_sbqs_vs_ground)
+
+    def test_an_extinct_vector_row_keeps_its_probability(self, monkeypatch):
+        import sbqs.experiment as experiment_mod
+        from sbqs.errors import ExtinctionError
+
+        def failing_run(plan, sigma0):
+            raise ExtinctionError("forced for test", 1e-15)
+
+        monkeypatch.setattr(experiment_mod, "run", failing_run)
+        config = validate_config(ising_config())
+        setup = experiment_mod._prepare(config)
+        plan = make_plan(setup.decomposition, 0.5, config.n_steps, config.strategy, config.mode)
+        trajectory, empirical = experiment_mod._vector_run(plan, setup, config, 0)
+        assert trajectory.final_state is None and empirical is None
+        assert trajectory.extinction == "forced for test"
+        assert trajectory.extinction_probability == 1e-15
 
     def test_degenerate_flag_column(self):
         config = validate_config(
