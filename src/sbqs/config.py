@@ -170,8 +170,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         problems.append(f"mode must be one of {list(MODES)}, got {mode!r}")
 
     trials = _integer(raw.get("trials", 10000), "trials", problems)
-    if mode == "sampled" and trials is not None and trials < 1:
-        problems.append(f"sampled mode needs trials >= 1, got {trials}")
+    if trials is not None and trials < 1:
+        problems.append(f"trials must be >= 1, got {trials}")
     if mode == "sampled" and "seed" not in raw:
         problems.append("sampled mode needs an explicit seed")
     seed = _integer(raw.get("seed", 0), "seed", problems)

@@ -55,8 +55,10 @@ Faithful B-local is strategy A's chain with one ledger entry per Trotter
 step, the product of its l probabilities (each control is projected onto
 |+> alone, and no later gate touches it); its formula probability reads W
 through one (d^2, 3) functional in the chain's layout.  Faithful B-global
-gathers and maps back each term's leak delta^2 (rho ⊗ Tr_S sigma - rho
-sigma rho), beside the dense B sigma B of W.
+forms the dense A sigma A of W and adds each term's leak delta^2 (rho ⊗
+Tr_S sigma - rho sigma rho), gathered and mapped back; it reads both
+probabilities as traces of that update, the formula one before the leaks
+are added and the exact one after.
 A support of more than ``_MATRIX_QUBITS`` qubits (a pauli-generic term
 spans the register) applies the same map as block products, one GEMM X rho
 per row and its block-transposed adjoint rho X, where the matrix would cost
@@ -376,15 +378,6 @@ def _check_probability(p: float) -> float:
     return min(p, 1.0)
 
 
-def _formula_probability(sigma: np.ndarray, sb: np.ndarray, b_op: np.ndarray, denom: float):
-    """Tr[A sigma A] / denom with A = I - B, read from ``sb`` = sigma B alone,
-    per row of a stack."""
-    # Re Tr[B sigma B] = Re sum conj(B) * (sigma B), a real dot product of the float views
-    b_re, sb_re = (np.ascontiguousarray(m, dtype=sb.dtype).view(float) for m in (b_op, sb))
-    bsb = np.einsum("...ij,...ij->...", b_re, sb_re)
-    return (_trace(sigma) - 2 * _trace(sb) + bsb) / denom
-
-
 class StepResult(NamedTuple):
     """The normalized state after one measurement and its probabilities.
     For a stack of states, ``probability`` and ``formula_probability`` are
@@ -396,17 +389,14 @@ class StepResult(NamedTuple):
     formula_probability: float | np.ndarray
 
 
-def _result(ndim: int, state: np.ndarray, p: np.ndarray,
-            p_formula: np.ndarray | None) -> StepResult:
+def _result(ndim: int, state: np.ndarray, p: np.ndarray, p_formula: np.ndarray) -> StepResult:
     """The result for a ``state`` stack computed from a state of ``ndim``
     dimensions: a stack as it is, one state unwrapped, raising
-    :class:`ExtinctionError` at or below ``EXTINCTION_P``.  A ``p_formula``
-    of None is the probability itself."""
+    :class:`ExtinctionError` at or below ``EXTINCTION_P``."""
     p = np.minimum(p, 1.0)
     if ndim == 3:
-        return StepResult(state, p, p if p_formula is None else p_formula)
-    p = _check_probability(float(p[0]))
-    return StepResult(state[0], p, p if p_formula is None else float(p_formula[0]))
+        return StepResult(state, p, p_formula)
+    return StepResult(state[0], _check_probability(float(p[0])), float(p_formula[0]))
 
 
 def _swap_measure(state: np.ndarray, kernel: _Kernel, spare: np.ndarray, trace: np.ndarray,
@@ -507,19 +497,20 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
 
     Effective and sampled modes update a 1-D ``sigma`` as a vector, psi <-
     A psi / |A psi| with probability |A psi|^2 / denom.  Anything else runs
-    as a (rows, d, d) stack (a faithful vector as |psi><psi|): the state is
-    (sigma - (sigma B + B sigma) + B sigma B + sum_k kernel_k(sigma)) / scale,
-    with one :func:`_leak_kernel` per term for faithful B-global and none for
-    effective mode.  Each row is divided by its trace unless that is at or
-    below ``EXTINCTION_P``; the formula probability Tr[A sigma A] / denom
-    reads the whole group.
+    as a (rows, d, d) stack (a faithful vector as |psi><psi|), whose update
+    is A sigma A + sum_k kernel_k(sigma), with one :func:`_leak_kernel` per
+    term for faithful B-global and none otherwise.  Both probabilities are
+    traces of that update: the formula probability Tr[A sigma A] / denom is
+    read before the kernels are added, and the probability after, as the
+    trace over ``scale`` (``denom`` if None), so the two are one expression
+    without kernels.  Each row is divided by its trace unless its probability
+    is at or below ``EXTINCTION_P``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    faithful = mode == "faithful"
     sigma = np.asarray(sigma)
     b_op = np.asarray(b_op)
-    if sigma.ndim == 1 and not faithful:
+    if sigma.ndim == 1 and mode != "faithful":
         out = sigma - (b_op @ sigma if delta is None else delta * (b_op @ sigma))
         norm2 = float(np.vdot(out, out).real)
         p = _check_probability(norm2 / denom)
@@ -528,18 +519,18 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     stack = _as_stack(sigma, b_op)
     if delta is not None:
         b_op = _per_row(delta) * b_op
-    sb = stack @ b_op
-    p_formula = _formula_probability(stack, sb, b_op, denom) if faithful else None
     # A sigma A = sigma A - B sigma A, in the buffer of sigma B: this skips
     # the strided sum with (sigma B)^dagger, which is slow at large d
+    sb = stack @ b_op
     raw = np.subtract(stack, sb, out=sb)
     raw -= b_op @ raw
+    p_formula = _trace(raw) / denom
     for kernel in kernels:
         raw += kernel(stack)
-    raw *= 1 / _per_row(denom if scale is None else scale)
     trace = _trace(raw)
-    state = raw * (1 / np.where(trace > EXTINCTION_P, trace, 1.0))[:, None, None]
-    return _result(sigma.ndim, state, trace, p_formula)
+    p = trace / (denom if scale is None else scale)
+    state = raw * (1 / np.where(p > EXTINCTION_P, trace, 1.0))[:, None, None]
+    return _result(sigma.ndim, state, p, p_formula)
 
 
 def step_strategy_a(

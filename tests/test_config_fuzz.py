@@ -1,5 +1,5 @@
 """Property test of the config contract: a field of the wrong JSON type is a
-config error (exit 2), never a traceback or a run."""
+config error (exit 2) under every subcommand, never a traceback or a run."""
 
 import contextlib
 import copy
@@ -87,6 +87,7 @@ def test_wrong_json_type_is_a_config_error(data):
     path = data.draw(st.sampled_from(sorted(FIELD_TYPES, key=str)), label="field")
     kind = data.draw(st.sampled_from(sorted(set(JSON_TYPES) - FIELD_TYPES[path])), label="type")
     value = data.draw(JSON_TYPES[kind], label="value")
+    command = data.draw(st.sampled_from(["run", "bounds", "decompose", "sample"]), label="command")
     with tempfile.TemporaryDirectory() as tmp:
         raw = copy.deepcopy(PAULI if "terms" in path else ISING)
         raw["out_dir"] = str(Path(tmp) / "out")
@@ -101,7 +102,7 @@ def test_wrong_json_type_is_a_config_error(data):
         os.chdir(tmp)  # a relative out_dir would land here
         try:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(["run", str(config_path)])
+                code = main([command, str(config_path)])
         finally:
             os.chdir(cwd)
         assert code == 2, err.getvalue()

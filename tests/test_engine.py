@@ -290,13 +290,32 @@ class TestStepB:
         assert worst_state <= 1e-12
         assert worst_p <= 1e-12
 
-    @pytest.mark.parametrize("mode", ["effective", "sampled"])
-    def test_a_stack_step_outside_faithful_mode_skips_the_formula(self, monkeypatch, mode):
-        # the formula probability is the probability itself there: a stack
-        # step that computed the paper formula only to drop it must come out
-        # bit for bit the same without it
-        import sbqs.engine as engine_mod
+    def test_faithful_global_formula_is_the_paper_formula(self):
+        # Tr[A sigma A] / (l + 1) with A = I - sum_i delta_i rho_i, formed
+        # densely here, on one state and on a stack with per-row deltas
+        rng = np.random.default_rng(15)
+        factors = np.array([1.0, -0.5, 2.0])
+        worst = 0.0
+        for _ in range(10):
+            n = int(rng.integers(1, 4))
+            terms = random_resource_terms(rng, n)
+            sigmas = [random_density(rng, 2**n) for _ in range(3)]
+            a_ops = [np.eye(2**n) - sum(f * delta * embed_operator(t.rho, qubit_layout(n),
+                                                                  [f"q{s}" for s in t.support])
+                                        for t, delta in terms)
+                     for f in factors]
+            want = [np.trace(a @ sigma @ a).real / (len(terms) + 1)
+                    for a, sigma in zip(a_ops, sigmas)]
+            one = step_strategy_b(sigmas[0], terms, "global", "faithful").formula_probability
+            stack = step_strategy_b(np.stack(sigmas), [(t, delta * factors) for t, delta in terms],
+                                    "global", "faithful").formula_probability
+            worst = max(worst, abs(one / want[0] - 1), *np.abs(stack / want - 1))
+        assert worst <= 1e-14
 
+    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    def test_a_stack_step_outside_faithful_mode_skips_the_formula(self, mode):
+        # no leak: both probabilities are the one trace of A sigma A over the
+        # denominator, so they are equal bit for bit, and so are two calls
         rng = np.random.default_rng(14)
         terms = [(term, delta * np.array([1.0, -0.5, 2.0]))
                  for term, delta in random_resource_terms(rng, 3)]
@@ -304,16 +323,10 @@ class TestStepB:
         steps = [partial(step_strategy_a, stack, *terms[0], mode),
                  partial(step_strategy_b, stack, terms, "local", mode),
                  partial(step_strategy_b, stack, terms, "global", mode)]
-        wants = [step() for step in steps]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"paper-formula probability in a {mode} step")
-
-        monkeypatch.setattr(engine_mod, "_formula_probability", refuse)
-        for step, want in zip(steps, wants):
-            got = step()
+        for step in steps:
+            got, again = step(), step()
             assert np.array_equal(got.probability, got.formula_probability)
-            for a, b in zip(got, want):
+            for a, b in zip(got, again):
                 assert np.array_equal(a, b)
 
 
@@ -461,8 +474,7 @@ class TestSupportKernel:
 
         for module, name in ((linalg_mod, "embed_operator"), (engine_mod, "embed_operator"),
                              (engine_mod, "_embed"), (engine_mod, "_measure"),
-                             (engine_mod, "_formula_probability"), (engine_mod, "step_strategy_a"),
-                             (engine_mod, "step_strategy_b")):
+                             (engine_mod, "step_strategy_a"), (engine_mod, "step_strategy_b")):
             monkeypatch.setattr(module, name, refuse)
         calls = Counter()
         def counting(name, real):

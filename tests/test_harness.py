@@ -719,6 +719,15 @@ class TestCli:
         assert "bogus" in capsys.readouterr().err
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
+    def test_sample_with_no_trials_is_a_config_error(self, tmp_path, capsys):
+        # trials < 1 is refused in every mode, not only in sampled mode:
+        # `sample` reads it from a faithful config too
+        raw = json.loads((Path(__file__).parents[1] / "configs" / "fig2_left.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**raw, "trials": 0, "out_dir": str(tmp_path / "out")}))
+        assert main(["sample", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: trials must be >= 1, got 0\n"
+
     def test_numeric_error_exit_code(self, tmp_path):
         path = self.write_config(tmp_path, beta_grid=[0.0, 50.0], n_steps=5)
         assert main(["run", str(path)]) == 3
