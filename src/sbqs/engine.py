@@ -29,57 +29,44 @@ vec(X) per d_S x d_S block X, and the one-term update is one d_S^2 x d_S^2
 matrix on those rows, K = (I - delta (rho ⊗ I + I ⊗ rho^T)
 + delta^2 vec(rho) vec(I)^T) / (2 (1 + delta^2)): the k-qubit superoperator
 kernel of density-matrix simulators (Jones et al., QuEST, Sci. Rep. 9, 10736
-(2019)).  A run builds K once per term and row (:class:`_Kernel`).  The
-probability Tr K(sigma) and the paper's Tr[A sigma A] / 2 are polynomials in
-delta over Tr X, Tr rho X and Tr rho^2 X of X = Tr_rest sigma, which one
-probe per term, shared by the rows, reads off vec(Tr_rest sigma); a
-matrix-form kernel folds the probe and each row's polynomial weights into one
-(rows, d_S^2, 2) functional.
+(2019)), built once per term and row (:class:`_Kernel`).  Both probabilities
+are linear in X = Tr_rest sigma, read through one (rows, d_S^2, 2)
+functional.  Past ``_MATRIX_QUBITS`` support qubits (a pauli-generic term
+spans the register) the same map is applied as block products.
 
-A run keeps a faithful strategy-A or B-local stack flat, (rows, d^2), in
-the layout of the last kernel applied, so no measurement restores the
-canonical order.  Each kernel holds an int32 index map, built once per run,
-from the layout the measurement before it leaves to its own, and a
-measurement is one take through that map, one product that sums the rest's
-diagonal blocks (a strided view) into vec(Tr_rest sigma), one through the
-functional for both traces, one batched GEMM of the unscaled K, and nothing
-else: no transpose, no embedded rho.
-The take and the GEMM write into two stacks the run owns.  Within a Trotter
-step the stack is not normalized: each row carries its running trace t, and
-a measurement's probabilities are its traces divided by t.  The 1/t scale is
-folded into K at the step's last measurement, and at least every 21, so that
-the trace of a row that is not extinct cannot underflow.  The stack enters
-the chain once and goes back to the canonical layout once, at the end; a
-public faithful strategy-A or B-local step is a one-step chain of its own.
-Faithful B-local is strategy A's chain with one ledger entry per Trotter
-step, the product of its l probabilities (each control is projected onto
-|+> alone, and no later gate touches it); its formula probability reads W
-through one (d^2, 3) functional in the chain's layout.  Faithful B-global
-forms the dense A sigma A of W and adds each term's leak delta^2 (rho ⊗
-Tr_S sigma - rho sigma rho), gathered and mapped back; it reads both
-probabilities as traces of that update, the formula one before the leaks
-are added and the exact one after.
-A support of more than ``_MATRIX_QUBITS`` qubits (a pauli-generic term
-spans the register) applies the same map as block products, one GEMM X rho
-per row and its block-transposed adjoint rho X, where the matrix would cost
-more and outgrow the state.
+A faithful strategy-A or B-local run merges consecutive terms into windows
+(:func:`_windows`), each no wider than the widest matrix-form term, and
+composes each window's kernels into one matrix per row (:class:`_Window`).
+The kernels act blockwise, so every term's traces are read off Tr_rest sigma
+at the window's start, through the product of the kernels before it.  The
+stack stays flat in the layout of the last window applied: an int32 index
+map leads from the layout before each window to its own, so a window is one
+take, one strided sum of the rest's diagonal blocks, one product with the
+functional and one batched GEMM, into two stacks the run owns
+(:class:`_Chain`).  Within a Trotter step the stack is not normalized: each
+row carries its running trace t, a term's probabilities are its traces over
+t, and 1/t is folded into K at the step's last window and at least every 21
+terms, so that no live trace underflows.  The stack enters the chain once
+and goes back to the canonical layout once; a public faithful strategy-A or
+B-local step is a one-step chain that reads the canonical layout.  B-local
+keeps one ledger entry per Trotter step, the product of its terms'
+probabilities, and reads its formula probability through a (d^2, 3)
+functional of W.  Faithful B-global forms the dense A sigma A of W plus each
+term's leak delta^2 (rho ⊗ Tr_S sigma - rho sigma rho) and reads both
+probabilities as traces of that update, before and after the leaks.
 
 A sigma A maps a pure state to a pure state, so effective and sampled rows
-evolve a state vector as a vector, psi <- A psi / |A psi|, one
-matrix-vector product per measurement, with strategy A's B = delta rho
-embedded on the register.  Running vectors as one-row stacks instead
-measured 2.9x slower per step at d = 16 and 3.3x on an effective-A row at
-n = 4, so vectors keep their 1-D path.  Only "faithful" needs a density
-matrix; its first step promotes a vector to |psi><psi|.  The rows of a
-faithful beta sweep differ only in their deltas, so :func:`run_rows`
-advances them as one (rows, d, d) stack with the deltas broadcast per row,
-one step call per measurement for the whole stack; a single d×d state is a
-one-row stack.  Every operation acts on each row on its own (a batched GEMM
-is one BLAS call per row), so a row comes out bit for bit the same alone or
-in any stack, and a row whose probability reaches ``EXTINCTION_P`` is zeroed
-and stays in the stack while the others go on.  :func:`run` and
-:func:`run_rows` share one loop over the measurements, which fills each
-row's :class:`ProbabilityLedger`, two float arrays.
+evolve a state vector, psi <- A psi / |A psi|, one matrix-vector product per
+measurement (2.9-3.3x faster than a one-row stack at d = 16).  Only
+"faithful" needs a density matrix; its first step promotes a vector to
+|psi><psi|.  The rows of a beta sweep differ only in their deltas, so
+:func:`run_rows` advances them as one (rows, d, d) stack; every operation
+acts on each row on its own (a batched GEMM is one BLAS call per row), so a
+row comes out bit for bit the same alone or in any stack.  :func:`run` and
+:func:`run_rows` share one loop (:func:`_advance`), which fills each row's
+:class:`ProbabilityLedger` and checks a stack for extinction once per Trotter
+step: a row whose probability reached ``EXTINCTION_P`` ends at that entry,
+is zeroed and stays in the stack while the others go on.
 
 No control register or Kraus operator is built.  :func:`cswap_channel` keeps
 the Kraus form of one controlled-SWAP as a reference for tests.
@@ -165,17 +152,10 @@ def cswap_channel(rho: np.ndarray, support: tuple[int, ...], n_sites: int) -> li
 
 
 #: A kernel on at most this many support qubits applies its d_S^2 x d_S^2
-#: matrix, d_S^2 multiply-adds per entry of the state in one GEMM; on more, it
-#: applies its terms as block products, d_S per entry plus a few passes over
-#: the stack, and its matrix would outgrow the state (256 MiB per row for a
-#: full-register term at n = 6).  One faithful strategy-A measurement of a
-#: float64 9-row stack (take, probabilities, GEMM), one BLAS thread, 2-vCPU
-#: host, matrix / blocks, median of five loops:
-#:   k = 2, n = 3, 4, 6, 8:  34 / 67 us, 39 / 85 us, 0.13 / 0.46 ms, 2.4 / 8.2 ms;
-#:   k = 3, n = 3, 4, 6, 8:  68 / 62 us, 75 / 80 us, 0.27 / 0.40 ms, 4.0 / 6.9 ms,
-#:                           and 26 / 55 ms at n = 10 (2 rows);
-#:   k = 4, n = 4, 6, 8:     0.83 / 0.07 ms, 1.5 / 0.40 ms, 10.6 / 7.0 ms.
-#: k = 3 is even up to n = 4 and takes the matrix from n = 6.
+#: matrix (d_S^2 multiply-adds per entry, one GEMM); on more, block products
+#: (d_S per entry plus a few passes), where the matrix would outgrow the state.
+#: A 9-row float64 measurement, matrix / blocks: k = 3 at n = 4, 8: 75 / 80 us,
+#: 4.0 / 6.9 ms; k = 4 at n = 4, 8: 0.83 / 0.07 ms, 10.6 / 7.0 ms.
 _MATRIX_QUBITS = 3
 
 
@@ -198,29 +178,21 @@ def _inverse(order: np.ndarray) -> np.ndarray:
 class _Kernel:
     """X -> c0 X + c1 (rho X + X rho) + c2 rho Tr X + c3 rho X rho on every
     d_S x d_S block X of a (rows, d, d) stack that its support qubits index,
-    with one set of coefficients per row (or one for every row).
+    with real coefficients per row (or one for every row); ``rho``'s qubit m
+    sits on site ``support[m]``.
 
     The kernel reads a flat (rows, d^2) stack in the layout of ``source``, a
     support (None: the canonical layout), and ``index`` maps it to its own
-    layout of :func:`_layout`, in which the stack is (rows, d_R^2, d_S^2).
-    On those rows the map is one d_S^2 x d_S^2 matrix, the transpose of
-    c0 I + c1 (rho ⊗ I + I ⊗ rho^T) + c2 vec(rho) vec(I)^T + c3 rho ⊗ rho^T,
-    so a call is one batched GEMM, one BLAS call per row: a row comes out bit
-    for bit the same in any stack.  Past ``_MATRIX_QUBITS`` support qubits the
-    map is applied as block products instead, which read rho X off X rho and
-    so need a Hermitian stack, as every state is.  ``rho``'s qubit m sits on
-    site ``support[m]``; the coefficients are real.
+    layout of :func:`_layout`, (rows, d_R^2, d_S^2).  There the map is one
+    d_S^2 x d_S^2 matrix, the transpose of c0 I + c1 (rho ⊗ I + I ⊗ rho^T)
+    + c2 vec(rho) vec(I)^T + c3 rho ⊗ rho^T: one batched GEMM, one BLAS call
+    per row, so a row comes out bit for bit the same in any stack.  Past
+    ``_MATRIX_QUBITS`` qubits it is applied as block products, which read
+    rho X off X rho and so need a Hermitian stack, as every state is.
     """
 
-    def __init__(self, rho: np.ndarray, support: tuple[int, ...], n: int, coefs,
-                 source: tuple[int, ...] | None = None):
-        self.n, self.rho, self.support = n, rho, support
-        order = _layout(support, n)
-        self.index = order if source is None else _inverse(_layout(source, n))[order]
-        # take's mode "wrap" writes into out= directly ("raise" buffers it) but
-        # would wrap a bad index silently: the map must be a permutation
-        if not (np.bincount(self.index, minlength=order.size) == 1).all():
-            raise ValueError(f"layout map of {support} is not a permutation")
+    def __init__(self, rho: np.ndarray, support: tuple[int, ...], n: int, coefs):
+        self.n, self.rho, self.support, self.source = n, rho, support, None
         # coefficients shaped (rows, 1, 1); None drops a term
         self.coefs = [None if c is None else np.reshape(c, (-1, 1, 1)) for c in coefs]
         s = len(rho)
@@ -231,18 +203,29 @@ class _Kernel:
                      np.outer(eye.ravel(), rho.ravel()), kron(rho.T, rho))
             self.matrix = sum(c * m for c, m in zip(self.coefs, parts) if c is not None)
 
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Built on the first take: a kernel merged into a window builds none."""
+        order = _layout(self.support, self.n)
+        index = order if self.source is None else _inverse(_layout(self.source, self.n))[order]
+        # take's mode "wrap" writes into out= directly ("raise" buffers it) but
+        # would wrap a bad index silently: the map must be a permutation
+        if not (np.bincount(index, minlength=order.size) == 1).all():
+            raise ValueError(f"layout map of {self.support} is not a permutation")
+        return index
+
     def take(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The rows of a flat stack in the source layout, in this kernel's."""
         return flat.take(self.index, axis=1, out=out, mode="wrap")
 
-    def enter(self, stack: np.ndarray) -> np.ndarray:
+    def enter(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A canonical (rows, d, d) stack, flat in this kernel's layout."""
-        return np.take(stack.reshape(len(stack), -1), _layout(self.support, self.n), axis=1)
+        return np.take(stack.reshape(len(stack), -1), _layout(self.support, self.n), axis=1,
+                       out=out, mode="wrap")  # a permutation by construction
 
     @cached_property
     def home(self) -> np.ndarray:
-        """The map from this kernel's layout back to the canonical one, built on
-        first use: once per step for a B-global leak, once per run for a chain."""
+        """The map from this kernel's layout back to the canonical one."""
         return _inverse(_layout(self.support, self.n))
 
     def leave(self, flat: np.ndarray) -> np.ndarray:
@@ -254,14 +237,16 @@ class _Kernel:
         """The map on the flat rows ``v`` in this kernel's layout, times the
         (rows,) ``scale`` if given, written into ``out`` if given.  ``v`` has
         the dtype of the result, and the block form overwrites it."""
-        rows, s = len(v), len(self.rho)
+        rows = len(v)
         if self.matrix is not None:
             m = self.matrix if scale is None else self.matrix * scale[:, None, None]
-            y = np.matmul(v.reshape(rows, -1, s * s), m,
-                          out=None if out is None else out.reshape(rows, -1, s * s))
+            s2 = m.shape[-1]
+            y = np.matmul(v.reshape(rows, -1, s2), m,
+                          out=None if out is None else out.reshape(rows, -1, s2))
             return y.reshape(rows, -1)
         c0, c1, c2, c3 = (c if c is None or scale is None else c * scale[:, None, None]
                           for c in self.coefs)
+        s = len(self.rho)
         r = math.isqrt(v.shape[1]) // s
         x = v.reshape(rows, r, r, s, s)
         blocks = v.reshape(rows, -1, s)  # the rows of every block, for X M as one GEMM per row
@@ -299,34 +284,31 @@ class _Kernel:
 
     @cached_property
     def probe(self) -> np.ndarray:
-        """(d_S^2, 3): Tr X, Tr rho X and Tr rho^2 X of a row-major vec(X),
-        as Tr(M X) = vec(M^T) . vec(X) and rho^T = conj(rho).  Shared by every
-        row and built on the first swap measurement that reads it."""
+        """(d_S^2, 3): Tr X, Tr rho X and Tr rho^2 X of a row-major vec(X), as
+        Tr(M X) = vec(M^T) . vec(X) and rho^T = conj(rho); shared by the rows."""
         conj = self.rho.conj()
         return np.stack([np.eye(len(conj)).ravel(), conj.ravel(), (conj @ conj).ravel()], axis=1)
 
     @cached_property
     def functional(self) -> np.ndarray | None:
         """``probe`` @ ``weights``, (rows, d_S^2, 2): a swap kernel's two
-        traces of a vec(X) in one product, built on first read; None in the
-        block form, where it would take rows x d^2 per term."""
+        traces of a vec(X) in one product; None in the block form."""
         return None if self.matrix is None else self.probe @ self.weights
 
 
-def _swap_kernel(term: ResourceTerm, n: int, delta, source: tuple[int, ...]) -> _Kernel:
+def _swap_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
     """K_delta of one faithful one-term measurement, sigma ->
     (sigma - delta {rho, sigma} + delta^2 rho ⊗ Tr_S sigma) / (2 (1 + delta^2)),
-    for a scalar or (rows,) ``delta``, reading the layout of ``source``.
-    ``weights`` (rows, 3, 2) turns Tr X, Tr rho X and Tr rho^2 X of X =
-    Tr_rest sigma into the probability Tr K(sigma) = Tr X / 2 - delta Tr rho X
-    / (1 + delta^2) and the paper's Tr[A sigma A] / 2 = Tr X / 2 - delta Tr rho X
-    + delta^2 Tr rho^2 X / 2, with A = I - delta rho; the kernel's
-    ``functional`` folds the probe into them.  ``ones`` (1, d_R) sums the d_R
-    diagonal blocks of the rest, Tr_rest sigma, as one product."""
+    for a scalar or (rows,) ``delta``.  ``weights`` (rows, 3, 2) turns Tr X,
+    Tr rho X and Tr rho^2 X of X = Tr_rest sigma into the probability
+    Tr K(sigma) = Tr X / 2 - delta Tr rho X / (1 + delta^2) and the paper's
+    Tr[A sigma A] / 2 = Tr X / 2 - delta Tr rho X + delta^2 Tr rho^2 X / 2,
+    with A = I - delta rho.  ``ones`` (1, d_R) sums the d_R diagonal blocks
+    of the rest, Tr_rest sigma, as one product."""
     delta = np.reshape(delta, (-1, 1, 1))
     norm = 2 * (1 + delta * delta)
     kernel = _Kernel(term.rho, term.support, n,
-                     (1 / norm, -delta / norm, delta * delta / norm, None), source)
+                     (1 / norm, -delta / norm, delta * delta / norm, None))
     half, zero = np.full_like(delta, 0.5), np.zeros_like(delta)
     weights = np.block([[half, half], [-2 * delta / norm, -delta], [zero, delta * delta / 2]])
     kernel.weights = weights.astype(term.rho.dtype)  # as the probe, to skip a cast per call
@@ -399,94 +381,154 @@ def _result(ndim: int, state: np.ndarray, p: np.ndarray, p_formula: np.ndarray) 
     return StepResult(state[0], _check_probability(float(p[0])), float(p_formula[0]))
 
 
-def _swap_measure(state: np.ndarray, kernel: _Kernel, spare: np.ndarray, trace: np.ndarray,
-                  fold: bool):
-    """One faithful one-term measurement on a flat (rows, d^2) ``state`` in
-    the layout that ``kernel``'s map reads, whose rows have the running traces
-    ``trace``: the state in the kernel's own layout and both probabilities per
-    row.  One take fills ``spare``; the sum of its d_R diagonal blocks of the
-    rest, a strided view, is vec(Tr_rest sigma), and the kernel's
-    ``functional`` (or its ``probe`` and ``weights``) reads both traces off it,
-    each divided by the running trace into a probability.  K is applied
-    unscaled, in one GEMM into ``state``, and ``trace`` takes the new trace of
-    every row above ``EXTINCTION_P``; with ``fold`` the traces scale K
-    instead, so the state comes out normalized (a row at or below
-    ``EXTINCTION_P`` divided by its last trace above), and reset to 1.  A run
-    owns the stacks and the traces."""
+def _fold_every() -> int:
+    """How many probabilities above ``EXTINCTION_P`` multiply to a normal
+    float (21): a chain folds its running traces into K at least this often."""
+    return math.floor(math.log(sys.float_info.min) / math.log(EXTINCTION_P))
+
+
+def _windows(terms: list[ResourceTerm]) -> list[list[int]]:
+    """A Trotter step's terms as windows of term indices: maximal runs of
+    consecutive terms, in order, whose union support is no wider than the
+    widest matrix-form term, cut after every :func:`_fold_every` terms.  A
+    block-form term is wider than that, so it is a window of its own."""
+    widest = max((len(t.support) for t in terms if len(t.support) <= _MATRIX_QUBITS), default=0)
+    windows, support, every = [], (), _fold_every()
+    for k, term in enumerate(terms):
+        union = (*support, *(q for q in term.support if q not in support))
+        if k % every and len(union) <= widest:
+            windows[-1].append(k)
+            support = union
+        else:
+            windows.append([k])
+            support = term.support
+    return windows
+
+
+class _Window(_Kernel):
+    """Consecutive matrix-form swap kernels as one on their union support:
+    the product of their maps on vec(X) of an X on that support, K_1 first,
+    and a (rows, D, 2m) functional whose columns read the m exact, then the m
+    formula traces off Tr_rest sigma at the window's start, term k's through
+    the product of the k - 1 maps before it: the kernels act blockwise."""
+
+    def __init__(self, kernels: list[_Kernel], n: int):
+        self.n, self.rho, self.source = n, None, None
+        self.support = tuple(dict.fromkeys(q for kernel in kernels for q in kernel.support))
+        d2 = 4 ** len(self.support)
+        product, columns = np.eye(d2)[None], []
+        for kernel in kernels:
+            order = _layout(tuple(map(self.support.index, kernel.support)), len(self.support))
+            r = 2 ** (len(self.support) - len(kernel.support))
+            # each row of the product in the kernel's layout, (rows, d2, d_R^2, d_S^2)
+            x = product[..., order].reshape(len(product), d2, r * r, -1)
+            columns.append(x[:, :, ::r + 1].sum(axis=2) @ kernel.functional)
+            product = (x.reshape(len(x), -1, x.shape[-1]) @ kernel.matrix).reshape(-1, d2, d2)
+            product = product[..., _inverse(order)]
+        self.matrix = np.ascontiguousarray(product)  # the indexing leaves it strided
+        self.functional = np.concatenate([c[..., :1] for c in columns]
+                                         + [c[..., 1:] for c in columns], axis=-1)
+        self.ones = np.ones((1, 2 ** (n - len(self.support))), self.functional.dtype)
+
+
+def _swap_measure(state: np.ndarray, kernel: _Kernel, spare: np.ndarray, out: np.ndarray,
+                  trace: np.ndarray, fold: bool):
+    """One faithful window of m one-term measurements on a flat (rows, d^2)
+    ``state`` in the layout ``kernel`` reads, whose rows have the running
+    traces ``trace``: the state in the kernel's layout, in ``out``, and both
+    probabilities of every term, (m, rows) each.  One take fills ``spare``,
+    whose strided sum of the rest's diagonal blocks is vec(Tr_rest sigma),
+    and the ``functional`` (or ``probe`` and ``weights``) reads the terms'
+    traces off it.  Term by term, they are divided by ``trace``, which then
+    takes the term's exact trace unless its probability is at or below
+    ``EXTINCTION_P``.  K is applied unscaled in one GEMM; with ``fold`` the
+    traces scale it, so the state comes out normalized, and reset to 1."""
     x = kernel.take(state, out=spare)
-    rows, s2 = len(x), len(kernel.rho) ** 2
+    rows, s2 = len(x), 4 ** len(kernel.support)
     r = kernel.ones.shape[1]
     y = x.reshape(rows, r * r, s2)[:, ::r + 1]  # the r diagonal blocks of the rest
     if r > 1:  # a full-register block is its own sum, and the product would copy it
         y = kernel.ones @ y
     f = kernel.functional
-    q = (y @ f if f is not None else y @ kernel.probe @ kernel.weights)[:, 0].real
+    q = (y @ f if f is not None else y @ kernel.probe @ kernel.weights)[:, 0].real.T
     # p <= 1/2 + |delta| / (1 + delta^2) < 1 for |delta| < 1: nothing to clamp
-    p, p_formula = (q / trace[:, None]).T
-    np.copyto(trace, q[:, 0], where=p > EXTINCTION_P)  # never 0: a zeroed row keeps its last
+    p, m = np.empty_like(q), len(q) // 2
+    for k in range(m):
+        np.divide(q[k::m], trace, out=p[k::m])
+        np.copyto(trace, q[k], where=p[k] > EXTINCTION_P)  # never 0: a zeroed row keeps its last
     if fold:
-        kernel.apply(x, 1 / trace, out=state)
+        kernel.apply(x, 1 / trace, out=out)
         trace.fill(1.0)
     else:
-        kernel.apply(x, out=state)
-    return state, p, p_formula
+        kernel.apply(x, out=out)
+    return out, p[:m], p[m:]
 
 
-def _swap_chain(terms: list[tuple[ResourceTerm, object]], n: int,
-                stack: np.ndarray) -> tuple[list[partial], _Kernel]:
-    """One :func:`_swap_measure` per (term, delta) of a Trotter step, each
-    kernel reading the layout the one before leaves, the first the last one's
-    (returned), sharing a spare stack and running traces for ``stack``."""
-    kernels = [_swap_kernel(term, n, delta, terms[k - 1][0].support)
-               for k, (term, delta) in enumerate(terms)]
-    spare = np.empty((len(stack), stack[0].size), stack.dtype)
-    trace = np.ones(len(stack))
-    # this many probabilities above EXTINCTION_P (21) multiply to a normal float
-    every = math.floor(math.log(sys.float_info.min) / math.log(EXTINCTION_P))
-    return ([partial(_swap_measure, kernel=kernel, spare=spare, trace=trace,
-                     fold=k % every == 0 or k == len(kernels))
-             for k, kernel in enumerate(kernels, start=1)], kernels[-1])
+class _Chain:
+    """A Trotter step's faithful swap kernels merged into :func:`_windows`,
+    and the two stacks and running traces a run owns: one
+    :func:`_swap_measure` per window in ``measures``, each reading the
+    layout the one before leaves, the first the last one's (the canonical
+    layout if not ``cyclic``), and each writing ``state``, in which a stack
+    enters and leaves through the ``last`` window.  The traces are folded
+    into K at the last window and after every :func:`_fold_every` terms,
+    where windows end."""
+
+    def __init__(self, terms: list[tuple[ResourceTerm, object]], n: int, stack: np.ndarray,
+                 cyclic: bool = True):
+        kernels = [_swap_kernel(term, n, delta) for term, delta in terms]
+        self.groups = _windows([term for term, _ in terms])
+        windows = [kernels[g[0]] if len(g) == 1 else _Window([kernels[k] for k in g], n)
+                   for g in self.groups]
+        for w, window in enumerate(windows):
+            window.source = windows[w - 1].support if w or cyclic else None
+        self.last = windows[-1]
+        self.state = np.empty((len(stack), stack[0].size), stack.dtype)
+        spare, trace = np.empty_like(self.state), np.ones(len(stack))
+        every = _fold_every()
+        self.measures = [partial(_swap_measure, kernel=window, spare=spare, out=self.state,
+                                 trace=trace, fold=window is self.last or (g[-1] + 1) % every == 0)
+                         for g, window in zip(self.groups, windows)]
 
 
-def _formula_functional(b_op: np.ndarray, kernel: _Kernel) -> np.ndarray:
+def _formula_functional(b_op: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """(d^2, 3), or (rows, d^2, 3) for one B per row: Tr sigma, Tr B sigma and
-    Tr B^2 sigma of a flat sigma in ``kernel``'s layout, as vec(M^T) . vec(sigma)."""
-    order = _layout(kernel.support, kernel.n)
+    Tr B^2 sigma of a flat sigma in the layout ``order`` (:func:`_layout`;
+    None: the canonical one), as vec(M^T) . vec(sigma)."""
     eye = np.broadcast_to(np.eye(b_op.shape[-1], dtype=b_op.dtype), b_op.shape)
-    return np.stack([np.swapaxes(m, -1, -2).reshape(*b_op.shape[:-2], -1)[..., order]
-                     for m in (eye, b_op, b_op @ b_op)], axis=-1)
+    columns = [np.swapaxes(m, -1, -2).reshape(*b_op.shape[:-2], -1) for m in (eye, b_op, b_op @ b_op)]
+    return np.stack(columns if order is None else [c[..., order] for c in columns], axis=-1)
 
 
 def _local_step(state: np.ndarray, measures: list[partial], functional: np.ndarray,
                 weights: np.ndarray):
-    """One faithful B-local Trotter step: strategy A's ``measures`` on a
-    stack in their chain's layout, and the product of their probabilities,
-    each over the running trace as last updated (a measurement at or below
-    ``EXTINCTION_P`` leaves it).  The formula probability is read first, as
-    ``functional`` (:func:`_formula_functional`) times ``weights``."""
+    """One faithful B-local Trotter step: strategy A's ``measures``, and the
+    product of the terms' probabilities.  A term at or below
+    ``EXTINCTION_P`` leaves the running trace, so the next term's carries
+    its factor: the product skips it, unless it is the last.  The formula
+    probability is read first, ``functional`` times ``weights``."""
     p_formula = ((state[:, None] @ functional)[:, 0].real * weights).sum(axis=-1)
-    p = settled = np.ones(len(state))
+    windows = []
     for measure in measures:
-        state, p_k, _ = measure(state)
-        p = settled * p_k
-        settled = np.where(p_k > EXTINCTION_P, p, settled)
-    return state, p, p_formula
+        state, p, _ = measure(state)
+        windows.append(p)
+    p = np.concatenate(windows)
+    return state, np.prod(np.where(p[:-1] > EXTINCTION_P, p[:-1], 1.0), axis=0) * p[-1], p_formula
 
 
 def _chain_step(sigma, terms: list, b_op=None, denom: float = 2.0) -> StepResult:
     """One faithful step of ``terms`` on a canonical state, a one-step
-    :func:`_swap_chain` that the stack enters, runs and leaves: strategy A's
-    :func:`_swap_measure` without ``b_op``, else B-local's :func:`_local_step`,
-    whose formula probability is Tr[A sigma A] / ``denom`` with B = ``b_op``."""
+    :class:`_Chain`: strategy A's :func:`_swap_measure` without ``b_op``,
+    else B-local's :func:`_local_step`, with B = ``b_op``."""
     stack = _as_stack(sigma, *(t.rho for t, _ in terms), *([] if b_op is None else [b_op]))
-    measures, last = _swap_chain(terms, np.shape(sigma)[-1].bit_length() - 1, stack)
-    state = last.enter(stack)
+    chain = _Chain(terms, np.shape(sigma)[-1].bit_length() - 1, stack, cyclic=False)
+    flat = stack.reshape(len(stack), -1)
     if b_op is None:
-        state, p, p_formula = measures[0](state)
+        state, (p,), (p_formula,) = chain.measures[0](flat)
     else:
-        state, p, p_formula = _local_step(state, measures, _formula_functional(b_op, last),
+        state, p, p_formula = _local_step(flat, chain.measures, _formula_functional(b_op),
                                           np.array([1.0, -2.0, 1.0]) / denom)
-    return _result(np.ndim(sigma), last.leave(state), p, p_formula)
+    return _result(np.ndim(sigma), chain.last.leave(state), p, p_formula)
 
 
 def _measure(sigma, b_op, denom: float, mode: str, delta=None,
@@ -548,12 +590,11 @@ def step_strategy_a(
     the formula probability Tr[(I - delta rho) sigma (I - delta rho)] / 2
     equals it in effective mode.  ``sigma`` is a state vector or a d×d state
     with a scalar ``delta``, or a (rows, d, d) stack with one delta per row.
-    Faithful mode runs the one-step :func:`_swap_chain` of the term, the
-    measurement a run makes, on the term's support, and the state comes back
-    in the canonical layout; effective and sampled modes apply B = delta
-    rho_emb, with ``rho_emb`` = ``term.rho`` embedded on the full register,
-    here if not given.  ``kraus`` is ignored, and ``rho_emb`` in faithful
-    mode; they stay for callers written against earlier engines.
+    Faithful mode runs the term's one-step :class:`_Chain`, as a run does;
+    effective and sampled modes apply B = delta rho_emb, with ``rho_emb`` =
+    ``term.rho`` embedded on the full register, here if not given.  ``kraus``
+    is ignored, and ``rho_emb`` in faithful mode; they stay for callers
+    written against earlier engines.
     """
     if mode == "faithful":
         return _chain_step(sigma, [(term, delta)])
@@ -579,8 +620,8 @@ def step_strategy_b(
 
     B = sum_i delta_i rho_i is ``b_op`` if given, else summed from
     ``rho_embs``, embedded here if not given either.  Faithful "local" runs
-    the one-step :func:`_swap_chain` of ``terms``, as faithful strategy A
-    does, and reads B for the formula probability alone; faithful "global"
+    the one-step :class:`_Chain` of ``terms``, as faithful strategy A does,
+    and reads B for the formula probability alone; faithful "global"
     also applies ``kernels``, one :func:`_leak_kernel` per term, built here
     when not given.  The state comes back in the canonical layout.
     ``embedded_kraus`` is ignored, like ``kraus``.
@@ -752,15 +793,16 @@ def _initial_state(state: np.ndarray, n_sites: int) -> np.ndarray:
 
 
 def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = None,
-                  ) -> tuple[list[tuple[str, partial]], _Kernel | None]:
-    """(step id suffix, step function) for each measurement of one Trotter
-    step of ``plan``, and the kernel in whose layout a faithful strategy-A or
-    B-local ``stack`` rests between steps (None: the canonical layout).
+                  ) -> tuple[list[tuple[tuple[str, ...], partial]], _Chain | None]:
+    """(step id suffixes, step function) for each measurement of one Trotter
+    step of ``plan``, and the :class:`_Chain` of a faithful strategy-A or
+    B-local ``stack`` (None: the stack rests in the canonical layout).
     ``deltas`` (one per term) and ``scale`` = beta / N are scalars for one row
     or (rows,) arrays for a stack.  Each step function maps a state to (state,
-    probability, formula probability).  Faithful strategy A is the terms'
-    :func:`_swap_chain`, and faithful B-local one :func:`_local_step` over
-    it, with W's functional and per-row weights (1, -2 scale, scale^2) / 2^l.
+    probability, formula probability), the probabilities (m, rows) for a
+    window of m terms.  Faithful strategy A is the chain's windows, one
+    suffix per term, and faithful B-local one :func:`_local_step` over them,
+    with W's functional and per-row weights (1, -2 scale, scale^2) / 2^l.
     Otherwise strategy A is one :func:`step_strategy_a` per term, each term
     embedded, and strategy B one :func:`step_strategy_b` over all terms,
     whose B is ``scale`` * W, with faithful B-global's leak kernels built
@@ -772,20 +814,22 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
         return [], None
     faithful = plan.mode == "faithful"
     if faithful and plan.strategy != "B-global":
-        measures, last = _swap_chain(terms, dec.n, stack)
+        chain = _Chain(terms, dec.n, stack)
         if plan.strategy == "A":
-            return [(f".{k}", measure) for k, measure in enumerate(measures, start=1)], last
+            return [(tuple(f".{k + 1}" for k in group), measure)
+                    for group, measure in zip(chain.groups, chain.measures)], chain
         weights = np.stack([np.ones_like(scale), -2 * scale, scale * scale], axis=1) / 2**dec.ell
-        return [("", partial(_local_step, measures=measures, weights=weights,
-                             functional=_formula_functional(dec.operator, last)))], last
+        functional = _formula_functional(dec.operator, _layout(chain.last.support, dec.n))
+        return [(("",), partial(_local_step, measures=chain.measures, weights=weights,
+                                functional=functional))], chain
     if plan.strategy == "A":
-        return [(f".{k}", partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,
-                                  rho_emb=_embed(term, dec.n)))
+        return [((f".{k}",), partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,
+                                     rho_emb=_embed(term, dec.n)))
                 for k, (term, delta) in enumerate(terms, start=1)], None
     kernels = [_leak_kernel(t, dec.n, delta) for t, delta in terms] if faithful else None
-    return [("", partial(step_strategy_b, terms=terms, measurement=plan.strategy[2:],
-                         mode=plan.mode, b_op=np.multiply.outer(scale, dec.operator),
-                         kernels=kernels))], None
+    return [(("",), partial(step_strategy_b, terms=terms, measurement=plan.strategy[2:],
+                            mode=plan.mode, b_op=np.multiply.outer(scale, dec.operator),
+                            kernels=kernels))], None
 
 
 def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[Trajectory]:
@@ -793,10 +837,12 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
     :func:`run_rows`: each row's trajectory.  With ``vector`` the one plan
     evolves a state vector, whose step function raises
     :class:`ExtinctionError`.  Otherwise the rows advance as one stack in the
-    dtype of the state and the resources; an extinct row is zeroed and stays,
-    so that every kernel is built once, and the loop stops once no row is
-    left.  A faithful strategy-A or B-local stack enters its kernels' chain
-    once at the start and goes back to the canonical layout once at the end."""
+    dtype of the state and the resources, and extinction is checked once per
+    Trotter step: a row with a ledger entry at or below ``EXTINCTION_P`` in
+    the step ends at its first such entry, and is zeroed and stays, so that
+    every kernel is built once; the loop stops once no row is left.  A
+    faithful strategy-A or B-local stack enters its chain once at the start
+    and goes back to the canonical layout once at the end."""
     t0 = time.perf_counter()
     first = plans[0]
     dec = first.decomposition
@@ -809,30 +855,35 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
         scales = np.array([p.beta / p.n_steps for p in plans])
     measurements, chain = _measurements(first, deltas, scales, None if vector else sigma)
     if chain is not None:
-        sigma = chain.enter(sigma)
-    count = first.n_steps * len(measurements)
-    exact, formula = np.empty((count, len(plans))), np.empty((count, len(plans)))
+        sigma = chain.last.enter(sigma, out=chain.state)
+    suffixes = tuple(suffix for group, _ in measurements for suffix in group)
+    keys, k = [], 0  # where each measurement's entries sit in a Trotter step's block
+    for group, _ in measurements:
+        keys.append(k if len(group) == 1 else slice(k, k + len(group)))
+        k += len(group)
+    exact, formula = np.empty((2, first.n_steps, len(suffixes), len(plans)))
     lost: dict[int, tuple[int, float]] = {}  # extinct row -> (measurement, probability)
-    for j in range(count):
+    for step in range(first.n_steps):
         try:
-            sigma, p, p_formula = measurements[j % len(measurements)][1](sigma)
+            for key, (_, measure) in zip(keys, measurements):
+                sigma, exact[step, key], formula[step, key] = measure(sigma)
         except ExtinctionError as err:  # only a vector step raises
-            lost[0] = (j, err.probability)
+            lost[0] = (step * len(suffixes) + key, err.probability)
             break
-        exact[j], formula[j] = p, p_formula
-        if not vector and (extinct := p <= EXTINCTION_P).any():
-            sigma[extinct] = 0.0
-            for row in np.flatnonzero(extinct).tolist():
-                lost.setdefault(row, (j, float(p[row])))
+        if not vector and (extinct := exact[step] <= EXTINCTION_P).any():
+            rows = np.flatnonzero(extinct.any(axis=0))
+            sigma[rows] = 0.0
+            for row, at in zip(rows.tolist(), extinct.argmax(axis=0)[rows].tolist()):
+                lost.setdefault(row, (step * len(suffixes) + at, float(exact[step, at, row])))
             if len(lost) == len(plans):
                 break
     if chain is not None:
-        sigma = chain.leave(sigma)
+        sigma = chain.last.leave(sigma)
     wall = time.perf_counter() - t0
-    suffixes = tuple(suffix for suffix, _ in measurements)
+    exact, formula = exact.reshape(-1, len(plans)), formula.reshape(-1, len(plans))
     out = []
     for row, plan in enumerate(plans):
-        end, p = lost.get(row, (count, None))
+        end, p = lost.get(row, (len(exact), None))
         ledger = ProbabilityLedger(exact[:end, row], formula[:end, row], suffixes)
         extinction = None if p is None else f"{_extinction(p)} at step {ledger.step_id(end)}"
         final = None if extinction else _density(sigma) if vector else sigma[row]

@@ -436,7 +436,7 @@ class TestSupportKernel:
         deltas = np.array([0.01, 0.03, -0.02, 0.05])
         stack = np.stack([random_density(rng, 8) for _ in deltas])
         terms = [(term, deltas)]
-        kernel = engine_mod._swap_kernel(term, 3, deltas, term.support)
+        kernel = engine_mod._swap_kernel(term, 3, deltas)
         built, real = [], engine_mod._swap_kernel
         monkeypatch.setattr(engine_mod, "_swap_kernel", lambda *args: built.append(real(*args))
                             or built[-1])
@@ -460,7 +460,7 @@ class TestSupportKernel:
         with every embedding, dense update and public step function refused:
         the rows must come out bit for bit the same.  The count of the
         ``_as_stack`` calls and of the kernels' enter, take and leave calls,
-        the term count and the rows."""
+        the count of windows per Trotter step and the rows."""
         import sbqs.engine as engine_mod
         import sbqs.linalg as linalg_mod
 
@@ -493,23 +493,24 @@ class TestSupportKernel:
             assert np.array_equal(a.final_state, b.final_state)
             assert np.array_equal(a.ledger.exact, b.ledger.exact)
             assert np.array_equal(a.ledger.formula, b.ledger.formula)
-        return calls, dec.ell, got
+        return calls, len(engine_mod._windows(list(dec.terms))), got
 
     def test_faithful_a_sweep_embeds_nothing_and_skips_the_dense_update(self, monkeypatch):
         # a faithful strategy-A run reads each term's kernel only: no embedded
         # resource, no pass through the d x d post-selection and no public step
         # function, which would map every measurement back to the canonical
         # layout; the stack is built once, enters the kernels' chain once,
-        # takes one gather per measurement and leaves once
-        calls, ell, _ = self.chain_only(monkeypatch, "A")
-        assert calls == {"_as_stack": 1, "enter": 1, "take": 50 * ell, "leave": 1}
+        # takes one gather per window of terms and leaves once
+        calls, windows, _ = self.chain_only(monkeypatch, "A")
+        assert windows == 8
+        assert calls == {"_as_stack": 1, "enter": 1, "take": 50 * windows, "leave": 1}
 
     def test_faithful_b_local_sweep_is_strategy_a_chain_without_sigma_b(self, monkeypatch):
         # faithful B-local runs the same chain with one ledger entry per Trotter
         # step, and reads its formula probability through W's functional: no
         # sigma B, no dense update and no public step function
-        calls, ell, got = self.chain_only(monkeypatch, "B-local")
-        assert calls == {"_as_stack": 1, "enter": 1, "take": 50 * ell, "leave": 1}
+        calls, windows, got = self.chain_only(monkeypatch, "B-local")
+        assert calls == {"_as_stack": 1, "enter": 1, "take": 50 * windows, "leave": 1}
         assert [len(t.ledger.exact) for t in got] == [50, 50]
 
 
@@ -734,6 +735,78 @@ class TestChain:
                 assert got.probability == t.ledger.exact[0]
                 assert got.formula_probability == t.ledger.formula[0]
 
+    def test_windows_merge_consecutive_terms_no_wider_than_the_widest_matrix_term(self):
+        # a window is a maximal run of consecutive terms of one Trotter step,
+        # in order, whose union support is no wider than the widest term in the
+        # matrix form; a block-form term stands alone
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(4, 1.0, 5.0, "periodic"))
+        labels = [[dec.terms[k].label for k in window]
+                  for window in engine_mod._windows(list(dec.terms))]
+        assert labels == [["xx(0,1)"], ["xx(1,2)"], ["xx(2,3)"], ["xx(3,0)", "x(0)"],
+                          ["x(1)", "x(2)"], ["x(3)", "z(0)"], ["z(1)", "z(2)"], ["z(3)"]]
+        models = [self.decomposition(n, 80 + n) for n in (2, 3, 4, 5)]
+        models.append(decompose_pauli_generic(load_config(PAULI_Y4).model))
+        for dec in models:
+            terms = list(dec.terms)
+            windows = engine_mod._windows(terms)
+            assert [k for window in windows for k in window] == list(range(len(terms)))
+            widest = max((len(t.support) for t in terms
+                          if len(t.support) <= engine_mod._MATRIX_QUBITS), default=0)
+            for window in windows:
+                union = {q for k in window for q in terms[k].support}
+                assert len(window) == 1 or len(union) <= widest
+            if dec.n == 3:  # the full-register term takes the matrix form
+                assert windows == [list(range(len(terms)))]
+            for k, term in enumerate(terms):
+                if len(term.support) > engine_mod._MATRIX_QUBITS:
+                    assert [k] in windows
+
+    def test_rows_extinct_in_one_trotter_step_end_at_their_own_first_entry(self, monkeypatch):
+        # from |11>, each term |1><1| leaves the state as it is, with p = (1 -
+        # delta)^2 / (2 (1 + delta^2)), falling with delta = beta w / N.  At a
+        # raised extinction level, three rows die in the first Trotter step at
+        # its second, third and fourth measurement: the first two in one
+        # window, the third in the next, and the first two stay at or below
+        # the level after.  Extinction is checked once per step: each ledger must end at
+        # its row's first entry at or below the level, with the probability a
+        # run of its plan alone raises, and the survivors must not move
+        import sbqs.engine as engine_mod
+
+        one, zero = np.diag([0.0, 1.0]), np.diag([1.0, 0.0])
+        dec = ResourceDecomposition(2, (ResourceTerm(1.0, zero, (1,), "lead"),
+                                        ResourceTerm(1.0, one, (0,), "a"),
+                                        ResourceTerm(2.0, one, (0,), "b"),
+                                        ResourceTerm(3.0, one, (1,), "c")), 0.0, "pauli-generic")
+        assert engine_mod._windows(list(dec.terms)) == [[0], [1, 2], [3]]
+        with pytest.warns(UserWarning, match="delta"):
+            plans = [make_plan(dec, beta, 10) for beta in (0.0, 0.5, 0.7, 1.0, 2.0)]
+        psi = np.eye(4)[3]
+        unforced = run_rows(plans, psi)
+        level = 0.32
+        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        batch = run_rows(plans, psi)
+        dies_at = {2: 3, 3: 2, 4: 1}
+        for row, (t, ref, plan) in enumerate(zip(batch, unforced, plans)):
+            if row not in dies_at:
+                assert t.extinction is None and ref.ledger.exact.min() > level
+                assert np.array_equal(t.final_state, ref.final_state)
+                assert np.array_equal(t.ledger.exact, ref.ledger.exact)
+                assert np.array_equal(t.ledger.formula, ref.ledger.formula)
+                continue
+            at = dies_at[row]
+            assert (ref.ledger.exact[:at] > level).all() and ref.ledger.exact[at] <= level
+            assert t.final_state is None
+            assert np.array_equal(t.ledger.exact, ref.ledger.exact[:at])
+            assert np.array_equal(t.ledger.formula, ref.ledger.formula[:at])
+            assert t.extinction.endswith(f" at step 1.{at + 1}")
+            with pytest.raises(ExtinctionError) as err:
+                run(plan, psi)
+            assert t.extinction_probability == err.value.probability == ref.ledger.exact[at]
+            assert t.extinction == str(err.value)
+        assert (unforced[4].ledger.exact[2:4] <= level).all() and unforced[3].ledger.exact[3] <= level
+
 
 class TestMakePlan:
     def test_ising_deltas(self):
@@ -822,8 +895,9 @@ class TestRun:
 
     def test_an_extinct_row_keeps_its_kernels_and_the_others_go_on(self, monkeypatch):
         # one row of three falls below a raised extinction level mid-run: it
-        # stays in the stack, zeroed, so each term's kernel is built once (not
-        # again for the survivors), and the survivors' bits do not move
+        # stays in the stack, zeroed at the end of that Trotter step, so each
+        # term's kernel is built once (not again for the survivors), and the
+        # survivors' bits do not move
         import sbqs.engine as engine_mod
 
         dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
@@ -836,7 +910,7 @@ class TestRun:
         dies_at = int(np.argmax(unforced[doomed].ledger.exact <= level))
         assert 0 < dies_at < len(unforced[doomed].ledger.exact) - 1
         monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
-        built, doomed_size = [], []  # doomed_size[j]: max |entry| of its row entering j
+        built, doomed_size = [], []  # doomed_size[j]: max |entry| of its row entering window j
         real_kernel, real_step = engine_mod._swap_kernel, engine_mod._swap_measure
         monkeypatch.setattr(engine_mod, "_swap_kernel",
                             lambda *args: built.append(1) or real_kernel(*args))
@@ -845,8 +919,11 @@ class TestRun:
 
         batch = run_rows(plans, psi)
         assert len(built) == dec.ell
-        assert len(doomed_size) == len(unforced[0].ledger.exact)
-        assert doomed_size[dies_at] > 0 and max(doomed_size[dies_at + 1:]) == 0
+        windows = len(engine_mod._windows(list(dec.terms)))
+        assert len(doomed_size) == len(unforced[0].ledger.exact) // dec.ell * windows
+        ends = (dies_at // dec.ell + 1) * windows  # the windows through its Trotter step
+        assert ends < len(doomed_size)
+        assert doomed_size[ends - 1] > 0 and max(doomed_size[ends:]) == 0
         assert batch[doomed].final_state is None
         assert len(batch[doomed].ledger.exact) == dies_at
         step_id = batch[doomed].ledger.step_id(dies_at)
@@ -874,7 +951,8 @@ class TestRun:
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         with pytest.raises(ExtinctionError) as err:
             run(plan, psi)
-        assert len(calls) == j + 1
+        # extinction is checked once per Trotter step: every window of j's step runs
+        assert len(calls) == (j // dec.ell + 1) * len(engine_mod._windows(list(dec.terms)))
         assert err.value.probability == exact[j]
         assert str(err.value).endswith(f" at step {ledger.step_id(j)}")
 

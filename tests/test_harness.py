@@ -228,9 +228,9 @@ class TestRunExperiment:
     def test_one_step_call_and_two_ledger_entries_per_measurement(self, monkeypatch, strategy):
         # a faithful sweep's rows advance as one stack, so run_rows calls the
         # step function bound on sbqs.engine once per measurement for the whole
-        # stack (strategy A's chained _swap_measure, strategy B's public
-        # step_strategy_b, which the benchmark's tracer reads), and each row's
-        # ledger gets two entries per measurement
+        # stack (strategy A's chained _swap_measure once per window of terms,
+        # strategy B's public step_strategy_b, which the benchmark's tracer
+        # reads), and each row's ledger gets two entries per measurement
         import sbqs.engine as engine_mod
         import sbqs.experiment as experiment_mod
 
@@ -253,15 +253,20 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment_mod, "run_rows", keeping)
         config = validate_config(ising_config(strategy=strategy, mode="faithful", beta_grid=[0.5, 1.0]))
         run_experiment(config)
-        ell = trajectories[0].plan.decomposition.ell
-        per_row = config.n_steps * (ell if strategy == "A" else 1)
-        assert calls == {"_swap_measure" if strategy == "A" else "step_strategy_b": per_row}
+        terms = list(trajectories[0].plan.decomposition.terms)
+        per_row = config.n_steps * (len(terms) if strategy == "A" else 1)
+        windows = len(engine_mod._windows(terms)) if strategy == "A" else 1
+        assert calls == {"_swap_measure" if strategy == "A" else "step_strategy_b":
+                         config.n_steps * windows}
         assert [len(t.ledger.entries) for t in trajectories] == [2 * per_row] * 2
         # the products equal a running product and sum over each row's column of
-        # the step results, bit for bit
-        assert all(np.shape(p) == np.shape(f) == (2,) for p, f in kept)
+        # the step results, bit for bit: (rows,) per strategy-B step and (m,
+        # rows) per window of m terms
+        assert all(np.shape(p) == np.shape(f) and np.shape(p)[-1] == 2 for p, f in kept)
+        kept = [(np.reshape(p, (-1, 2)), np.reshape(f, (-1, 2))) for p, f in kept]
+        assert sum(len(p) for p, _ in kept) == per_row
         for row, t in enumerate(trajectories):
-            results = [(p[row], f[row]) for p, f in kept]
+            results = [(pk[row], fk[row]) for p, f in kept for pk, fk in zip(p, f)]
             for source, column in zip(("faithful-exact", "paper-formula"), zip(*results)):
                 product, log_sum = 1.0, 0.0
                 for p in column:
