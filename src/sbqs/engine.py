@@ -57,10 +57,13 @@ probabilities as traces of that update, before and after the leaks.
 
 A sigma A maps a pure state to a pure state, so effective and sampled rows
 evolve a state vector, psi <- A psi / |A psi|, one matrix-vector product per
-measurement (2.9-3.3x faster than a one-row stack at d = 16).  Only
-"faithful" needs a density matrix; its first step promotes a vector to
-|psi><psi|.  The rows of a beta sweep differ only in their deltas, so
-:func:`run_rows` advances them as one (rows, d, d) stack; every operation
+strategy-A measurement (2.9-3.3x faster than a one-row stack at d = 16).
+Strategy B's A = I - (beta / N) W is diagonal in W's eigenbasis, cached with
+the decomposition (``eigensystem``): its vector rows evolve c = V^dagger psi,
+one elementwise product per Trotter step, and rotate in and out once per
+run.  Only "faithful" needs a density matrix; its first step promotes a
+vector to |psi><psi|.  The rows of a beta sweep differ only in their deltas,
+so :func:`run_rows` advances them as one (rows, d, d) stack; every operation
 acts on each row on its own (a batched GEMM is one BLAS call per row), so a
 row comes out bit for bit the same alone or in any stack.  :func:`run` and
 :func:`run_rows` share one loop (:func:`_advance`), which fills each row's
@@ -494,7 +497,10 @@ class _Chain:
 def _formula_functional(b_op: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """(d^2, 3), or (rows, d^2, 3) for one B per row: Tr sigma, Tr B sigma and
     Tr B^2 sigma of a flat sigma in the layout ``order`` (:func:`_layout`;
-    None: the canonical one), as vec(M^T) . vec(sigma)."""
+    None: the canonical one), as vec(M^T) . vec(sigma); a 1-D ``b_op`` is B's
+    diagonal."""
+    if b_op.ndim == 1:
+        b_op = np.diag(b_op)
     eye = np.broadcast_to(np.eye(b_op.shape[-1], dtype=b_op.dtype), b_op.shape)
     columns = [np.swapaxes(m, -1, -2).reshape(*b_op.shape[:-2], -1) for m in (eye, b_op, b_op @ b_op)]
     return np.stack(columns if order is None else [c[..., order] for c in columns], axis=-1)
@@ -546,19 +552,23 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     read before the kernels are added, and the probability after, as the
     trace over ``scale`` (``denom`` if None), so the two are one expression
     without kernels.  Each row is divided by its trace unless its probability
-    is at or below ``EXTINCTION_P``.
+    is at or below ``EXTINCTION_P``.  A 1-D ``b_op`` is B's diagonal, as in
+    :func:`step_strategy_b`.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     sigma = np.asarray(sigma)
     b_op = np.asarray(b_op)
     if sigma.ndim == 1 and mode != "faithful":
-        out = sigma - (b_op @ sigma if delta is None else delta * (b_op @ sigma))
+        b_psi = b_op * sigma if b_op.ndim == 1 else b_op @ sigma
+        out = sigma - (b_psi if delta is None else delta * b_psi)
         norm2 = float(np.vdot(out, out).real)
         p = _check_probability(norm2 / denom)
         return StepResult(out * (1 / math.sqrt(norm2)), p, p)
     # in the dtype of the result, as the block form writes into its input
     stack = _as_stack(sigma, b_op)
+    if b_op.ndim == 1:
+        b_op = np.diag(b_op)
     if delta is not None:
         b_op = _per_row(delta) * b_op
     # A sigma A = sigma A - B sigma A, in the buffer of sigma B: this skips
@@ -619,9 +629,12 @@ def step_strategy_b(
     deltas are as in :func:`step_strategy_a`.
 
     B = sum_i delta_i rho_i is ``b_op`` if given, else summed from
-    ``rho_embs``, embedded here if not given either.  Faithful "local" runs
-    the one-step :class:`_Chain` of ``terms``, as faithful strategy A does,
-    and reads B for the formula probability alone; faithful "global"
+    ``rho_embs``, embedded here if not given either.  A 1-D ``b_op`` is the
+    diagonal of a B diagonal in the basis of ``sigma`` (a run's strategy-B
+    vectors step in W's eigenbasis): an effective or sampled vector step takes
+    it elementwise, any other step as ``np.diag(b_op)``.  Faithful "local"
+    runs the one-step :class:`_Chain` of ``terms``, as faithful strategy A
+    does, and reads B for the formula probability alone; faithful "global"
     also applies ``kernels``, one :func:`_leak_kernel` per term, built here
     when not given.  The state comes back in the canonical layout.
     ``embedded_kraus`` is ignored, like ``kraus``.
@@ -806,8 +819,9 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
     Otherwise strategy A is one :func:`step_strategy_a` per term, each term
     embedded, and strategy B one :func:`step_strategy_b` over all terms,
     whose B is ``scale`` * W, with faithful B-global's leak kernels built
-    here.  The step functions are read from the module now, as a tracer may
-    wrap them."""
+    here; on a vector (no ``stack``), which steps in W's eigenbasis, B is
+    ``scale`` times W's eigenvalues.  The step functions are read from the
+    module now, as a tracer may wrap them."""
     dec = plan.decomposition
     terms = list(zip(dec.terms, deltas))
     if not terms:
@@ -827,8 +841,9 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
                                      rho_emb=_embed(term, dec.n)))
                 for k, (term, delta) in enumerate(terms, start=1)], None
     kernels = [_leak_kernel(t, dec.n, delta) for t, delta in terms] if faithful else None
+    w = dec.eigensystem[0] if stack is None else dec.operator
     return [(("",), partial(step_strategy_b, terms=terms, measurement=plan.strategy[2:],
-                            mode=plan.mode, b_op=np.multiply.outer(scale, dec.operator),
+                            mode=plan.mode, b_op=np.multiply.outer(scale, w),
                             kernels=kernels))], None
 
 
@@ -836,13 +851,15 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
     """The one loop over a run's measurements, for :func:`run` and
     :func:`run_rows`: each row's trajectory.  With ``vector`` the one plan
     evolves a state vector, whose step function raises
-    :class:`ExtinctionError`.  Otherwise the rows advance as one stack in the
-    dtype of the state and the resources, and extinction is checked once per
-    Trotter step: a row with a ledger entry at or below ``EXTINCTION_P`` in
-    the step ends at its first such entry, and is zeroed and stays, so that
-    every kernel is built once; the loop stops once no row is left.  A
-    faithful strategy-A or B-local stack enters its chain once at the start
-    and goes back to the canonical layout once at the end."""
+    :class:`ExtinctionError`; a strategy-B vector is rotated into W's
+    eigenbasis once at the start and back once at the end.  Otherwise the rows
+    advance as one stack in the dtype of the state and the resources, and
+    extinction is checked once per Trotter step on the rows still live: a row
+    with a ledger entry at or below ``EXTINCTION_P`` in the step ends at its
+    first such entry, and is zeroed and stays, so that every kernel is built
+    once; the loop stops once no row is left.  A faithful strategy-A or
+    B-local stack enters its chain once at the start and goes back to the
+    canonical layout once at the end."""
     t0 = time.perf_counter()
     first = plans[0]
     dec = first.decomposition
@@ -853,6 +870,10 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
         sigma = np.repeat(_as_stack(state, *(t.rho for t in dec.terms)), len(plans), axis=0)
         deltas = np.array([p.deltas for p in plans], dtype=float).T  # (terms, rows)
         scales = np.array([p.beta / p.n_steps for p in plans])
+    eigenbasis = vector and first.strategy != "A"
+    if eigenbasis:
+        vecs = dec.eigensystem[1]
+        sigma = (sigma.conj() @ vecs).conj()  # V^dagger psi, without copying V^dagger
     measurements, chain = _measurements(first, deltas, scales, None if vector else sigma)
     if chain is not None:
         sigma = chain.last.enter(sigma, out=chain.state)
@@ -863,6 +884,7 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
         k += len(group)
     exact, formula = np.empty((2, first.n_steps, len(suffixes), len(plans)))
     lost: dict[int, tuple[int, float]] = {}  # extinct row -> (measurement, probability)
+    live = np.ones(len(plans), dtype=bool)
     for step in range(first.n_steps):
         try:
             for key, (_, measure) in zip(keys, measurements):
@@ -870,15 +892,21 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
         except ExtinctionError as err:  # only a vector step raises
             lost[0] = (step * len(suffixes) + key, err.probability)
             break
-        if not vector and (extinct := exact[step] <= EXTINCTION_P).any():
+        if vector or not (extinct := exact[step] <= EXTINCTION_P).any():
+            continue
+        extinct &= live  # a zeroed row reads p = 0 from then on
+        if extinct.any():
             rows = np.flatnonzero(extinct.any(axis=0))
             sigma[rows] = 0.0
+            live[rows] = False
             for row, at in zip(rows.tolist(), extinct.argmax(axis=0)[rows].tolist()):
-                lost.setdefault(row, (step * len(suffixes) + at, float(exact[step, at, row])))
-            if len(lost) == len(plans):
+                lost[row] = (step * len(suffixes) + at, float(exact[step, at, row]))
+            if not live.any():
                 break
     if chain is not None:
         sigma = chain.last.leave(sigma)
+    if eigenbasis:
+        sigma = vecs @ sigma
     wall = time.perf_counter() - t0
     exact, formula = exact.reshape(-1, len(plans)), formula.reshape(-1, len(plans))
     out = []

@@ -32,10 +32,11 @@ class SpectralData:
     eigenvectors: np.ndarray
 
 
-def ground(h: np.ndarray) -> SpectralData:
-    """Ground energy, vector, and gap, with a deterministic phase convention
-    (largest-magnitude amplitude made real positive)."""
-    vals, vecs = hermitian_eig(h)
+def ground(h: np.ndarray | tuple[np.ndarray, np.ndarray]) -> SpectralData:
+    """Ground energy, vector, and gap of a Hermitian matrix, or of its
+    (eigenvalues, eigenvectors), whose arrays the result then shares, with a
+    deterministic phase convention (largest-magnitude amplitude made real positive)."""
+    vals, vecs = h if isinstance(h, tuple) else hermitian_eig(h)
     v = vecs[:, 0].copy()
     k = int(np.argmax(np.abs(v)))
     phase = v[k] / abs(v[k])
@@ -45,7 +46,7 @@ def ground(h: np.ndarray) -> SpectralData:
         ground_energy=float(vals[0]),
         ground_vector=v,
         gap=gap,
-        spectrum=vals.copy(),
+        spectrum=vals,
         degenerate=gap < DEGENERACY_ATOL,
         eigenvectors=vecs,
     )

@@ -59,8 +59,9 @@ class _Setup:
     """What a sweep computes once from its config and shares with every row,
     serial or in a pool worker, and with the bounds report.
 
-    ``spectral`` is the sweep's only eigendecomposition, of the protocol's
-    W = ``decomposition.operator``, cached in the decomposition and so pickled
+    ``spectral`` reads the sweep's only eigendecomposition, of the
+    protocol's W = ``decomposition.operator``, cached in the decomposition
+    (``eigensystem``): its arrays are the cache's, so they are pickled once
     with it.  ``ground_basis`` is the d x k matrix of the eigenvectors within
     ``degeneracy_tol`` of the ground energy (k: the ground-space dimension).
     ``psi0`` is |+>^n as a vector, every row's start state; ``populations[0]``
@@ -87,7 +88,7 @@ def _model(config: ExperimentConfig) -> tuple[PauliSum, ResourceDecomposition, n
 
 def _prepare(config: ExperimentConfig) -> _Setup:
     _, dec, psi0 = _model(config)
-    spectral = exact.ground(dec.operator)
+    spectral = exact.ground(dec.eigensystem)
     return _Setup(
         decomposition=dec,
         psi0=psi0,

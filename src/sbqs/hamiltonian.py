@@ -104,10 +104,12 @@ class IsingParams:
 
 
 def _refreeze(obj, state: dict) -> None:
-    """``__setstate__`` that freezes every array again: numpy does not pickle the write flag."""
+    """``__setstate__`` that freezes every array again, also in a cached
+    tuple: numpy does not pickle the write flag."""
     for value in state.values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
     obj.__dict__.update(state)
 
 
@@ -175,6 +177,16 @@ class ResourceDecomposition:
             linalg.embed_operator(op, layout, [f"q{s}" for s in support], w)
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """W's eigenvalues, ascending, and its orthonormal eigenvector columns
+        V: the one eigendecomposition of W, cached, read-only and pickled as
+        :attr:`operator` is.  The exact reference, the bounds report and the
+        engine's strategy-B vector steps all read it."""
+        vals, vecs = linalg.hermitian_eig(self.operator)
+        vals.flags.writeable = vecs.flags.writeable = False
+        return vals, vecs
 
 
 def build_ising(p: IsingParams) -> PauliSum:

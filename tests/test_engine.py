@@ -934,6 +934,41 @@ class TestRun:
                 assert np.array_equal(t.final_state, ref.final_state)
                 assert np.array_equal(t.ledger.exact, ref.ledger.exact)
 
+    def test_the_extinction_branch_runs_only_in_the_step_a_row_dies(self, monkeypatch):
+        # a zeroed row reads p = 0 at every later measurement: the check skips
+        # it, so of 60 Trotter steps only the first, where one row of three
+        # dies, takes the branch, and the survivors do not move
+        import sys
+
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
+        plans = [make_plan(dec, beta, 60, "A", "faithful") for beta in (0.0, 0.5, 1.0)]
+        psi = np.full(8, 8**-0.5)
+        unforced = run_rows(plans, psi)
+        first = [t.ledger.exact[:dec.ell].min() for t in unforced]
+        doomed = int(np.argmin(first))
+        others = min(t.ledger.exact.min() for i, t in enumerate(unforced) if i != doomed)
+        assert first[doomed] < others
+        monkeypatch.setattr(engine_mod, "EXTINCTION_P", (first[doomed] + others) / 2)
+        branch, real = [], np.flatnonzero
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_code is engine_mod._advance.__code__:
+                branch.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        batch = run_rows(plans, psi)
+        assert len(branch) == 1
+        assert batch[doomed].final_state is None and len(batch[doomed].ledger.exact) < dec.ell
+        for i, (t, ref) in enumerate(zip(batch, unforced)):
+            if i != doomed:
+                assert t.extinction is None
+                assert np.array_equal(t.final_state, ref.final_state)
+                assert np.array_equal(t.ledger.exact, ref.ledger.exact)
+                assert np.array_equal(t.ledger.formula, ref.ledger.formula)
+
     def test_a_one_row_run_stops_at_its_extinct_measurement(self, monkeypatch):
         import sbqs.engine as engine_mod
 
@@ -1068,6 +1103,49 @@ class TestVectorPath:
         for source in ("faithful-exact", "paper-formula"):
             assert vec.ledger.cumulative(source) == pytest.approx(
                 mat.ledger.cumulative(source), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    @pytest.mark.parametrize("strategy", ["B-global", "B-local"])
+    @pytest.mark.parametrize("model", [2, 3, 4, 5, "pauli_y4"])
+    def test_strategy_b_steps_in_the_eigenbasis_as_the_dense_steps(self, model, strategy, mode):
+        # a strategy-B vector run evolves V^dagger psi in W's eigenbasis; the
+        # reference is a loop of public steps with the d x d B = (beta / N) W
+        # in the canonical basis.  pauli_y4's W is complex, so a rotation by
+        # V^T in place of V^dagger would show
+        dec = (decompose_pauli_generic(load_config(PAULI_Y4).model) if model == "pauli_y4"
+               else decompose_ising_local(IsingParams(model, 1.0, 0.7, "open")))
+        psi = random_unit_vector(np.random.default_rng(140 + dec.n), 2**dec.n)
+        terms = list(dec.terms)
+        for beta in (0.5, 1.0):
+            plan = make_plan(dec, beta, 80, strategy, mode)
+            b_op = beta / plan.n_steps * dec.operator
+            state, want = psi, []
+            for _ in range(plan.n_steps):
+                res = step_strategy_b(state, list(zip(terms, plan.deltas)), strategy[2:], mode,
+                                      b_op=b_op)
+                state = res.state
+                want.append((res.probability, res.formula_probability))
+            got = run(plan, psi)
+            assert np.max(np.abs(got.final_state - np.outer(state, state.conj()))) <= 1e-12
+            ledger = np.stack([got.ledger.exact, got.ledger.formula], axis=1)
+            assert np.max(np.abs(ledger / np.array(want) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("measurement", ["local", "global"])
+    def test_a_1d_b_op_is_its_diagonal_matrix(self, measurement, mode):
+        rng = np.random.default_rng(150)
+        for _ in range(10):
+            n = int(rng.integers(1, 4))
+            terms = random_resource_terms(rng, n)
+            diagonal = rng.uniform(-0.2, 0.2, 2**n)
+            psi = random_unit_vector(rng, 2**n)
+            for state in (psi, np.outer(psi, psi.conj())):
+                got, want = (step_strategy_b(state, terms, measurement, mode, b_op=b)
+                             for b in (diagonal, np.diag(diagonal)))
+                assert got.state.shape == want.state.shape
+                assert np.max(np.abs(got.state - want.state)) <= 1e-15
+                assert abs(got.probability - want.probability) <= 1e-15
+                assert abs(got.formula_probability - want.formula_probability) <= 1e-15
 
     @pytest.mark.parametrize("strategy", ["A", "B-local", "B-global"])
     def test_faithful_run_promotes_vector_exactly(self, strategy):

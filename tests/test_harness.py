@@ -136,6 +136,34 @@ class TestRunExperiment:
         assert [f.name for f in fields(experiment_mod._Setup)] == [
             "decomposition", "psi0", "ground_basis", "spectral", "populations"]
 
+    def test_an_effective_b_sweep_diagonalises_once_and_a_pool_worker_never(self, monkeypatch):
+        # the engine steps strategy-B vectors in W's eigenbasis, which the
+        # set-up caches in the decomposition: a serial sweep runs one
+        # eigendecomposition, and a forked --parallel 2 worker, which
+        # unpickles the cache, runs none (a call there raises in the worker)
+        import os
+
+        import sbqs.experiment as experiment_mod
+
+        calls, parent = [], os.getpid()
+
+        def counting(real):
+            def eig(*args, **kwargs):
+                assert os.getpid() == parent, "eigendecomposition in a pool worker"
+                calls.append(1)
+                return real(*args, **kwargs)
+            return eig
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "sbqs"]:
+            if hasattr(module, "hermitian_eig"):
+                monkeypatch.setattr(module, "hermitian_eig", counting(module.hermitian_eig))
+        raw = ising_config(strategy="B-global", beta_grid=[0.5, 1.0])
+        serial, _ = run_experiment(validate_config(raw))
+        assert len(calls) == 1
+        monkeypatch.setattr(experiment_mod.os, "cpu_count", lambda: 4)
+        parallel, _ = run_experiment(validate_config({**raw, "parallel": 2}))
+        assert len(calls) == 2 and parallel == serial
+
     @pytest.mark.parametrize("cpus, expected", [(64, 2), (1, None), (None, None)])
     def test_pool_width_capped_by_rows_and_cpus(self, monkeypatch, cpus, expected):
         import concurrent.futures
@@ -325,16 +353,25 @@ class TestRunExperiment:
 
     def test_a_pool_worker_gets_the_shared_arrays_read_only(self):
         # numpy does not pickle the write flag: the unpickled set-up freezes
-        # W and every resource state again
+        # W, W's cached eigendecomposition and every resource state again.
+        # The spectral data shares the cached arrays, so pickle writes them
+        # once and the worker gets them shared
         import pickle
 
         import sbqs.experiment as experiment_mod
 
         config = load_config(Path(__file__).parents[1] / "configs" / "fig2_left.json")
-        worker = pickle.loads(pickle.dumps(experiment_mod._prepare(config)))
+        setup = experiment_mod._prepare(config)
+        vals, vecs = setup.decomposition.eigensystem
+        assert setup.spectral.spectrum is vals and setup.spectral.eigenvectors is vecs
+        worker = pickle.loads(pickle.dumps(setup))
         dec = worker.decomposition
         assert not dec.operator.flags.writeable
         assert dec.terms and not any(t.rho.flags.writeable for t in dec.terms)
+        assert "eigensystem" in vars(dec)  # unpickled, not computed again
+        vals, vecs = dec.eigensystem
+        assert not vals.flags.writeable and not vecs.flags.writeable
+        assert worker.spectral.spectrum is vals and worker.spectral.eigenvectors is vecs
 
     def test_row_bures_reads_the_vector_branch_unchecked(self, monkeypatch):
         # a row's Bures distance takes fidelity's vector branch without the
@@ -905,7 +942,8 @@ class TestCli:
     def test_decompose_and_sample_build_no_spectrum(self, tmp_path, monkeypatch, capsys,
                                                     command):
         # n = 3: the model is 8 x 8, the ising-local resource states, whose
-        # density-matrix check runs eigvalsh, are at most 4 x 4
+        # density-matrix check runs eigvalsh, are at most 4 x 4.  Strategy A
+        # (the default): a strategy-B run steps in W's eigenbasis
         path = self.write_config(tmp_path, mode="sampled", seed=3, trials=200,
                                  beta_grid=[0.0, 0.25], n_steps=10)
         assert main([command, str(path)]) == 0
