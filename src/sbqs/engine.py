@@ -20,8 +20,8 @@ delta_i^2 rho_i ⊗ Tr_Si sigma (the support qubits of sigma replaced by
 rho_i), and scale gains prod_i (1 + delta_i^2); this delta^2 leak is the one
 known from density-matrix exponentiation.  "Sampled" evolves like
 "effective" and leaves the accept/reject randomness to :func:`sample_run`.
-Since delta_i = beta w_i / N, a run's strategy-B B is (beta / N) W, with W =
-sum_i w_i rho_i the decomposition's operator, built once per decomposition.
+A plan derives delta_i = beta w_i / N, so a run's strategy-B B is (beta / N)
+W, with W = sum_i w_i rho_i the decomposition's operator, built once.
 
 Faithful updates act on each term's support alone.  Moving the k support
 qubits of a (rows, d, d) stack last makes it (rows, d_R^2, d_S^2), one
@@ -53,7 +53,8 @@ keeps one ledger entry per Trotter step, the product of its terms'
 probabilities, and reads its formula probability through a (d^2, 3)
 functional of W.  Faithful B-global forms the dense A sigma A of W plus each
 term's leak delta^2 (rho ⊗ Tr_S sigma - rho sigma rho) and reads both
-probabilities as traces of that update, before and after the leaks.
+probabilities as traces of that update, before and after the leaks, in one
+step a run builds once with its leak kernels (:func:`_global_step`).
 
 A sigma A maps a pure state to a pure state, so effective and sampled rows
 evolve a state vector, psi <- A psi / |A psi|, one matrix-vector product per
@@ -103,6 +104,10 @@ MODES = ("faithful", "effective", "sampled")
 
 #: Post-selection probabilities at or below this end the protocol branch.
 EXTINCTION_P = 1e-14
+
+#: How many probabilities above ``EXTINCTION_P`` multiply to a normal float
+#: (21): a chain folds its running traces into K at least this often.
+_FOLD_EVERY = math.floor(math.log(sys.float_info.min) / math.log(EXTINCTION_P))
 
 #: make_plan warns when any |delta| exceeds this.
 DELTA_WARN = 0.1
@@ -330,11 +335,6 @@ def _embed(term: ResourceTerm, n_sites: int) -> np.ndarray:
     return embed_operator(term.rho, qubit_layout(n_sites), [f"q{s}" for s in term.support])
 
 
-def _per_row(delta):
-    """A scalar or (rows,) delta shaped (rows, 1, 1), to broadcast over a stack of states."""
-    return np.reshape(delta, (-1, 1, 1))
-
-
 def _density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
@@ -360,7 +360,7 @@ def _extinction(p: float) -> str:
 def _check_probability(p: float) -> float:
     if p <= EXTINCTION_P:
         raise ExtinctionError(_extinction(p), p)
-    return min(p, 1.0)
+    return p
 
 
 class StepResult(NamedTuple):
@@ -375,31 +375,25 @@ class StepResult(NamedTuple):
 
 
 def _result(ndim: int, state: np.ndarray, p: np.ndarray, p_formula: np.ndarray) -> StepResult:
-    """The result for a ``state`` stack computed from a state of ``ndim``
-    dimensions: a stack as it is, one state unwrapped, raising
-    :class:`ExtinctionError` at or below ``EXTINCTION_P``."""
-    p = np.minimum(p, 1.0)
+    """The result for a ``state`` stack from a state of ``ndim`` dimensions: a
+    stack as it is, or one state unwrapped, raising :class:`ExtinctionError` at
+    or below ``EXTINCTION_P``.  Only rounding above 1 (1e-12) is clamped."""
+    p = np.where(p > 1.0 + 1e-12, p, np.minimum(p, 1.0))
     if ndim == 3:
         return StepResult(state, p, p_formula)
     return StepResult(state[0], _check_probability(float(p[0])), float(p_formula[0]))
 
 
-def _fold_every() -> int:
-    """How many probabilities above ``EXTINCTION_P`` multiply to a normal
-    float (21): a chain folds its running traces into K at least this often."""
-    return math.floor(math.log(sys.float_info.min) / math.log(EXTINCTION_P))
-
-
 def _windows(terms: list[ResourceTerm]) -> list[list[int]]:
     """A Trotter step's terms as windows of term indices: maximal runs of
     consecutive terms, in order, whose union support is no wider than the
-    widest matrix-form term, cut after every :func:`_fold_every` terms.  A
+    widest matrix-form term, cut after every ``_FOLD_EVERY`` terms.  A
     block-form term is wider than that, so it is a window of its own."""
     widest = max((len(t.support) for t in terms if len(t.support) <= _MATRIX_QUBITS), default=0)
-    windows, support, every = [], (), _fold_every()
+    windows, support = [], ()
     for k, term in enumerate(terms):
         union = (*support, *(q for q in term.support if q not in support))
-        if k % every and len(union) <= widest:
+        if k % _FOLD_EVERY and len(union) <= widest:
             windows[-1].append(k)
             support = union
         else:
@@ -474,7 +468,7 @@ class _Chain:
     layout the one before leaves, the first the last one's (the canonical
     layout if not ``cyclic``), and each writing ``state``, in which a stack
     enters and leaves through the ``last`` window.  The traces are folded
-    into K at the last window and after every :func:`_fold_every` terms,
+    into K at the last window and after every ``_FOLD_EVERY`` terms,
     where windows end."""
 
     def __init__(self, terms: list[tuple[ResourceTerm, object]], n: int, stack: np.ndarray,
@@ -488,10 +482,10 @@ class _Chain:
         self.last = windows[-1]
         self.state = np.empty((len(stack), stack[0].size), stack.dtype)
         spare, trace = np.empty_like(self.state), np.ones(len(stack))
-        every = _fold_every()
+        folds = [window is self.last or (g[-1] + 1) % _FOLD_EVERY == 0
+                 for g, window in zip(self.groups, windows)]
         self.measures = [partial(_swap_measure, kernel=window, spare=spare, out=self.state,
-                                 trace=trace, fold=window is self.last or (g[-1] + 1) % every == 0)
-                         for g, window in zip(self.groups, windows)]
+                                 trace=trace, fold=fold) for window, fold in zip(windows, folds)]
 
 
 def _formula_functional(b_op: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
@@ -563,14 +557,14 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
         b_psi = b_op * sigma if b_op.ndim == 1 else b_op @ sigma
         out = sigma - (b_psi if delta is None else delta * b_psi)
         norm2 = float(np.vdot(out, out).real)
-        p = _check_probability(norm2 / denom)
+        p = min(_check_probability(norm2 / denom), 1.0)  # first order: above 1 at large delta
         return StepResult(out * (1 / math.sqrt(norm2)), p, p)
     # in the dtype of the result, as the block form writes into its input
     stack = _as_stack(sigma, b_op)
     if b_op.ndim == 1:
         b_op = np.diag(b_op)
     if delta is not None:
-        b_op = _per_row(delta) * b_op
+        b_op = np.reshape(delta, (-1, 1, 1)) * b_op  # one delta per row
     # A sigma A = sigma A - B sigma A, in the buffer of sigma B: this skips
     # the strided sum with (sigma B)^dagger, which is slow at large d
     sb = stack @ b_op
@@ -583,6 +577,14 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     p = trace / (denom if scale is None else scale)
     state = raw * (1 / np.where(p > EXTINCTION_P, trace, 1.0))[:, None, None]
     return _result(sigma.ndim, state, p, p_formula)
+
+
+def _global_step(terms: list, n: int, b_op: np.ndarray, denom: float) -> partial:
+    """Faithful B-global's step: :func:`_measure` with B = ``b_op``, one
+    :func:`_leak_kernel` per term and the scale ``denom`` prod_i (1 + delta_i^2)."""
+    kernels = [_leak_kernel(term, n, delta) for term, delta in terms]
+    scale = math.prod((1 + np.square(delta) for _, delta in terms), start=denom)
+    return partial(_measure, b_op=b_op, denom=denom, mode="faithful", kernels=kernels, scale=scale)
 
 
 def step_strategy_a(
@@ -621,7 +623,6 @@ def step_strategy_b(
     embedded_kraus: list[list[np.ndarray]] | None = None,
     rho_embs: list[np.ndarray] | None = None,
     b_op: np.ndarray | None = None,
-    kernels: list[_Kernel] | None = None,
 ) -> StepResult:
     """One deferred-measurement Trotter step over all ``terms``, with
     denominator l+1 ("global", the uniform superposition over the all-zeros
@@ -635,66 +636,65 @@ def step_strategy_b(
     it elementwise, any other step as ``np.diag(b_op)``.  Faithful "local"
     runs the one-step :class:`_Chain` of ``terms``, as faithful strategy A
     does, and reads B for the formula probability alone; faithful "global"
-    also applies ``kernels``, one :func:`_leak_kernel` per term, built here
-    when not given.  The state comes back in the canonical layout.
-    ``embedded_kraus`` is ignored, like ``kraus``.
+    also applies one :func:`_leak_kernel` per term, built here.  The state
+    comes back in the canonical layout.  ``embedded_kraus`` is ignored, like
+    ``kraus``.
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
     n_sites = np.shape(sigma)[-1].bit_length() - 1
-    local = measurement == "local"
     if b_op is None:
         if rho_embs is None:
             rho_embs = [_embed(t, n_sites) for t, _ in terms]
         b_op = sum((np.multiply.outer(delta, emb) for (_, delta), emb in zip(terms, rho_embs)),
                    np.zeros((2**n_sites,) * 2))
-    denom = float(2 ** len(terms)) if local else float(len(terms) + 1)
+    denom = float(2 ** len(terms)) if measurement == "local" else float(len(terms) + 1)
     if mode != "faithful":
         return _measure(sigma, b_op, denom, mode)
-    if not local or not terms:  # without terms, the step of either is sigma itself
-        if kernels is None:
-            kernels = [_leak_kernel(t, n_sites, delta) for t, delta in terms]
-        scale = math.prod((1 + np.square(delta) for _, delta in terms), start=denom)
-        return _measure(sigma, b_op, denom, mode, kernels=kernels, scale=scale)
+    if measurement == "global" or not terms:  # without terms, either step is sigma itself
+        return _global_step(terms, n_sites, b_op, denom)(sigma)
     return _chain_step(sigma, terms, b_op, denom)
 
 
 @dataclass(frozen=True)
 class TrotterPlan:
-    """Schedule of sub-steps delta_i = beta * h_i / N, one per decomposition term."""
+    """Schedule delta_i = beta w_i / N per term, derived on each read; checked when built."""
 
     decomposition: ResourceDecomposition
     beta: float
     n_steps: int
-    deltas: tuple[float, ...]
     strategy: str
     mode: str
 
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise PlanError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if self.mode not in MODES:
+            raise PlanError(f"mode must be one of {MODES}, got {self.mode!r}")
+        n = self.n_steps
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise PlanError(f"step count must be an integer >= 1, got {n!r}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise PlanError(f"beta must be finite and >= 0, got {self.beta}")
+        worst = max(map(abs, self.deltas), default=0.0)
+        if worst >= 1.0:
+            raise PlanError(f"max |delta| = {worst:.4g} >= 1 at N = {n}; increase the step count")
+        if worst > DELTA_WARN:
+            frame, level = sys._getframe(), 1  # to the first caller past engine and dataclasses
+            while frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+                frame, level = frame.f_back, level + 1
+            warnings.warn(f"max |delta| = {worst:.4g} > {DELTA_WARN}; first-order error may be large",
+                          stacklevel=level)
 
-def make_plan(
-    decomposition: ResourceDecomposition,
-    beta: float,
-    n_steps: int,
-    strategy: str = "A",
-    mode: str = "faithful",
-) -> TrotterPlan:
-    """Build the Trotter schedule, rejecting |delta| >= 1 and warning above 0.1."""
-    if strategy not in STRATEGIES:
-        raise PlanError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if mode not in MODES:
-        raise PlanError(f"mode must be one of {MODES}, got {mode!r}")
-    if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1:
-        raise PlanError(f"step count must be an integer >= 1, got {n_steps!r}")
-    if not (math.isfinite(beta) and beta >= 0):
-        raise PlanError(f"beta must be finite and >= 0, got {beta}")
-    deltas = tuple(beta * t.weight / n_steps for t in decomposition.terms)
-    worst = max(map(abs, deltas), default=0.0)
-    if worst >= 1.0:
-        raise PlanError(f"max |delta| = {worst:.4g} >= 1 at N = {n_steps}; increase the step count")
-    if worst > DELTA_WARN:
-        warnings.warn(f"max |delta| = {worst:.4g} > {DELTA_WARN}; first-order error may be large",
-                      stacklevel=2)
-    return TrotterPlan(decomposition, float(beta), n_steps, deltas, strategy, mode)
+    @property
+    def deltas(self) -> tuple[float, ...]:
+        return tuple(self.beta * t.weight / self.n_steps for t in self.decomposition.terms)
+
+
+def make_plan(decomposition: ResourceDecomposition, beta: float, n_steps: int,
+              strategy: str = "A", mode: str = "faithful") -> TrotterPlan:
+    """The Trotter schedule: raises at |delta| >= 1, warns the caller above ``DELTA_WARN``."""
+    return TrotterPlan(decomposition, float(beta), n_steps, strategy, mode)
 
 
 LEDGER_SOURCES = ("faithful-exact", "paper-formula")
@@ -816,12 +816,12 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
     window of m terms.  Faithful strategy A is the chain's windows, one
     suffix per term, and faithful B-local one :func:`_local_step` over them,
     with W's functional and per-row weights (1, -2 scale, scale^2) / 2^l.
+    Faithful B-global is one :func:`_global_step`, built once per run.
     Otherwise strategy A is one :func:`step_strategy_a` per term, each term
-    embedded, and strategy B one :func:`step_strategy_b` over all terms,
-    whose B is ``scale`` * W, with faithful B-global's leak kernels built
-    here; on a vector (no ``stack``), which steps in W's eigenbasis, B is
-    ``scale`` times W's eigenvalues.  The step functions are read from the
-    module now, as a tracer may wrap them."""
+    embedded, and strategy B one :func:`step_strategy_b` over all terms, whose
+    B is ``scale`` * W; on a vector (no ``stack``), which steps in W's
+    eigenbasis, ``scale`` times W's eigenvalues.  The step functions are read
+    from the module now, as a tracer may wrap them."""
     dec = plan.decomposition
     terms = list(zip(dec.terms, deltas))
     if not terms:
@@ -840,11 +840,11 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
         return [((f".{k}",), partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,
                                      rho_emb=_embed(term, dec.n)))
                 for k, (term, delta) in enumerate(terms, start=1)], None
-    kernels = [_leak_kernel(t, dec.n, delta) for t, delta in terms] if faithful else None
-    w = dec.eigensystem[0] if stack is None else dec.operator
+    b_op = np.multiply.outer(scale, dec.eigensystem[0] if stack is None else dec.operator)
+    if faithful:
+        return [(("",), _global_step(terms, dec.n, b_op, len(terms) + 1.0))], None
     return [(("",), partial(step_strategy_b, terms=terms, measurement=plan.strategy[2:],
-                            mode=plan.mode, b_op=np.multiply.outer(scale, w),
-                            kernels=kernels))], None
+                            mode=plan.mode, b_op=b_op))], None
 
 
 def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[Trajectory]:
@@ -944,14 +944,14 @@ def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
     matrix.
 
     Every Trotter step applies the row's measurements in turn, strategy A one
-    :func:`step_strategy_a` per term (step id ``<step>.<k>``), strategy B one
-    :func:`step_strategy_b` over all terms (``<step>``), and the ledger
-    records each.  Faithful mode, and any density-matrix state, runs as the
-    one row of a stack, as in :func:`run_rows`, which promotes a vector to
-    |psi><psi|; effective and sampled modes keep a vector a vector.
-    Extinction raises :class:`ExtinctionError` naming the step id and carrying
-    the measurement's probability.  Deterministic: the post-selected branch
-    has no randomness, which :func:`sample_run` adds.
+    per term (step id ``<step>.<k>``), strategy B one over all terms
+    (``<step>``), and the ledger records each.  Faithful mode, and any
+    density-matrix state, runs as the one row of a stack, as in
+    :func:`run_rows`, which promotes a vector to |psi><psi|; effective and
+    sampled modes keep a vector a vector.  Extinction raises
+    :class:`ExtinctionError` naming the step id and carrying the
+    measurement's probability.  Deterministic: the post-selected branch has
+    no randomness, which :func:`sample_run` adds.
     """
     vector = plan.mode != "faithful" and np.ndim(state) == 1
     (trajectory,) = _advance([plan], state, vector)

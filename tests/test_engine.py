@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -173,12 +174,61 @@ class TestStepB:
     @pytest.mark.parametrize("measurement", ["global", "local"])
     @pytest.mark.parametrize("mode", ["faithful", "effective"])
     def test_single_term_degenerates_to_strategy_a(self, mode, measurement):
-        term = ResourceTerm(1.0, RHO_Z, (0,), "z")
-        a = step_strategy_a(PLUS, term, 0.07, mode=mode)
-        b = step_strategy_b(PLUS, [(term, 0.07)], measurement, mode)
-        assert np.max(np.abs(a.state - b.state)) <= 1e-14
-        assert a.probability == pytest.approx(b.probability, abs=1e-14)
-        assert a.formula_probability == pytest.approx(b.formula_probability, abs=1e-14)
+        # l = 1: the global projection is onto |+> and both denominators are
+        # 2, so faithful strategy A's chain kernel equals B-global's dense step
+        # plus its leak kernel.  A one-qubit term on |+>, and every term of the
+        # n = 4 chain (the kernel's matrix form) and of pauli_y4 (full-register
+        # terms, its block form) on a vector, a d x d state and a stack with
+        # per-row deltas
+        rng = np.random.default_rng(160)
+        states = [(random_unit_vector(rng, 16), 0.07), (random_density(rng, 16), -0.05),
+                  (np.stack([random_density(rng, 16) for _ in range(3)]),
+                   np.array([0.03, -0.06, 0.09]))]
+        terms = [*decompose_ising_local(IsingParams(4, 1.0, 0.7, "periodic")).terms,
+                 *decompose_pauli_generic(load_config(PAULI_Y4).model).terms]
+        cases = [(ResourceTerm(1.0, RHO_Z, (0,), "z"), PLUS, 0.07)]
+        cases += [(term, state, delta) for term in terms for state, delta in states]
+        for term, state, delta in cases:
+            a = step_strategy_a(state, term, delta, mode=mode)
+            b = step_strategy_b(state, [(term, delta)], measurement, mode)
+            assert b.state.shape == a.state.shape
+            assert np.max(np.abs(a.state - b.state)) <= 1e-14
+            assert np.max(np.abs(np.subtract(a.probability, b.probability))) <= 1e-14
+            assert np.max(np.abs(np.subtract(a.formula_probability,
+                                             b.formula_probability))) <= 1e-14
+
+    def test_a_probability_above_one_is_reported_and_a_ledger_rejects_it(self, monkeypatch):
+        # B ten times too large on W's ground state: the faithful B-global
+        # trace outgrows its scale, and the step reports p > 1 as it is, the
+        # update's trace over (l + 1) prod_i (1 + delta_i^2), formed densely
+        # here; in a run, the ledger rejects it and names the step
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(2, 1.0, 1.0, "open"))
+        scale = np.array([0.02, 0.04, 0.06])
+        terms = [(t, t.weight * scale) for t in dec.terms]
+        ground = dec.eigensystem[1][:, 0]
+        sigma = np.outer(ground, ground.conj())
+        res = step_strategy_b(np.stack([sigma] * 3), terms, "global", "faithful",
+                              b_op=10 * np.multiply.outer(scale, dec.operator))
+        for row, s in enumerate(scale):
+            a = np.eye(4) - 10 * s * dec.operator
+            raw = a @ sigma @ a
+            for t, delta in terms:
+                emb = embed_operator(t.rho, qubit_layout(2), [f"q{q}" for q in t.support])
+                raw = raw + delta[row] ** 2 * (replaced_support(sigma, t.rho, t.support, 2)
+                                               - emb @ sigma @ emb)
+            want = np.trace(raw).real / np.prod(1 + np.square([d[row] for _, d in terms]),
+                                                initial=len(terms) + 1.0)
+            assert res.probability[row] == pytest.approx(want, rel=1e-12)
+        assert res.probability[-1] > 1.25
+        real = engine_mod._global_step
+        monkeypatch.setattr(engine_mod, "_global_step",
+                            lambda terms, n, b_op, denom: real(terms, n, 10 * b_op, denom))
+        with pytest.warns(UserWarning, match="delta"):
+            plan = make_plan(dec, 0.6, 10, "B-global")
+        with pytest.raises(ValueError, match=r"exact probability .* > 1 at 1$"):
+            run(plan, ground)
 
     def test_all_deltas_zero(self):
         for ell in (2, 3):
@@ -427,8 +477,8 @@ class TestSupportKernel:
 
     def test_probe_is_shared_by_the_rows_and_kernels_serve_b_global(self, monkeypatch):
         # a swap kernel builds one probe for all its rows, in a strategy-A and
-        # in a B-local step, each a one-step chain of its own; a kernel list
-        # passed in is read by faithful B-global alone
+        # in a B-local step, each a one-step chain of its own; a faithful
+        # B-global run builds its l leak kernels once, not once per step
         import sbqs.engine as engine_mod
 
         rng = np.random.default_rng(70)
@@ -436,23 +486,21 @@ class TestSupportKernel:
         deltas = np.array([0.01, 0.03, -0.02, 0.05])
         stack = np.stack([random_density(rng, 8) for _ in deltas])
         terms = [(term, deltas)]
-        kernel = engine_mod._swap_kernel(term, 3, deltas)
         built, real = [], engine_mod._swap_kernel
         monkeypatch.setattr(engine_mod, "_swap_kernel", lambda *args: built.append(real(*args))
                             or built[-1])
-        local = step_strategy_b(stack, terms, "local", "faithful", kernels=[kernel])
-        assert "probe" not in vars(kernel)
+        local = step_strategy_b(stack, terms, "local", "faithful")
         assert len(built) == 1 and vars(built[0])["probe"].shape == (16, 3)
         assert np.array_equal(local.state, step_strategy_b(stack, terms, "local", "faithful").state)
         step_strategy_a(stack, term, deltas, "faithful")
         assert len(built) == 3 and vars(built[2])["probe"].shape == (16, 3)
-        assert "probe" not in vars(kernel)
-        own = step_strategy_b(stack, terms, "global", "faithful").state
-        given = engine_mod._leak_kernel(term, 3, deltas)
-        assert np.array_equal(step_strategy_b(stack, terms, "global", "faithful",
-                                              kernels=[given]).state, own)
-        assert not np.allclose(step_strategy_b(stack, terms, "global", "faithful",
-                                               kernels=[]).state, own)
+        leaks, real_leak = [], engine_mod._leak_kernel
+        monkeypatch.setattr(engine_mod, "_leak_kernel", lambda *args: leaks.append(args)
+                            or real_leak(*args))
+        dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
+        plans = [make_plan(dec, beta, 50, "B-global") for beta in (0.5, 1.0)]
+        run_rows(plans, np.full(8, 8**-0.5))
+        assert [args[0] for args in leaks] == list(dec.terms)
 
     @staticmethod
     def chain_only(monkeypatch, strategy):
@@ -835,6 +883,25 @@ class TestMakePlan:
         dec = decompose_ising_local(IsingParams(2, 1.0, 0.0, "open"))
         with pytest.warns(UserWarning, match="delta"):
             make_plan(dec, 10.0, 100)
+
+    @pytest.mark.parametrize("strategy", ["A", "B-global"])
+    def test_a_replaced_step_count_is_a_plan_of_its_own(self, strategy):
+        # the deltas derive from beta and N, and every plan is checked: a plan
+        # with N replaced runs as make_plan's bit for bit, and one whose max
+        # |delta| reaches 1 (10 at N = 2) is refused
+        dec = decompose_ising_local(IsingParams(4, 1.0, 5.0, "periodic"))
+        with pytest.warns(UserWarning, match="delta"):
+            replaced = replace(make_plan(dec, 2.0, 400, strategy), n_steps=40)
+        with pytest.warns(UserWarning, match="delta"):
+            built = make_plan(dec, 2.0, 40, strategy)
+        assert replaced.deltas == built.deltas
+        psi = np.full(16, 0.25)
+        (got,), (want,) = run_rows([replaced], psi), run_rows([built], psi)
+        assert np.array_equal(got.ledger.exact, want.ledger.exact)
+        assert np.array_equal(got.ledger.formula, want.ledger.formula)
+        assert np.array_equal(got.final_state, want.final_state)
+        with pytest.raises(PlanError, match="= 10 >= 1"):
+            replace(built, n_steps=2)
 
     def test_validation(self):
         dec = decompose_ising_local(IsingParams(2, 1.0, 1.0, "open"))

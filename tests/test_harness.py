@@ -257,8 +257,9 @@ class TestRunExperiment:
         # a faithful sweep's rows advance as one stack, so run_rows calls the
         # step function bound on sbqs.engine once per measurement for the whole
         # stack (strategy A's chained _swap_measure once per window of terms,
-        # strategy B's public step_strategy_b, which the benchmark's tracer
-        # reads), and each row's ledger gets two entries per measurement
+        # B-global's dense _measure, which the run builds once with its leak
+        # kernels, and neither public step function), and each row's ledger
+        # gets two entries per measurement
         import sbqs.engine as engine_mod
         import sbqs.experiment as experiment_mod
 
@@ -276,7 +277,7 @@ class TestRunExperiment:
             trajectories.extend(engine_mod.run_rows(*args, **kwargs))
             return trajectories
 
-        for name in ("step_strategy_a", "_swap_measure", "step_strategy_b"):
+        for name in ("step_strategy_a", "_swap_measure", "step_strategy_b", "_measure"):
             monkeypatch.setattr(engine_mod, name, counting(name, getattr(engine_mod, name)))
         monkeypatch.setattr(experiment_mod, "run_rows", keeping)
         config = validate_config(ising_config(strategy=strategy, mode="faithful", beta_grid=[0.5, 1.0]))
@@ -284,7 +285,7 @@ class TestRunExperiment:
         terms = list(trajectories[0].plan.decomposition.terms)
         per_row = config.n_steps * (len(terms) if strategy == "A" else 1)
         windows = len(engine_mod._windows(terms)) if strategy == "A" else 1
-        assert calls == {"_swap_measure" if strategy == "A" else "step_strategy_b":
+        assert calls == {"_swap_measure" if strategy == "A" else "_measure":
                          config.n_steps * windows}
         assert [len(t.ledger.entries) for t in trajectories] == [2 * per_row] * 2
         # the products equal a running product and sum over each row's column of
