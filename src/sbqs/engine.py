@@ -40,17 +40,19 @@ composes each window's kernels into one matrix per row (:class:`_Window`).
 The kernels act blockwise, so every term's traces are read off Tr_rest sigma
 at the window's start, through the product of the kernels before it.  The
 stack stays flat in the layout of the last window applied: an int32 index
-map leads from the layout before each window to its own, so a window is one
-take, one strided sum of the rest's diagonal blocks, one product with the
-functional and one batched GEMM, into two stacks the run owns
-(:class:`_Chain`).  Within a Trotter step the stack is not normalized: each
-row carries its running trace t, a term's probabilities are its traces over
-t, and 1/t is folded into K at the step's last window and at least every 21
-terms, so that no live trace underflows.  The stack enters the chain once
-and goes back to the canonical layout once; a public faithful strategy-A or
-B-local step is a one-step chain that reads the canonical layout.  B-local
-keeps one ledger entry per Trotter step, the product of its terms'
-probabilities, and reads its formula probability through a (d^2, 3)
+map leads from the layout before each window to its own.  A run's
+:class:`_Chain` steps a whole Trotter step per call, through views it builds
+once: a window is one take into its spare stack, one strided sum of the
+rest's diagonal blocks, one product with the functional into its buffer of
+raw traces and one batched GEMM into its state stack.  Within a Trotter step
+the stack is not normalized: term k's raw trace q_k is relative to the
+step's start, its probabilities are its traces over q_{k-1}, divided once
+per step, and 1/q is folded into K at the step's last window and at least
+every 21 terms, so that no live trace underflows.  The stack enters the
+chain once and goes back to the canonical layout once; a public faithful
+strategy-A or B-local step is a one-step chain that reads the canonical
+layout.  B-local keeps one ledger entry per Trotter step, the product of its
+terms' probabilities, and reads its formula probability through a (d^2, 3)
 functional of W.  Faithful B-global forms the dense A sigma A of W plus each
 term's leak delta^2 (rho ⊗ Tr_S sigma - rho sigma rho) and reads both
 probabilities as traces of that update, before and after the leaks, in one
@@ -106,7 +108,7 @@ MODES = ("faithful", "effective", "sampled")
 EXTINCTION_P = 1e-14
 
 #: How many probabilities above ``EXTINCTION_P`` multiply to a normal float
-#: (21): a chain folds its running traces into K at least this often.
+#: (21): a chain folds its raw traces into K at least this often.
 _FOLD_EVERY = math.floor(math.log(sys.float_info.min) / math.log(EXTINCTION_P))
 
 #: make_plan warns when any |delta| exceeds this.
@@ -213,7 +215,7 @@ class _Kernel:
 
     @cached_property
     def index(self) -> np.ndarray:
-        """Built on the first take: a kernel merged into a window builds none."""
+        """Built on first read: a kernel merged into a window builds none."""
         order = _layout(self.support, self.n)
         index = order if self.source is None else _inverse(_layout(self.source, self.n))[order]
         # take's mode "wrap" writes into out= directly ("raise" buffers it) but
@@ -221,10 +223,6 @@ class _Kernel:
         if not (np.bincount(index, minlength=order.size) == 1).all():
             raise ValueError(f"layout map of {self.support} is not a permutation")
         return index
-
-    def take(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The rows of a flat stack in the source layout, in this kernel's."""
-        return flat.take(self.index, axis=1, out=out, mode="wrap")
 
     def enter(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A canonical (rows, d, d) stack, flat in this kernel's layout."""
@@ -288,7 +286,7 @@ class _Kernel:
 
     def __call__(self, sigma: np.ndarray) -> np.ndarray:
         """The map on a canonical (rows, d, d) stack, for a kernel whose source is canonical."""
-        return self.leave(self.apply(self.take(sigma.reshape(len(sigma), -1))))
+        return self.leave(self.apply(sigma.reshape(len(sigma), -1).take(self.index, axis=1)))
 
     @cached_property
     def probe(self) -> np.ndarray:
@@ -428,64 +426,68 @@ class _Window(_Kernel):
         self.ones = np.ones((1, 2 ** (n - len(self.support))), self.functional.dtype)
 
 
-def _swap_measure(state: np.ndarray, kernel: _Kernel, spare: np.ndarray, out: np.ndarray,
-                  trace: np.ndarray, fold: bool):
-    """One faithful window of m one-term measurements on a flat (rows, d^2)
-    ``state`` in the layout ``kernel`` reads, whose rows have the running
-    traces ``trace``: the state in the kernel's layout, in ``out``, and both
-    probabilities of every term, (m, rows) each.  One take fills ``spare``,
-    whose strided sum of the rest's diagonal blocks is vec(Tr_rest sigma),
-    and the ``functional`` (or ``probe`` and ``weights``) reads the terms'
-    traces off it.  Term by term, they are divided by ``trace``, which then
-    takes the term's exact trace unless its probability is at or below
-    ``EXTINCTION_P``.  K is applied unscaled in one GEMM; with ``fold`` the
-    traces scale it, so the state comes out normalized, and reset to 1."""
-    x = kernel.take(state, out=spare)
-    rows, s2 = len(x), 4 ** len(kernel.support)
-    r = kernel.ones.shape[1]
-    y = x.reshape(rows, r * r, s2)[:, ::r + 1]  # the r diagonal blocks of the rest
-    if r > 1:  # a full-register block is its own sum, and the product would copy it
-        y = kernel.ones @ y
-    f = kernel.functional
-    q = (y @ f if f is not None else y @ kernel.probe @ kernel.weights)[:, 0].real.T
-    # p <= 1/2 + |delta| / (1 + delta^2) < 1 for |delta| < 1: nothing to clamp
-    p, m = np.empty_like(q), len(q) // 2
-    for k in range(m):
-        np.divide(q[k::m], trace, out=p[k::m])
-        np.copyto(trace, q[k], where=p[k] > EXTINCTION_P)  # never 0: a zeroed row keeps its last
-    if fold:
-        kernel.apply(x, 1 / trace, out=out)
-        trace.fill(1.0)
-    else:
-        kernel.apply(x, out=out)
-    return out, p[:m], p[m:]
-
-
 class _Chain:
     """A Trotter step's faithful swap kernels merged into :func:`_windows`,
-    and the two stacks and running traces a run owns: one
-    :func:`_swap_measure` per window in ``measures``, each reading the
-    layout the one before leaves, the first the last one's (the canonical
-    layout if not ``cyclic``), and each writing ``state``, in which a stack
-    enters and leaves through the ``last`` window.  The traces are folded
-    into K at the last window and after every ``_FOLD_EVERY`` terms,
-    where windows end."""
+    and the buffers and views a run owns, all built here.  :meth:`step` runs
+    the windows in turn, each reading the layout the one before leaves, the
+    first the last one's (the canonical layout if not ``cyclic``), and each
+    writing ``state``, in which a stack enters and leaves through the
+    ``last`` window.  Each window writes its terms' unnormalized exact, then
+    formula traces into its columns of a (rows, 2l + 1) buffer, ``q`` its
+    real part, whose last column stays 1.  K is scaled by 1/q of the last
+    term of the step's last window and of each window ending after
+    ``_FOLD_EVERY`` terms; ``index`` gathers each term's two q and the exact
+    q before it (the 1 at the step's start and after a fold), q_k / q_{k-1}."""
 
     def __init__(self, terms: list[tuple[ResourceTerm, object]], n: int, stack: np.ndarray,
                  cyclic: bool = True):
         kernels = [_swap_kernel(term, n, delta) for term, delta in terms]
-        self.groups = _windows([term for term, _ in terms])
+        groups = _windows([term for term, _ in terms])
         windows = [kernels[g[0]] if len(g) == 1 else _Window([kernels[k] for k in g], n)
-                   for g in self.groups]
+                   for g in groups]
         for w, window in enumerate(windows):
             window.source = windows[w - 1].support if w or cyclic else None
-        self.last = windows[-1]
-        self.state = np.empty((len(stack), stack[0].size), stack.dtype)
-        spare, trace = np.empty_like(self.state), np.ones(len(stack))
-        folds = [window is self.last or (g[-1] + 1) % _FOLD_EVERY == 0
-                 for g, window in zip(self.groups, windows)]
-        self.measures = [partial(_swap_measure, kernel=window, spare=spare, out=self.state,
-                                 trace=trace, fold=fold) for window, fold in zip(windows, folds)]
+        rows, ell, self.last = len(stack), len(terms), windows[-1]
+        self.state = np.empty((rows, stack[0].size), stack.dtype)
+        self.spare = np.empty_like(self.state)
+        raw = np.ones((rows, 1, 2 * ell + 1), stack.dtype)
+        self.q, self.windows, columns, before = raw[:, 0].real, [], [], 2 * ell
+        for g, window in zip(groups, windows):
+            s2, at, m = 4 ** len(window.support), 2 * g[0], len(g)
+            r = math.isqrt(self.state.shape[1] // s2)
+            columns += [(at + i, at + m + i, at + i - 1 if i else before) for i in range(m)]
+            fold = window is self.last or (g[-1] + 1) % _FOLD_EVERY == 0
+            before = 2 * ell if fold else at + m - 1
+            block = window.matrix is None  # read through the probe and the weights
+            gemm = None if block else (self.spare.reshape(rows, -1, s2), self.state.reshape(rows, -1, s2))
+            self.windows.append((window, window.index, self.spare.reshape(rows, r * r, s2)[:, ::r + 1],
+                                 np.empty((rows, 1, s2), stack.dtype) if r > 1 else None,
+                                 window.weights if block else window.functional,
+                                 raw[:, :, at:at + 2 * m], raw[:, 0, at + m - 1].real if fold else None,
+                                 gemm))
+        exact, formula, den = zip(*columns)
+        self.index = np.array([[exact, formula], [den, den]])
+
+    def step(self, state: np.ndarray):
+        """One Trotter step of the flat ``state``, in the layout the first
+        window reads: the state in the last window's layout, in ``state``,
+        and both probabilities of every term, (l, rows) each."""
+        for window, index, diag, sums, reader, raw, q, gemm in self.windows:
+            x = state.take(index, axis=1, out=self.spare, mode="wrap")
+            y = diag if sums is None else np.matmul(window.ones, diag, out=sums)  # Tr_rest sigma
+            np.matmul(y if gemm else y @ window.probe, reader, out=raw)
+            # q, the window's last exact trace, is below the smallest normal only if extinct
+            scale = None if q is None else 1 / np.where(q >= sys.float_info.min, q, 1.0)
+            if gemm is None:
+                window.apply(x, scale, out=self.state)
+            else:
+                np.matmul(gemm[0], window.matrix if scale is None
+                          else window.matrix * scale[:, None, None], out=gemm[1])
+            state = self.state
+        num, den = self.q.take(self.index, axis=1).transpose(1, 2, 3, 0)  # (2, l, rows) each
+        # p <= 1/2 + |delta| / (1 + delta^2) < 1 for |delta| < 1: nothing to clamp
+        p = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        return state, p[0], p[1]
 
 
 def _formula_functional(b_op: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
@@ -500,33 +502,27 @@ def _formula_functional(b_op: np.ndarray, order: np.ndarray | None = None) -> np
     return np.stack(columns if order is None else [c[..., order] for c in columns], axis=-1)
 
 
-def _local_step(state: np.ndarray, measures: list[partial], functional: np.ndarray,
-                weights: np.ndarray):
-    """One faithful B-local Trotter step: strategy A's ``measures``, and the
-    product of the terms' probabilities.  A term at or below
-    ``EXTINCTION_P`` leaves the running trace, so the next term's carries
-    its factor: the product skips it, unless it is the last.  The formula
-    probability is read first, ``functional`` times ``weights``."""
+def _local_step(state: np.ndarray, step, functional: np.ndarray, weights: np.ndarray):
+    """One faithful B-local Trotter step: strategy A's chain ``step``, and
+    the product of the terms' probabilities, whose ratios telescope to the
+    step's trace.  The formula probability is read first, ``functional``
+    times ``weights``."""
     p_formula = ((state[:, None] @ functional)[:, 0].real * weights).sum(axis=-1)
-    windows = []
-    for measure in measures:
-        state, p, _ = measure(state)
-        windows.append(p)
-    p = np.concatenate(windows)
-    return state, np.prod(np.where(p[:-1] > EXTINCTION_P, p[:-1], 1.0), axis=0) * p[-1], p_formula
+    state, p, _ = step(state)
+    return state, np.prod(p, axis=0), p_formula
 
 
 def _chain_step(sigma, terms: list, b_op=None, denom: float = 2.0) -> StepResult:
     """One faithful step of ``terms`` on a canonical state, a one-step
-    :class:`_Chain`: strategy A's :func:`_swap_measure` without ``b_op``,
-    else B-local's :func:`_local_step`, with B = ``b_op``."""
+    :class:`_Chain`: strategy A's :meth:`_Chain.step` without ``b_op``, else
+    B-local's :func:`_local_step`, with B = ``b_op``."""
     stack = _as_stack(sigma, *(t.rho for t, _ in terms), *([] if b_op is None else [b_op]))
     chain = _Chain(terms, np.shape(sigma)[-1].bit_length() - 1, stack, cyclic=False)
     flat = stack.reshape(len(stack), -1)
     if b_op is None:
-        state, (p,), (p_formula,) = chain.measures[0](flat)
+        state, (p,), (p_formula,) = chain.step(flat)
     else:
-        state, p, p_formula = _local_step(flat, chain.measures, _formula_functional(b_op),
+        state, p, p_formula = _local_step(flat, chain.step, _formula_functional(b_op),
                                           np.array([1.0, -2.0, 1.0]) / denom)
     return _result(np.ndim(sigma), chain.last.leave(state), p, p_formula)
 
@@ -538,7 +534,9 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     of ``sigma`` and B: real for real inputs.
 
     Effective and sampled modes update a 1-D ``sigma`` as a vector, psi <-
-    A psi / |A psi| with probability |A psi|^2 / denom.  Anything else runs
+    A psi / |A psi| with probability |A psi|^2 / denom; in these modes that
+    first-order probability can pass 1, and only its exact column is clamped
+    to 1, so that the ledger notes the formula one.  Anything else runs
     as a (rows, d, d) stack (a faithful vector as |psi><psi|), whose update
     is A sigma A + sum_k kernel_k(sigma), with one :func:`_leak_kernel` per
     term for faithful B-global and none otherwise.  Both probabilities are
@@ -557,8 +555,8 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
         b_psi = b_op * sigma if b_op.ndim == 1 else b_op @ sigma
         out = sigma - (b_psi if delta is None else delta * b_psi)
         norm2 = float(np.vdot(out, out).real)
-        p = min(_check_probability(norm2 / denom), 1.0)  # first order: above 1 at large delta
-        return StepResult(out * (1 / math.sqrt(norm2)), p, p)
+        p = _check_probability(norm2 / denom)  # first order: above 1 at large delta
+        return StepResult(out * (1 / math.sqrt(norm2)), min(p, 1.0), p)
     # in the dtype of the result, as the block form writes into its input
     stack = _as_stack(sigma, b_op)
     if b_op.ndim == 1:
@@ -575,6 +573,8 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
         raw += kernel(stack)
     trace = _trace(raw)
     p = trace / (denom if scale is None else scale)
+    if mode != "faithful":
+        p = np.minimum(p, 1.0)
     state = raw * (1 / np.where(p > EXTINCTION_P, trace, 1.0))[:, None, None]
     return _result(sigma.ndim, state, p, p_formula)
 
@@ -812,9 +812,9 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
     B-local ``stack`` (None: the stack rests in the canonical layout).
     ``deltas`` (one per term) and ``scale`` = beta / N are scalars for one row
     or (rows,) arrays for a stack.  Each step function maps a state to (state,
-    probability, formula probability), the probabilities (m, rows) for a
-    window of m terms.  Faithful strategy A is the chain's windows, one
-    suffix per term, and faithful B-local one :func:`_local_step` over them,
+    probability, formula probability), the probabilities (l, rows) for a
+    chain's Trotter step.  Faithful strategy A is :meth:`_Chain.step`, one
+    suffix per term, and faithful B-local one :func:`_local_step` over it,
     with W's functional and per-row weights (1, -2 scale, scale^2) / 2^l.
     Faithful B-global is one :func:`_global_step`, built once per run.
     Otherwise strategy A is one :func:`step_strategy_a` per term, each term
@@ -830,11 +830,10 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
     if faithful and plan.strategy != "B-global":
         chain = _Chain(terms, dec.n, stack)
         if plan.strategy == "A":
-            return [(tuple(f".{k + 1}" for k in group), measure)
-                    for group, measure in zip(chain.groups, chain.measures)], chain
+            return [(tuple(f".{k}" for k in range(1, dec.ell + 1)), chain.step)], chain
         weights = np.stack([np.ones_like(scale), -2 * scale, scale * scale], axis=1) / 2**dec.ell
         functional = _formula_functional(dec.operator, _layout(chain.last.support, dec.n))
-        return [(("",), partial(_local_step, measures=chain.measures, weights=weights,
+        return [(("",), partial(_local_step, step=chain.step, weights=weights,
                                 functional=functional))], chain
     if plan.strategy == "A":
         return [((f".{k}",), partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,

@@ -507,8 +507,8 @@ class TestSupportKernel:
         """Two faithful rows of the periodic n = 4 chain, 50 steps, run again
         with every embedding, dense update and public step function refused:
         the rows must come out bit for bit the same.  The count of the
-        ``_as_stack`` calls and of the kernels' enter, take and leave calls,
-        the count of windows per Trotter step and the rows."""
+        ``_as_stack`` calls, of the kernels' enter and leave calls and of the
+        chain's step calls, the count of windows per Trotter step and the rows."""
         import sbqs.engine as engine_mod
         import sbqs.linalg as linalg_mod
 
@@ -533,9 +533,9 @@ class TestSupportKernel:
 
         # the stack is built once, at the start of the run
         monkeypatch.setattr(engine_mod, "_as_stack", counting("_as_stack", engine_mod._as_stack))
-        for name in ("enter", "take", "leave"):
-            real = getattr(engine_mod._Kernel, name)
-            monkeypatch.setattr(engine_mod._Kernel, name, counting(name, real))
+        for cls, name in ((engine_mod._Kernel, "enter"), (engine_mod._Kernel, "leave"),
+                          (engine_mod._Chain, "step")):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
         got = run_rows(plans, psi)
         for a, b in zip(got, want):
             assert np.array_equal(a.final_state, b.final_state)
@@ -548,17 +548,18 @@ class TestSupportKernel:
         # resource, no pass through the d x d post-selection and no public step
         # function, which would map every measurement back to the canonical
         # layout; the stack is built once, enters the kernels' chain once,
-        # takes one gather per window of terms and leaves once
+        # runs its 8 windows in one chain step call per Trotter step and
+        # leaves once
         calls, windows, _ = self.chain_only(monkeypatch, "A")
         assert windows == 8
-        assert calls == {"_as_stack": 1, "enter": 1, "take": 50 * windows, "leave": 1}
+        assert calls == {"_as_stack": 1, "enter": 1, "step": 50, "leave": 1}
 
     def test_faithful_b_local_sweep_is_strategy_a_chain_without_sigma_b(self, monkeypatch):
         # faithful B-local runs the same chain with one ledger entry per Trotter
         # step, and reads its formula probability through W's functional: no
         # sigma B, no dense update and no public step function
         calls, windows, got = self.chain_only(monkeypatch, "B-local")
-        assert calls == {"_as_stack": 1, "enter": 1, "take": 50 * windows, "leave": 1}
+        assert calls == {"_as_stack": 1, "enter": 1, "step": 50, "leave": 1}
         assert [len(t.ledger.exact) for t in got] == [50, 50]
 
 
@@ -612,6 +613,37 @@ class TestChain:
         for trajectory, plan in zip(run_rows(plans, psi), plans):
             assert trajectory.final_state.dtype == np.complex128
             self.assert_matches(trajectory, self.reference(plan, psi))
+
+    def test_a_trotter_step_folded_between_windows_matches_the_step_functions(self):
+        # the periodic n = 8 chain: 24 terms in 16 merged windows, so each
+        # Trotter step folds after term 21, where a window ends, and again at
+        # its end.  Strategy A must match the per-term step loop; B-local its
+        # states, with ln p per Trotter step the sum of the loop's per term.
+        # Each row must be bit for bit the same alone and in either order
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(8, 1.0, 5.0, "periodic"))
+        windows = engine_mod._windows(list(dec.terms))
+        assert (dec.ell, len(windows), engine_mod._FOLD_EVERY) == (24, 16, 21)
+        assert [19, 20] in windows and [21, 22] in windows  # the fold ends a merged window
+        psi = random_unit_vector(np.random.default_rng(140), 2**dec.n)
+        with pytest.warns(UserWarning, match="delta"):  # max |delta| = 0.4
+            plans = {s: [make_plan(dec, beta, 3, s) for beta in (0.04, 0.12)] for s in ("A", "B-local")}
+        wants = [self.reference(plan, psi) for plan in plans["A"]]
+        for strategy, rows in plans.items():
+            full = run_rows(rows, psi)
+            for trajectory, (sigma, ledger) in zip(full, wants):
+                if strategy == "A":
+                    self.assert_matches(trajectory, (sigma, ledger))
+                    continue
+                assert np.max(np.abs(trajectory.final_state - sigma)) <= 1e-12
+                want = np.log(ledger[:, 0]).reshape(3, dec.ell).sum(axis=1)
+                assert np.max(np.abs(np.log(trajectory.ledger.exact) - want)) <= 1e-12
+            for chunk in ([0], [1], [1, 0]):
+                for row, t in zip(chunk, run_rows([rows[i] for i in chunk], psi)):
+                    assert np.array_equal(t.final_state, full[row].final_state)
+                    assert np.array_equal(t.ledger.exact, full[row].ledger.exact)
+                    assert np.array_equal(t.ledger.formula, full[row].ledger.formula)
 
     @pytest.mark.parametrize("strategy", ["A", "B-local", "B-global"])
     def test_a_complex_pauli_model_matches_the_step_functions(self, strategy):
@@ -977,18 +1009,17 @@ class TestRun:
         dies_at = int(np.argmax(unforced[doomed].ledger.exact <= level))
         assert 0 < dies_at < len(unforced[doomed].ledger.exact) - 1
         monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
-        built, doomed_size = [], []  # doomed_size[j]: max |entry| of its row entering window j
-        real_kernel, real_step = engine_mod._swap_kernel, engine_mod._swap_measure
+        built, doomed_size = [], []  # doomed_size[j]: max |entry| of its row entering step j
+        real_kernel, real_step = engine_mod._swap_kernel, engine_mod._Chain.step
         monkeypatch.setattr(engine_mod, "_swap_kernel",
                             lambda *args: built.append(1) or real_kernel(*args))
-        monkeypatch.setattr(engine_mod, "_swap_measure", lambda state, **kwargs: (
-            doomed_size.append(np.abs(state[doomed]).max()) or real_step(state, **kwargs)))
+        monkeypatch.setattr(engine_mod._Chain, "step", lambda chain, state: (
+            doomed_size.append(np.abs(state[doomed]).max()) or real_step(chain, state)))
 
         batch = run_rows(plans, psi)
         assert len(built) == dec.ell
-        windows = len(engine_mod._windows(list(dec.terms)))
-        assert len(doomed_size) == len(unforced[0].ledger.exact) // dec.ell * windows
-        ends = (dies_at // dec.ell + 1) * windows  # the windows through its Trotter step
+        assert len(doomed_size) == len(unforced[0].ledger.exact) // dec.ell
+        ends = dies_at // dec.ell + 1  # the Trotter steps through the one it dies in
         assert ends < len(doomed_size)
         assert doomed_size[ends - 1] > 0 and max(doomed_size[ends:]) == 0
         assert batch[doomed].final_state is None
@@ -1048,13 +1079,13 @@ class TestRun:
         assert j > 0
         monkeypatch.setattr(engine_mod, "EXTINCTION_P", exact[j])
         calls = []
-        real = engine_mod._swap_measure
-        monkeypatch.setattr(engine_mod, "_swap_measure",
-                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        real = engine_mod._Chain.step
+        monkeypatch.setattr(engine_mod._Chain, "step",
+                            lambda *args: calls.append(1) or real(*args))
         with pytest.raises(ExtinctionError) as err:
             run(plan, psi)
-        # extinction is checked once per Trotter step: every window of j's step runs
-        assert len(calls) == (j // dec.ell + 1) * len(engine_mod._windows(list(dec.terms)))
+        # extinction is checked once per Trotter step, which one chain step call runs
+        assert len(calls) == j // dec.ell + 1
         assert err.value.probability == exact[j]
         assert str(err.value).endswith(f" at step {ledger.step_id(j)}")
 
@@ -1248,6 +1279,25 @@ class TestVectorPath:
             assert 0.0 <= err.value.probability <= engine_mod.EXTINCTION_P
         assert messages[0] == messages[1]
         assert messages[0].endswith(" at step 1.1" if strategy == "A" else " at step 1")
+
+    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    def test_a_first_order_probability_above_one_is_noted_on_both_paths(self, mode):
+        # the fig2_left model as strategy A at beta = 2, N = 40 (max |delta| =
+        # 0.5): |A psi|^2 / 2 passes 1 from step 3.10 on.  A vector and a
+        # density-matrix run both clamp the exact column to 1 and pass the
+        # formula one on, so their ledgers agree and note the same entries
+        dec = decompose_ising_local(IsingParams(4, 1.0, 5.0, "periodic"))
+        with pytest.warns(UserWarning, match="delta"):
+            plan = make_plan(dec, 2.0, 40, "A", mode)
+        psi = np.full(16, 0.25)
+        vector, density = run(plan, psi), run(plan, np.outer(psi, psi))
+        assert vector.ledger.notes[0] == "3.10: formula probability 1.00103 clamped to 1"
+        assert vector.ledger.notes == density.ledger.notes and len(vector.ledger.notes) == 151
+        assert vector.ledger.exact.max() == density.ledger.exact.max() == 1.0
+        for column in ("exact", "formula"):
+            got, want = getattr(vector.ledger, column), getattr(density.ledger, column)
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(vector.final_state - density.final_state)) <= 1e-12
 
     def test_run_rejects_vector_off_unit_norm(self):
         plan = make_plan(toy_decomposition(2), 0.1, 2, "A", "effective")

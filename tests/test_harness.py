@@ -256,10 +256,10 @@ class TestRunExperiment:
     def test_one_step_call_and_two_ledger_entries_per_measurement(self, monkeypatch, strategy):
         # a faithful sweep's rows advance as one stack, so run_rows calls the
         # step function bound on sbqs.engine once per measurement for the whole
-        # stack (strategy A's chained _swap_measure once per window of terms,
-        # B-global's dense _measure, which the run builds once with its leak
-        # kernels, and neither public step function), and each row's ledger
-        # gets two entries per measurement
+        # stack (strategy A's chain step once per Trotter step, B-global's
+        # dense _measure, which the run builds once with its leak kernels, and
+        # neither public step function), and each row's ledger gets two
+        # entries per measurement
         import sbqs.engine as engine_mod
         import sbqs.experiment as experiment_mod
 
@@ -277,20 +277,19 @@ class TestRunExperiment:
             trajectories.extend(engine_mod.run_rows(*args, **kwargs))
             return trajectories
 
-        for name in ("step_strategy_a", "_swap_measure", "step_strategy_b", "_measure"):
+        for name in ("step_strategy_a", "step_strategy_b", "_measure"):
             monkeypatch.setattr(engine_mod, name, counting(name, getattr(engine_mod, name)))
+        monkeypatch.setattr(engine_mod._Chain, "step", counting("step", engine_mod._Chain.step))
         monkeypatch.setattr(experiment_mod, "run_rows", keeping)
         config = validate_config(ising_config(strategy=strategy, mode="faithful", beta_grid=[0.5, 1.0]))
         run_experiment(config)
         terms = list(trajectories[0].plan.decomposition.terms)
         per_row = config.n_steps * (len(terms) if strategy == "A" else 1)
-        windows = len(engine_mod._windows(terms)) if strategy == "A" else 1
-        assert calls == {"_swap_measure" if strategy == "A" else "_measure":
-                         config.n_steps * windows}
+        assert calls == {"step" if strategy == "A" else "_measure": config.n_steps}
         assert [len(t.ledger.entries) for t in trajectories] == [2 * per_row] * 2
         # the products equal a running product and sum over each row's column of
-        # the step results, bit for bit: (rows,) per strategy-B step and (m,
-        # rows) per window of m terms
+        # the step results, bit for bit: (rows,) per strategy-B step and (l,
+        # rows) per Trotter step of strategy A's chain
         assert all(np.shape(p) == np.shape(f) and np.shape(p)[-1] == 2 for p, f in kept)
         kept = [(np.reshape(p, (-1, 2)), np.reshape(f, (-1, 2))) for p, f in kept]
         assert sum(len(p) for p, _ in kept) == per_row
