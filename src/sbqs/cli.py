@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 config error, 3 numeric/extinction failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ from .experiment import (
 from .hamiltonian import densify
 
 
+@functools.cache  # built once per process: each parse_args fills a fresh namespace
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sbqs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -42,13 +42,13 @@ at the window's start, through the product of the kernels before it.  The
 stack stays flat in the layout of the last window applied: an int32 index
 map leads from the layout before each window to its own.  A run's
 :class:`_Chain` steps a whole Trotter step per call, through views it builds
-once: a window is one take into its spare stack, one strided sum of the
-rest's diagonal blocks, one product with the functional into its buffer of
-raw traces and one batched GEMM into its state stack.  Within a Trotter step
-the stack is not normalized: term k's raw trace q_k is relative to the
-step's start, its probabilities are its traces over q_{k-1}, divided once
-per step, and 1/q is folded into K at the step's last window and at least
-every 21 terms, so that no live trace underflows.  The stack enters the
+once: a window is one take into its spare stack, one product that reads its
+terms' traces off each diagonal block of the rest (or their sum) and one
+batched GEMM into its state stack.  Within a Trotter step the stack is not
+normalized: term k's raw trace q_k is relative to the step's start, and 1/q
+is folded into K at the step's last window and at least every 21 terms, so
+that no live trace underflows.  The run keeps the raw traces and divides
+them once, term k's over q_{k-1}, at its end.  The stack enters the
 chain once and goes back to the canonical layout once; a public faithful
 strategy-A or B-local step is a one-step chain that reads the canonical
 layout.  B-local keeps one ledger entry per Trotter step, the product of its
@@ -306,19 +306,18 @@ def _swap_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
     """K_delta of one faithful one-term measurement, sigma ->
     (sigma - delta {rho, sigma} + delta^2 rho ⊗ Tr_S sigma) / (2 (1 + delta^2)),
     for a scalar or (rows,) ``delta``.  ``weights`` (rows, 3, 2) turns Tr X,
-    Tr rho X and Tr rho^2 X of X = Tr_rest sigma into the probability
-    Tr K(sigma) = Tr X / 2 - delta Tr rho X / (1 + delta^2) and the paper's
-    Tr[A sigma A] / 2 = Tr X / 2 - delta Tr rho X + delta^2 Tr rho^2 X / 2,
-    with A = I - delta rho.  ``ones`` (1, d_R) sums the d_R diagonal blocks
-    of the rest, Tr_rest sigma, as one product."""
+    Tr rho X and Tr rho^2 X of an X into the paper's Tr[A X A] / 2 = Tr X / 2
+    - delta Tr rho X + delta^2 Tr rho^2 X / 2, with A = I - delta rho, and
+    Tr K(X) = Tr X / 2 - delta Tr rho X / (1 + delta^2): of X = Tr_rest sigma,
+    the formula and the exact probability."""
     delta = np.reshape(delta, (-1, 1, 1))
     norm = 2 * (1 + delta * delta)
     kernel = _Kernel(term.rho, term.support, n,
                      (1 / norm, -delta / norm, delta * delta / norm, None))
-    half, zero = np.full_like(delta, 0.5), np.zeros_like(delta)
-    weights = np.block([[half, half], [-2 * delta / norm, -delta], [zero, delta * delta / 2]])
-    kernel.weights = weights.astype(term.rho.dtype)  # as the probe, to skip a cast per call
-    kernel.ones = np.ones((1, 2 ** (n - len(term.support))), term.rho.dtype)
+    # columns formula, exact; rows Tr X, Tr rho X, Tr rho^2 X; the probe's dtype: no cast per call
+    w = kernel.weights = np.zeros((len(delta), 3, 2), term.rho.dtype)
+    w[:, 0] = 0.5
+    w[:, 1:, :1], w[:, 1:2, 1:] = np.concatenate([-delta, delta * delta / 2], axis=1), -2 * delta / norm
     return kernel
 
 
@@ -403,8 +402,8 @@ def _windows(terms: list[ResourceTerm]) -> list[list[int]]:
 class _Window(_Kernel):
     """Consecutive matrix-form swap kernels as one on their union support:
     the product of their maps on vec(X) of an X on that support, K_1 first,
-    and a (rows, D, 2m) functional whose columns read the m exact, then the m
-    formula traces off Tr_rest sigma at the window's start, term k's through
+    and a (rows, D, 2m) functional whose columns read each term's formula,
+    then exact trace off Tr_rest sigma at the window's start, term k's through
     the product of the k - 1 maps before it: the kernels act blockwise."""
 
     def __init__(self, kernels: list[_Kernel], n: int):
@@ -421,9 +420,7 @@ class _Window(_Kernel):
             product = (x.reshape(len(x), -1, x.shape[-1]) @ kernel.matrix).reshape(-1, d2, d2)
             product = product[..., _inverse(order)]
         self.matrix = np.ascontiguousarray(product)  # the indexing leaves it strided
-        self.functional = np.concatenate([c[..., :1] for c in columns]
-                                         + [c[..., 1:] for c in columns], axis=-1)
-        self.ones = np.ones((1, 2 ** (n - len(self.support))), self.functional.dtype)
+        self.functional = np.concatenate(columns, axis=-1)
 
 
 class _Chain:
@@ -432,62 +429,85 @@ class _Chain:
     the windows in turn, each reading the layout the one before leaves, the
     first the last one's (the canonical layout if not ``cyclic``), and each
     writing ``state``, in which a stack enters and leaves through the
-    ``last`` window.  Each window writes its terms' unnormalized exact, then
-    formula traces into its columns of a (rows, 2l + 1) buffer, ``q`` its
-    real part, whose last column stays 1.  K is scaled by 1/q of the last
-    term of the step's last window and of each window ending after
-    ``_FOLD_EVERY`` terms; ``index`` gathers each term's two q and the exact
-    q before it (the 1 at the step's start and after a fold), q_k / q_{k-1}."""
+    ``last`` window.  Term k's unnormalized formula and exact traces go into
+    columns 2k and 2k + 1 of ``part``, (rows, r, 2l), one row per diagonal
+    block of the rest.  K is scaled by 1/q of the last term of the step's
+    last window and of each window ending after ``_FOLD_EVERY`` terms, where
+    ``part``'s columns since the fold before are summed into the step's raw
+    traces; ``folds`` are the q's columns there.  B-local's, with ``local``
+    = (B, weights), first reads its formula probability into column 0."""
 
     def __init__(self, terms: list[tuple[ResourceTerm, object]], n: int, stack: np.ndarray,
-                 cyclic: bool = True):
+                 cyclic: bool = True, local: tuple | None = None):
         kernels = [_swap_kernel(term, n, delta) for term, delta in terms]
         groups = _windows([term for term, _ in terms])
         windows = [kernels[g[0]] if len(g) == 1 else _Window([kernels[k] for k in g], n)
                    for g in groups]
         for w, window in enumerate(windows):
             window.source = windows[w - 1].support if w or cyclic else None
-        rows, ell, self.last = len(stack), len(terms), windows[-1]
+        rows, self.last = len(stack), windows[-1]
         self.state = np.empty((rows, stack[0].size), stack.dtype)
         self.spare = np.empty_like(self.state)
-        raw = np.ones((rows, 1, 2 * ell + 1), stack.dtype)
-        self.q, self.windows, columns, before = raw[:, 0].real, [], [], 2 * ell
+        self.part = np.zeros((rows, 2 ** (n - min(len(w.support) for w in windows)), 2 * len(terms)),
+                             stack.dtype)
+        self.windows, self.folds, start = [], [], 0
+        self.formula = None if local is None else (
+            _formula_functional(local[0], _layout(self.last.support, n) if cyclic else None), local[1])
         for g, window in zip(groups, windows):
-            s2, at, m = 4 ** len(window.support), 2 * g[0], len(g)
-            r = math.isqrt(self.state.shape[1] // s2)
-            columns += [(at + i, at + m + i, at + i - 1 if i else before) for i in range(m)]
-            fold = window is self.last or (g[-1] + 1) % _FOLD_EVERY == 0
-            before = 2 * ell if fold else at + m - 1
+            r, s2, end = 2 ** (n - len(window.support)), 4 ** len(window.support), 2 * g[-1] + 2
+            fold = None
+            if window is self.last or (g[-1] + 1) % _FOLD_EVERY == 0:
+                fold, start = (self.part[..., start:end], slice(start + 1, end + 1)), end
+                self.folds.append(end)
             block = window.matrix is None  # read through the probe and the weights
             gemm = None if block else (self.spare.reshape(rows, -1, s2), self.state.reshape(rows, -1, s2))
             self.windows.append((window, window.index, self.spare.reshape(rows, r * r, s2)[:, ::r + 1],
-                                 np.empty((rows, 1, s2), stack.dtype) if r > 1 else None,
                                  window.weights if block else window.functional,
-                                 raw[:, :, at:at + 2 * m], raw[:, 0, at + m - 1].real if fold else None,
-                                 gemm))
-        exact, formula, den = zip(*columns)
-        self.index = np.array([[exact, formula], [den, den]])
+                                 self.part[:, :r, 2 * g[0]:end], fold, gemm))
+        self.after = [0, *(fold // 2 for fold in self.folds[:-1])]  # terms with q_{k-1} = 1
 
-    def step(self, state: np.ndarray):
+    def step(self, state: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One Trotter step of the flat ``state``, in the layout the first
         window reads: the state in the last window's layout, in ``state``,
-        and both probabilities of every term, (l, rows) each."""
-        for window, index, diag, sums, reader, raw, q, gemm in self.windows:
+        and the step's trace, (rows,), the product of its folded q.  The
+        step's raw traces go into ``traces``, (rows, 2l + 1)."""
+        if self.formula is not None:  # B-local's, off the state the step starts from
+            traces[:, 0] = ((state[:, None] @ self.formula[0])[:, 0].real * self.formula[1]).sum(axis=-1)
+        trace = None
+        for window, index, diag, reader, part, fold, gemm in self.windows:
             x = state.take(index, axis=1, out=self.spare, mode="wrap")
-            y = diag if sums is None else np.matmul(window.ones, diag, out=sums)  # Tr_rest sigma
-            np.matmul(y if gemm else y @ window.probe, reader, out=raw)
-            # q, the window's last exact trace, is below the smallest normal only if extinct
-            scale = None if q is None else 1 / np.where(q >= sys.float_info.min, q, 1.0)
+            np.matmul(diag if gemm else diag @ window.probe, reader, out=part)
+            scale = None
+            if fold is not None:  # q is below the smallest normal only if extinct
+                q = np.add.reduce(fold[0], axis=1, out=traces[:, fold[1]])[:, -1].real
+                trace = q if trace is None else trace * q
+                scale = 1 / np.where(q >= sys.float_info.min, q, 1.0)
             if gemm is None:
                 window.apply(x, scale, out=self.state)
             else:
                 np.matmul(gemm[0], window.matrix if scale is None
                           else window.matrix * scale[:, None, None], out=gemm[1])
             state = self.state
-        num, den = self.q.take(self.index, axis=1).transpose(1, 2, 3, 0)  # (2, l, rows) each
+        return state, trace
+
+    def ratios(self, record: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Both probabilities of every term, (2, steps, l, rows), from raw traces
+        (steps, rows, 2l + 1) into ``out`` (zeros): q_k / q_{k-1}, or q_k at the
+        step's start and after a fold, 0 for q_{k-1} = 0 (a zeroed row); B-local's
+        (2, steps, 1, rows): the step's trace, its terms' ratios telescoped, and
+        column 0."""
+        q = record.real
+        if out is None:
+            out = np.zeros((2, len(q), 1 if self.formula is not None else q.shape[2] // 2, q.shape[1]))
+        if self.formula is not None:
+            out[0, :, 0], out[1, :, 0] = q[..., self.folds].prod(axis=-1), q[..., 0]
+            return out
+        den = q[..., 2:-1:2]
+        for ratio, num in zip(out.swapaxes(2, 3), (q[..., 2::2], q[..., 1::2])):
+            np.divide(num[..., 1:], den, out=ratio[..., 1:], where=den > 0)
+            ratio[..., self.after] = num[..., self.after]
         # p <= 1/2 + |delta| / (1 + delta^2) < 1 for |delta| < 1: nothing to clamp
-        p = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        return state, p[0], p[1]
+        return out
 
 
 def _formula_functional(b_op: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
@@ -502,28 +522,16 @@ def _formula_functional(b_op: np.ndarray, order: np.ndarray | None = None) -> np
     return np.stack(columns if order is None else [c[..., order] for c in columns], axis=-1)
 
 
-def _local_step(state: np.ndarray, step, functional: np.ndarray, weights: np.ndarray):
-    """One faithful B-local Trotter step: strategy A's chain ``step``, and
-    the product of the terms' probabilities, whose ratios telescope to the
-    step's trace.  The formula probability is read first, ``functional``
-    times ``weights``."""
-    p_formula = ((state[:, None] @ functional)[:, 0].real * weights).sum(axis=-1)
-    state, p, _ = step(state)
-    return state, np.prod(p, axis=0), p_formula
-
-
 def _chain_step(sigma, terms: list, b_op=None, denom: float = 2.0) -> StepResult:
     """One faithful step of ``terms`` on a canonical state, a one-step
-    :class:`_Chain`: strategy A's :meth:`_Chain.step` without ``b_op``, else
-    B-local's :func:`_local_step`, with B = ``b_op``."""
+    :class:`_Chain`: strategy A's without ``b_op``, else B-local's, whose
+    formula probability reads B = ``b_op``."""
     stack = _as_stack(sigma, *(t.rho for t, _ in terms), *([] if b_op is None else [b_op]))
-    chain = _Chain(terms, np.shape(sigma)[-1].bit_length() - 1, stack, cyclic=False)
-    flat = stack.reshape(len(stack), -1)
-    if b_op is None:
-        state, (p,), (p_formula,) = chain.step(flat)
-    else:
-        state, p, p_formula = _local_step(flat, chain.step, _formula_functional(b_op),
-                                          np.array([1.0, -2.0, 1.0]) / denom)
+    chain = _Chain(terms, np.shape(sigma)[-1].bit_length() - 1, stack, cyclic=False,
+                   local=None if b_op is None else (b_op, np.array([1.0, -2.0, 1.0]) / denom))
+    record = np.zeros((1, len(stack), 2 * len(terms) + 1), stack.dtype)
+    state, _ = chain.step(stack.reshape(len(stack), -1), record[0])
+    p, p_formula = chain.ratios(record)[:, 0, 0]
     return _result(np.ndim(sigma), chain.last.leave(state), p, p_formula)
 
 
@@ -757,13 +765,17 @@ class ProbabilityLedger:
             for p, source in zip(pair, LEDGER_SOURCES)
         ]
 
-    def probabilities(self, source: str = "faithful-exact") -> list[float]:
+    def _column(self, source: str) -> np.ndarray:
         if source not in LEDGER_SOURCES:
             raise ValueError(f"unknown source {source!r}")
-        return (self.exact if source == "faithful-exact" else self.formula).tolist()
+        return self.exact if source == "faithful-exact" else self.formula
+
+    def probabilities(self, source: str = "faithful-exact") -> list[float]:
+        return self._column(source).tolist()
 
     def cumulative(self, source: str = "faithful-exact") -> float:
-        return math.prod(self.probabilities(source), start=1.0)
+        # in order from 1.0, as math.prod: a reduce may multiply out of order
+        return float(np.multiply.accumulate(np.append(1.0, self._column(source)))[-1])
 
     def log_cumulative(self, source: str = "faithful-exact") -> float:
         total = 0.0  # summed in order, not with sum(), which compensates on newer Pythons
@@ -812,10 +824,10 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
     B-local ``stack`` (None: the stack rests in the canonical layout).
     ``deltas`` (one per term) and ``scale`` = beta / N are scalars for one row
     or (rows,) arrays for a stack.  Each step function maps a state to (state,
-    probability, formula probability), the probabilities (l, rows) for a
-    chain's Trotter step.  Faithful strategy A is :meth:`_Chain.step`, one
-    suffix per term, and faithful B-local one :func:`_local_step` over it,
-    with W's functional and per-row weights (1, -2 scale, scale^2) / 2^l.
+    probability, formula probability), except a chain's Trotter step: one
+    measurement with no step function, one suffix per term for strategy A
+    and one for B-local, whose chain reads its formula probability with W
+    and per-row weights (1, -2 scale, scale^2) / 2^l.
     Faithful B-global is one :func:`_global_step`, built once per run.
     Otherwise strategy A is one :func:`step_strategy_a` per term, each term
     embedded, and strategy B one :func:`step_strategy_b` over all terms, whose
@@ -828,13 +840,10 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
         return [], None
     faithful = plan.mode == "faithful"
     if faithful and plan.strategy != "B-global":
-        chain = _Chain(terms, dec.n, stack)
-        if plan.strategy == "A":
-            return [(tuple(f".{k}" for k in range(1, dec.ell + 1)), chain.step)], chain
-        weights = np.stack([np.ones_like(scale), -2 * scale, scale * scale], axis=1) / 2**dec.ell
-        functional = _formula_functional(dec.operator, _layout(chain.last.support, dec.n))
-        return [(("",), partial(_local_step, step=chain.step, weights=weights,
-                                functional=functional))], chain
+        local = None if plan.strategy == "A" else (
+            dec.operator, np.stack([np.ones_like(scale), -2 * scale, scale * scale], axis=1) / 2**dec.ell)
+        chain = _Chain(terms, dec.n, stack, local=local)
+        return [(("",) if local else tuple(f".{k}" for k in range(1, dec.ell + 1)), None)], chain
     if plan.strategy == "A":
         return [((f".{k}",), partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,
                                      rho_emb=_embed(term, dec.n)))
@@ -858,7 +867,8 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
     first such entry, and is zeroed and stays, so that every kernel is built
     once; the loop stops once no row is left.  A faithful strategy-A or
     B-local stack enters its chain once at the start and goes back to the
-    canonical layout once at the end."""
+    canonical layout once at the end, and its ledger is read off its raw
+    traces then, and in a step only where a live row may be extinct."""
     t0 = time.perf_counter()
     first = plans[0]
     dec = first.decomposition
@@ -876,34 +886,39 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
     measurements, chain = _measurements(first, deltas, scales, None if vector else sigma)
     if chain is not None:
         sigma = chain.last.enter(sigma, out=chain.state)
+        record = np.zeros((first.n_steps, len(plans), 2 * dec.ell + 1), sigma.dtype)
     suffixes = tuple(suffix for group, _ in measurements for suffix in group)
-    keys, k = [], 0  # where each measurement's entries sit in a Trotter step's block
-    for group, _ in measurements:
-        keys.append(k if len(group) == 1 else slice(k, k + len(group)))
-        k += len(group)
-    exact, formula = np.empty((2, first.n_steps, len(suffixes), len(plans)))
+    exact, formula = columns = np.zeros((2, first.n_steps, len(suffixes), len(plans)))
     lost: dict[int, tuple[int, float]] = {}  # extinct row -> (measurement, probability)
-    live = np.ones(len(plans), dtype=bool)
+    live, bar = np.ones(len(plans), dtype=bool), np.full(len(plans), 2 * EXTINCTION_P)
     for step in range(first.n_steps):
-        try:
-            for key, (_, measure) in zip(keys, measurements):
-                sigma, exact[step, key], formula[step, key] = measure(sigma)
-        except ExtinctionError as err:  # only a vector step raises
-            lost[0] = (step * len(suffixes) + key, err.probability)
-            break
+        if chain is not None:
+            sigma, trace = chain.step(sigma, record[step])
+            if not (trace <= bar).any():  # every p < 1: none is at or below EXTINCTION_P
+                continue
+            chain.ratios(record[step:step + 1], columns[:, step:step + 1])
+        else:
+            try:
+                for key, (_, measure) in enumerate(measurements):  # one entry each
+                    sigma, exact[step, key], formula[step, key] = measure(sigma)
+            except ExtinctionError as err:  # only a vector step raises
+                lost[0] = (step * len(suffixes) + key, err.probability)
+                break
         if vector or not (extinct := exact[step] <= EXTINCTION_P).any():
             continue
         extinct &= live  # a zeroed row reads p = 0 from then on
         if extinct.any():
             rows = np.flatnonzero(extinct.any(axis=0))
             sigma[rows] = 0.0
-            live[rows] = False
+            live[rows], bar[rows] = False, -1.0  # a zeroed row's q are 0
             for row, at in zip(rows.tolist(), extinct.argmax(axis=0)[rows].tolist()):
                 lost[row] = (step * len(suffixes) + at, float(exact[step, at, row]))
             if not live.any():
                 break
     if chain is not None:
+        chain.ratios(record, columns)  # the run's ratios, divided once
         sigma = chain.last.leave(sigma)
+        del chain, record  # the record is freed before the rows copy their ledgers
     if eigenbasis:
         sigma = vecs @ sigma
     wall = time.perf_counter() - t0

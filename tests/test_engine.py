@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -737,6 +738,43 @@ class TestChain:
             if i != doomed:
                 self.assert_matches(t, want)
 
+    def test_a_row_extinct_before_a_mid_step_fold_ends_where_it_did(self, monkeypatch):
+        # the periodic n = 8 chain from |1...1>: 24 terms, so each Trotter step
+        # folds after term 21 as well as at its end.  Forced to its lowest
+        # probability, the beta = 0.3 row dies at x(0), the 9th term of the
+        # 4th step, before that fold.  It must end at the entry, probability
+        # and step id that per-step division gave (4.9, 0.37069672458577013),
+        # its ledger its unforced one up to there, and the survivors must not
+        # move
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(8, 1.0, 0.7, "periodic"))
+        assert dec.ell > engine_mod._FOLD_EVERY
+        with pytest.warns(UserWarning, match="delta"):
+            plans = [make_plan(dec, beta, 6) for beta in (0.0, 0.15, 0.3)]
+        psi = np.eye(256)[255]
+        unforced = run_rows(plans, psi)
+        level = unforced[2].ledger.exact.min()
+        dies_at = int(np.argmax(unforced[2].ledger.exact <= level))
+        assert dies_at == 3 * dec.ell + 8 and dec.terms[8].label == "x(0)"
+        assert min(t.ledger.exact.min() for t in unforced[:2]) > level
+        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        batch = run_rows(plans, psi)
+        assert batch[2].final_state is None
+        assert batch[2].extinction == "post-selection probability 3.707e-01 at step 4.9"
+        assert batch[2].extinction_probability == level
+        assert level == pytest.approx(0.37069672458577013, rel=1e-12)
+        assert np.array_equal(batch[2].ledger.exact, unforced[2].ledger.exact[:dies_at])
+        assert np.array_equal(batch[2].ledger.formula, unforced[2].ledger.formula[:dies_at])
+        with pytest.raises(ExtinctionError) as err:
+            run(plans[2], psi)
+        assert err.value.probability == level and str(err.value) == batch[2].extinction
+        for t, ref in zip(batch[:2], unforced):
+            assert t.extinction is None
+            assert np.array_equal(t.final_state, ref.final_state)
+            assert np.array_equal(t.ledger.exact, ref.ledger.exact)
+            assert np.array_equal(t.ledger.formula, ref.ledger.formula)
+
     def test_a_b_local_row_extinct_mid_step_reports_the_step_probability(self, monkeypatch):
         # the doomed row's first measurement of its second Trotter step (a
         # term that penalizes |1> at delta = 0.9, after one that favours it)
@@ -1013,8 +1051,8 @@ class TestRun:
         real_kernel, real_step = engine_mod._swap_kernel, engine_mod._Chain.step
         monkeypatch.setattr(engine_mod, "_swap_kernel",
                             lambda *args: built.append(1) or real_kernel(*args))
-        monkeypatch.setattr(engine_mod._Chain, "step", lambda chain, state: (
-            doomed_size.append(np.abs(state[doomed]).max()) or real_step(chain, state)))
+        monkeypatch.setattr(engine_mod._Chain, "step", lambda chain, state, traces: (
+            doomed_size.append(np.abs(state[doomed]).max()) or real_step(chain, state, traces)))
 
         batch = run_rows(plans, psi)
         assert len(built) == dec.ell
@@ -1066,6 +1104,32 @@ class TestRun:
                 assert np.array_equal(t.final_state, ref.final_state)
                 assert np.array_equal(t.ledger.exact, ref.ledger.exact)
                 assert np.array_equal(t.ledger.formula, ref.ledger.formula)
+
+    def test_a_chain_reads_a_steps_ratios_only_where_a_live_row_may_be_extinct(self, monkeypatch):
+        # every faithful p < 1, so no entry of a row whose Trotter step's
+        # trace is above twice EXTINCTION_P is at or below it: a run divides
+        # its raw traces once, at its end, and before that only in a step in
+        # which a live row's trace is that low.  At delta = 1 - 1e-7 the x(0)
+        # term, aligned with |+>, ends a row in the first step at the real
+        # EXTINCTION_P; its zeroed row must not make a later step read them
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(3, 1.0, 1.0, "periodic"))
+        with pytest.warns(UserWarning, match="delta"):
+            plans = [make_plan(dec, beta, 100) for beta in (0.5, 24.9999975)]
+        psi = np.full(8, 8**-0.5)
+        (alone,) = run_rows(plans[:1], psi)
+        steps, real = [], engine_mod._Chain.ratios
+        monkeypatch.setattr(engine_mod._Chain, "ratios",
+                            lambda chain, record, *out: steps.append(len(record)) or real(chain, record, *out))
+        survivor, extinct = run_rows(plans, psi)
+        assert steps == [1, 100]
+        assert extinct.extinction.endswith(" at step 1.4") and extinct.final_state is None
+        assert 0.0 < extinct.extinction_probability <= engine_mod.EXTINCTION_P
+        assert survivor.extinction is None
+        assert np.array_equal(survivor.final_state, alone.final_state)
+        assert np.array_equal(survivor.ledger.exact, alone.ledger.exact)
+        assert np.array_equal(survivor.ledger.formula, alone.ledger.formula)
 
     def test_a_one_row_run_stops_at_its_extinct_measurement(self, monkeypatch):
         import sbqs.engine as engine_mod
@@ -1441,6 +1505,22 @@ class TestLedger:
         ledger = ProbabilityLedger([0.5] * 3000, [0.5] * 3000)
         assert ledger.cumulative("faithful-exact") == 0.0  # double underflow
         assert ledger.log_cumulative("faithful-exact") == pytest.approx(3000 * np.log(0.5))
+
+    def test_cumulative_is_math_prod_bit_for_bit(self):
+        # the product is read in measurement order from 1.0, as math.prod: on a
+        # long ledger, on one whose product underflows to 0 and on an empty one
+        rng = np.random.default_rng(11)
+        long = rng.uniform(0.99, 1.0, 4800)  # the product stays a normal float
+        tiny = np.concatenate([rng.uniform(0.2, 0.6, 1000), rng.uniform(0.9, 1.0, 50)])
+        ledgers = [ProbabilityLedger(long, long[::-1]), ProbabilityLedger(tiny, tiny),
+                   ProbabilityLedger()]
+        assert math.prod(tiny) == 0.0
+        for ledger in ledgers:
+            for source in LEDGER_SOURCES:
+                got = ledger.cumulative(source)
+                assert type(got) is float
+                assert got == math.prod(ledger.probabilities(source), start=1.0)
+        assert ledgers[2].cumulative() == 1.0
 
 
 class TestSampleRun:

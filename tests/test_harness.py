@@ -15,10 +15,11 @@ from sbqs.bounds import build_bounds_report, n_star
 from sbqs.cli import main
 from sbqs.config import DEFAULT_BETA_GRID, ExperimentConfig, load_config, validate_config
 from sbqs.engine import ProbabilityLedger, Trajectory, make_plan, run, run_rows
-from sbqs.errors import ConfigError
+from sbqs.errors import ConfigError, ExtinctionError
 from sbqs.exact import ground, populations
 from sbqs.experiment import (
     CSV_FIELDS,
+    _model,
     emit_csv,
     emit_svg,
     parse_csv,
@@ -259,17 +260,20 @@ class TestRunExperiment:
         # stack (strategy A's chain step once per Trotter step, B-global's
         # dense _measure, which the run builds once with its leak kernels, and
         # neither public step function), and each row's ledger gets two
-        # entries per measurement
+        # entries per measurement.  Strategy A's chain divides the run's raw
+        # traces once, at its end, and no Trotter step trips the extinction
+        # check, which would read that step's ratios
         import sbqs.engine as engine_mod
         import sbqs.experiment as experiment_mod
 
         calls, kept, trajectories = Counter(), [], []
 
-        def counting(name, real):
+        def counting(name, real, probabilities):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 res = real(*args, **kwargs)
-                kept.append(tuple(res)[1:])  # the probabilities of (state, p, p_formula)
+                if probabilities is not None:
+                    kept.append(probabilities(res))
                 return res
             return wrapper
 
@@ -278,18 +282,23 @@ class TestRunExperiment:
             return trajectories
 
         for name in ("step_strategy_a", "step_strategy_b", "_measure"):
-            monkeypatch.setattr(engine_mod, name, counting(name, getattr(engine_mod, name)))
-        monkeypatch.setattr(engine_mod._Chain, "step", counting("step", engine_mod._Chain.step))
+            monkeypatch.setattr(engine_mod, name, counting(name, getattr(engine_mod, name),
+                                                           lambda res: tuple(res)[1:]))
+        monkeypatch.setattr(engine_mod._Chain, "step", counting("step", engine_mod._Chain.step, None))
+        # (2, steps, l, rows): the exact and formula probabilities of every measurement
+        monkeypatch.setattr(engine_mod._Chain, "ratios", counting(
+            "ratios", engine_mod._Chain.ratios, lambda res: tuple(res.reshape(2, -1, res.shape[-1]))))
         monkeypatch.setattr(experiment_mod, "run_rows", keeping)
         config = validate_config(ising_config(strategy=strategy, mode="faithful", beta_grid=[0.5, 1.0]))
         run_experiment(config)
         terms = list(trajectories[0].plan.decomposition.terms)
         per_row = config.n_steps * (len(terms) if strategy == "A" else 1)
-        assert calls == {"step" if strategy == "A" else "_measure": config.n_steps}
+        assert calls == ({"step": config.n_steps, "ratios": 1} if strategy == "A"
+                         else {"_measure": config.n_steps})
         assert [len(t.ledger.entries) for t in trajectories] == [2 * per_row] * 2
         # the products equal a running product and sum over each row's column of
-        # the step results, bit for bit: (rows,) per strategy-B step and (l,
-        # rows) per Trotter step of strategy A's chain
+        # the probabilities, bit for bit: (rows,) per strategy-B step and (rows,)
+        # per measurement of strategy A's run
         assert all(np.shape(p) == np.shape(f) and np.shape(p)[-1] == 2 for p, f in kept)
         kept = [(np.reshape(p, (-1, 2)), np.reshape(f, (-1, 2))) for p, f in kept]
         assert sum(len(p) for p, _ in kept) == per_row
@@ -981,6 +990,58 @@ class TestCli:
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_successive_calls_parse_independently_with_one_parser(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # the parser is built once per process and every call parses into a
+        # fresh namespace: no flag of one call reaches the next, whatever the
+        # subcommand, and a flag the subcommand does not read still exits 2
+        import sbqs.cli as cli_mod
+
+        monkeypatch.chdir(tmp_path)
+        path = self.write_config(tmp_path, mode="sampled", seed=3, trials=200,
+                                 beta_grid=[0.0, 0.25], n_steps=10)
+        flags, real = [], cli_mod.load_config
+        monkeypatch.setattr(cli_mod, "load_config",
+                            lambda config, updates: flags.append(updates) or real(config, updates))
+        parser = cli_mod._parser()
+        assert main(["run", str(path), "--out", "a", "--seed", "4", "--parallel", "1", "--svg"]) == 0
+        assert main(["sample", str(path)]) == 0
+        assert main(["run", str(path), "--out", "b"]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["decompose", str(path), "--seed", "1"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert main(["bounds", str(path)]) == 0
+        assert main(["sample", str(path), "--seed", "5"]) == 0
+        assert flags == [{"out_dir": "a", "seed": 4, "parallel": 1}, {}, {"out_dir": "b"}, {},
+                         {"seed": 5}]
+        assert (tmp_path / "a" / "fidelity.svg").exists()
+        assert not (tmp_path / "b" / "fidelity.svg").exists()
+        assert cli_mod._parser() is parser
+
+    def test_a_sweep_with_an_extinct_row_writes_the_same_bytes_in_a_pool(self, tmp_path, capsys):
+        # tests/data/extinct3.json, which CI also runs through the script: the
+        # row at delta = 1 - 1e-7 ends at its x(0) term, aligned with |+>, in
+        # the first Trotter step, the others run to the end, and a serial and
+        # a pooled run write the same bytes
+        path = _ROOT / "tests" / "data" / "extinct3.json"
+        outs = [tmp_path / "serial", tmp_path / "pool"]
+        with pytest.warns(UserWarning, match="delta"):  # a pool's workers warn on their own
+            assert main(["run", str(path), "--svg", "--out", str(outs[0])]) == 0
+            assert main(["run", str(path), "--svg", "--out", str(outs[1]), "--parallel", "2"]) == 0
+        assert capsys.readouterr().err.count("extinct rows at beta = [24.9999975]") == 2
+        for name in ("results.csv", "bounds.json", "fidelity.svg"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        *survivors, extinct = parse_csv(outs[0] / "results.csv")
+        assert all(0.0 < r.fidelity_sbqs_vs_ground <= 1.0 for r in survivors)
+        assert math.isnan(extinct.fidelity_sbqs_vs_ground)
+        config = load_config(path)
+        _, dec, psi0 = _model(config)
+        with pytest.warns(UserWarning, match="delta"):
+            plan = make_plan(dec, config.beta_grid[-1], config.n_steps)
+        with pytest.raises(ExtinctionError, match=r" at step 1\.4$"):
+            run(plan, psi0)
 
     def test_decompose_and_bounds_and_sample(self, tmp_path, capsys):
         path = self.write_config(tmp_path, mode="sampled", seed=3, trials=200,
