@@ -119,22 +119,85 @@ def embed_operator(op: np.ndarray, layout: RegisterLayout, targets: Iterable[str
     return out
 
 
+def _components(linked: np.ndarray) -> np.ndarray:
+    """Each vertex's component label in the undirected graph whose edges are
+    the True entries below the diagonal of the square matrix ``linked``: the
+    smallest vertex of its connected component.
+
+    Min-label hooking with pointer jumping, with no loop per vertex or per
+    component: every label is a vertex of its own component that labels
+    itself.  While an edge has two labels, the larger of them is hooked onto
+    the smallest label met across its edges, and every label is then
+    replaced by its label's label until none moves.  Labels only fall, so
+    this ends, and it ends with one label per component."""
+    d = len(linked)
+    rows, cols = np.divmod(np.flatnonzero(linked), d)
+    below = rows > cols
+    edges = np.stack([rows[below], cols[below]])
+    label = np.arange(d)
+    while True:
+        ends = label[edges]
+        high, low = ends.max(axis=0), ends.min(axis=0)
+        if np.array_equal(high, low):
+            return label
+        np.minimum.at(label, high, low)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+
+
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, one ``eigh`` per decoupled
+    block.
 
     The input is symmetrized as (h + h†)/2 before decomposition; deviations
     beyond ``HERMITICITY_ATOL`` raise instead of being silently averaged away.
-    Returns eigenvalues ascending and orthonormal eigenvector columns.
+    The blocks are the connected components of the graph of the nonzero
+    entries below the diagonal of the symmetrized matrix, the triangle that
+    ``eigh`` reads, so the split is exact: every entry it reads between two
+    blocks is an exact zero.  Blocks of one size are diagonalised in one
+    batched ``eigh``.  Returns eigenvalues ascending (a stable sort, so equal
+    eigenvalues of different blocks keep the blocks' order) and orthonormal
+    eigenvector columns, C-contiguous in the symmetrized matrix's dtype, each
+    of them zero outside its block.
     """
     h = np.asarray(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    drift = np.max(np.abs(h - dag(h))) if h.size else 0.0
+    # h - h† once, for the check, then turned in place into h - (h - h†)/2:
+    # that is (h + h†)/2, and h itself, bit for bit, when h is exactly
+    # Hermitian; an integer h gets a float difference, halved in place
+    sym = np.subtract(h, dag(h), dtype=np.result_type(h, 0.5))
+    drift = np.max(np.abs(sym)) if h.size else 0.0
     if drift > HERMITICITY_ATOL:
         raise NonHermitianError(
             f"matrix deviates from Hermitian by {drift:.3e} > {HERMITICITY_ATOL:.0e}")
-    vals, vecs = np.linalg.eigh((h + dag(h)) / 2)
-    return vals, vecs
+    sym *= -0.5
+    sym += h
+    d = len(sym)
+
+    # vertices ordered by their block's size, then by block, then by index
+    label = _components(sym != 0)
+    size = np.bincount(label, minlength=d)[label]
+    order = np.argsort(size * d + label, kind="stable")
+    per_size = np.bincount(size)  # vertices in blocks of each size
+    vals = np.empty(d, dtype=sym.real.dtype)
+    groups = []
+    start = 0
+    for s in np.flatnonzero(per_size):
+        count = per_size[s]
+        idx = order[start:start + count].reshape(-1, s)
+        block_vals, block_vecs = np.linalg.eigh(sym[idx[:, :, None], idx[:, None, :]])
+        vals[start:start + count] = block_vals.ravel()
+        groups.append((start, idx, block_vecs))
+        start += count
+
+    ascending = np.argsort(vals, kind="stable")
+    column = np.empty(d, dtype=np.intp)
+    column[ascending] = np.arange(d)
+    vecs = np.zeros((d, d), dtype=sym.dtype)
+    for start, idx, block_vecs in groups:
+        vecs[idx[:, :, None], column[start:start + idx.size].reshape(idx.shape)[:, None, :]] = block_vecs
+    return vals[ascending], vecs
 
 
 def operator_norm(m: np.ndarray) -> float:

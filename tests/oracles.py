@@ -25,7 +25,6 @@ from sbqs.linalg import (
     check_density_matrix,
     dag,
     embed_operator,
-    hermitian_eig,
     qubit_layout,
 )
 
@@ -190,7 +189,7 @@ def exact_ite(h: np.ndarray, rho0: np.ndarray, beta: float) -> np.ndarray:
     check_density_matrix(rho0, trace_atol=1e-8)
     if beta == 0:
         return np.array(rho0, dtype=complex)
-    vals, vecs = hermitian_eig(h)
+    vals, vecs = np.linalg.eigh((h + dagger(h)) / 2)
     weights = np.exp(-beta * (vals - vals[0]))
     propagator = (vecs * weights) @ dag(vecs)
     out = propagator @ rho0 @ propagator

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sbqs.errors import CapacityError, NonHermitianError
+from sbqs.hamiltonian import IsingParams, decompose_ising_local
 from sbqs.linalg import (
     RegisterLayout,
+    _components,
     check_density_matrix,
     embed_operator,
     frobenius_norm,
@@ -13,7 +15,7 @@ from sbqs.linalg import (
     qubit_layout,
 )
 
-from oracles import random_hermitian
+from oracles import random_hermitian, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -126,6 +128,116 @@ class TestHermitianEig:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitianError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @staticmethod
+    def permuted_blocks(rng, sizes, dtype):
+        """A Hermitian matrix whose rows and columns split into blocks of the
+        given sizes, each a random index set and fully coupled inside, with
+        eigenvalues drawn from a few values 0.5 apart, so that different
+        blocks share eigenvalues.  Returns it and the blocks' index sets."""
+        d = sum(sizes)
+        levels = np.arange(-4, 4) * 0.5
+        h = np.zeros((d, d), dtype=dtype)
+        blocks = np.split(rng.permutation(d), np.cumsum(sizes)[:-1])
+        for idx in blocks:
+            u = random_unitary(rng, len(idx))
+            u = u if np.issubdtype(dtype, np.complexfloating) else np.linalg.qr(u.real)[0]
+            lam = rng.choice(levels, size=len(idx), replace=len(idx) > len(levels))
+            h[np.ix_(idx, idx)] = (u * lam) @ u.conj().T
+        return (h + h.conj().T) / 2, blocks
+
+    @staticmethod
+    def assert_matches_eigh(h, vals, vecs):
+        """The decomposition against np.linalg.eigh: eigenvalues, residual,
+        orthonormality, the spectral projector of every cluster of equal
+        eigenvalues, dtype and layout."""
+        ref_vals, ref_vecs = np.linalg.eigh(h)
+        scale = np.max(np.abs(ref_vals))
+        assert vals.dtype == ref_vals.dtype and vecs.dtype == h.dtype
+        assert vecs.flags.c_contiguous
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-13 * scale
+        assert np.linalg.norm(h @ vecs - vecs * vals, 2) <= 1e-13 * scale
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(h)))) <= 1e-13
+        cuts = np.flatnonzero(np.diff(ref_vals) > 1e-8 * scale) + 1
+        for cluster in np.split(np.arange(len(h)), cuts):
+            got, want = vecs[:, cluster], ref_vecs[:, cluster]
+            assert np.max(np.abs(got @ got.conj().T - want @ want.conj().T)) <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("sizes", [(3, 5, 3, 1, 4), (8, 8, 8, 8), (1, 30, 1)])
+    def test_permuted_blocks_match_eigh(self, sizes, dtype):
+        rng = np.random.default_rng(sum(sizes) + len(sizes))
+        for _ in range(3):
+            h, blocks = self.permuted_blocks(rng, sizes, dtype)
+            vals, vecs = hermitian_eig(h)
+            self.assert_matches_eigh(h, vals, vecs)
+            # each eigenvector lies in one block, with exact zeros outside it
+            block_of = np.empty(len(h), dtype=int)
+            for b, idx in enumerate(blocks):
+                block_of[idx] = b
+            for col in vecs.T:
+                assert len(set(block_of[np.flatnonzero(col)])) == 1
+            # equal eigenvalues of different blocks: the test has some
+            assert np.any(np.diff(vals) < 1e-8)
+
+    def test_diagonal_matrix_is_d_blocks_of_one(self):
+        rng = np.random.default_rng(7)
+        diag = rng.choice([-1.5, 0.0, 0.25, 2.0], size=40)
+        h = np.diag(diag)
+        vals, vecs = hermitian_eig(h)
+        self.assert_matches_eigh(h, vals, vecs)
+        ascending = np.argsort(diag, kind="stable")
+        assert np.array_equal(vals, diag[ascending])
+        assert np.array_equal(vecs, np.eye(40)[:, ascending])
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_fully_coupled_matrix_is_one_block(self, real):
+        h = random_hermitian(np.random.default_rng(8), 24, scale=2.0)
+        h = h.real + h.real.T if real else h
+        vals, vecs = hermitian_eig(h)
+        self.assert_matches_eigh(h, vals, vecs)
+        # an exactly Hermitian matrix is decomposed as it is, not a rounded copy
+        ref_vals, ref_vecs = np.linalg.eigh(h)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_chain_ground_vector_stays_in_its_parity_sector(self, n):
+        """fig2_right's chain conserves the parity of the Hamming weight, and
+        its ground gap is small (6.2e-5 at n = 4, 5.4e-6 at n = 5): one eigh
+        of the whole W leaks 5.75e-12 and 9.5e-11 of the ground vector's norm
+        into the other sector.  One eigh per sector leaks nothing."""
+        dec = decompose_ising_local(IsingParams(n=n, J=1.0, B=0.1, boundary="periodic"))
+        vals, vecs = dec.eigensystem
+        assert vals[1] - vals[0] < 1e-4
+        ground = vecs[:, 0]
+        parity = np.array([bin(i).count("1") % 2 for i in range(2**n)])
+        sector = parity == parity[np.argmax(np.abs(ground))]
+        assert np.all(ground[~sector] == 0)
+        assert np.linalg.norm(ground[sector]) == pytest.approx(1.0, abs=1e-14)
+
+    def test_components_match_a_graph_search(self):
+        """Component labels against a depth-first search over the entries
+        below the diagonal, on random graphs from empty to dense."""
+        rng = np.random.default_rng(9)
+        for density in (0.0, 0.01, 0.03, 0.1, 0.5):
+            d = int(rng.integers(1, 60))
+            linked = rng.random((d, d)) < density
+            want = np.full(d, -1)
+            for root in range(d):
+                if want[root] >= 0:
+                    continue
+                stack = [root]
+                while stack:
+                    i = stack.pop()
+                    if want[i] < 0:
+                        want[i] = root
+                        stack.extend(np.flatnonzero(linked[i, :i]))
+                        stack.extend(i + 1 + np.flatnonzero(linked[i + 1:, i]))
+            assert np.array_equal(_components(linked), want)
+
+    def test_empty_matrix(self):
+        vals, vecs = hermitian_eig(np.zeros((0, 0)))
+        assert vals.shape == (0,) and vecs.shape == (0, 0)
 
 
 class TestNorms:
