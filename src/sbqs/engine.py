@@ -39,24 +39,30 @@ A faithful strategy-A or B-local run merges consecutive terms into windows
 composes each window's kernels into one matrix per row (:class:`_Window`).
 The kernels act blockwise, so every term's traces are read off Tr_rest sigma
 at the window's start, through the product of the kernels before it.  The
-stack stays flat in the layout of the last window applied: an int32 index
-map leads from the layout before each window to its own.  A run's
-:class:`_Chain` steps a whole Trotter step per call, through views it builds
-once: a window is one take into its spare stack, one product that reads its
-terms' traces off each diagonal block of the rest (or their sum) and one
-batched GEMM into its state stack.  Within a Trotter step the stack is not
-normalized: term k's raw trace q_k is relative to the step's start, and 1/q
-is folded into K at the step's last window and at least every 21 terms, so
-that no live trace underflows.  The run keeps the raw traces and divides
-them once, term k's over q_{k-1}, at its end.  The stack enters the
-chain once and goes back to the canonical layout once; a public faithful
-strategy-A or B-local step is a one-step chain that reads the canonical
-layout.  B-local keeps one ledger entry per Trotter step, the product of its
-terms' probabilities, and reads its formula probability through a (d^2, 3)
-functional of W.  Faithful B-global forms the dense A sigma A of W plus each
+kernels also map X^dagger to K(X)^dagger, and sigma is Hermitian, so the
+stack stays flat as the Hermitian half stack in the layout of the last
+window applied (:func:`_stored`): the rest blocks X_ab with a <= b, the
+diagonal ones first, r (r + 1) / 2 of the r^2.  An int32 index map leads
+from the half stack before each window to its own, reading each entry as
+itself or as its mirror, conjugated in a complex stack (:func:`_map`).  A
+run's :class:`_Chain` steps a whole Trotter step per call, through views it
+builds once: a window is one take into its spare stack, one product that
+reads its terms' traces off the diagonal blocks of the rest (or their sum)
+and one batched GEMM into its state stack.  Within a Trotter step the stack
+is not normalized: term k's raw trace q_k is relative to the step's start,
+and 1/q is folded into K at the step's last window and at least every 21
+terms, so that no live trace underflows.  The run keeps the raw traces and
+divides them once, term k's over q_{k-1}, at its end.  The stack enters the
+chain once and goes back to the canonical layout once, the only maps
+between the canonical and a half stack, so a final state is Hermitian bit
+for bit; a public faithful strategy-A or B-local step is a one-step chain.
+B-local keeps one ledger entry per Trotter step, the product of its terms'
+probabilities, and reads its formula probability through a functional of W
+folded onto the half stack.  Faithful B-global forms the dense A sigma A of W plus each
 term's leak delta^2 (rho ⊗ Tr_S sigma - rho sigma rho) and reads both
 probabilities as traces of that update, before and after the leaks, in one
-step a run builds once with its leak kernels (:func:`_global_step`).
+step a run builds once with its leak kernels (:func:`_global_step`), which
+map the full canonical stack.
 
 A sigma A maps a pure state to a pure state, so effective and sampled rows
 evolve a state vector, psi <- A psi / |A psi|, one matrix-vector product per
@@ -95,6 +101,7 @@ from .hamiltonian import ResourceDecomposition, ResourceTerm
 from .linalg import (
     check_density_matrix,
     check_unit_vector,
+    dag,
     embed_operator,
     hermitian_eig,
     kron,
@@ -185,20 +192,82 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _stored(support: tuple[int, ...] | None, n: int) -> np.ndarray:
+    """The canonical flat index of every entry a flat stack holds: all d^2 in
+    the canonical order for None, else the half stack of ``support``, the
+    blocks X_ab of its :func:`_layout` with a <= b, the r diagonal blocks
+    first and then the others row-major, each a row-major vec(X_ab)."""
+    if support is None:
+        return np.arange(4**n, dtype=np.int32)
+    r = 2 ** (n - len(support))
+    blocks = np.arange(r * r).reshape(r, r)
+    upper = np.less.outer(np.arange(r), np.arange(r))
+    return _layout(support, n).reshape(r * r, -1)[np.concatenate([blocks.diagonal(), blocks[upper]])].ravel()
+
+
+def _read(stored: np.ndarray, wanted: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map that gathers the canonical entries ``wanted`` from a flat stack
+    holding ``stored``: each one's position there, and whether it is read as
+    its mirror (sigma[u, v] as sigma[v, u], to be conjugated).  An entry is
+    read as itself unless only its mirror is held, or both are and u > v, so
+    that an entry and its mirror always read the same number."""
+    at = np.full(4**n, -1, dtype=np.int32)
+    at[stored] = np.arange(stored.size, dtype=np.int32)
+    u, v = wanted >> n, wanted & (2**n - 1)  # row and column
+    own, other = at[wanted], at[(v << n) | u]
+    mirrored = (own < 0) | ((other >= 0) & (u > v))
+    return np.where(mirrored, other, own), mirrored
+
+
+def _map(source: tuple[int, ...] | None, target: tuple[int, ...] | None, n: int,
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_read` from the flat stack of ``source`` to that of ``target``
+    (:func:`_stored`), checked.  take's mode "wrap" writes into out= directly
+    ("raise" buffers it) but would wrap a bad index silently: every index must
+    lie inside the source, and every source entry must be read, as itself or
+    through its mirror in the source.  A half stack holds both entries of a
+    pair only in its diagonal blocks, so a map between two of them reads some
+    entries twice and leaves the mirror of some others unread."""
+    stored = _stored(source, n)
+    index, mirrored = _read(stored, _stored(target, n), n)
+    where = f"layout map from {source or 'the canonical layout'} to {target or 'the canonical layout'}"
+    if index.size and not 0 <= index.min() <= index.max() < stored.size:
+        raise ValueError(f"{where}: an index outside the source's {stored.size} entries")
+    read = np.zeros(4**n, dtype=bool)
+    read[stored[index]] = True
+    if not (read | read.reshape(2**n, -1).T.ravel()).all():
+        raise ValueError(f"{where}: a source entry and its mirror are never read")
+    return index, mirrored
+
+
+def _gather(flat: np.ndarray, index: np.ndarray, mirrored: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The flat stack ``flat`` through the map (``index``, ``mirrored``) of
+    :func:`_map`, into ``out`` if given: a complex stack conjugates its
+    mirrored entries after the take, a real one has nothing to conjugate."""
+    out = flat.take(index, axis=1, out=out, mode="wrap")
+    if out.dtype.kind == "c":
+        np.conjugate(out, out=out, where=mirrored)
+    return out
+
+
 class _Kernel:
     """X -> c0 X + c1 (rho X + X rho) + c2 rho Tr X + c3 rho X rho on every
     d_S x d_S block X of a (rows, d, d) stack that its support qubits index,
     with real coefficients per row (or one for every row); ``rho``'s qubit m
     sits on site ``support[m]``.
 
-    The kernel reads a flat (rows, d^2) stack in the layout of ``source``, a
-    support (None: the canonical layout), and ``index`` maps it to its own
-    layout of :func:`_layout`, (rows, d_R^2, d_S^2).  There the map is one
-    d_S^2 x d_S^2 matrix, the transpose of c0 I + c1 (rho ⊗ I + I ⊗ rho^T)
-    + c2 vec(rho) vec(I)^T + c3 rho ⊗ rho^T: one batched GEMM, one BLAS call
-    per row, so a row comes out bit for bit the same in any stack.  Past
-    ``_MATRIX_QUBITS`` qubits it is applied as block products, which read
-    rho X off X rho and so need a Hermitian stack, as every state is.
+    A chain's kernel reads a flat half stack (:func:`_stored`) in the layout
+    of ``source``, a support, and ``index`` gathers its own half stack from
+    it, (rows, r (r + 1) / 2, d_S^2) for the r = d_R rest blocks: each block
+    X_ab with a <= b, as X_ba = X_ab^dagger and the map takes X^dagger to
+    K(X)^dagger.  There the map is one d_S^2 x d_S^2 matrix, the transpose
+    of c0 I + c1 (rho ⊗ I + I ⊗ rho^T) + c2 vec(rho) vec(I)^T + c3 rho ⊗
+    rho^T: one batched GEMM, one BLAS call per row, so a row comes out bit
+    for bit the same in any stack.  Past ``_MATRIX_QUBITS`` qubits it is
+    applied as block products, on any set of blocks.  Called on a canonical
+    (rows, d, d) stack (faithful B-global's leak kernels), it maps the full
+    stack, all r^2 blocks.
     """
 
     def __init__(self, rho: np.ndarray, support: tuple[int, ...], n: int, coefs):
@@ -215,34 +284,30 @@ class _Kernel:
 
     @cached_property
     def index(self) -> np.ndarray:
-        """Built on first read: a kernel merged into a window builds none."""
-        order = _layout(self.support, self.n)
-        index = order if self.source is None else _inverse(_layout(self.source, self.n))[order]
-        # take's mode "wrap" writes into out= directly ("raise" buffers it) but
-        # would wrap a bad index silently: the map must be a permutation
-        if not (np.bincount(index, minlength=order.size) == 1).all():
-            raise ValueError(f"layout map of {self.support} is not a permutation")
+        """The map from ``source``'s half stack to this kernel's, with its
+        ``mirrored`` entries; built on first read: a kernel merged into a
+        window builds none."""
+        index, self.mirrored = _map(self.source, self.support, self.n)
         return index
 
     def enter(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A canonical (rows, d, d) stack, flat in this kernel's layout."""
-        return np.take(stack.reshape(len(stack), -1), _layout(self.support, self.n), axis=1,
-                       out=out, mode="wrap")  # a permutation by construction
-
-    @cached_property
-    def home(self) -> np.ndarray:
-        """The map from this kernel's layout back to the canonical one."""
-        return _inverse(_layout(self.support, self.n))
+        """A canonical (rows, d, d) stack, as this kernel's flat half stack."""
+        return _gather(stack.reshape(len(stack), -1), *_map(None, self.support, self.n), out)
 
     def leave(self, flat: np.ndarray) -> np.ndarray:
-        """A flat stack in this kernel's layout, as a canonical (rows, d, d) stack."""
+        """A flat half stack in this kernel's layout, as a canonical (rows, d,
+        d) stack: an entry and its mirror read one number, so it is Hermitian
+        bit for bit."""
         d = 2**self.n
-        return np.take(flat, self.home, axis=1).reshape(len(flat), d, d)
+        out = _gather(flat, *_map(self.support, None, self.n))
+        if out.dtype.kind == "c":  # a diagonal entry is its own mirror: its imaginary part is rounding
+            out[:, :: d + 1].imag = 0.0
+        return out.reshape(len(flat), d, d)
 
     def apply(self, v: np.ndarray, scale=None, out: np.ndarray | None = None) -> np.ndarray:
-        """The map on the flat rows ``v`` in this kernel's layout, times the
-        (rows,) ``scale`` if given, written into ``out`` if given.  ``v`` has
-        the dtype of the result, and the block form overwrites it."""
+        """The map on the flat rows ``v``, blocks of this kernel's layout,
+        times the (rows,) ``scale`` if given, written into ``out`` if given.
+        ``v`` has the dtype of the result, and the block form overwrites it."""
         rows = len(v)
         if self.matrix is not None:
             m = self.matrix if scale is None else self.matrix * scale[:, None, None]
@@ -250,43 +315,56 @@ class _Kernel:
             y = np.matmul(v.reshape(rows, -1, s2), m,
                           out=None if out is None else out.reshape(rows, -1, s2))
             return y.reshape(rows, -1)
-        c0, c1, c2, c3 = (c if c is None or scale is None else c * scale[:, None, None]
-                          for c in self.coefs)
+        c0, c1, c2, c3 = (None if c is None else (c if scale is None else c * scale[:, None, None])[..., None]
+                          for c in self.coefs)  # (rows, 1, 1, 1), for (rows, blocks, s, s)
         s = len(self.rho)
-        r = math.isqrt(v.shape[1]) // s
-        x = v.reshape(rows, r, r, s, s)
+        x = v.reshape(rows, -1, s, s)  # every block; a lone one (r = 1) is Hermitian
+        lone = x.shape[1] == 1
         blocks = v.reshape(rows, -1, s)  # the rows of every block, for X M as one GEMM per row
         out = np.empty_like(v) if out is None else out
         o = out.reshape(x.shape)
         # the products that read X come first: its buffer then holds the terms
-        trace = None if c2 is None else (c2 * np.einsum("...ii->...", x))[..., None, None]
+        trace = None if c2 is None else (c2[..., 0, 0] * np.einsum("...ii->...", x))[..., None, None]
         leak = None
-        if c3 is not None:
-            # rho X rho = (X rho)^‡ rho, two GEMMs per row
-            rx = np.conjugate((blocks @ self.rho).reshape(x.shape)).transpose(0, 2, 1, 4, 3)
-            leak = c3[..., None, None] * (rx @ self.rho)
-        # c0 X + c1 (rho X + X rho) = Y + Y^‡ with Y = c1 X rho + c0 X / 2, one
-        # GEMM per row with the shared rho.  Y^‡ puts the adjoint of block
-        # (b, a) on block (a, b): it is H X for Y = X H, as X_ba^dagger = X_ab
-        # in a Hermitian stack
+        if c3 is not None:  # rho X rho, (X rho)^dagger rho on a lone block: two GEMMs per row
+            xr = (blocks @ self.rho).reshape(x.shape)
+            leak = c3 * ((dag(xr) @ self.rho) if lone else self.rho @ xr)
+        # c0 X + c1 (rho X + X rho) = Y + Y' with Y = c1 X rho + c0 X / 2, one
+        # GEMM per row with the shared rho, and Y' = c1 rho X + c0 X / 2: on
+        # a lone block Y^dagger, else its own product
+        rx = None if lone or c1 is None else c1 * (self.rho @ x)
         if c1 is None:
             o.fill(0)
         else:
             np.matmul(blocks, self.rho, out=o.reshape(blocks.shape))
-            o *= c1[..., None, None]
+            o *= c1
         if c0 is not None:
-            x *= c0[..., None, None] / 2
+            x *= c0 / 2
             o += x
-        o += np.conjugate(o.transpose(0, 2, 1, 4, 3), out=x)
+        if lone:
+            o += np.conjugate(o.swapaxes(-1, -2), out=x)
+        else:
+            if c0 is not None:
+                o += x
+            if rx is not None:
+                o += rx
         if trace is not None:
             o += np.multiply(trace, self.rho, out=x)
         if leak is not None:
             o += leak
         return out
 
+    @cached_property
+    def full(self) -> tuple[np.ndarray, np.ndarray]:
+        """The maps to this kernel's full layout (:func:`_layout`) and back."""
+        order = _layout(self.support, self.n)
+        return order, _inverse(order)
+
     def __call__(self, sigma: np.ndarray) -> np.ndarray:
-        """The map on a canonical (rows, d, d) stack, for a kernel whose source is canonical."""
-        return self.leave(self.apply(sigma.reshape(len(sigma), -1).take(self.index, axis=1)))
+        """The map on a canonical (rows, d, d) stack, through the full layout."""
+        order, home = self.full
+        flat = self.apply(sigma.reshape(len(sigma), -1).take(order, axis=1))
+        return flat.take(home, axis=1).reshape(sigma.shape)
 
     @cached_property
     def probe(self) -> np.ndarray:
@@ -426,56 +504,69 @@ class _Window(_Kernel):
 class _Chain:
     """A Trotter step's faithful swap kernels merged into :func:`_windows`,
     and the buffers and views a run owns, all built here.  :meth:`step` runs
-    the windows in turn, each reading the layout the one before leaves, the
-    first the last one's (the canonical layout if not ``cyclic``), and each
-    writing ``state``, in which a stack enters and leaves through the
-    ``last`` window.  Term k's unnormalized formula and exact traces go into
-    columns 2k and 2k + 1 of ``part``, (rows, r, 2l), one row per diagonal
-    block of the rest.  K is scaled by 1/q of the last term of the step's
-    last window and of each window ending after ``_FOLD_EVERY`` terms, where
-    ``part``'s columns since the fold before are summed into the step's raw
-    traces; ``folds`` are the q's columns there.  B-local's, with ``local``
-    = (B, weights), first reads its formula probability into column 0."""
+    the windows in turn on the Hermitian half stack (:func:`_stored`), each
+    gathering its own from the layout the one before leaves, the first from
+    the last one's, and each writing ``state``, in which a stack enters and
+    leaves through the ``last`` window: those two maps are the only ones
+    between the canonical and a half stack.  Term k's unnormalized formula
+    and exact traces go into columns 2k and 2k + 1 of ``part``, (rows, r,
+    2l), one row per diagonal block of the rest.  K is scaled by 1/q of the
+    last term of the step's last window and of each window ending after
+    ``_FOLD_EVERY`` terms, where ``part``'s columns since the fold before are
+    summed into the step's raw traces; ``folds`` are the q's columns there.
+    B-local's, with ``local`` = (B, weights), first reads its formula
+    probability into column 0, through a functional on the last window's
+    half stack whose off-diagonal blocks count twice, for their mirrors."""
 
     def __init__(self, terms: list[tuple[ResourceTerm, object]], n: int, stack: np.ndarray,
-                 cyclic: bool = True, local: tuple | None = None):
+                 local: tuple | None = None):
         kernels = [_swap_kernel(term, n, delta) for term, delta in terms]
         groups = _windows([term for term, _ in terms])
         windows = [kernels[g[0]] if len(g) == 1 else _Window([kernels[k] for k in g], n)
                    for g in groups]
         for w, window in enumerate(windows):
-            window.source = windows[w - 1].support if w or cyclic else None
-        rows, self.last = len(stack), windows[-1]
-        self.state = np.empty((rows, stack[0].size), stack.dtype)
-        self.spare = np.empty_like(self.state)
+            window.source = windows[w - 1].support
+        rows, self.last, complex_ = len(stack), windows[-1], stack.dtype.kind == "c"
+        # one state and one spare buffer, each window's half stack a prefix
+        state, spare = np.empty((2, rows * max(w.index.size for w in windows)), stack.dtype)
         self.part = np.zeros((rows, 2 ** (n - min(len(w.support) for w in windows)), 2 * len(terms)),
                              stack.dtype)
         self.windows, self.folds, start = [], [], 0
-        self.formula = None if local is None else (
-            _formula_functional(local[0], _layout(self.last.support, n) if cyclic else None), local[1])
         for g, window in zip(groups, windows):
             r, s2, end = 2 ** (n - len(window.support)), 4 ** len(window.support), 2 * g[-1] + 2
             fold = None
             if window is self.last or (g[-1] + 1) % _FOLD_EVERY == 0:
                 fold, start = (self.part[..., start:end], slice(start + 1, end + 1)), end
                 self.folds.append(end)
+            if not complex_:  # a real stack has nothing to conjugate: no mask is kept
+                window.mirrored = None
+            x, y = (buf[:rows * window.index.size].reshape(rows, -1) for buf in (spare, state))
+            vecs = x.reshape(rows, -1, s2)  # vec(X) of each rest block
             block = window.matrix is None  # read through the probe and the weights
-            gemm = None if block else (self.spare.reshape(rows, -1, s2), self.state.reshape(rows, -1, s2))
-            self.windows.append((window, window.index, self.spare.reshape(rows, r * r, s2)[:, ::r + 1],
-                                 window.weights if block else window.functional,
-                                 self.part[:, :r, 2 * g[0]:end], fold, gemm))
+            self.windows.append((window, window.index, window.mirrored, x, y,
+                                 vecs[:, :r], window.weights if block else window.functional,
+                                 self.part[:, :r, 2 * g[0]:end], fold,
+                                 None if block else (vecs, y.reshape(rows, -1, s2))))
+        self.state = y
+        self.formula = None
+        if local is not None:
+            functional = _formula_functional(local[0], _stored(self.last.support, n))
+            functional[..., 2 ** (n + len(self.last.support)):, :] *= 2  # past the diagonal blocks
+            self.formula = functional, local[1]
         self.after = [0, *(fold // 2 for fold in self.folds[:-1])]  # terms with q_{k-1} = 1
 
     def step(self, state: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One Trotter step of the flat ``state``, in the layout the first
-        window reads: the state in the last window's layout, in ``state``,
-        and the step's trace, (rows,), the product of its folded q.  The
-        step's raw traces go into ``traces``, (rows, 2l + 1)."""
+        """One Trotter step of the flat half ``state`` in the last window's
+        layout: the state after it, in ``state``, and the step's trace,
+        (rows,), the product of its folded q.  The step's raw traces go into
+        ``traces``, (rows, 2l + 1)."""
         if self.formula is not None:  # B-local's, off the state the step starts from
             traces[:, 0] = ((state[:, None] @ self.formula[0])[:, 0].real * self.formula[1]).sum(axis=-1)
         trace = None
-        for window, index, diag, reader, part, fold, gemm in self.windows:
-            x = state.take(index, axis=1, out=self.spare, mode="wrap")
+        for window, index, mirrored, x, y, diag, reader, part, fold, gemm in self.windows:
+            state.take(index, axis=1, out=x, mode="wrap")
+            if mirrored is not None:  # a complex stack's
+                np.conjugate(x, out=x, where=mirrored)
             np.matmul(diag if gemm else diag @ window.probe, reader, out=part)
             scale = None
             if fold is not None:  # q is below the smallest normal only if extinct
@@ -483,11 +574,11 @@ class _Chain:
                 trace = q if trace is None else trace * q
                 scale = 1 / np.where(q >= sys.float_info.min, q, 1.0)
             if gemm is None:
-                window.apply(x, scale, out=self.state)
+                window.apply(x, scale, out=y)
             else:
                 np.matmul(gemm[0], window.matrix if scale is None
                           else window.matrix * scale[:, None, None], out=gemm[1])
-            state = self.state
+            state = y
         return state, trace
 
     def ratios(self, record: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -510,27 +601,27 @@ class _Chain:
         return out
 
 
-def _formula_functional(b_op: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """(d^2, 3), or (rows, d^2, 3) for one B per row: Tr sigma, Tr B sigma and
-    Tr B^2 sigma of a flat sigma in the layout ``order`` (:func:`_layout`;
-    None: the canonical one), as vec(M^T) . vec(sigma); a 1-D ``b_op`` is B's
-    diagonal."""
+def _formula_functional(b_op: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """(entries, 3), or (rows, entries, 3) for one B per row: the terms of Tr
+    sigma, Tr B sigma and Tr B^2 sigma, vec(M^T) . vec(sigma), at the flat
+    sigma's canonical entries ``order`` (:func:`_stored`); a 1-D ``b_op`` is
+    B's diagonal."""
     if b_op.ndim == 1:
         b_op = np.diag(b_op)
     eye = np.broadcast_to(np.eye(b_op.shape[-1], dtype=b_op.dtype), b_op.shape)
     columns = [np.swapaxes(m, -1, -2).reshape(*b_op.shape[:-2], -1) for m in (eye, b_op, b_op @ b_op)]
-    return np.stack(columns if order is None else [c[..., order] for c in columns], axis=-1)
+    return np.stack([c[..., order] for c in columns], axis=-1)
 
 
 def _chain_step(sigma, terms: list, b_op=None, denom: float = 2.0) -> StepResult:
     """One faithful step of ``terms`` on a canonical state, a one-step
-    :class:`_Chain`: strategy A's without ``b_op``, else B-local's, whose
-    formula probability reads B = ``b_op``."""
+    :class:`_Chain` that the state enters and leaves: strategy A's without
+    ``b_op``, else B-local's, whose formula probability reads B = ``b_op``."""
     stack = _as_stack(sigma, *(t.rho for t, _ in terms), *([] if b_op is None else [b_op]))
-    chain = _Chain(terms, np.shape(sigma)[-1].bit_length() - 1, stack, cyclic=False,
+    chain = _Chain(terms, np.shape(sigma)[-1].bit_length() - 1, stack,
                    local=None if b_op is None else (b_op, np.array([1.0, -2.0, 1.0]) / denom))
     record = np.zeros((1, len(stack), 2 * len(terms) + 1), stack.dtype)
-    state, _ = chain.step(stack.reshape(len(stack), -1), record[0])
+    state, _ = chain.step(chain.last.enter(stack, out=chain.state), record[0])
     p, p_formula = chain.ratios(record)[:, 0, 0]
     return _result(np.ndim(sigma), chain.last.leave(state), p, p_formula)
 

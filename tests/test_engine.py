@@ -198,6 +198,21 @@ class TestStepB:
             assert np.max(np.abs(np.subtract(a.formula_probability,
                                              b.formula_probability))) <= 1e-14
 
+    def test_a_b_local_stack_reads_each_rows_formula_probability(self):
+        # a one-step B-local chain on a stack with per-row deltas reads each
+        # row's formula probability through its own B, off the half stack,
+        # whose off-diagonal blocks count twice: the dense Tr[A sigma A] / 2^l
+        rng = np.random.default_rng(170)
+        n, deltas = 3, np.array([0.02, -0.05, 0.09])
+        terms = [(ResourceTerm(1.0, random_density(rng, 4), (2, 0), "a"), deltas),
+                 (ResourceTerm(1.0, random_density(rng, 2), (1,), "b"), deltas)]
+        stack = np.stack([random_density(rng, 8) for _ in deltas])
+        got = step_strategy_b(stack, terms, "local", "faithful").formula_probability
+        embs = sum(embed_operator(t.rho, qubit_layout(n), [f"q{s}" for s in t.support]) for t, _ in terms)
+        for p, sigma, delta in zip(got, stack, deltas):
+            a = np.eye(8) - delta * embs
+            assert p == pytest.approx(np.trace(a @ sigma @ a).real / 4, abs=1e-14)
+
     def test_a_probability_above_one_is_reported_and_a_ledger_rejects_it(self, monkeypatch):
         # B ten times too large on W's ground state: the faithful B-global
         # trace outgrows its scale, and the step reports p > 1 as it is, the
@@ -459,6 +474,36 @@ class TestSupportKernel:
         assert np.max(np.abs(matrix(stack) - want)) <= 1e-14
         assert np.max(np.abs(blocks(stack) - want)) <= 1e-14
 
+    def test_a_layout_map_stays_inside_its_source_and_reads_every_entry(self, monkeypatch):
+        # a kernel's map from the half stack of the window before: corrupted
+        # to an index past the source, or so that an entry of an off-diagonal
+        # block (whose mirror the source does not hold) is never read, it
+        # raises, naming both supports
+        import sbqs.engine as engine_mod
+
+        real = engine_mod._read
+
+        def corrupted(how):
+            def read(stored, wanted, n):
+                index, mirrored = real(stored, wanted, n)
+                index = index.copy()
+                if how == "outside":
+                    index[5] = stored.size
+                else:
+                    index[index == stored.size - 1] = 0
+                return index, mirrored
+            return read
+
+        for how, message in (("outside", "an index outside the source's 160 entries"),
+                             ("unread", "a source entry and its mirror are never read")):
+            kernel = engine_mod._swap_kernel(ResourceTerm(1.0, PLUS.real, (1,), "x"), 4, 0.1)
+            kernel.source = (0, 2)
+            monkeypatch.setattr(engine_mod, "_read", corrupted(how))
+            with pytest.raises(ValueError, match=rf"from \(0, 2\) to \(1,\): {message}"):
+                kernel.index
+            monkeypatch.setattr(engine_mod, "_read", real)
+            assert kernel.index.size == 36 * 4  # r = 8 rest blocks: 36 on the half stack
+
     @pytest.mark.parametrize("measurement", ["local", "global"])
     def test_strategy_b_steps_agree_in_both_forms(self, monkeypatch, measurement):
         # full-register terms at n = 4: chained swap kernels (B-local) and leak
@@ -705,6 +750,43 @@ class TestChain:
         psi = random_unit_vector(np.random.default_rng(120 + n), 2**n)
         for trajectory, plan in zip(run_rows(plans, psi), plans):
             self.assert_matches(trajectory, faithful_transfer(plan, psi))
+
+    @pytest.mark.parametrize("strategy", ["A", "B-local"])
+    def test_block_form_windows_of_many_rest_blocks_match_the_transfer_matrices(self, monkeypatch,
+                                                                               strategy):
+        # with one qubit the widest matrix form, every pair term is a block-form
+        # window of r = 4 rest blocks, 10 of them on the half stack, diagonal
+        # and off-diagonal blocks each mapped on its own; the random model's
+        # complex resources conjugate the mirrored entries of every gather
+        import sbqs.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "_MATRIX_QUBITS", 1)
+        dec = self.decomposition(4, 114)
+        plans = [make_plan(dec, beta, 40, strategy) for beta in (0.5, 2.0)]
+        chain = engine_mod._Chain(list(zip(dec.terms, plans[0].deltas)), 4, np.zeros((1, 16, 16), complex))
+        widths = {len(w[0].support) for w in chain.windows if w[0].matrix is None}
+        assert widths == {2, 4} and chain.windows[2][0].index.size == 10 * 16
+        psi = random_unit_vector(np.random.default_rng(124), 16)
+        for trajectory, plan in zip(run_rows(plans, psi), plans):
+            self.assert_matches(trajectory, faithful_transfer(plan, psi))
+
+    @pytest.mark.parametrize("strategy", ["A", "B-local"])
+    @pytest.mark.parametrize("model", ["fig2_left", "pauli_y4", "random"])
+    def test_a_final_state_is_hermitian_bit_for_bit(self, model, strategy):
+        # the half stack holds each entry or its mirror, and the way back to
+        # the canonical layout reads an entry and its mirror off one number:
+        # the real fig2_left chain, the complex pauli_y4 model in the block
+        # form and a random model whose complex resources take the matrix form
+        if model == "fig2_left":
+            dec = decompose_ising_local(IsingParams(4, 1.0, 5.0, "periodic"))
+            betas, n_steps = np.linspace(0.0, 2.0, 9), 400
+        else:
+            dec = (decompose_pauli_generic(load_config(PAULI_Y4).model) if model == "pauli_y4"
+                   else self.decomposition(3, 83))
+            betas, n_steps = (0.0, 0.5, 1.0), 100
+        psi = np.full(2**dec.n, 2 ** (-dec.n / 2))
+        for t in run_rows([make_plan(dec, beta, n_steps, strategy) for beta in betas], psi):
+            assert np.array_equal(t.final_state, t.final_state.conj().T)
 
     def test_a_row_extinct_mid_chain_leaves_the_others_on_the_reference(self, monkeypatch):
         # the doomed row dies inside a Trotter step, with its stack in a
