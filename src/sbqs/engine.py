@@ -91,7 +91,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -219,10 +219,13 @@ def _read(stored: np.ndarray, wanted: np.ndarray, n: int) -> tuple[np.ndarray, n
     return np.where(mirrored, other, own), mirrored
 
 
+@lru_cache(maxsize=64)
 def _map(source: tuple[int, ...] | None, target: tuple[int, ...] | None, n: int,
          ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_read` from the flat stack of ``source`` to that of ``target``
-    (:func:`_stored`), checked.  take's mode "wrap" writes into out= directly
+    (:func:`_stored`), checked, read-only and cached: a run's chain builds
+    each of its maps once, and public faithful steps on one support share
+    theirs.  take's mode "wrap" writes into out= directly
     ("raise" buffers it) but would wrap a bad index silently: every index must
     lie inside the source, and every source entry must be read, as itself or
     through its mirror in the source.  A half stack holds both entries of a
@@ -237,6 +240,7 @@ def _map(source: tuple[int, ...] | None, target: tuple[int, ...] | None, n: int,
     read[stored[index]] = True
     if not (read | read.reshape(2**n, -1).T.ravel()).all():
         raise ValueError(f"{where}: a source entry and its mirror are never read")
+    index.flags.writeable = mirrored.flags.writeable = False
     return index, mirrored
 
 
@@ -285,8 +289,8 @@ class _Kernel:
     @cached_property
     def index(self) -> np.ndarray:
         """The map from ``source``'s half stack to this kernel's, with its
-        ``mirrored`` entries; built on first read: a kernel merged into a
-        window builds none."""
+        ``mirrored`` entries, from :func:`_map` on first read: a kernel
+        merged into a window reads none."""
         index, self.mirrored = _map(self.source, self.support, self.n)
         return index
 
@@ -526,7 +530,7 @@ class _Chain:
                    for g in groups]
         for w, window in enumerate(windows):
             window.source = windows[w - 1].support
-        rows, self.last, complex_ = len(stack), windows[-1], stack.dtype.kind == "c"
+        rows, self.last = len(stack), windows[-1]
         # one state and one spare buffer, each window's half stack a prefix
         state, spare = np.empty((2, rows * max(w.index.size for w in windows)), stack.dtype)
         self.part = np.zeros((rows, 2 ** (n - min(len(w.support) for w in windows)), 2 * len(terms)),
@@ -538,8 +542,6 @@ class _Chain:
             if window is self.last or (g[-1] + 1) % _FOLD_EVERY == 0:
                 fold, start = (self.part[..., start:end], slice(start + 1, end + 1)), end
                 self.folds.append(end)
-            if not complex_:  # a real stack has nothing to conjugate: no mask is kept
-                window.mirrored = None
             x, y = (buf[:rows * window.index.size].reshape(rows, -1) for buf in (spare, state))
             vecs = x.reshape(rows, -1, s2)  # vec(X) of each rest block
             block = window.matrix is None  # read through the probe and the weights
@@ -564,9 +566,7 @@ class _Chain:
             traces[:, 0] = ((state[:, None] @ self.formula[0])[:, 0].real * self.formula[1]).sum(axis=-1)
         trace = None
         for window, index, mirrored, x, y, diag, reader, part, fold, gemm in self.windows:
-            state.take(index, axis=1, out=x, mode="wrap")
-            if mirrored is not None:  # a complex stack's
-                np.conjugate(x, out=x, where=mirrored)
+            _gather(state, index, mirrored, x)
             np.matmul(diag if gemm else diag @ window.probe, reader, out=part)
             scale = None
             if fold is not None:  # q is below the smallest normal only if extinct

@@ -163,24 +163,16 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    # h - h† once, for the check, then turned in place into h - (h - h†)/2,
-    # which is (h + h†)/2; an exactly Hermitian h is decomposed as it is (in
-    # a float dtype), which is that, bit for bit.  A real difference's drift
-    # is read off its extremes, with no |.| temporary
-    dtype = np.result_type(h, 0.5)
-    sym = np.subtract(h, dag(h), dtype=dtype)
-    if not h.size:
-        drift = 0.0
-    else:
-        drift = np.max(np.abs(sym)) if sym.dtype.kind == "c" else max(sym.max(), -sym.min())
+    # h - h† once, for the check, then turned in place into h - (h - h†)/2:
+    # that is (h + h†)/2, and h itself, bit for bit, when h is exactly
+    # Hermitian; an integer h gets a float difference, halved in place
+    sym = np.subtract(h, dag(h), dtype=np.result_type(h, 0.5))
+    drift = np.max(np.abs(sym)) if h.size else 0.0
     if drift > HERMITICITY_ATOL:
         raise NonHermitianError(
             f"matrix deviates from Hermitian by {drift:.3e} > {HERMITICITY_ATOL:.0e}")
-    if drift == 0:
-        sym = h.astype(dtype, copy=False)
-    else:
-        sym *= -0.5
-        sym += h
+    sym *= -0.5
+    sym += h
     d = len(sym)
 
     # vertices ordered by their block's size, then by block, then by index

@@ -498,6 +498,7 @@ class TestSupportKernel:
                              ("unread", "a source entry and its mirror are never read")):
             kernel = engine_mod._swap_kernel(ResourceTerm(1.0, PLUS.real, (1,), "x"), 4, 0.1)
             kernel.source = (0, 2)
+            engine_mod._map.cache_clear()  # a map is checked when it is built
             monkeypatch.setattr(engine_mod, "_read", corrupted(how))
             with pytest.raises(ValueError, match=rf"from \(0, 2\) to \(1,\): {message}"):
                 kernel.index

@@ -129,17 +129,6 @@ class TestHermitianEig:
         with pytest.raises(NonHermitianError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    def test_a_real_drift_is_read_off_its_extremes(self):
-        # a real h - h^T is antisymmetric: its drift is its largest entry,
-        # whichever side of the diagonal h is off on; an exactly symmetric
-        # integer matrix is decomposed in float
-        for h in ([[1.0, 2.0], [2.0 + 3e-10, -1.0]], [[1.0, 2.0 + 3e-10], [2.0, -1.0]]):
-            with pytest.raises(NonHermitianError, match="by 3.000e-10"):
-                hermitian_eig(np.array(h))
-        vals, vecs = hermitian_eig(np.array([[2, 1], [1, 2]]))
-        assert vals.dtype == vecs.dtype == np.float64
-        assert np.allclose(vals, [1.0, 3.0], atol=1e-14)
-
     @staticmethod
     def permuted_blocks(rng, sizes, dtype):
         """A Hermitian matrix whose rows and columns split into blocks of the
