@@ -21,7 +21,7 @@ from .config import load_config
 from .engine import make_plan, sample_run
 from .errors import CapacityError, ConfigError, ExtinctionError, PlanError
 from .experiment import (
-    CSV_FIELDS, _bounds_report, _model, _prepare, emit_csv, emit_svg, run_experiment,
+    CSV_FIELDS, _bounds_report, _model, _pauli, _prepare, emit_csv, emit_svg, run_experiment,
 )
 from .hamiltonian import densify
 
@@ -84,12 +84,12 @@ def _cmd_bounds(config, args) -> int:
 
 
 def _cmd_decompose(config, args) -> int:
-    pauli, dec, _ = _model(config)
+    dec, _ = _model(config)
     print(f"{dec.provenance} decomposition on {dec.n} sites: {dec.ell} terms, "
           f"identity offset {dec.identity_offset:.12g}")
     for t in dec.terms:
         print(f"  {t.label:<12} weight {t.weight:+.12g}  support {list(t.support)}")
-    residual = float(np.max(np.abs(densify(dec) - densify(pauli))))
+    residual = float(np.max(np.abs(densify(dec) - densify(_pauli(config)))))
     print(f"reconstruction residual (max abs) = {residual:.3e}")
     if dec.terms:
         print(f"min weight = {min(t.weight for t in dec.terms):+.12g}, "
@@ -98,7 +98,7 @@ def _cmd_decompose(config, args) -> int:
 
 
 def _cmd_sample(config, args) -> int:
-    _, dec, psi0 = _model(config)
+    dec, psi0 = _model(config)
     beta = config.beta_grid[-1]
     plan = make_plan(dec, beta, config.n_steps, config.strategy, config.mode)
     result = sample_run(plan, psi0, config.trials, seed=config.seed)

@@ -70,7 +70,10 @@ strategy-A measurement (2.9-3.3x faster than a one-row stack at d = 16).
 Strategy B's A = I - (beta / N) W is diagonal in W's eigenbasis, cached with
 the decomposition (``eigensystem``): its vector rows evolve c = V^dagger psi,
 one elementwise product per Trotter step, and rotate in and out once per
-run.  Only "faithful" needs a density matrix; its first step promotes a
+run.  A vector step costs about its vector operations: its step function is
+bound once per run, the fresh A psi is normalized in place, and its two
+probabilities go into the ledger's columns by scalar index.  Only
+"faithful" needs a density matrix; its first step promotes a
 vector to |psi><psi|.  The rows of a beta sweep differ only in their deltas,
 so :func:`run_rows` advances them as one (rows, d, d) stack; every operation
 acts on each row on its own (a batched GEMM is one BLAS call per row), so a
@@ -92,7 +95,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -414,6 +417,11 @@ def _embed(term: ResourceTerm, n_sites: int) -> np.ndarray:
     return embed_operator(term.rho, qubit_layout(n_sites), [f"q{s}" for s in term.support])
 
 
+def _sites(sigma) -> int:
+    """The qubit count of a state vector, a d×d state or a (rows, d, d) stack."""
+    return np.shape(sigma)[-1].bit_length() - 1
+
+
 def _density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
@@ -618,7 +626,7 @@ def _chain_step(sigma, terms: list, b_op=None, denom: float = 2.0) -> StepResult
     :class:`_Chain` that the state enters and leaves: strategy A's without
     ``b_op``, else B-local's, whose formula probability reads B = ``b_op``."""
     stack = _as_stack(sigma, *(t.rho for t, _ in terms), *([] if b_op is None else [b_op]))
-    chain = _Chain(terms, np.shape(sigma)[-1].bit_length() - 1, stack,
+    chain = _Chain(terms, _sites(sigma), stack,
                    local=None if b_op is None else (b_op, np.array([1.0, -2.0, 1.0]) / denom))
     record = np.zeros((1, len(stack), 2 * len(terms) + 1), stack.dtype)
     state, _ = chain.step(chain.last.enter(stack, out=chain.state), record[0])
@@ -654,8 +662,11 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
         b_psi = b_op * sigma if b_op.ndim == 1 else b_op @ sigma
         out = sigma - (b_psi if delta is None else delta * b_psi)
         norm2 = float(np.vdot(out, out).real)
-        p = _check_probability(norm2 / denom)  # first order: above 1 at large delta
-        return StepResult(out * (1 / math.sqrt(norm2)), min(p, 1.0), p)
+        p = norm2 / denom  # first order: above 1 at large delta
+        if p <= EXTINCTION_P:
+            raise ExtinctionError(_extinction(p), p)
+        out *= 1 / math.sqrt(norm2)  # a fresh array
+        return StepResult(out, min(p, 1.0), p)
     # in the dtype of the result, as the block form writes into its input
     stack = _as_stack(sigma, b_op)
     if b_op.ndim == 1:
@@ -710,7 +721,7 @@ def step_strategy_a(
     if mode == "faithful":
         return _chain_step(sigma, [(term, delta)])
     if rho_emb is None:
-        rho_emb = _embed(term, np.shape(sigma)[-1].bit_length() - 1)
+        rho_emb = _embed(term, _sites(sigma))
     return _measure(sigma, rho_emb, 2.0, mode, delta=delta)
 
 
@@ -741,8 +752,8 @@ def step_strategy_b(
     """
     if measurement not in ("local", "global"):
         raise ValueError(f"measurement must be 'local' or 'global', got {measurement!r}")
-    n_sites = np.shape(sigma)[-1].bit_length() - 1
     if b_op is None:
+        n_sites = _sites(sigma)
         if rho_embs is None:
             rho_embs = [_embed(t, n_sites) for t, _ in terms]
         b_op = sum((np.multiply.outer(delta, emb) for (_, delta), emb in zip(terms, rho_embs)),
@@ -751,7 +762,7 @@ def step_strategy_b(
     if mode != "faithful":
         return _measure(sigma, b_op, denom, mode)
     if measurement == "global" or not terms:  # without terms, either step is sigma itself
-        return _global_step(terms, n_sites, b_op, denom)(sigma)
+        return _global_step(terms, _sites(sigma), b_op, denom)(sigma)
     return _chain_step(sigma, terms, b_op, denom)
 
 
@@ -909,7 +920,7 @@ def _initial_state(state: np.ndarray, n_sites: int) -> np.ndarray:
 
 
 def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = None,
-                  ) -> tuple[list[tuple[tuple[str, ...], partial]], _Chain | None]:
+                  ) -> tuple[list[tuple[tuple[str, ...], Callable]], _Chain | None]:
     """(step id suffixes, step function) for each measurement of one Trotter
     step of ``plan``, and the :class:`_Chain` of a faithful strategy-A or
     B-local ``stack`` (None: the stack rests in the canonical layout).
@@ -923,8 +934,10 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
     Otherwise strategy A is one :func:`step_strategy_a` per term, each term
     embedded, and strategy B one :func:`step_strategy_b` over all terms, whose
     B is ``scale`` * W; on a vector (no ``stack``), which steps in W's
-    eigenbasis, ``scale`` times W's eigenvalues.  The step functions are read
-    from the module now, as a tracer may wrap them."""
+    eigenbasis, ``scale`` times W's eigenvalues.  Each is bound once, its
+    arguments after the state passed positionally, so a call merges no
+    keywords; the step functions are read from the module now, as a tracer
+    may wrap them."""
     dec = plan.decomposition
     terms = list(zip(dec.terms, deltas))
     if not terms:
@@ -935,15 +948,17 @@ def _measurements(plan: TrotterPlan, deltas, scale, stack: np.ndarray | None = N
             dec.operator, np.stack([np.ones_like(scale), -2 * scale, scale * scale], axis=1) / 2**dec.ell)
         chain = _Chain(terms, dec.n, stack, local=local)
         return [(("",) if local else tuple(f".{k}" for k in range(1, dec.ell + 1)), None)], chain
+    mode = plan.mode
     if plan.strategy == "A":
-        return [((f".{k}",), partial(step_strategy_a, term=term, delta=delta, mode=plan.mode,
-                                     rho_emb=_embed(term, dec.n)))
+        step = step_strategy_a
+        return [((f".{k}",), lambda sigma, term=term, delta=delta, emb=_embed(term, dec.n):
+                 step(sigma, term, delta, mode, None, emb))
                 for k, (term, delta) in enumerate(terms, start=1)], None
     b_op = np.multiply.outer(scale, dec.eigensystem[0] if stack is None else dec.operator)
     if faithful:
         return [(("",), _global_step(terms, dec.n, b_op, len(terms) + 1.0))], None
-    return [(("",), partial(step_strategy_b, terms=terms, measurement=plan.strategy[2:],
-                            mode=plan.mode, b_op=b_op))], None
+    step, measurement = step_strategy_b, plan.strategy[2:]
+    return [(("",), lambda sigma: step(sigma, terms, measurement, mode, None, None, b_op))], None
 
 
 def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[Trajectory]:
@@ -980,6 +995,7 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
         record = np.zeros((first.n_steps, len(plans), 2 * dec.ell + 1), sigma.dtype)
     suffixes = tuple(suffix for group, _ in measurements for suffix in group)
     exact, formula = columns = np.zeros((2, first.n_steps, len(suffixes), len(plans)))
+    every = 0 if vector else slice(None)  # the rows' probabilities; a vector's are scalars
     lost: dict[int, tuple[int, float]] = {}  # extinct row -> (measurement, probability)
     live, bar = np.ones(len(plans), dtype=bool), np.full(len(plans), 2 * EXTINCTION_P)
     for step in range(first.n_steps):
@@ -991,7 +1007,7 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
         else:
             try:
                 for key, (_, measure) in enumerate(measurements):  # one entry each
-                    sigma, exact[step, key], formula[step, key] = measure(sigma)
+                    sigma, exact[step, key, every], formula[step, key, every] = measure(sigma)
             except ExtinctionError as err:  # only a vector step raises
                 lost[0] = (step * len(suffixes) + key, err.probability)
                 break

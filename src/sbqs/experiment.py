@@ -74,20 +74,25 @@ class _Setup:
     populations: np.ndarray
 
 
-def _model(config: ExperimentConfig) -> tuple[PauliSum, ResourceDecomposition, np.ndarray]:
-    """The Pauli model, its decomposition and |+>^n as a vector: all that
-    ``sbqs decompose`` and ``sbqs sample`` read, with no spectrum."""
-    pauli = build_ising(config.model) if isinstance(config.model, IsingParams) else config.model
+def _pauli(config: ExperimentConfig) -> PauliSum:
+    """The config's model as a Pauli sum: what ``sbqs decompose`` checks the
+    decomposition against, and what a pauli-generic one decomposes."""
+    return build_ising(config.model) if isinstance(config.model, IsingParams) else config.model
+
+
+def _model(config: ExperimentConfig) -> tuple[ResourceDecomposition, np.ndarray]:
+    """The decomposition and |+>^n as a vector: all that ``sbqs sample``
+    reads, with no spectrum."""
     if config.decomposition == "ising-local":
         dec = decompose_ising_local(config.model)
     else:
-        dec = decompose_pauli_generic(pauli)
+        dec = decompose_pauli_generic(_pauli(config))
     psi0 = np.full(2**dec.n, 1.0 / math.sqrt(2**dec.n))
-    return pauli, dec, psi0
+    return dec, psi0
 
 
 def _prepare(config: ExperimentConfig) -> _Setup:
-    _, dec, psi0 = _model(config)
+    dec, psi0 = _model(config)
     spectral = exact.ground(dec.eigensystem)
     return _Setup(
         decomposition=dec,

@@ -8,6 +8,7 @@ every Pauli string onto a full-register state.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -113,6 +114,23 @@ def _refreeze(obj, state: dict) -> None:
     obj.__dict__.update(state)
 
 
+#: The resource states this module has checked and frozen, by identity.
+_CHECKED: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def _checked(rho: np.ndarray) -> np.ndarray:
+    """``rho`` as a frozen float array checked as a density matrix: ``rho``
+    itself if this module checked and froze it, else a checked copy that
+    later terms given it share.  Looked up by identity, never by contents."""
+    if _CHECKED.get(id(rho)) is rho and not rho.flags.writeable:
+        return rho
+    own = np.array(rho, dtype=np.result_type(rho, float))
+    own.setflags(write=False)
+    check_density_matrix(own)
+    _CHECKED[id(own)] = own
+    return own
+
+
 @dataclass(frozen=True)
 class ResourceTerm:
     """One weighted density matrix in a Hamiltonian decomposition."""
@@ -128,11 +146,9 @@ class ResourceTerm:
         d = self.rho.shape[0]
         if d != 2 ** len(self.support):
             raise ValueError(f"state dim {d} does not match {len(self.support)} qubit support")
-        # terms are shared across plans and worker processes: own a frozen copy
-        rho = np.array(self.rho, dtype=np.result_type(self.rho, float))
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        check_density_matrix(rho)
+        # terms are shared across plans and worker processes: hold a frozen,
+        # checked array, shared with the terms given the same one
+        object.__setattr__(self, "rho", _checked(self.rho))
 
     __setstate__ = _refreeze
 
@@ -262,23 +278,25 @@ def decompose_ising_local(p: IsingParams) -> ResourceDecomposition:
     Bond terms carry weight -4J on |+><+| x |+><+|; each single-site X term
     carries +2J per bond touching the site (+4J in the bulk and on periodic
     chains, +2J on open-chain edges, which is what exact reconstruction
-    requires); Z terms carry -2B on |0><0|.  Weights stay signed.
+    requires); Z terms carry -2B on |0><0|.  Weights stay signed.  Every
+    term of a kind shares one resource state, checked once.
     """
     bonds = p.bonds()
     terms: list[ResourceTerm] = []
     if p.J != 0.0:
+        xx, x = _checked(kron(RHO_X, RHO_X)), _checked(RHO_X)
         for (i, j) in bonds:
-            rho = kron(RHO_X, RHO_X)
-            terms.append(ResourceTerm(-4 * p.J, rho, (i, j), f"xx({i},{j})"))
+            terms.append(ResourceTerm(-4 * p.J, xx, (i, j), f"xx({i},{j})"))
         bond_count = [0] * p.n
         for (i, j) in bonds:
             bond_count[i] += 1
             bond_count[j] += 1
         for i in range(p.n):
             if bond_count[i]:
-                terms.append(ResourceTerm(2 * p.J * bond_count[i], RHO_X, (i,), f"x({i})"))
+                terms.append(ResourceTerm(2 * p.J * bond_count[i], x, (i,), f"x({i})"))
     if p.B != 0.0:
+        z = _checked(RHO_Z)
         for i in range(p.n):
-            terms.append(ResourceTerm(-2 * p.B, RHO_Z, (i,), f"z({i})"))
+            terms.append(ResourceTerm(-2 * p.B, z, (i,), f"z({i})"))
     offset = -p.J * len(bonds) + p.B * p.n
     return ResourceDecomposition(p.n, tuple(terms), offset, "ising-local")

@@ -5,8 +5,8 @@ unitaries, explicit einsum traces, power series) or from references pinned to
 them, rather than through the code paths under test.  ``exact_ite`` is the
 dense density-matrix evolution, with its own eigendecomposition, that the
 library's state-vector reference is checked against and that tests of mixed
-states use.  ``effective_b_filter`` is effective strategy B in closed form,
-read from an eigendecomposition of its own.  ``faithful_transfer`` runs a
+states use.  ``effective_b_closed_form`` is effective strategy B in closed
+form, in log space, from a given spectrum.  ``faithful_transfer`` runs a
 faithful row of any strategy by dense transfer matrices, with no engine code.
 """
 
@@ -201,35 +201,27 @@ def exact_ite(h: np.ndarray, rho0: np.ndarray, beta: float) -> np.ndarray:
     return out / tr
 
 
-def effective_b_filter(h: np.ndarray, shift: float, psi0: np.ndarray, beta: float,
-                       n_steps: int, denom: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Effective strategy B as a polynomial filter of ``h``.
+def effective_b_closed_form(vals: np.ndarray, vecs: np.ndarray, psi0: np.ndarray, s: float,
+                            n_steps: int, denom: float) -> tuple[np.ndarray, np.ndarray]:
+    """Effective strategy B read off W's spectrum (``vals``, ``vecs``) alone,
+    with no step loop.
 
-    Every Trotter step applies A = I - (beta/N) W with W = h + shift * I, which
-    is diagonal in the eigenbasis V of ``h``, with a_k = 1 - (beta/N)(lambda_k + shift).
-    Returns:
-
-    - the final state psi_N ∝ V diag(a_k^N) V† psi0, normalized;
-    - each step's probability p_j = (sum_k pi_k a_k^{2j} / sum_k pi_k a_k^{2j-2}) / denom,
-      with pi_k = |<v_k|psi0>|^2, the weights renormalized after every step;
-    - the log of their telescoped product, sum_k pi_k a_k^{2N} / denom^N.
-
-    Powers of a are taken relative to max |a_k|, so nothing underflows.
+    With a_j = 1 - s lambda_j, s = beta / N, and c_0 = V^dagger psi0, write
+    m_k = sum_j |c_0j|^2 a_j^{2k}.  Trotter step k has probability
+    m_k / (m_{k-1} denom), and the final state is V (a^N ∘ c_0) / sqrt(m_N).
+    Every log m_k is a log-sum-exp over j, so no moment underflows at any N.
+    Returns the final state vector and the N probabilities.
     """
-    vals, vecs = np.linalg.eigh((h + dagger(h)) / 2)
-    a = 1.0 - beta / n_steps * (vals + shift)
-    coeff = dagger(vecs) @ psi0
-    top = float(np.max(np.abs(a)))
-    psi = vecs @ ((a / top) ** n_steps * coeff)
-    weights = pi = np.abs(coeff) ** 2
-    probabilities = []
-    for _ in range(n_steps):
-        after = weights * a * a
-        probabilities.append(after.sum() / weights.sum() / denom)
-        weights = after / after.sum()
-    log_product = (math.log(float(np.sum(pi * (a / top) ** (2 * n_steps))))
-                   + 2 * n_steps * math.log(top) - n_steps * math.log(denom))
-    return psi / np.linalg.norm(psi), np.array(probabilities), log_product
+    a = 1.0 - s * np.asarray(vals)
+    c0 = dagger(vecs) @ psi0
+    with np.errstate(divide="ignore"):  # a zero population is log 0 = -inf
+        log_pi, log_a = np.log(np.abs(c0) ** 2), np.log(np.abs(a))
+    grid = log_pi + 2.0 * np.arange(n_steps + 1)[:, None] * log_a  # (N + 1, d)
+    top = grid.max(axis=1)
+    log_m = top + np.log(np.exp(grid - top[:, None]).sum(axis=1))
+    probabilities = np.exp(np.diff(log_m) - math.log(denom))
+    amplitudes = np.sign(a) ** n_steps * c0 * np.exp(n_steps * log_a - log_m[-1] / 2)
+    return vecs @ amplitudes, probabilities
 
 
 def cswap_unitary(support: tuple[int, ...], n: int) -> np.ndarray:

@@ -42,7 +42,7 @@ from oracles import (
     cswap_reference_state,
     cswap_unitary,
     deferred_cswap_state,
-    effective_b_filter,
+    effective_b_closed_form,
     faithful_transfer,
     random_density,
     random_pure_density,
@@ -1457,13 +1457,14 @@ class TestVectorPath:
 
 class TestEffectiveFilter:
     """Effective strategy B applies A = I - (beta/N) W with W = H + c I in
-    every Trotter step, so its rows are checked against the closed-form
-    filter of ``oracles.effective_b_filter``, which never calls the engine."""
+    every Trotter step, so its rows are checked against the closed form of
+    ``oracles.effective_b_closed_form`` on the spectrum of the Pauli model's
+    H from numpy's own ``eigh``, which never calls the engine."""
 
     @pytest.fixture(scope="class")
     def chains(self):
         out = {}
-        for n in (6, 8):
+        for n in (4, 6, 8):
             params = IsingParams(n, 1.344422, 2.515909, "periodic")
             out[n] = (params, decompose_ising_local(params), densify(build_ising(params)))
         return out
@@ -1475,21 +1476,22 @@ class TestEffectiveFilter:
 
     @pytest.mark.parametrize("mode", ["effective", "sampled"])
     @pytest.mark.parametrize("strategy", ["B-global", "B-local"])
-    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("n", [4, 6, 8])
     def test_rows_match_the_filter(self, chains, n, strategy, mode):
         _, dec, h = chains[n]
         psi0 = np.full(2**n, 2 ** (-n / 2), dtype=complex)
         denom = dec.ell + 1 if strategy == "B-global" else 2.0**dec.ell
-        for beta in (1.0, 2.0):
+        vals, vecs = np.linalg.eigh(h)
+        for beta in (0.5, 1.0, 2.0):
             traj = run(make_plan(dec, beta, 400, strategy, mode), psi0)
-            psi, probabilities, log_product = effective_b_filter(
-                h, -dec.identity_offset, psi0, beta, 400, denom)
-            assert np.max(np.abs(traj.final_state - np.outer(psi, psi.conj()))) <= 1e-12
+            psi, probabilities = effective_b_closed_form(
+                vals - dec.identity_offset, vecs, psi0, beta / 400, 400, denom)
+            assert np.max(np.abs(traj.final_state - np.outer(psi, psi.conj()))) <= 2e-14
             for column in (traj.ledger.exact, traj.ledger.formula):
                 assert np.max(np.abs(column / probabilities - 1.0)) <= 1e-12
-            assert np.sum(np.log(probabilities)) == pytest.approx(log_product, rel=1e-12)
             for source in LEDGER_SOURCES:
-                assert traj.ledger.log_cumulative(source) == pytest.approx(log_product, rel=1e-12)
+                assert traj.ledger.log_cumulative(source) == pytest.approx(
+                    np.sum(np.log(probabilities)), rel=1e-12)
 
 
 class TestLedger:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sbqs.hamiltonian import (
     IsingParams,
     PauliString,
     PauliSum,
+    ResourceTerm,
     build_ising,
     decompose_ising_local,
     decompose_pauli_generic,
@@ -190,6 +193,25 @@ class TestIsingLocalDecomposition:
             assert ident_residual(dec, source) <= 1e-10
             assert np.max(np.abs(densify(dec) - source)) <= 1e-10
             assert np.max(np.abs(protocol_operator(dec) + dec.identity_offset * np.eye(2**n) - source)) <= 1e-10
+
+    def test_terms_of_a_kind_share_one_checked_state(self):
+        dec = decompose_ising_local(IsingParams(4, 1.0, 0.5, "periodic"))
+        kinds = {}
+        for t in dec.terms:
+            kinds.setdefault(t.label.split("(")[0], set()).add(id(t.rho))
+        assert sorted(kinds) == ["x", "xx", "z"] and all(len(ids) == 1 for ids in kinds.values())
+        # a pickled decomposition shares them too, frozen again
+        copy = pickle.loads(pickle.dumps(dec))
+        assert copy.terms[0].rho is copy.terms[1].rho and not copy.terms[0].rho.flags.writeable
+        # a term given a state already checked and frozen shares it; any other
+        # array, even equal to it or the same one made writeable, is copied
+        xx = dec.terms[0].rho
+        assert ResourceTerm(1.0, xx, (0, 1), "a").rho is xx
+        equal = np.array(xx)
+        assert ResourceTerm(1.0, equal, (0, 1), "b").rho is not equal
+        thawed = ResourceTerm(1.0, equal, (0, 1), "c").rho
+        thawed.setflags(write=True)
+        assert ResourceTerm(1.0, thawed, (0, 1), "d").rho is not thawed
 
 
 class TestDensify:

@@ -1059,7 +1059,7 @@ class TestCli:
         assert all(0.0 < r.fidelity_sbqs_vs_ground <= 1.0 for r in survivors)
         assert math.isnan(extinct.fidelity_sbqs_vs_ground)
         config = load_config(path)
-        _, dec, psi0 = _model(config)
+        dec, psi0 = _model(config)
         with pytest.warns(UserWarning, match="delta"):
             plan = make_plan(dec, config.beta_grid[-1], config.n_steps)
         with pytest.raises(ExtinctionError, match=r" at step 1\.4$"):
@@ -1092,11 +1092,14 @@ def _assert_reproduces(out_dir: Path, reference: Path) -> None:
             assert abs(x - y) <= 1e-10 * max(1.0, abs(y)), (golden.name, g, w)
 
 
-@pytest.mark.parametrize("name", ["fig2_left", "fig2_right"])
+@pytest.mark.parametrize("name", ["fig2_left", "fig2_right", "chain8"])
 def test_committed_goldens_reproduce(tmp_path, name):
-    """A fresh run reproduces every committed output file (both are faithful)."""
+    """A fresh run reproduces every committed output file (all are faithful
+    strategy A; chain8 is the n = 8 periodic chain, whose 24-term Trotter
+    steps fold after term 21, on r = 64 half-stack maps)."""
     goldens = _ROOT / "out" / name
-    argv = ["run", str(_ROOT / "configs" / f"{name}.json"), "--out", str(tmp_path)]
+    config = _ROOT / ("tests/data" if name == "chain8" else "configs") / f"{name}.json"
+    argv = ["run", str(config), "--out", str(tmp_path)]
     assert main(argv + (["--svg"] if any(p.suffix == ".svg" for p in goldens.iterdir()) else [])) == 0
     _assert_reproduces(tmp_path, goldens)
 
@@ -1154,8 +1157,8 @@ def test_decomposition_reconstructs_the_pauli_model(name):
         config = validate_config(_ISING8_BGLOBAL)
     else:
         config = load_config(_ROOT / "configs" / f"{name}.json")
-    pauli, dec, _ = experiment_mod._model(config)
-    assert np.max(np.abs(densify(dec) - densify(pauli))) <= 1e-12
+    dec, _ = experiment_mod._model(config)
+    assert np.max(np.abs(densify(dec) - densify(experiment_mod._pauli(config)))) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["fig2_left", "fig2_right", "ising8_bglobal", "pauli_y4"])
