@@ -42,16 +42,18 @@ at the window's start, through the product of the kernels before it.  The
 kernels also map X^dagger to K(X)^dagger, and sigma is Hermitian, so the
 stack stays flat as the Hermitian half stack in the layout of the last
 window applied (:func:`_stored`): the rest blocks X_ab with a <= b, the
-diagonal ones first, r (r + 1) / 2 of the r^2.  An int32 index map leads
+diagonal ones first, r (r + 1) / 2 of the r^2.  An intp index map leads
 from the half stack before each window to its own, reading each entry as
 itself or as its mirror, conjugated in a complex stack (:func:`_map`).  A
-run's :class:`_Chain` steps a whole Trotter step per call, through views it
-builds once: a window is one take into its spare stack, one product that
-reads its terms' traces off the diagonal blocks of the rest (or their sum)
-and one batched GEMM into its state stack.  Within a Trotter step the stack
-is not normalized: term k's raw trace q_k is relative to the step's start,
-and 1/q is folded into K at the step's last window and at least every 21
-terms, so that no live trace underflows.  The run keeps the raw traces and
+run's :class:`_Chain` steps a whole Trotter step per call, as a list of
+numpy calls it binds once to the buffers it owns: a window is one take into
+its spare stack, one product that reads its terms' traces off the diagonal
+blocks of the rest (or their sum) and one batched GEMM into its state
+stack.  Within a Trotter step the stack is not normalized: term k's raw
+trace q_k is relative to the step's start, and 1/q is folded into K at the
+step's last window and at least every 21 terms, so that no live trace
+underflows; the fold also tells whether a p of the step may be extinct.
+The run keeps the raw traces and
 divides them once, term k's over q_{k-1}, at its end.  The stack enters the
 chain once and goes back to the canonical layout once, the only maps
 between the canonical and a half stack, so a final state is Hermitian bit
@@ -226,14 +228,17 @@ def _read(stored: np.ndarray, wanted: np.ndarray, n: int) -> tuple[np.ndarray, n
 def _map(source: tuple[int, ...] | None, target: tuple[int, ...] | None, n: int,
          ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_read` from the flat stack of ``source`` to that of ``target``
-    (:func:`_stored`), checked, read-only and cached: a run's chain builds
-    each of its maps once, and public faithful steps on one support share
-    theirs.  take's mode "wrap" writes into out= directly
-    ("raise" buffers it) but would wrap a bad index silently: every index must
-    lie inside the source, and every source entry must be read, as itself or
-    through its mirror in the source.  A half stack holds both entries of a
-    pair only in its diagonal blocks, so a map between two of them reads some
-    entries twice and leaves the mirror of some others unread."""
+    (:func:`_stored`), checked and cached: a run's chain builds each of its
+    maps once, and public faithful steps on one support share theirs.  Only
+    ``mirrored`` is read-only: take copies an index that is not a writeable
+    intp array on every call, so the index is one, converted once built (in
+    int32), and nothing writes it.  take's mode "wrap" writes into out=
+    directly ("raise" buffers it) but would wrap a bad index silently: every
+    index must lie inside the source, and every source entry must be read,
+    as itself or through its mirror in the source.  A half stack holds both
+    entries of a pair only in its diagonal blocks, so a map between two of
+    them reads some entries twice and leaves the mirror of some others
+    unread."""
     stored = _stored(source, n)
     index, mirrored = _read(stored, _stored(target, n), n)
     where = f"layout map from {source or 'the canonical layout'} to {target or 'the canonical layout'}"
@@ -243,8 +248,8 @@ def _map(source: tuple[int, ...] | None, target: tuple[int, ...] | None, n: int,
     read[stored[index]] = True
     if not (read | read.reshape(2**n, -1).T.ravel()).all():
         raise ValueError(f"{where}: a source entry and its mirror are never read")
-    index.flags.writeable = mirrored.flags.writeable = False
-    return index, mirrored
+    mirrored.flags.writeable = False
+    return index.astype(np.intp), mirrored
 
 
 def _gather(flat: np.ndarray, index: np.ndarray, mirrored: np.ndarray,
@@ -515,79 +520,100 @@ class _Window(_Kernel):
 
 class _Chain:
     """A Trotter step's faithful swap kernels merged into :func:`_windows`,
-    and the buffers and views a run owns, all built here.  :meth:`step` runs
-    the windows in turn on the Hermitian half stack (:func:`_stored`), each
-    gathering its own from the layout the one before leaves, the first from
-    the last one's, and each writing ``state``, in which a stack enters and
-    leaves through the ``last`` window: those two maps are the only ones
-    between the canonical and a half stack.  Term k's unnormalized formula
-    and exact traces go into columns 2k and 2k + 1 of ``part``, (rows, r,
-    2l), one row per diagonal block of the rest.  K is scaled by 1/q of the
-    last term of the step's last window and of each window ending after
+    the buffers a run owns and ``calls``, the numpy calls of one step bound
+    to them, all built here.  :meth:`step` runs the windows in turn on the
+    Hermitian half stack (:func:`_stored`), each gathering its own from the
+    layout the one before leaves, the first from the last one's, into a
+    prefix of one spare buffer, and writing a prefix of one state buffer, the
+    last window's ``state``: a stack enters and leaves it through ``last``,
+    the only maps between the canonical and a half stack.  Term k's
+    unnormalized formula and exact traces go into columns 2k and 2k + 1 of
+    ``part``, (rows, r, 2l), one row per diagonal block of the rest.  K is
+    scaled by 1/q at the step's last window and at each window ending after
     ``_FOLD_EVERY`` terms, where ``part``'s columns since the fold before are
-    summed into the step's raw traces; ``folds`` are the q's columns there.
-    B-local's, with ``local`` = (B, weights), first reads its formula
-    probability into column 0, through a functional on the last window's
-    half stack whose off-diagonal blocks count twice, for their mirrors."""
+    summed into the step's raw traces ``sums``, q in column ``folds``.  Every
+    p < 1, so no p of a strategy-A fold whose q reaches ``bar`` = 2
+    ``EXTINCTION_P`` is extinct, nor that of a B-local step whose F folds'
+    q each reach its F-th root.  B-local's, with ``local`` = (B, weights),
+    first reads its formula probability into column 0 through a functional
+    on the last window's half stack, off-diagonal blocks counted twice."""
 
     def __init__(self, terms: list[tuple[ResourceTerm, object]], n: int, stack: np.ndarray,
                  local: tuple | None = None):
         kernels = [_swap_kernel(term, n, delta) for term, delta in terms]
         groups = _windows([term for term, _ in terms])
-        windows = [kernels[g[0]] if len(g) == 1 else _Window([kernels[k] for k in g], n)
-                   for g in groups]
-        for w, window in enumerate(windows):
-            window.source = windows[w - 1].support
-        rows, self.last = len(stack), windows[-1]
+        self.windows = [kernels[g[0]] if len(g) == 1 else _Window([kernels[k] for k in g], n)
+                        for g in groups]
+        for w, window in enumerate(self.windows):
+            window.source = self.windows[w - 1].support
+        rows, self.last, dtype = len(stack), self.windows[-1], stack.dtype
         # one state and one spare buffer, each window's half stack a prefix
-        state, spare = np.empty((2, rows * max(w.index.size for w in windows)), stack.dtype)
-        self.part = np.zeros((rows, 2 ** (n - min(len(w.support) for w in windows)), 2 * len(terms)),
-                             stack.dtype)
-        self.windows, self.folds, start = [], [], 0
-        for g, window in zip(groups, windows):
-            r, s2, end = 2 ** (n - len(window.support)), 4 ** len(window.support), 2 * g[-1] + 2
-            fold = None
-            if window is self.last or (g[-1] + 1) % _FOLD_EVERY == 0:
-                fold, start = (self.part[..., start:end], slice(start + 1, end + 1)), end
-                self.folds.append(end)
-            x, y = (buf[:rows * window.index.size].reshape(rows, -1) for buf in (spare, state))
-            vecs = x.reshape(rows, -1, s2)  # vec(X) of each rest block
-            block = window.matrix is None  # read through the probe and the weights
-            self.windows.append((window, window.index, window.mirrored, x, y,
-                                 vecs[:, :r], window.weights if block else window.functional,
-                                 self.part[:, :r, 2 * g[0]:end], fold,
-                                 None if block else (vecs, y.reshape(rows, -1, s2))))
-        self.state = y
-        self.formula = None
-        if local is not None:
+        state, spare = np.empty((2, rows * max(w.index.size for w in self.windows)), dtype)
+        views = [[buf[:rows * w.index.size].reshape(rows, -1) for buf in (spare, state)]
+                 for w in self.windows]
+        self.state = views[-1][1]
+        r = 2 ** (n - min(len(w.support) for w in self.windows))
+        self.part = np.zeros((rows, r, 2 * len(terms)), dtype)
+        self.sums = np.zeros((rows, 2 * len(terms) + 1), dtype)
+        self.folds = [2 * g[-1] + 2 for g in groups
+                      if g is groups[-1] or (g[-1] + 1) % _FOLD_EVERY == 0]
+        self.calls, self.local = [], local is not None
+        bar = (2 * EXTINCTION_P) ** (1 / len(self.folds) if self.local else 1)
+        # per fold and row, whether q reaches (the smallest normal, bar): 1/q is safe, no p is extinct
+        flags = np.empty((len(self.folds), rows, 2), dtype=bool)
+        bounds = np.tile([sys.float_info.min, bar], (rows, 1))
+        self.bar, self.safe, inv = bounds[:, 1], flags[..., 1], np.empty(rows)
+
+        def bind(f, *args, **kwargs):
+            self.calls.append(partial(f, *args, **kwargs))
+        if self.local:
             functional = _formula_functional(local[0], _stored(self.last.support, n))
             functional[..., 2 ** (n + len(self.last.support)):, :] *= 2  # past the diagonal blocks
-            self.formula = functional, local[1]
+            read = np.empty((rows, 1, 3), np.result_type(dtype, functional))
+            weighed = np.empty((rows, 3))
+            bind(np.matmul, self.state[:, None], functional, read)
+            bind(np.multiply, read[:, 0].real, local[1], weighed)
+            bind(np.add.reduce, weighed, -1, None, self.sums[:, 0].real)
+        start = 0
+        for (x, y), (_, source), g, window in zip(views, views[-1:] + views, groups, self.windows):
+            r, s2, end = 2 ** (n - len(window.support)), 4 ** len(window.support), 2 * g[-1] + 2
+            vecs = x.reshape(rows, -1, s2)  # vec(X) of each rest block
+            part = self.part[:, :r, 2 * g[0]:end]
+            bind(source.take, window.index, 1, x, "wrap")
+            if dtype.kind == "c":
+                bind(np.conjugate, x, x, where=window.mirrored)
+            if window.matrix is None:  # read through the probe and the weights
+                probed = np.empty((rows, r, 3), np.result_type(x, window.probe))
+                bind(np.matmul, vecs[:, :r], window.probe, probed)
+                bind(np.matmul, probed, window.weights, part)
+            else:
+                bind(np.matmul, vecs[:, :r], window.functional, part)
+            scale, matrix = None, window.matrix
+            if end in self.folds:  # q is below the smallest normal only if extinct
+                q, flag = self.sums[:, end].real, flags[self.folds.index(end)]
+                bind(np.add.reduce, self.part[..., start:end], 1, None, self.sums[:, start + 1:end + 1])
+                bind(np.greater_equal, q[:, None], bounds, flag)
+                bind(inv.fill, 1.0)
+                bind(np.reciprocal, q, inv, where=flag[:, 0])
+                scale, start = inv, end
+                if matrix is not None:
+                    matrix = np.empty(np.broadcast_shapes(matrix.shape, (rows, 1, 1)), matrix.dtype)
+                    bind(np.multiply, window.matrix, inv[:, None, None], matrix)
+            if matrix is None:
+                bind(window.apply, x, scale, y)
+            else:
+                bind(np.matmul, vecs, matrix, y.reshape(rows, -1, s2))
         self.after = [0, *(fold // 2 for fold in self.folds[:-1])]  # terms with q_{k-1} = 1
 
-    def step(self, state: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One Trotter step of the flat half ``state`` in the last window's
-        layout: the state after it, in ``state``, and the step's trace,
-        (rows,), the product of its folded q.  The step's raw traces go into
-        ``traces``, (rows, 2l + 1)."""
-        if self.formula is not None:  # B-local's, off the state the step starts from
-            traces[:, 0] = ((state[:, None] @ self.formula[0])[:, 0].real * self.formula[1]).sum(axis=-1)
-        trace = None
-        for window, index, mirrored, x, y, diag, reader, part, fold, gemm in self.windows:
-            _gather(state, index, mirrored, x)
-            np.matmul(diag if gemm else diag @ window.probe, reader, out=part)
-            scale = None
-            if fold is not None:  # q is below the smallest normal only if extinct
-                q = np.add.reduce(fold[0], axis=1, out=traces[:, fold[1]])[:, -1].real
-                trace = q if trace is None else trace * q
-                scale = 1 / np.where(q >= sys.float_info.min, q, 1.0)
-            if gemm is None:
-                window.apply(x, scale, out=y)
-            else:
-                np.matmul(gemm[0], window.matrix if scale is None
-                          else window.matrix * scale[:, None, None], out=gemm[1])
-            state = y
-        return state, trace
+    def step(self, traces: np.ndarray) -> bool:
+        """One Trotter step of ``state``, the flat half stack in the last
+        window's layout, in place.  The step's raw traces go into ``traces``,
+        (rows, 2l + 1); True if a live row may have a p at or below
+        ``EXTINCTION_P``, as a fold's q fell below its ``bar``."""
+        for call in self.calls:
+            call()
+        np.copyto(traces, self.sums)
+        return np.count_nonzero(self.safe) < self.safe.size
 
     def ratios(self, record: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Both probabilities of every term, (2, steps, l, rows), from raw traces
@@ -597,13 +623,17 @@ class _Chain:
         column 0."""
         q = record.real
         if out is None:
-            out = np.zeros((2, len(q), 1 if self.formula is not None else q.shape[2] // 2, q.shape[1]))
-        if self.formula is not None:
+            out = np.zeros((2, len(q), 1 if self.local else q.shape[2] // 2, q.shape[1]))
+        if self.local:
             out[0, :, 0], out[1, :, 0] = q[..., self.folds].prod(axis=-1), q[..., 0]
             return out
         den = q[..., 2:-1:2]
+        dead = ~(den > 0)
         for ratio, num in zip(out.swapaxes(2, 3), (q[..., 2::2], q[..., 1::2])):
-            np.divide(num[..., 1:], den, out=ratio[..., 1:], where=den > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):  # unmasked: twice as fast
+                np.divide(num[..., 1:], den, out=ratio[..., 1:])
+            if dead.any():
+                np.copyto(ratio[..., 1:], 0.0, where=dead)
             ratio[..., self.after] = num[..., self.after]
         # p <= 1/2 + |delta| / (1 + delta^2) < 1 for |delta| < 1: nothing to clamp
         return out
@@ -629,9 +659,10 @@ def _chain_step(sigma, terms: list, b_op=None, denom: float = 2.0) -> StepResult
     chain = _Chain(terms, _sites(sigma), stack,
                    local=None if b_op is None else (b_op, np.array([1.0, -2.0, 1.0]) / denom))
     record = np.zeros((1, len(stack), 2 * len(terms) + 1), stack.dtype)
-    state, _ = chain.step(chain.last.enter(stack, out=chain.state), record[0])
+    chain.last.enter(stack, out=chain.state)
+    chain.step(record[0])
     p, p_formula = chain.ratios(record)[:, 0, 0]
-    return _result(np.ndim(sigma), chain.last.leave(state), p, p_formula)
+    return _result(np.ndim(sigma), chain.last.leave(chain.state), p, p_formula)
 
 
 def _measure(sigma, b_op, denom: float, mode: str, delta=None,
@@ -991,17 +1022,16 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
         sigma = (sigma.conj() @ vecs).conj()  # V^dagger psi, without copying V^dagger
     measurements, chain = _measurements(first, deltas, scales, None if vector else sigma)
     if chain is not None:
-        sigma = chain.last.enter(sigma, out=chain.state)
+        sigma = chain.last.enter(sigma, out=chain.state)  # the chain steps it in place
         record = np.zeros((first.n_steps, len(plans), 2 * dec.ell + 1), sigma.dtype)
     suffixes = tuple(suffix for group, _ in measurements for suffix in group)
     exact, formula = columns = np.zeros((2, first.n_steps, len(suffixes), len(plans)))
     every = 0 if vector else slice(None)  # the rows' probabilities; a vector's are scalars
     lost: dict[int, tuple[int, float]] = {}  # extinct row -> (measurement, probability)
-    live, bar = np.ones(len(plans), dtype=bool), np.full(len(plans), 2 * EXTINCTION_P)
+    live = np.ones(len(plans), dtype=bool)
     for step in range(first.n_steps):
         if chain is not None:
-            sigma, trace = chain.step(sigma, record[step])
-            if not (trace <= bar).any():  # every p < 1: none is at or below EXTINCTION_P
+            if not chain.step(record[step]):  # every fold's q at its bar: no p at EXTINCTION_P
                 continue
             chain.ratios(record[step:step + 1], columns[:, step:step + 1])
         else:
@@ -1017,7 +1047,9 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
         if extinct.any():
             rows = np.flatnonzero(extinct.any(axis=0))
             sigma[rows] = 0.0
-            live[rows], bar[rows] = False, -1.0  # a zeroed row's q are 0
+            live[rows] = False
+            if chain is not None:
+                chain.bar[rows] = -1.0  # a zeroed row's q are 0
             for row, at in zip(rows.tolist(), extinct.argmax(axis=0)[rows].tolist()):
                 lost[row] = (step * len(suffixes) + at, float(exact[step, at, row]))
             if not live.any():

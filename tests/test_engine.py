@@ -765,8 +765,8 @@ class TestChain:
         dec = self.decomposition(4, 114)
         plans = [make_plan(dec, beta, 40, strategy) for beta in (0.5, 2.0)]
         chain = engine_mod._Chain(list(zip(dec.terms, plans[0].deltas)), 4, np.zeros((1, 16, 16), complex))
-        widths = {len(w[0].support) for w in chain.windows if w[0].matrix is None}
-        assert widths == {2, 4} and chain.windows[2][0].index.size == 10 * 16
+        widths = {len(w.support) for w in chain.windows if w.matrix is None}
+        assert widths == {2, 4} and chain.windows[2].index.size == 10 * 16
         psi = random_unit_vector(np.random.default_rng(124), 16)
         for trajectory, plan in zip(run_rows(plans, psi), plans):
             self.assert_matches(trajectory, faithful_transfer(plan, psi))
@@ -1008,6 +1008,45 @@ class TestChain:
             assert t.extinction == str(err.value)
         assert (unforced[4].ledger.exact[2:4] <= level).all() and unforced[3].ledger.exact[3] <= level
 
+    def test_a_b_local_step_of_two_folds_ends_where_only_their_product_is_extinct(self):
+        # 42 terms rho = I/2 at delta = 0.99: every p is 1/4, so each fold of
+        # 21 terms reads q = 4^-21 = 2.3e-13, above 2 EXTINCTION_P, while the
+        # step's one B-local entry, their product, is 5e-26: its folds must be
+        # held to the square root of that bar, and the row ends at step 1
+        terms = tuple(ResourceTerm(0.99, np.eye(2) / 2, (0,), f"t{i}") for i in range(42))
+        dec = ResourceDecomposition(1, terms, 0.0, "pauli-generic")
+        with pytest.warns(UserWarning, match="delta"):
+            plan = make_plan(dec, 2.0, 2, "B-local")
+        (t,) = run_rows([plan], np.array([0.6, 0.8]))
+        assert t.extinction.endswith(" at step 1") and len(t.ledger.exact) == 0
+        assert t.extinction_probability == pytest.approx(0.25**42, rel=1e-12)
+
+    def test_a_step_allocates_nothing_the_size_of_a_map(self):
+        # a chain's step replays numpy calls bound once to its buffers: the
+        # index maps are intp, which take reads without a converted copy (an
+        # n = 8 half map of 33,280 entries, 260 KiB), and the fold writes its
+        # q, guard and scaled matrices into buffers of its own
+        import tracemalloc
+
+        import sbqs.engine as engine_mod
+
+        dec = decompose_ising_local(IsingParams(8, 1.0, 0.7, "periodic"))
+        deltas = np.array([make_plan(dec, beta, 400).deltas for beta in (0.5, 1.0, 2.0)]).T
+        stack = np.full((3, 256, 256), 1 / 256)
+        chain = engine_mod._Chain(list(zip(dec.terms, deltas)), 8, stack)
+        chain.last.enter(stack, out=chain.state)
+        traces = np.zeros((3, 2 * dec.ell + 1))
+        for _ in range(2):
+            chain.step(traces)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                chain.step(traces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 class TestMakePlan:
     def test_ising_deltas(self):
@@ -1134,8 +1173,8 @@ class TestRun:
         real_kernel, real_step = engine_mod._swap_kernel, engine_mod._Chain.step
         monkeypatch.setattr(engine_mod, "_swap_kernel",
                             lambda *args: built.append(1) or real_kernel(*args))
-        monkeypatch.setattr(engine_mod._Chain, "step", lambda chain, state, traces: (
-            doomed_size.append(np.abs(state[doomed]).max()) or real_step(chain, state, traces)))
+        monkeypatch.setattr(engine_mod._Chain, "step", lambda chain, traces: (
+            doomed_size.append(np.abs(chain.state[doomed]).max()) or real_step(chain, traces)))
 
         batch = run_rows(plans, psi)
         assert len(built) == dec.ell
