@@ -552,8 +552,8 @@ class _Chain:
         views = [[buf[:rows * w.index.size].reshape(rows, -1) for buf in (spare, state)]
                  for w in self.windows]
         self.state = views[-1][1]
-        r = 2 ** (n - min(len(w.support) for w in self.windows))
-        self.part = np.zeros((rows, r, 2 * len(terms)), dtype)
+        most = 2 ** (n - min(len(w.support) for w in self.windows))  # rest blocks of the widest rest
+        self.part = np.zeros((rows, most, 2 * len(terms)), dtype)
         self.sums = np.zeros((rows, 2 * len(terms) + 1), dtype)
         self.folds = [2 * g[-1] + 2 for g in groups
                       if g is groups[-1] or (g[-1] + 1) % _FOLD_EVERY == 0]
