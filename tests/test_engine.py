@@ -457,16 +457,16 @@ class TestSupportKernel:
 
     def test_matrix_and_block_products_agree(self, monkeypatch):
         # every term of the kernel map, with per-row coefficients, in both forms
-        import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         rng = np.random.default_rng(50)
         n, support = 4, (3, 1)
         rho = random_density(rng, 4)
         coefs = [rng.normal(size=3) for _ in range(4)]
         stack = np.stack([random_density(rng, 16) for _ in range(3)])
-        matrix = engine_mod._Kernel(rho, support, n, coefs)
-        monkeypatch.setattr(engine_mod, "_MATRIX_QUBITS", 0)
-        blocks = engine_mod._Kernel(rho, support, n, coefs)
+        matrix = kernels_mod._Kernel(rho, support, n, coefs)
+        monkeypatch.setattr(kernels_mod, "_MATRIX_QUBITS", 0)
+        blocks = kernels_mod._Kernel(rho, support, n, coefs)
         assert matrix.matrix is not None and blocks.matrix is None
         emb = embed_operator(rho, qubit_layout(n), [f"q{s}" for s in support])
         want = [c0 * s + c1 * (emb @ s + s @ emb) + c2 * replaced_support(s, rho, support, n)
@@ -479,9 +479,9 @@ class TestSupportKernel:
         # to an index past the source, or so that an entry of an off-diagonal
         # block (whose mirror the source does not hold) is never read, it
         # raises, naming both supports
-        import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
-        real = engine_mod._read
+        real = kernels_mod._read
 
         def corrupted(how):
             def read(stored, wanted, n):
@@ -496,20 +496,20 @@ class TestSupportKernel:
 
         for how, message in (("outside", "an index outside the source's 160 entries"),
                              ("unread", "a source entry and its mirror are never read")):
-            kernel = engine_mod._swap_kernel(ResourceTerm(1.0, PLUS.real, (1,), "x"), 4, 0.1)
+            kernel = kernels_mod._swap_kernel(ResourceTerm(1.0, PLUS.real, (1,), "x"), 4, 0.1)
             kernel.source = (0, 2)
-            engine_mod._map.cache_clear()  # a map is checked when it is built
-            monkeypatch.setattr(engine_mod, "_read", corrupted(how))
+            kernels_mod._map.cache_clear()  # a map is checked when it is built
+            monkeypatch.setattr(kernels_mod, "_read", corrupted(how))
             with pytest.raises(ValueError, match=rf"from \(0, 2\) to \(1,\): {message}"):
                 kernel.index
-            monkeypatch.setattr(engine_mod, "_read", real)
+            monkeypatch.setattr(kernels_mod, "_read", real)
             assert kernel.index.size == 36 * 4  # r = 8 rest blocks: 36 on the half stack
 
     @pytest.mark.parametrize("measurement", ["local", "global"])
     def test_strategy_b_steps_agree_in_both_forms(self, monkeypatch, measurement):
         # full-register terms at n = 4: chained swap kernels (B-local) and leak
         # kernels (B-global) as block products against their matrices
-        import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         rng = np.random.default_rng(60)
         n, deltas = 4, np.array([0.02, -0.05, 0.09])
@@ -517,7 +517,7 @@ class TestSupportKernel:
                  for _ in range(2)]
         stack = np.stack([random_density(rng, 16) for _ in deltas])
         blocks = step_strategy_b(stack, terms, measurement, "faithful")
-        monkeypatch.setattr(engine_mod, "_MATRIX_QUBITS", n)
+        monkeypatch.setattr(kernels_mod, "_MATRIX_QUBITS", n)
         matrix = step_strategy_b(stack, terms, measurement, "faithful")
         assert np.max(np.abs(blocks.state - matrix.state)) <= 1e-14
         assert np.max(np.abs(blocks.probability - matrix.probability)) <= 1e-14
@@ -526,23 +526,23 @@ class TestSupportKernel:
         # a swap kernel builds one probe for all its rows, in a strategy-A and
         # in a B-local step, each a one-step chain of its own; a faithful
         # B-global run builds its l leak kernels once, not once per step
-        import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         rng = np.random.default_rng(70)
         term = ResourceTerm(1.0, random_density(rng, 4), (2, 0), "r")
         deltas = np.array([0.01, 0.03, -0.02, 0.05])
         stack = np.stack([random_density(rng, 8) for _ in deltas])
         terms = [(term, deltas)]
-        built, real = [], engine_mod._swap_kernel
-        monkeypatch.setattr(engine_mod, "_swap_kernel", lambda *args: built.append(real(*args))
+        built, real = [], kernels_mod._swap_kernel
+        monkeypatch.setattr(kernels_mod, "_swap_kernel", lambda *args: built.append(real(*args))
                             or built[-1])
         local = step_strategy_b(stack, terms, "local", "faithful")
         assert len(built) == 1 and vars(built[0])["probe"].shape == (16, 3)
         assert np.array_equal(local.state, step_strategy_b(stack, terms, "local", "faithful").state)
         step_strategy_a(stack, term, deltas, "faithful")
         assert len(built) == 3 and vars(built[2])["probe"].shape == (16, 3)
-        leaks, real_leak = [], engine_mod._leak_kernel
-        monkeypatch.setattr(engine_mod, "_leak_kernel", lambda *args: leaks.append(args)
+        leaks, real_leak = [], kernels_mod._leak_kernel
+        monkeypatch.setattr(kernels_mod, "_leak_kernel", lambda *args: leaks.append(args)
                             or real_leak(*args))
         dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
         plans = [make_plan(dec, beta, 50, "B-global") for beta in (0.5, 1.0)]
@@ -557,6 +557,7 @@ class TestSupportKernel:
         ``_as_stack`` calls, of the kernels' enter and leave calls and of the
         chain's step calls, the count of windows per Trotter step and the rows."""
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
         import sbqs.linalg as linalg_mod
 
         dec = decompose_ising_local(IsingParams(4, 1.0, 0.7, "periodic"))
@@ -580,15 +581,15 @@ class TestSupportKernel:
 
         # the stack is built once, at the start of the run
         monkeypatch.setattr(engine_mod, "_as_stack", counting("_as_stack", engine_mod._as_stack))
-        for cls, name in ((engine_mod._Kernel, "enter"), (engine_mod._Kernel, "leave"),
-                          (engine_mod._Chain, "step")):
+        for cls, name in ((kernels_mod._Kernel, "enter"), (kernels_mod._Kernel, "leave"),
+                          (kernels_mod._Chain, "step")):
             monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
         got = run_rows(plans, psi)
         for a, b in zip(got, want):
             assert np.array_equal(a.final_state, b.final_state)
             assert np.array_equal(a.ledger.exact, b.ledger.exact)
             assert np.array_equal(a.ledger.formula, b.ledger.formula)
-        return calls, len(engine_mod._windows(list(dec.terms))), got
+        return calls, len(kernels_mod._windows(list(dec.terms))), got
 
     def test_faithful_a_sweep_embeds_nothing_and_skips_the_dense_update(self, monkeypatch):
         # a faithful strategy-A run reads each term's kernel only: no embedded
@@ -667,11 +668,11 @@ class TestChain:
         # its end.  Strategy A must match the per-term step loop; B-local its
         # states, with ln p per Trotter step the sum of the loop's per term.
         # Each row must be bit for bit the same alone and in either order
-        import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         dec = decompose_ising_local(IsingParams(8, 1.0, 5.0, "periodic"))
-        windows = engine_mod._windows(list(dec.terms))
-        assert (dec.ell, len(windows), engine_mod._FOLD_EVERY) == (24, 16, 21)
+        windows = kernels_mod._windows(list(dec.terms))
+        assert (dec.ell, len(windows), kernels_mod._FOLD_EVERY) == (24, 16, 21)
         assert [19, 20] in windows and [21, 22] in windows  # the fold ends a merged window
         psi = random_unit_vector(np.random.default_rng(140), 2**dec.n)
         with pytest.warns(UserWarning, match="delta"):  # max |delta| = 0.4
@@ -759,12 +760,12 @@ class TestChain:
         # window of r = 4 rest blocks, 10 of them on the half stack, diagonal
         # and off-diagonal blocks each mapped on its own; the random model's
         # complex resources conjugate the mirrored entries of every gather
-        import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
-        monkeypatch.setattr(engine_mod, "_MATRIX_QUBITS", 1)
+        monkeypatch.setattr(kernels_mod, "_MATRIX_QUBITS", 1)
         dec = self.decomposition(4, 114)
         plans = [make_plan(dec, beta, 40, strategy) for beta in (0.5, 2.0)]
-        chain = engine_mod._Chain(list(zip(dec.terms, plans[0].deltas)), 4, np.zeros((1, 16, 16), complex))
+        chain = kernels_mod._Chain(list(zip(dec.terms, plans[0].deltas)), 4, np.zeros((1, 16, 16), complex))
         widths = {len(w.support) for w in chain.windows if w.matrix is None}
         assert widths == {2, 4} and chain.windows[2].index.size == 10 * 16
         psi = random_unit_vector(np.random.default_rng(124), 16)
@@ -797,6 +798,7 @@ class TestChain:
         # every call, so the doomed row's ledger is bit for bit that of an
         # unforced run and within 1e-12 of the loop
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
         plans = [make_plan(dec, beta, 60) for beta in (0.0, 0.5, 1.0)]
@@ -808,7 +810,8 @@ class TestChain:
         level = (lows[doomed] + min(low for i, low in enumerate(lows) if i != doomed)) / 2
         dies_at = int(np.argmax(wants[doomed][1][:, 0] <= level))
         assert 0 < dies_at and dies_at % dec.ell != dec.ell - 1
-        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        for module in (engine_mod, kernels_mod):  # both layers read it
+            monkeypatch.setattr(module, "EXTINCTION_P", level)
         batch = run_rows(plans, psi)
         assert batch[doomed].final_state is None
         step_id = batch[doomed].ledger.step_id(dies_at)
@@ -830,9 +833,10 @@ class TestChain:
         # its ledger its unforced one up to there, and the survivors must not
         # move
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         dec = decompose_ising_local(IsingParams(8, 1.0, 0.7, "periodic"))
-        assert dec.ell > engine_mod._FOLD_EVERY
+        assert dec.ell > kernels_mod._FOLD_EVERY
         with pytest.warns(UserWarning, match="delta"):
             plans = [make_plan(dec, beta, 6) for beta in (0.0, 0.15, 0.3)]
         psi = np.eye(256)[255]
@@ -841,7 +845,8 @@ class TestChain:
         dies_at = int(np.argmax(unforced[2].ledger.exact <= level))
         assert dies_at == 3 * dec.ell + 8 and dec.terms[8].label == "x(0)"
         assert min(t.ledger.exact.min() for t in unforced[:2]) > level
-        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        for module in (engine_mod, kernels_mod):  # both layers read it
+            monkeypatch.setattr(module, "EXTINCTION_P", level)
         batch = run_rows(plans, psi)
         assert batch[2].final_state is None
         assert batch[2].extinction == "post-selection probability 3.707e-01 at step 4.9"
@@ -866,6 +871,7 @@ class TestChain:
         # must still be the product of the two true ones, which a product of
         # ratios to that trace would count the first of twice
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         one = np.diag([0.0, 1.0])
         dec = ResourceDecomposition(2, (ResourceTerm(1.0, one, (0,), "pen"),
@@ -878,7 +884,8 @@ class TestChain:
         want = faithful_transfer(plans[2], psi)[1][:, 0]
         dies_at, level = 1, per_term[2] * (1 + 1e-9)  # at or above the engine's value
         assert want[0] > level and min(t.ledger.exact.min() for t in unforced[:2]) > level
-        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        for module in (engine_mod, kernels_mod):  # both layers read it
+            monkeypatch.setattr(module, "EXTINCTION_P", level)
         batch = run_rows(plans, psi)
         assert batch[2].final_state is None
         assert batch[2].extinction == f"post-selection probability {want[dies_at]:.3e} at step 2"
@@ -897,6 +904,7 @@ class TestChain:
         # a row forced extinct in a stack carries the probability that ended
         # it, bit for bit the one ExtinctionError carries for its plan alone
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
         plans = [make_plan(dec, beta, 60, strategy) for beta in (0.0, 0.5, 1.0)]
@@ -904,7 +912,8 @@ class TestChain:
         lows = [t.ledger.exact.min() for t in run_rows(plans, psi)]
         doomed = int(np.argmin(lows))
         level = (lows[doomed] + min(low for i, low in enumerate(lows) if i != doomed)) / 2
-        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        for module in (engine_mod, kernels_mod):  # both layers read it
+            monkeypatch.setattr(module, "EXTINCTION_P", level)
         batch = run_rows(plans, psi)
         with pytest.raises(ExtinctionError) as err:
             run(plans[doomed], psi)
@@ -940,28 +949,28 @@ class TestChain:
         # a window is a maximal run of consecutive terms of one Trotter step,
         # in order, whose union support is no wider than the widest term in the
         # matrix form; a block-form term stands alone
-        import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         dec = decompose_ising_local(IsingParams(4, 1.0, 5.0, "periodic"))
         labels = [[dec.terms[k].label for k in window]
-                  for window in engine_mod._windows(list(dec.terms))]
+                  for window in kernels_mod._windows(list(dec.terms))]
         assert labels == [["xx(0,1)"], ["xx(1,2)"], ["xx(2,3)"], ["xx(3,0)", "x(0)"],
                           ["x(1)", "x(2)"], ["x(3)", "z(0)"], ["z(1)", "z(2)"], ["z(3)"]]
         models = [self.decomposition(n, 80 + n) for n in (2, 3, 4, 5)]
         models.append(decompose_pauli_generic(load_config(PAULI_Y4).model))
         for dec in models:
             terms = list(dec.terms)
-            windows = engine_mod._windows(terms)
+            windows = kernels_mod._windows(terms)
             assert [k for window in windows for k in window] == list(range(len(terms)))
             widest = max((len(t.support) for t in terms
-                          if len(t.support) <= engine_mod._MATRIX_QUBITS), default=0)
+                          if len(t.support) <= kernels_mod._MATRIX_QUBITS), default=0)
             for window in windows:
                 union = {q for k in window for q in terms[k].support}
                 assert len(window) == 1 or len(union) <= widest
             if dec.n == 3:  # the full-register term takes the matrix form
                 assert windows == [list(range(len(terms)))]
             for k, term in enumerate(terms):
-                if len(term.support) > engine_mod._MATRIX_QUBITS:
+                if len(term.support) > kernels_mod._MATRIX_QUBITS:
                     assert [k] in windows
 
     def test_rows_extinct_in_one_trotter_step_end_at_their_own_first_entry(self, monkeypatch):
@@ -974,19 +983,21 @@ class TestChain:
         # its row's first entry at or below the level, with the probability a
         # run of its plan alone raises, and the survivors must not move
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         one, zero = np.diag([0.0, 1.0]), np.diag([1.0, 0.0])
         dec = ResourceDecomposition(2, (ResourceTerm(1.0, zero, (1,), "lead"),
                                         ResourceTerm(1.0, one, (0,), "a"),
                                         ResourceTerm(2.0, one, (0,), "b"),
                                         ResourceTerm(3.0, one, (1,), "c")), 0.0, "pauli-generic")
-        assert engine_mod._windows(list(dec.terms)) == [[0], [1, 2], [3]]
+        assert kernels_mod._windows(list(dec.terms)) == [[0], [1, 2], [3]]
         with pytest.warns(UserWarning, match="delta"):
             plans = [make_plan(dec, beta, 10) for beta in (0.0, 0.5, 0.7, 1.0, 2.0)]
         psi = np.eye(4)[3]
         unforced = run_rows(plans, psi)
         level = 0.32
-        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        for module in (engine_mod, kernels_mod):  # both layers read it
+            monkeypatch.setattr(module, "EXTINCTION_P", level)
         batch = run_rows(plans, psi)
         dies_at = {2: 3, 3: 2, 4: 1}
         for row, (t, ref, plan) in enumerate(zip(batch, unforced, plans)):
@@ -1028,12 +1039,12 @@ class TestChain:
         # q, guard and scaled matrices into buffers of its own
         import tracemalloc
 
-        import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         dec = decompose_ising_local(IsingParams(8, 1.0, 0.7, "periodic"))
         deltas = np.array([make_plan(dec, beta, 400).deltas for beta in (0.5, 1.0, 2.0)]).T
         stack = np.full((3, 256, 256), 1 / 256)
-        chain = engine_mod._Chain(list(zip(dec.terms, deltas)), 8, stack)
+        chain = kernels_mod._Chain(list(zip(dec.terms, deltas)), 8, stack)
         chain.last.enter(stack, out=chain.state)
         traces = np.zeros((3, 2 * dec.ell + 1))
         for _ in range(2):
@@ -1158,6 +1169,7 @@ class TestRun:
         # term's kernel is built once (not again for the survivors), and the
         # survivors' bits do not move
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
         plans = [make_plan(dec, beta, 60, "A", "faithful") for beta in (0.0, 0.5, 1.0)]
@@ -1168,12 +1180,13 @@ class TestRun:
         level = (lows[doomed] + min(low for i, low in enumerate(lows) if i != doomed)) / 2
         dies_at = int(np.argmax(unforced[doomed].ledger.exact <= level))
         assert 0 < dies_at < len(unforced[doomed].ledger.exact) - 1
-        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        for module in (engine_mod, kernels_mod):  # both layers read it
+            monkeypatch.setattr(module, "EXTINCTION_P", level)
         built, doomed_size = [], []  # doomed_size[j]: max |entry| of its row entering step j
-        real_kernel, real_step = engine_mod._swap_kernel, engine_mod._Chain.step
-        monkeypatch.setattr(engine_mod, "_swap_kernel",
+        real_kernel, real_step = kernels_mod._swap_kernel, kernels_mod._Chain.step
+        monkeypatch.setattr(kernels_mod, "_swap_kernel",
                             lambda *args: built.append(1) or real_kernel(*args))
-        monkeypatch.setattr(engine_mod._Chain, "step", lambda chain, traces: (
+        monkeypatch.setattr(kernels_mod._Chain, "step", lambda chain, traces: (
             doomed_size.append(np.abs(chain.state[doomed]).max()) or real_step(chain, traces)))
 
         batch = run_rows(plans, psi)
@@ -1200,6 +1213,8 @@ class TestRun:
 
         import sbqs.engine as engine_mod
 
+        import sbqs.kernels as kernels_mod
+
         dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
         plans = [make_plan(dec, beta, 60, "A", "faithful") for beta in (0.0, 0.5, 1.0)]
         psi = np.full(8, 8**-0.5)
@@ -1208,7 +1223,8 @@ class TestRun:
         doomed = int(np.argmin(first))
         others = min(t.ledger.exact.min() for i, t in enumerate(unforced) if i != doomed)
         assert first[doomed] < others
-        monkeypatch.setattr(engine_mod, "EXTINCTION_P", (first[doomed] + others) / 2)
+        for module in (engine_mod, kernels_mod):  # both layers read it
+            monkeypatch.setattr(module, "EXTINCTION_P", (first[doomed] + others) / 2)
         branch, real = [], np.flatnonzero
 
         def counting(*args, **kwargs):
@@ -1235,14 +1251,15 @@ class TestRun:
         # term, aligned with |+>, ends a row in the first step at the real
         # EXTINCTION_P; its zeroed row must not make a later step read them
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         dec = decompose_ising_local(IsingParams(3, 1.0, 1.0, "periodic"))
         with pytest.warns(UserWarning, match="delta"):
             plans = [make_plan(dec, beta, 100) for beta in (0.5, 24.9999975)]
         psi = np.full(8, 8**-0.5)
         (alone,) = run_rows(plans[:1], psi)
-        steps, real = [], engine_mod._Chain.ratios
-        monkeypatch.setattr(engine_mod._Chain, "ratios",
+        steps, real = [], kernels_mod._Chain.ratios
+        monkeypatch.setattr(kernels_mod._Chain, "ratios",
                             lambda chain, record, *out: steps.append(len(record)) or real(chain, record, *out))
         survivor, extinct = run_rows(plans, psi)
         assert steps == [1, 100]
@@ -1255,6 +1272,7 @@ class TestRun:
 
     def test_a_one_row_run_stops_at_its_extinct_measurement(self, monkeypatch):
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
 
         dec = decompose_ising_local(IsingParams(3, 1.0, 0.7, "periodic"))
         plan = make_plan(dec, 1.0, 60, "A", "faithful")
@@ -1263,10 +1281,11 @@ class TestRun:
         exact = ledger.exact
         j = int(np.argmin(exact[:len(exact) // 2]))  # all earlier measurements are above it
         assert j > 0
-        monkeypatch.setattr(engine_mod, "EXTINCTION_P", exact[j])
+        for module in (engine_mod, kernels_mod):  # both layers read it
+            monkeypatch.setattr(module, "EXTINCTION_P", exact[j])
         calls = []
-        real = engine_mod._Chain.step
-        monkeypatch.setattr(engine_mod._Chain, "step",
+        real = kernels_mod._Chain.step
+        monkeypatch.setattr(kernels_mod._Chain, "step",
                             lambda *args: calls.append(1) or real(*args))
         with pytest.raises(ExtinctionError) as err:
             run(plan, psi)

@@ -264,6 +264,7 @@ class TestRunExperiment:
         # traces once, at its end, and no Trotter step trips the extinction
         # check, which would read that step's ratios
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
         import sbqs.experiment as experiment_mod
 
         calls, kept, trajectories = Counter(), [], []
@@ -284,10 +285,10 @@ class TestRunExperiment:
         for name in ("step_strategy_a", "step_strategy_b", "_measure"):
             monkeypatch.setattr(engine_mod, name, counting(name, getattr(engine_mod, name),
                                                            lambda res: tuple(res)[1:]))
-        monkeypatch.setattr(engine_mod._Chain, "step", counting("step", engine_mod._Chain.step, None))
+        monkeypatch.setattr(kernels_mod._Chain, "step", counting("step", kernels_mod._Chain.step, None))
         # (2, steps, l, rows): the exact and formula probabilities of every measurement
-        monkeypatch.setattr(engine_mod._Chain, "ratios", counting(
-            "ratios", engine_mod._Chain.ratios, lambda res: tuple(res.reshape(2, -1, res.shape[-1]))))
+        monkeypatch.setattr(kernels_mod._Chain, "ratios", counting(
+            "ratios", kernels_mod._Chain.ratios, lambda res: tuple(res.reshape(2, -1, res.shape[-1]))))
         monkeypatch.setattr(experiment_mod, "run_rows", keeping)
         config = validate_config(ising_config(strategy=strategy, mode="faithful", beta_grid=[0.5, 1.0]))
         run_experiment(config)
@@ -481,6 +482,7 @@ class TestRunExperiment:
         # one row of a real batch falls below the extinction level mid-run: it
         # leaves the stack and its row is NaN, the others go on bit for bit
         import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
         import sbqs.experiment as experiment_mod
 
         raw = ising_config(mode="faithful", beta_grid=[0.0, 0.5, 1.0, 1.5], n_steps=60)
@@ -494,7 +496,8 @@ class TestRunExperiment:
         level = (lows[doomed] + min(low for i, low in enumerate(lows) if i != doomed)) / 2
         dies_at = int(np.argmax(alone[doomed].ledger.exact <= level))
         assert 0 < dies_at < len(alone[doomed].ledger.exact) - 1
-        monkeypatch.setattr(engine_mod, "EXTINCTION_P", level)
+        for module in (engine_mod, kernels_mod):  # both layers read it
+            monkeypatch.setattr(module, "EXTINCTION_P", level)
 
         batch = run_rows(plans, setup.psi0)
         assert batch[doomed].final_state is None

@@ -129,6 +129,32 @@ class TestHermitianEig:
         with pytest.raises(NonHermitianError):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_banded_symmetrization_is_h_minus_half_the_drift(self, monkeypatch, dtype):
+        # h - h† in bands of 8 columns, the last one ragged: the matrix
+        # decomposed, one block, is h - (h - h†)/2 formed whole, bit for bit
+        import sbqs.linalg as linalg_mod
+
+        monkeypatch.setattr(linalg_mod, "_BAND", 8)
+        rng = np.random.default_rng(10)
+        h = random_hermitian(rng, 20, scale=1.0)
+        h = (h if dtype is np.complex128 else h.real) + 1e-12 * rng.normal(size=h.shape)
+        vals, vecs = hermitian_eig(h)
+        want_vals, want_vecs = np.linalg.eigh(h - (h - h.conj().T) / 2)
+        assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
+
+    def test_drift_is_the_modulus_of_each_entry(self):
+        # real and imaginary parts of h - h† at 0.8e-10 each: |z| = 1.13e-10
+        # is past HERMITICITY_ATOL though neither part is; at 0.7e-10 each,
+        # |z| = 0.99e-10 is not
+        for part, rejected in ((0.8e-10, True), (0.7e-10, False)):
+            h = np.array([[1.0, part * (1 + 1j)], [0.0, 2.0]])
+            if rejected:
+                with pytest.raises(NonHermitianError, match="by 1.131e-10"):
+                    hermitian_eig(h)
+            else:
+                assert np.allclose(hermitian_eig(h)[0], [1.0, 2.0])
+
     @staticmethod
     def permuted_blocks(rng, sizes, dtype):
         """A Hermitian matrix whose rows and columns split into blocks of the
