@@ -27,7 +27,8 @@ HERMITICITY_ATOL = 1e-10
 
 #: Columns of h - h† per band in :func:`hermitian_eig`: a band's transposed
 #: read walks as many rows of h.  Symmetrizing a real d = 1024 matrix took
-#: 8.4 ms in one band, 8.0 ms in bands of 512 and 5.2 ms in bands of 256.
+#: 8.4 ms in one band, 8.0 ms in bands of 512 and 5.2 ms in bands of 256
+#: (2-vCPU host, one BLAS thread).
 _BAND = 256
 
 
