@@ -21,7 +21,7 @@ from .config import load_config
 from .engine import make_plan, sample_run
 from .errors import CapacityError, ConfigError, ExtinctionError, PlanError
 from .experiment import (
-    CSV_FIELDS, _bounds_report, _model, _pauli, _prepare, emit_csv, emit_svg, run_experiment,
+    CSV_FIELDS, _bounds_report, _energy, _model, _pauli, _prepare, emit_csv, emit_svg, run_experiment,
 )
 from .hamiltonian import densify
 
@@ -110,9 +110,8 @@ def _cmd_sample(config, args) -> int:
           f"({result.successes}/{config.trials})")
     print(f"exact product               = {exact_p:.6g} (binomial sigma {sigma:.3g})")
     print(f"formula product             = {ledger.cumulative('paper-formula'):.6g}")
-    if (average := result.accepted_average) is not None:  # Tr[average H], as a row reads it
-        e = float(np.vdot(average, dec.operator).real) + dec.identity_offset
-        print(f"accepted-state energy       = {e:.6g}")
+    if result.accepted_average is not None:  # as a row reads it
+        print(f"accepted-state energy       = {_energy(dec, result.accepted_average):.6g}")
     return 0
 
 

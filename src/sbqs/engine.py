@@ -40,10 +40,10 @@ Strategy B's A = I - (beta / N) W is diagonal in W's eigenbasis, cached with
 the decomposition (``eigensystem``): its vector rows evolve c = V^dagger psi,
 one elementwise product per Trotter step, and rotate in and out once per
 run.  A vector step costs about its vector operations: its step function is
-bound once per run, the fresh A psi is normalized in place, and its two
-probabilities go into the ledger's columns by scalar index.  Only
-"faithful" needs a density matrix; its first step promotes a
-vector to |psi><psi|.  The rows of a beta sweep differ only in their deltas,
+bound once per run, goes straight to A psi, normalized in place, and stores
+its two probabilities by one flat index each; the run ends in the vector.
+Only "faithful" needs a density matrix; its first step promotes a vector to
+|psi><psi|.  The rows of a beta sweep differ only in their deltas,
 so :func:`run_rows` advances them as one (rows, d, d) stack; every operation
 acts on each row on its own (a batched GEMM is one BLAS call per row), so a
 row comes out bit for bit the same alone or in any stack.  :func:`run` and
@@ -137,15 +137,11 @@ def _sites(sigma) -> int:
     return np.shape(sigma)[-1].bit_length() - 1
 
 
-def _density(psi: np.ndarray) -> np.ndarray:
-    return np.outer(psi, psi.conj())
-
-
 def _as_stack(sigma, *operands) -> np.ndarray:
     """A (rows, d, d) stack in the dtype of ``sigma`` and ``operands``, not
     copied if it is one: a d×d state as one row, a vector as |psi><psi|."""
     sigma = np.asarray(sigma)
-    stack = sigma if sigma.ndim == 3 else (_density(sigma) if sigma.ndim == 1 else sigma)[None]
+    stack = sigma if sigma.ndim == 3 else (np.outer(sigma, sigma.conj()) if sigma.ndim == 1 else sigma)[None]
     return stack.astype(np.result_type(stack, *operands), copy=False)
 
 
@@ -200,39 +196,42 @@ def _chain_step(sigma, terms: list, b_op=None, denom: float = 2.0) -> StepResult
     return _result(np.ndim(sigma), chain.last.leave(chain.state), p, p_formula)
 
 
-def _measure(sigma, b_op, denom: float, mode: str, delta=None,
-             leaks: list[kernels._Kernel] = (), scale=None) -> StepResult:
-    """One measurement with B = I - A: ``b_op``, one d×d matrix or one per
-    row, or ``delta`` times the d×d ``b_op``.  The state takes the wider dtype
-    of ``sigma`` and B: real for real inputs.
-
-    Effective and sampled modes update a 1-D ``sigma`` as a vector, psi <-
-    A psi / |A psi| with probability |A psi|^2 / denom; in these modes that
-    first-order probability can pass 1, and only its exact column is clamped
-    to 1, so that the ledger notes the formula one.  Anything else runs
-    as a (rows, d, d) stack (a faithful vector as |psi><psi|), whose update
-    is A sigma A + sum_k leak_k(sigma), with one ``kernels._leak_kernel`` per
-    term for faithful B-global and none otherwise.  Both probabilities are
-    traces of that update: the formula probability Tr[A sigma A] / denom is
-    read before the leaks are added, and the probability after, as the
-    trace over ``scale`` (``denom`` if None), so the two are one expression
-    without leaks.  Each row is divided by its trace unless its probability
-    is at or below ``EXTINCTION_P``.  A 1-D ``b_op`` is B's diagonal, as in
-    :func:`step_strategy_b`.
-    """
+def _effective_step(sigma, b_op, denom: float, mode: str, delta=None) -> StepResult:
+    """An effective or sampled step with B as in :func:`_measure`: a state vector
+    goes straight to psi <- A psi / |A psi|, with probability |A psi|^2 / denom,
+    which can pass 1 at first order (only its exact column is clamped, so the
+    ledger notes the formula one); anything else runs through :func:`_measure`."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    sigma = np.asarray(sigma)
+    sigma, b_op = np.asarray(sigma), np.asarray(b_op)
+    if sigma.ndim != 1:
+        return _measure(sigma, b_op, denom, mode, delta)
+    b_psi = b_op * sigma if b_op.ndim == 1 else b_op @ sigma
+    out = sigma - (b_psi if delta is None else delta * b_psi)
+    norm2 = float(np.vdot(out, out).real)
+    p = norm2 / denom  # first order: above 1 at large delta
+    if p <= EXTINCTION_P:
+        raise ExtinctionError(_extinction(p), p)
+    out *= 1 / math.sqrt(norm2)  # a fresh array
+    return tuple.__new__(StepResult, (out, 1.0 if p > 1.0 else p, p))  # skips a Python-level __new__
+
+
+def _measure(sigma, b_op, denom: float, mode: str, delta=None,
+             leaks: list[kernels._Kernel] = (), scale=None) -> StepResult:
+    """One measurement of a d×d state or a (rows, d, d) stack (a vector as
+    |psi><psi|) with B = I - A: ``b_op``, one d×d matrix or one per row, or
+    ``delta`` times the d×d ``b_op``; a 1-D ``b_op`` is B's diagonal.  The
+    state takes the wider dtype of ``sigma`` and B: real for real inputs.
+
+    The update is A sigma A + sum_k leak_k(sigma), with one
+    ``kernels._leak_kernel`` per term for faithful B-global and none
+    otherwise.  Both probabilities are traces of that update: the formula
+    probability Tr[A sigma A] / denom is read before the leaks are added,
+    and the probability after, as the trace over ``scale`` (``denom`` if
+    None), so the two are one expression without leaks.  Each row is
+    divided by its trace unless its probability is at or below ``EXTINCTION_P``.
+    """
     b_op = np.asarray(b_op)
-    if sigma.ndim == 1 and mode != "faithful":
-        b_psi = b_op * sigma if b_op.ndim == 1 else b_op @ sigma
-        out = sigma - (b_psi if delta is None else delta * b_psi)
-        norm2 = float(np.vdot(out, out).real)
-        p = norm2 / denom  # first order: above 1 at large delta
-        if p <= EXTINCTION_P:
-            raise ExtinctionError(_extinction(p), p)
-        out *= 1 / math.sqrt(norm2)  # a fresh array
-        return StepResult(out, min(p, 1.0), p)
     # in the dtype of the result, as the block form writes into its input
     stack = _as_stack(sigma, b_op)
     if b_op.ndim == 1:
@@ -252,7 +251,7 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     if mode != "faithful":
         p = np.minimum(p, 1.0)
     state = raw * (1 / np.where(p > EXTINCTION_P, trace, 1.0))[:, None, None]
-    return _result(sigma.ndim, state, p, p_formula)
+    return _result(np.ndim(sigma), state, p, p_formula)
 
 
 def _global_step(terms: list, n: int, b_op: np.ndarray, denom: float) -> partial:
@@ -288,7 +287,7 @@ def step_strategy_a(
         return _chain_step(sigma, [(term, delta)])
     if rho_emb is None:
         rho_emb = _embed(term, _sites(sigma))
-    return _measure(sigma, rho_emb, 2.0, mode, delta=delta)
+    return _effective_step(sigma, rho_emb, 2.0, mode, delta)
 
 
 def step_strategy_b(
@@ -324,9 +323,9 @@ def step_strategy_b(
             rho_embs = [_embed(t, n_sites) for t, _ in terms]
         b_op = sum((np.multiply.outer(delta, emb) for (_, delta), emb in zip(terms, rho_embs)),
                    np.zeros((2**n_sites,) * 2))
-    denom = float(2 ** len(terms)) if measurement == "local" else float(len(terms) + 1)
+    denom = 2.0 ** len(terms) if measurement == "local" else len(terms) + 1.0
     if mode != "faithful":
-        return _measure(sigma, b_op, denom, mode)
+        return _effective_step(sigma, b_op, denom, mode)
     if measurement == "global" or not terms:  # without terms, either step is sigma itself
         return _global_step(terms, _sites(sigma), b_op, denom)(sigma)
     return _chain_step(sigma, terms, b_op, denom)
@@ -454,9 +453,9 @@ class ProbabilityLedger:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The normalized simulator state after the last Trotter step, plus
-    bookkeeping.  Intermediate states are not kept: the ledger records every
-    post-selection probability along the way.
+    """The normalized simulator state after the last Trotter step (a vector
+    run's unit vector, else a density matrix), plus bookkeeping.  Intermediate
+    states are not kept: the ledger records every post-selection probability.
 
     A row that went extinct in :func:`run_rows` has no final state;
     ``extinction`` says where, ``extinction_probability`` is the probability
@@ -464,7 +463,7 @@ class Trajectory:
     """
 
     plan: TrotterPlan
-    final_state: np.ndarray | None  # a density matrix in every mode
+    final_state: np.ndarray | None
     ledger: ProbabilityLedger
     wall_time_s: float
     extinction: str | None = None
@@ -561,7 +560,8 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
         record = np.zeros((first.n_steps, len(plans), 2 * dec.ell + 1), sigma.dtype)
     suffixes = tuple(suffix for group, _ in measurements for suffix in group)
     exact, formula = columns = np.zeros((2, first.n_steps, len(suffixes), len(plans)))
-    every = 0 if vector else slice(None)  # the rows' probabilities; a vector's are scalars
+    flat_exact, flat_formula = columns.reshape((2, -1) if vector else (2, -1, len(plans)))
+    i = 0  # the next measurement's flat index: a vector's probabilities are scalars, a stack's rows
     lost: dict[int, tuple[int, float]] = {}  # extinct row -> (measurement, probability)
     live = np.ones(len(plans), dtype=bool)
     for step in range(first.n_steps):
@@ -571,10 +571,11 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
             chain.ratios(record[step:step + 1], columns[:, step:step + 1])
         else:
             try:
-                for key, (_, measure) in enumerate(measurements):  # one entry each
-                    sigma, exact[step, key, every], formula[step, key, every] = measure(sigma)
+                for _, measure in measurements:  # one entry each
+                    sigma, flat_exact[i], flat_formula[i] = measure(sigma)
+                    i += 1
             except ExtinctionError as err:  # only a vector step raises
-                lost[0] = (step * len(suffixes) + key, err.probability)
+                lost[0] = (i, err.probability)
                 break
         if vector or not (extinct := exact[step] <= EXTINCTION_P).any():
             continue
@@ -602,7 +603,7 @@ def _advance(plans: list[TrotterPlan], state: np.ndarray, vector: bool) -> list[
         end, p = lost.get(row, (len(exact), None))
         ledger = ProbabilityLedger(exact[:end, row], formula[:end, row], suffixes)
         extinction = None if p is None else f"{_extinction(p)} at step {ledger.step_id(end)}"
-        final = None if extinction else _density(sigma) if vector else sigma[row]
+        final = None if extinction else sigma if vector else sigma[row]
         out.append(Trajectory(plan, final, ledger, wall, extinction, p))
     return out
 
@@ -636,7 +637,7 @@ def run(plan: TrotterPlan, state: np.ndarray) -> Trajectory:
     (``<step>``), and the ledger records each.  Faithful mode, and any
     density-matrix state, runs as the one row of a stack, as in
     :func:`run_rows`, which promotes a vector to |psi><psi|; effective and
-    sampled modes keep a vector a vector.  Extinction raises
+    sampled modes keep a vector a vector, final state included.  Extinction raises
     :class:`ExtinctionError` naming the step id and carrying the
     measurement's probability.  Deterministic: the post-selected branch has
     no randomness, which :func:`sample_run` adds.
@@ -656,7 +657,7 @@ class SampleResult:
     successes: int
     trials: int
     accepted: np.ndarray = field(repr=False)
-    accepted_average: np.ndarray | None
+    accepted_average: np.ndarray | None  # the final state: a vector for a vector run
     trajectory: Trajectory
 
 

@@ -123,9 +123,10 @@ def _vector_fidelity(a: np.ndarray, phi: np.ndarray) -> float:
     return min(max(float(np.vdot(phi, a @ phi).real), 0.0), 1.0)
 
 
-def _bures(f: float) -> float:
-    # 1 - sqrt(f) as (1 - f) / (1 + sqrt(f)): no digits cancel near f = 1
-    return math.sqrt(2.0 * max(0.0, 1.0 - f) / (1.0 + math.sqrt(f)))
+def _bures(f: float, deficit: float | None = None) -> float:
+    # 1 - sqrt(f) as (1 - f) / (1 + sqrt(f)), 1 - f = ``deficit`` if given: no digits cancel near f = 1
+    deficit = max(0.0, 1.0 - f) if deficit is None else deficit
+    return math.sqrt(2.0 * deficit / (1.0 + math.sqrt(f)))
 
 
 def bures_distance(a: np.ndarray, b: np.ndarray) -> float:

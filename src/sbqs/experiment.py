@@ -130,30 +130,41 @@ def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) 
     nan = math.nan
     extinct = ResultRow(beta, nan, nan, nan, nan, nan, None, nan, bound, fid_sm,
                         basis.shape[1])
-    sigma = trajectory.final_state
-    if sigma is None:
+    state = trajectory.final_state
+    if state is None:
         return extinct
     try:
         phi = exact.exact_ite(setup.spectral, setup.psi0, beta)
     except ExtinctionError:
         return extinct
+    if state.ndim == 1:  # a vector row's psi: 1 - F = |psi - phi <phi|psi>|^2 cancels no digits
+        overlap = np.vdot(phi, state)
+        fidelity, f = np.sum(np.abs(dag(basis) @ state) ** 2), float(abs(overlap) ** 2)
+        deficit = float(np.sum(np.abs(state - overlap * phi) ** 2))
+    else:  # the engine's own density matrix sigma: no eigvalsh check per row
+        fidelity, f, deficit = np.vdot(basis, state @ basis).real, exact._vector_fidelity(state, phi), None
     # every metric is O(d^2): the ground projector G G^dagger is never formed
     return ResultRow(
         beta=beta,
         # fidelities clamped into [0, 1] against rounding, as exact.fidelity does
-        fidelity_sbqs_vs_ground=min(max(float(np.vdot(basis, sigma @ basis).real), 0.0), 1.0),
+        fidelity_sbqs_vs_ground=min(max(float(fidelity), 0.0), 1.0),
         fidelity_exact_ite_vs_ground=min(float(np.sum(np.abs(dag(basis) @ phi) ** 2)), 1.0),
-        # sigma is the engine's own density matrix: no eigvalsh check per row
-        bures_sbqs_vs_exact_ite=exact._bures(exact._vector_fidelity(sigma, phi)),
+        bures_sbqs_vs_exact_ite=exact._bures(f, deficit),
         success_prob_formula=trajectory.ledger.cumulative("paper-formula"),
         success_prob_faithful=trajectory.ledger.cumulative("faithful-exact"),
         success_prob_empirical=empirical,
-        # Tr(H sigma) = Tr(W sigma) + offset for the engine's Hermitian sigma
-        energy_sbqs=float(np.vdot(sigma, dec.operator).real) + dec.identity_offset,
+        energy_sbqs=_energy(dec, state),
         bound_eq15=bound,
         fidelity_bound_sm=fid_sm,
         ground_space_dim=basis.shape[1],
     )
+
+
+def _energy(dec: ResourceDecomposition, state: np.ndarray) -> float:
+    """Tr(H sigma) = Tr(W sigma) + offset, as <psi|W psi> + offset for a state vector."""
+    w = dec.operator
+    value = np.vdot(state, w @ state) if state.ndim == 1 else np.vdot(state, w)
+    return float(value.real) + dec.identity_offset
 
 
 def _compute_rows(

@@ -131,6 +131,10 @@ def _checked(rho: np.ndarray) -> np.ndarray:
     return own
 
 
+#: The ising-local XX, X and Z, checked once per process: held, the registry keeps them.
+_ISING_STATES = tuple(map(_checked, (kron(RHO_X, RHO_X), RHO_X, RHO_Z)))
+
+
 @dataclass(frozen=True)
 class ResourceTerm:
     """One weighted density matrix in a Hamiltonian decomposition."""
@@ -279,12 +283,12 @@ def decompose_ising_local(p: IsingParams) -> ResourceDecomposition:
     carries +2J per bond touching the site (+4J in the bulk and on periodic
     chains, +2J on open-chain edges, which is what exact reconstruction
     requires); Z terms carry -2B on |0><0|.  Weights stay signed.  Every
-    term of a kind shares one resource state, checked once.
+    term of a kind shares one resource state, checked once per process.
     """
     bonds = p.bonds()
+    xx, x, z = _ISING_STATES
     terms: list[ResourceTerm] = []
     if p.J != 0.0:
-        xx, x = _checked(kron(RHO_X, RHO_X)), _checked(RHO_X)
         for (i, j) in bonds:
             terms.append(ResourceTerm(-4 * p.J, xx, (i, j), f"xx({i},{j})"))
         bond_count = [0] * p.n
@@ -295,7 +299,6 @@ def decompose_ising_local(p: IsingParams) -> ResourceDecomposition:
             if bond_count[i]:
                 terms.append(ResourceTerm(2 * p.J * bond_count[i], x, (i,), f"x({i})"))
     if p.B != 0.0:
-        z = _checked(RHO_Z)
         for i in range(p.n):
             terms.append(ResourceTerm(-2 * p.B, z, (i,), f"z({i})"))
     offset = -p.J * len(bonds) + p.B * p.n

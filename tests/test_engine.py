@@ -1393,6 +1393,60 @@ class TestVectorPath:
                 )
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("mode", ["effective", "sampled"])
+    def test_vector_steps_are_their_arithmetic(self, mode):
+        # psi - B psi, its squared norm over the denominator and psi scaled by
+        # 1 / |psi - B psi|, written out here: the state and both
+        # probabilities to 1e-15, and mode and measurement still checked
+        rng = np.random.default_rng(160)
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            terms = random_resource_terms(rng, n)
+            psi = random_unit_vector(rng, 2**n)
+            embs = [embed_operator(t.rho, qubit_layout(n), [f"q{s}" for s in t.support])
+                    for t, _ in terms]
+            b_op = sum(delta * emb for (_, delta), emb in zip(terms, embs))
+            diagonal = rng.uniform(-0.2, 0.2, 2**n)
+            cases = [
+                (step_strategy_a(psi, *terms[0], mode=mode), terms[0][1] * embs[0], 2.0),
+                (step_strategy_b(psi, terms, "local", mode), b_op, 2.0 ** len(terms)),
+                (step_strategy_b(psi, terms, "global", mode), b_op, len(terms) + 1.0),
+                (step_strategy_b(psi, terms, "global", mode, b_op=diagonal), np.diag(diagonal),
+                 len(terms) + 1.0),
+            ]
+            for got, b, denom in cases:
+                out = psi - b @ psi
+                norm2 = np.vdot(out, out).real
+                assert isinstance(got, StepResult) and got.state.shape == psi.shape
+                assert np.max(np.abs(got.state - out / np.sqrt(norm2))) <= 1e-15
+                assert abs(got.formula_probability - norm2 / denom) <= 1e-15
+                assert abs(got.probability - min(norm2 / denom, 1.0)) <= 1e-15
+        with pytest.raises(ValueError, match="unknown mode"):
+            step_strategy_a(psi, *terms[0], mode="exact")
+        with pytest.raises(ValueError, match="unknown mode"):
+            step_strategy_b(psi, terms, "global", "exact")
+        with pytest.raises(ValueError, match="measurement must be"):
+            step_strategy_b(psi, terms, "joint", mode)
+
+    def test_a_vector_run_allocates_no_square_array(self):
+        # an effective B-global row at n = 8 ends in its vector, not
+        # |psi><psi|: once W's eigensystem is cached, a run's traced peak stays
+        # below one d x d float array (512 KiB)
+        import tracemalloc
+
+        dec = decompose_ising_local(IsingParams(8, 1.0, 0.7, "periodic"))
+        plan = make_plan(dec, 1.0, 100, "B-global", "effective")
+        psi = np.full(256, 1 / 16)
+        run(plan, psi)
+        tracemalloc.start()
+        try:
+            final = run(plan, psi).final_state
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert final.shape == (256,)
+        assert peak < 256 * 256 * 8
+
     @pytest.mark.parametrize("strategy", ["A", "B-local", "B-global"])
     @pytest.mark.parametrize("mode", ["effective", "sampled"])
     def test_run_matches_density_matrix(self, strategy, mode):
@@ -1401,8 +1455,10 @@ class TestVectorPath:
         psi = np.full(8, 8**-0.5, dtype=complex)
         vec = run(plan, psi)
         mat = run(plan, np.outer(psi, psi.conj()))
-        assert vec.final_state.shape == (8, 8)
-        assert np.max(np.abs(vec.final_state - mat.final_state)) <= 1e-12
+        # a vector run ends in its vector, a density-matrix run in a density matrix
+        assert vec.final_state.shape == (8,) and mat.final_state.shape == (8, 8)
+        assert np.max(np.abs(np.outer(vec.final_state, vec.final_state.conj())
+                             - mat.final_state)) <= 1e-12
         for source in ("faithful-exact", "paper-formula"):
             assert vec.ledger.cumulative(source) == pytest.approx(
                 mat.ledger.cumulative(source), rel=1e-12)
@@ -1429,7 +1485,8 @@ class TestVectorPath:
                 state = res.state
                 want.append((res.probability, res.formula_probability))
             got = run(plan, psi)
-            assert np.max(np.abs(got.final_state - np.outer(state, state.conj()))) <= 1e-12
+            final = got.final_state
+            assert np.max(np.abs(np.outer(final, final.conj()) - np.outer(state, state.conj()))) <= 1e-12
             ledger = np.stack([got.ledger.exact, got.ledger.formula], axis=1)
             assert np.max(np.abs(ledger / np.array(want) - 1.0)) <= 1e-12
 
@@ -1502,7 +1559,8 @@ class TestVectorPath:
         for column in ("exact", "formula"):
             got, want = getattr(vector.ledger, column), getattr(density.ledger, column)
             assert np.max(np.abs(got - want)) <= 1e-12
-        assert np.max(np.abs(vector.final_state - density.final_state)) <= 1e-12
+        psi = vector.final_state
+        assert np.max(np.abs(np.outer(psi, psi.conj()) - density.final_state)) <= 1e-12
 
     def test_run_rejects_vector_off_unit_norm(self):
         plan = make_plan(toy_decomposition(2), 0.1, 2, "A", "effective")
@@ -1544,7 +1602,8 @@ class TestEffectiveFilter:
             traj = run(make_plan(dec, beta, 400, strategy, mode), psi0)
             psi, probabilities = effective_b_closed_form(
                 vals - dec.identity_offset, vecs, psi0, beta / 400, 400, denom)
-            assert np.max(np.abs(traj.final_state - np.outer(psi, psi.conj()))) <= 2e-14
+            got = traj.final_state
+            assert np.max(np.abs(np.outer(got, got.conj()) - np.outer(psi, psi.conj()))) <= 2e-14
             for column in (traj.ledger.exact, traj.ledger.formula):
                 assert np.max(np.abs(column / probabilities - 1.0)) <= 1e-12
             for source in LEDGER_SOURCES:

@@ -213,6 +213,21 @@ class TestIsingLocalDecomposition:
         thawed.setflags(write=True)
         assert ResourceTerm(1.0, thawed, (0, 1), "d").rho is not thawed
 
+    def test_a_second_decomposition_checks_no_state(self, monkeypatch):
+        # XX, X and Z are checked once per process and held, so a sweep's
+        # decomposition checks none of them again and shares the first's arrays
+        import sbqs.hamiltonian as hamiltonian_mod
+
+        params = IsingParams(4, 1.0, 0.5, "open")
+        first = decompose_ising_local(params)
+        calls = []
+        real = hamiltonian_mod.check_density_matrix
+        monkeypatch.setattr(hamiltonian_mod, "check_density_matrix",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        second = decompose_ising_local(params)
+        assert calls == []
+        assert all(a.rho is b.rho for a, b in zip(first.terms, second.terms, strict=True))
+
 
 class TestDensify:
     def test_decomposition_reads_its_cached_operator(self, monkeypatch):

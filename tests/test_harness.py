@@ -686,6 +686,48 @@ class TestRowMetrics:
         self.assert_dense_metrics(row, config, setup, trajectory.final_state, 2)
 
 
+    @pytest.mark.parametrize("strategy, mode", [("A", "effective"), ("B-global", "effective"),
+                                                ("B-global", "sampled")])
+    def test_a_vector_row_reads_as_its_density_matrix(self, strategy, mode):
+        # a vector row's final state is psi: every column read from it equals
+        # the density-matrix reading of |psi><psi| to 1e-12, but the Bures
+        # distance D, which that reading takes from 1 - f with f near 1 and
+        # so only to about 1e-16 / D (D = 1.8e-5 here); the vector's 1 - F
+        # cancels nothing (test below)
+        import sbqs.experiment as experiment_mod
+
+        config, setup = self.chain(4, 0.05)
+        plan = make_plan(setup.decomposition, config.beta_grid[0], config.n_steps, strategy, mode)
+        trajectory, empirical = experiment_mod._vector_run(plan, setup, replace(config, mode=mode), 0)
+        psi = trajectory.final_state
+        assert psi.shape == (16,) and (empirical is None) == (mode == "effective")
+        got = experiment_mod._result_row(setup, trajectory, empirical)
+        want = experiment_mod._result_row(
+            setup, replace(trajectory, final_state=np.outer(psi, psi.conj())), empirical)
+        assert got.ground_space_dim == want.ground_space_dim == 2
+        for name in CSV_FIELDS:
+            if getattr(want, name) is not None:
+                tol = 1e-15 / want.bures_sbqs_vs_exact_ite if name.startswith("bures") else 1e-12
+                assert abs(getattr(got, name) - getattr(want, name)) <= tol, name
+
+    def test_a_vector_row_reads_its_bures_deficit_without_cancellation(self):
+        # psi = cos(t) phi + sin(t) phi_perp at t = 1e-9: 1 - F = sin(t)^2 is
+        # 1e-18, below the rounding of F near 1, where 1 - F read off F is 0;
+        # read as |psi - phi <phi|psi>|^2 the Bures distance is t
+        import sbqs.experiment as experiment_mod
+        from sbqs.exact import exact_ite
+
+        config, setup = self.chain(4, 1e-10)
+        phi = exact_ite(setup.spectral, setup.psi0, config.beta_grid[0])
+        perp = np.random.default_rng(12).normal(size=16)
+        perp -= np.vdot(phi, perp) * phi
+        perp /= np.linalg.norm(perp)
+        theta = 1e-9
+        psi = math.cos(theta) * phi + math.sin(theta) * perp
+        plan = make_plan(setup.decomposition, config.beta_grid[0], config.n_steps, "A", "effective")
+        row = experiment_mod._result_row(setup, Trajectory(plan, psi, ProbabilityLedger(), 0.0), None)
+        assert row.bures_sbqs_vs_exact_ite == pytest.approx(theta, rel=1e-6)
+
     @pytest.mark.parametrize("tol, k", [(1e-10, 1), (0.05, 2)])
     def test_row_metrics_identical_with_the_setup_a_pool_worker_unpickles(self, tol, k):
         # criterion 9 by construction: a pool worker gets the set-up pickled,
