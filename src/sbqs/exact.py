@@ -37,7 +37,7 @@ def ground(h: np.ndarray | tuple[np.ndarray, np.ndarray]) -> SpectralData:
     (eigenvalues, eigenvectors), whose arrays the result then shares, with a
     deterministic phase convention (largest-magnitude amplitude made real positive)."""
     vals, vecs = h if isinstance(h, tuple) else hermitian_eig(h)
-    v = vecs[:, 0].copy()
+    v = vecs[:, 0]
     k = int(np.argmax(np.abs(v)))
     phase = v[k] / abs(v[k])
     v = v * phase.conjugate()
@@ -108,7 +108,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if b.ndim == 1:
         check_unit_vector(b)
-        return _vector_fidelity(a, b)
+        return _vector_fidelity(a, b)[0]
     check_density_matrix(b, trace_atol=1e-8)
     if any(abs(float(np.vdot(m, m).real) - 1.0) <= 1e-12 for m in (a, b)):
         f = float(np.vdot(a, b).real)  # Tr ab = sum_ij conj(a_ij) b_ij, a Hermitian
@@ -117,22 +117,26 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def _vector_fidelity(a: np.ndarray, phi: np.ndarray) -> float:
-    """<phi|a|phi> clamped into [0, 1], unchecked: :func:`fidelity` checks
-    both arguments first, a sweep's rows pass states the engine built."""
-    return min(max(float(np.vdot(phi, a @ phi).real), 0.0), 1.0)
+def _vector_fidelity(a: np.ndarray, phi: np.ndarray) -> tuple[float, float]:
+    """F = <phi|a|phi> clamped into [0, 1], and the deficit 1 - F as a's
+    weight off phi, Tr a - <phi|a|phi> clamped at 0, which a's trace, 1 up to
+    rounding, does not enter.  Unchecked: the public functions check both
+    arguments first, a sweep's rows pass states the engine built."""
+    overlap = float(np.vdot(phi, a @ phi).real)
+    return min(max(overlap, 0.0), 1.0), max(float(np.trace(a).real) - overlap, 0.0)
 
 
-def _bures(f: float, deficit: float | None = None) -> float:
-    # 1 - sqrt(f) as (1 - f) / (1 + sqrt(f)), 1 - f = ``deficit`` if given: no digits cancel near f = 1
-    deficit = max(0.0, 1.0 - f) if deficit is None else deficit
+def _bures(f: float, deficit: float) -> float:
+    # 1 - sqrt(f) as (1 - f) / (1 + sqrt(f)), 1 - f read as ``deficit``: no digits cancel near f = 1
     return math.sqrt(2.0 * deficit / (1.0 + math.sqrt(f)))
 
 
 def bures_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Bures distance in the D^2 = 2(1 - sqrt(F)) convention; ``b`` may be a
-    state vector, as in :func:`fidelity`."""
-    return _bures(fidelity(a, b))
+    state vector, as in :func:`fidelity`, against which 1 - F is read as a's
+    weight off it (:func:`_vector_fidelity`)."""
+    f = fidelity(a, b)  # checks both
+    return _bures(*_vector_fidelity(a, b)) if np.ndim(b) == 1 else _bures(f, 1.0 - f)
 
 
 def energy(h: np.ndarray, rho: np.ndarray) -> float:

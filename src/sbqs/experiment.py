@@ -142,7 +142,7 @@ def _result_row(setup: _Setup, trajectory: Trajectory, empirical: float | None) 
         fidelity, f = np.sum(np.abs(dag(basis) @ state) ** 2), float(abs(overlap) ** 2)
         deficit = float(np.sum(np.abs(state - overlap * phi) ** 2))
     else:  # the engine's own density matrix sigma: no eigvalsh check per row
-        fidelity, f, deficit = np.vdot(basis, state @ basis).real, exact._vector_fidelity(state, phi), None
+        fidelity, (f, deficit) = np.vdot(basis, state @ basis).real, exact._vector_fidelity(state, phi)
     # every metric is O(d^2): the ground projector G G^dagger is never formed
     return ResultRow(
         beta=beta,

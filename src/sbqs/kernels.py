@@ -16,7 +16,8 @@ A faithful strategy-A or B-local run merges consecutive terms into windows
 (:func:`_windows`), each no wider than the widest matrix-form term, and
 composes each window's kernels into one matrix per row (:class:`_Window`).
 The kernels act blockwise, so every term's traces are read off Tr_rest sigma
-at the window's start, through the product of the kernels before it.  The
+at the window's start, the sum of its diagonal rest blocks, through the
+product of the kernels before it.  The
 kernels also map X^dagger to K(X)^dagger, and sigma is Hermitian, so the
 stack stays flat as the Hermitian half stack in the layout of the last
 window applied (:func:`_stored`): the rest blocks X_ab with a <= b, the
@@ -25,13 +26,14 @@ from the half stack before each window to its own, reading each entry as
 itself or as its mirror, conjugated in a complex stack (:func:`_map`).  A
 run's :class:`_Chain` steps a whole Trotter step per call, as a list of
 numpy calls it binds once to the buffers it owns: a window is one take into
-its spare stack, one product that reads its terms' traces off the diagonal
-blocks of the rest (or their sum) and one batched GEMM into its state
-stack.  Within a Trotter step the stack is not normalized: term k's raw
-trace q_k is relative to the step's start, and 1/q is folded into K at the
-step's last window and at least every 21 terms, so that no live trace
-underflows; the fold also tells whether a p of the step may be extinct.
-The run keeps the raw traces and
+its spare stack, one product of its diagonal rest blocks, end to end, with
+its functional tiled over them, which writes its terms' traces straight into
+the step's, and one batched GEMM into its state stack.  Within a Trotter
+step the stack is not normalized: term k's raw trace q_k is relative to the
+step's start, and 1/q is folded into K at the step's last window and at
+least every 21 terms, so that no live trace underflows: one compare of q
+with two bars, which also tells whether a p of the step may be extinct, and
+one divide of the window's matrix by q.  The run keeps the raw traces and
 divides them once, term k's over q_{k-1}, at its end.  The stack enters the
 chain once and goes back to the canonical layout once, the only maps
 between the canonical and a half stack, so a final state is Hermitian bit
@@ -150,6 +152,20 @@ def _gather(flat: np.ndarray, index: np.ndarray, mirrored: np.ndarray,
     return out
 
 
+@lru_cache(maxsize=64)
+def _parts(data: bytes, dtype: str, s: int) -> tuple[np.ndarray, ...]:
+    """The four d_S^2 x d_S^2 parts of a matrix-form kernel of the s x s state
+    with these bytes: I, rho ⊗ I + I ⊗ rho^T, vec(rho) vec(I)^T and rho ⊗ rho^T,
+    transposed, cached read-only, as the terms of a model share few states."""
+    rho = np.frombuffer(data, dtype).reshape(s, s)
+    eye = np.eye(s)
+    parts = (np.eye(s * s), kron(rho.T, eye) + kron(eye, rho),
+             np.outer(eye.ravel(), rho.ravel()), kron(rho.T, rho))
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
 class _Kernel:
     """X -> c0 X + c1 (rho X + X rho) + c2 rho Tr X + c3 rho X rho on every
     d_S x d_S block X of a (rows, d, d) stack that its support qubits index,
@@ -173,12 +189,9 @@ class _Kernel:
         self.n, self.rho, self.support, self.source = n, rho, support, None
         # coefficients shaped (rows, 1, 1); None drops a term
         self.coefs = [None if c is None else np.reshape(c, (-1, 1, 1)) for c in coefs]
-        s = len(rho)
         self.matrix = None
         if len(support) <= _MATRIX_QUBITS:
-            eye = np.eye(s)
-            parts = (np.eye(s * s), kron(rho.T, eye) + kron(eye, rho),
-                     np.outer(eye.ravel(), rho.ravel()), kron(rho.T, rho))
+            parts = _parts(rho.tobytes(), rho.dtype.str, len(rho))
             self.matrix = sum(c * m for c, m in zip(self.coefs, parts) if c is not None)
 
     @cached_property
@@ -355,17 +368,21 @@ class _Chain:
     layout the one before leaves, the first from the last one's, into a
     prefix of one spare buffer, and writing a prefix of one state buffer, the
     last window's ``state``: a stack enters and leaves it through ``last``,
-    the only maps between the canonical and a half stack.  Term k's
-    unnormalized formula and exact traces go into columns 2k and 2k + 1 of
-    ``part``, (rows, r, 2l), one row per diagonal block of the rest.  K is
-    scaled by 1/q at the step's last window and at each window ending after
-    ``_FOLD_EVERY`` terms, where ``part``'s columns since the fold before are
-    summed into the step's raw traces ``sums``, q in column ``folds``.  Every
-    p < 1, so no p of a strategy-A fold whose q reaches ``bar`` = 2
-    ``EXTINCTION_P`` is extinct, nor that of a B-local step whose F folds'
-    q each reach its F-th root.  B-local's, with ``local`` = (B, weights),
-    first reads its formula probability into column 0 through a functional
-    on the last window's half stack, off-diagonal blocks counted twice."""
+    the only maps between the canonical and a half stack.  A window's
+    functional is tiled over its r diagonal rest blocks, which lead its half
+    stack, so one product reads term k's unnormalized formula and exact
+    traces of Tr_rest sigma straight into columns 2k + 1 and 2k + 2 of the
+    step's raw traces ``sums``.  K is scaled by 1/q at the step's last window
+    and at each window ending after ``_FOLD_EVERY`` terms, q in column
+    ``folds``: one compare with the two bars and one divide of the window's
+    matrix (of 1 by q in the block form, whose ``apply`` scales), where q
+    reaches the smallest normal; a row short of it keeps its last, finite
+    K/q.  Every p < 1, so no p of a strategy-A fold whose q reaches ``bar``
+    = 2 ``EXTINCTION_P`` is extinct, nor that of a B-local step whose F
+    folds' q each reach its F-th root.  B-local's, with ``local`` = (B,
+    weights), first reads its formula probability into column 0 through a
+    functional on the last window's half stack, off-diagonal blocks counted
+    twice."""
 
     def __init__(self, terms: list[tuple[ResourceTerm, object]], n: int, stack: np.ndarray,
                  local: tuple | None = None):
@@ -381,8 +398,6 @@ class _Chain:
         views = [[buf[:rows * w.index.size].reshape(rows, -1) for buf in (spare, state)]
                  for w in self.windows]
         self.state = views[-1][1]
-        most = 2 ** (n - min(len(w.support) for w in self.windows))  # rest blocks of the widest rest
-        self.part = np.zeros((rows, most, 2 * len(terms)), dtype)
         self.sums = np.zeros((rows, 2 * len(terms) + 1), dtype)
         self.folds = [2 * g[-1] + 2 for g in groups
                       if g is groups[-1] or (g[-1] + 1) % _FOLD_EVERY == 0]
@@ -391,7 +406,7 @@ class _Chain:
         # per fold and row, whether q reaches (the smallest normal, bar): 1/q is safe, no p is extinct
         flags = np.empty((len(self.folds), rows, 2), dtype=bool)
         bounds = np.tile([sys.float_info.min, bar], (rows, 1))
-        self.bar, self.safe, inv = bounds[:, 1], flags[..., 1], np.empty(rows)
+        self.bar, self.safe = bounds[:, 1], flags[..., 1]
 
         def bind(f, *args, **kwargs):
             self.calls.append(partial(f, *args, **kwargs))
@@ -403,35 +418,33 @@ class _Chain:
             bind(np.matmul, self.state[:, None], functional, read)
             bind(np.multiply, read[:, 0].real, local[1], weighed)
             bind(np.add.reduce, weighed, -1, None, self.sums[:, 0].real)
-        start = 0
         for (x, y), (_, source), g, window in zip(views, views[-1:] + views, groups, self.windows):
             r, s2, end = 2 ** (n - len(window.support)), 4 ** len(window.support), 2 * g[-1] + 2
-            vecs = x.reshape(rows, -1, s2)  # vec(X) of each rest block
-            part = self.part[:, :r, 2 * g[0]:end]
+            diagonal = x[:, :r * s2, None]  # the diagonal blocks' vec(X), end to end, as a column
+            sums = self.sums[:, 2 * g[0] + 1:end + 1, None]
             bind(source.take, window.index, 1, x, "wrap")
             if dtype.kind == "c":
                 bind(np.conjugate, x, x, where=window.mirrored)
             if window.matrix is None:  # read through the probe and the weights
-                probed = np.empty((rows, r, 3), np.result_type(x, window.probe))
-                bind(np.matmul, vecs[:, :r], window.probe, probed)
-                bind(np.matmul, probed, window.weights, part)
-            else:
-                bind(np.matmul, vecs[:, :r], window.functional, part)
+                probed = np.empty((rows, 3, 1), np.result_type(x, window.probe))
+                bind(np.matmul, np.tile(window.probe.T, r), diagonal, probed)
+                bind(np.matmul, window.weights.transpose(0, 2, 1), probed, sums)
+            else:  # the functional's rows, each tiled r times: contiguous rows for the GEMV
+                bind(np.matmul, np.tile(window.functional.transpose(0, 2, 1), r), diagonal, sums)
             scale, matrix = None, window.matrix
             if end in self.folds:  # q is below the smallest normal only if extinct
                 q, flag = self.sums[:, end].real, flags[self.folds.index(end)]
-                bind(np.add.reduce, self.part[..., start:end], 1, None, self.sums[:, start + 1:end + 1])
                 bind(np.greater_equal, q[:, None], bounds, flag)
-                bind(inv.fill, 1.0)
-                bind(np.reciprocal, q, inv, where=flag[:, 0])
-                scale, start = inv, end
-                if matrix is not None:
-                    matrix = np.empty(np.broadcast_shapes(matrix.shape, (rows, 1, 1)), matrix.dtype)
-                    bind(np.multiply, window.matrix, inv[:, None, None], matrix)
+                if matrix is None:
+                    scale = np.ones(rows)
+                    bind(np.divide, 1.0, q, scale, where=flag[:, 0])
+                else:  # K until a row's first 1/q
+                    matrix = np.array(np.broadcast_to(matrix, (rows, *matrix.shape[1:])))
+                    bind(np.divide, window.matrix, q[:, None, None], matrix, where=flag[:, :1, None])
             if matrix is None:
                 bind(window.apply, x, scale, y)
             else:
-                bind(np.matmul, vecs, matrix, y.reshape(rows, -1, s2))
+                bind(np.matmul, x.reshape(rows, -1, s2), matrix, y.reshape(rows, -1, s2))
         self.after = [0, *(fold // 2 for fold in self.folds[:-1])]  # terms with q_{k-1} = 1
 
     def step(self, traces: np.ndarray) -> bool:

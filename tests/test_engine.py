@@ -549,6 +549,35 @@ class TestSupportKernel:
         run_rows(plans, np.full(8, 8**-0.5))
         assert [args[0] for args in leaks] == list(dec.terms)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_kernels_of_one_state_share_its_read_only_parts(self, dtype):
+        # a matrix-form kernel sums its coefficients times four parts of its
+        # state, cached per process: two swap kernels and a leak kernel of one
+        # state on different supports build them once, read-only, and each
+        # kernel's matrix is bit for bit the sum over a fresh build
+        import sbqs.kernels as kernels_mod
+        from sbqs.linalg import kron
+
+        rng = np.random.default_rng(75)
+        rho = random_density(rng, 4)
+        rho = rho.real if dtype is float else rho
+        deltas = np.array([0.01, -0.03, 0.05])
+        terms = [ResourceTerm(1.0, rho, (0, 2), "a"), ResourceTerm(1.0, rho.copy(), (3, 1), "b")]
+        kernels_mod._parts.cache_clear()
+        built = [kernels_mod._swap_kernel(t, 4, deltas) for t in terms]
+        built.append(kernels_mod._leak_kernel(terms[0], 4, deltas))
+        info = kernels_mod._parts.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        parts = kernels_mod._parts(rho.tobytes(), rho.dtype.str, 4)
+        eye = np.eye(4)
+        fresh = (np.eye(16), kron(rho.T, eye) + kron(eye, rho), np.outer(eye.ravel(), rho.ravel()),
+                 kron(rho.T, rho))
+        for part, want in zip(parts, fresh):
+            assert not part.flags.writeable and np.array_equal(part, want)
+        for kernel in built:
+            want = sum(c * m for c, m in zip(kernel.coefs, fresh) if c is not None)
+            assert kernel.matrix.dtype == dtype and np.array_equal(kernel.matrix, want)
+
     @staticmethod
     def chain_only(monkeypatch, strategy):
         """Two faithful rows of the periodic n = 4 chain, 50 steps, run again
@@ -1031,6 +1060,84 @@ class TestChain:
         (t,) = run_rows([plan], np.array([0.6, 0.8]))
         assert t.extinction.endswith(" at step 1") and len(t.ledger.exact) == 0
         assert t.extinction_probability == pytest.approx(0.25**42, rel=1e-12)
+
+    @staticmethod
+    def fig2_left_chain(psi):
+        """fig2_left's 9-row chain (n = 4, N = 400) with ``psi`` entered."""
+        import sbqs.kernels as kernels_mod
+
+        dec = decompose_ising_local(IsingParams(4, 1.0, 5.0, "periodic"))
+        deltas = np.array([make_plan(dec, beta, 400).deltas for beta in np.linspace(0.0, 2.0, 9)]).T
+        stack = np.repeat(np.outer(psi, psi.conj())[None], 9, axis=0)
+        chain = kernels_mod._Chain(list(zip(dec.terms, deltas)), dec.n, stack)
+        chain.last.enter(stack, out=chain.state)
+        return dec, chain
+
+    def test_a_windows_traces_are_its_per_block_products_summed(self):
+        # a window reads its terms' traces of Tr_rest sigma in one product of
+        # its r diagonal blocks, end to end, with its functional tiled over
+        # them: after one step they must equal the products of each diagonal
+        # block with the functional, summed over the blocks, read off the half
+        # stack each window gathers
+        import sbqs.kernels as kernels_mod
+
+        psi = random_unit_vector(np.random.default_rng(150), 16).real
+        dec, chain = self.fig2_left_chain(psi / np.linalg.norm(psi))
+        gathered = []
+        for call in chain.calls:  # one step, with each window's gathered half stack kept
+            call()
+            if call.func.__name__ == "take":
+                gathered.append(call.args[2].copy())
+        want = np.zeros_like(chain.sums)
+        windows = kernels_mod._windows(list(dec.terms))
+        assert len(gathered) == len(windows) == len(chain.windows) == 8
+        for x, g, window in zip(gathered, windows, chain.windows):
+            r, s2 = 2 ** (dec.n - len(window.support)), 4 ** len(window.support)
+            blocks = x.reshape(9, -1, s2)[:, :r] @ window.functional
+            want[:, 2 * g[0] + 1:2 * g[-1] + 3] = blocks.sum(axis=1)
+        traces = chain.sums[:, 1:]
+        assert np.max(np.abs(traces - want[:, 1:]) / np.abs(want[:, 1:])) <= 1e-15
+
+    def test_a_strategy_a_fold_is_one_compare_and_one_divide(self):
+        # fig2_left's step: 8 windows of a take, a trace product and a GEMM,
+        # and at its one fold a compare with the two bars and one divide of
+        # the window's matrix by q, with no reduce, fill or reciprocal
+        dec, chain = self.fig2_left_chain(np.full(16, 0.25))
+        names = [call.func.__name__ for call in chain.calls]
+        assert dec.ell <= 21 and len(chain.folds) == 1
+        assert len(names) == 3 * 8 + 2
+        assert Counter(names) == {"take": 8, "matmul": 16, "greater_equal": 1, "divide": 1}
+
+    def test_a_row_zeroed_in_extinct3s_stack_raises_no_float_error(self, monkeypatch):
+        # extinct3's stack over 5 Trotter steps: the row at delta = 1 - 1e-7
+        # dies at its x(0) term in the first, and from then on its q is 0, so
+        # each fold's divide skips it and it keeps its last, finite K/q.
+        # With every float error raised, its zeroed row stays finite, and the
+        # other rows are bit for bit themselves run alone and in chunks
+        import sbqs.kernels as kernels_mod
+
+        dec = decompose_ising_local(IsingParams(3, 1.0, 1.0, "periodic"))
+        with pytest.warns(UserWarning, match="delta"):
+            plans = [make_plan(dec, beta, 5) for beta in (0.0, 0.025, 0.05, 1.249999875)]
+        assert 1 - max(plans[3].deltas) == pytest.approx(1e-7, rel=1e-8)
+        psi = np.full(8, 8**-0.5)
+        doomed, real = [], kernels_mod._Chain.step
+        monkeypatch.setattr(kernels_mod._Chain, "step", lambda chain, traces: (
+            real(chain, traces), doomed.append(chain.state[-1].copy()))[0])
+        with np.errstate(all="raise"):
+            full = run_rows(plans, psi)
+            assert len(doomed) == 5 and np.isfinite(doomed).all() and not np.any(doomed[1:])
+            assert full[3].final_state is None and full[3].extinction.endswith(" at step 1.4")
+            for chunk in ([0], [2], [1, 2], [2, 0, 1], [0, 3], [3, 1]):
+                for row, t in zip(chunk, run_rows([plans[i] for i in chunk], psi)):
+                    if row == 3:
+                        assert t.extinction == full[3].extinction
+                        assert np.array_equal(t.ledger.exact, full[3].ledger.exact)
+                        continue
+                    assert t.extinction is None
+                    assert np.array_equal(t.final_state, full[row].final_state)
+                    assert np.array_equal(t.ledger.exact, full[row].ledger.exact)
+                    assert np.array_equal(t.ledger.formula, full[row].ledger.formula)
 
     def test_a_step_allocates_nothing_the_size_of_a_map(self):
         # a chain's step replays numpy calls bound once to its buffers: the

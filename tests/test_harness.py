@@ -728,6 +728,27 @@ class TestRowMetrics:
         row = experiment_mod._result_row(setup, Trajectory(plan, psi, ProbabilityLedger(), 0.0), None)
         assert row.bures_sbqs_vs_exact_ite == pytest.approx(theta, rel=1e-6)
 
+    def test_a_density_row_reads_its_bures_deficit_as_its_weight_off_phi(self):
+        # sigma = (1 - e) phi phi^dagger + e chi chi^dagger, chi orthogonal to
+        # phi, and sigma + 1e-13 phi phi^dagger, whose trace is off 1 by
+        # 1e-13: a faithful row reads 1 - F as Tr sigma - <phi|sigma|phi> = e
+        # for both, where 1 - <phi|sigma|phi> moved by 1e-13 (5e-10 of D)
+        import sbqs.experiment as experiment_mod
+        from sbqs.exact import exact_ite
+
+        config, setup = self.chain(4, 1e-10)
+        phi = exact_ite(setup.spectral, setup.psi0, config.beta_grid[0])
+        perp = np.random.default_rng(13).normal(size=16)
+        perp -= np.vdot(phi, perp) * phi
+        perp /= np.linalg.norm(perp)
+        e = 1e-4
+        sigma = (1 - e) * np.outer(phi, phi) + e * np.outer(perp, perp)
+        plan = make_plan(setup.decomposition, config.beta_grid[0], config.n_steps)
+        want = math.sqrt(2 * e / (1 + math.sqrt(1 - e)))
+        for state in (sigma, sigma + 1e-13 * np.outer(phi, phi)):
+            row = experiment_mod._result_row(setup, Trajectory(plan, state, ProbabilityLedger(), 0.0), None)
+            assert row.bures_sbqs_vs_exact_ite == pytest.approx(want, rel=1e-11)
+
     @pytest.mark.parametrize("tol, k", [(1e-10, 1), (0.05, 2)])
     def test_row_metrics_identical_with_the_setup_a_pool_worker_unpickles(self, tol, k):
         # criterion 9 by construction: a pool worker gets the set-up pickled,
