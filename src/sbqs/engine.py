@@ -29,9 +29,9 @@ layer in :mod:`sbqs.kernels`: a faithful strategy-A or B-local run steps one
 and a public faithful strategy-A or B-local step is a one-step chain.
 B-local keeps one ledger entry per Trotter step, the product of its terms'
 probabilities.  Faithful B-global forms the dense A sigma A of W plus each
-term's leak delta^2 (rho ⊗ Tr_S sigma - rho sigma rho) and reads both
-probabilities as traces of that update, before and after the leaks, in one
-step a run builds once with its leak kernels (:func:`_global_step`).
+term's leak delta^2 (rho ⊗ Tr_S sigma - rho sigma rho), summed on a half
+stack, and reads both probabilities as traces of that update, before and
+after the leaks, in one step a run builds once (:func:`_global_step`).
 
 A sigma A maps a pure state to a pure state, so effective and sampled rows
 evolve a state vector, psi <- A psi / |A psi|, one matrix-vector product per
@@ -155,12 +155,6 @@ def _extinction(p: float) -> str:
     return f"post-selection probability {p:.3e}"
 
 
-def _check_probability(p: float) -> float:
-    if p <= EXTINCTION_P:
-        raise ExtinctionError(_extinction(p), p)
-    return p
-
-
 class StepResult(NamedTuple):
     """The normalized state after one measurement and its probabilities.
     For a stack of states, ``probability`` and ``formula_probability`` are
@@ -179,7 +173,9 @@ def _result(ndim: int, state: np.ndarray, p: np.ndarray, p_formula: np.ndarray) 
     p = np.where(p > 1.0 + 1e-12, p, np.minimum(p, 1.0))
     if ndim == 3:
         return StepResult(state, p, p_formula)
-    return StepResult(state[0], _check_probability(float(p[0])), float(p_formula[0]))
+    if p[0] <= EXTINCTION_P:
+        raise ExtinctionError(_extinction(float(p[0])), float(p[0]))
+    return StepResult(state[0], float(p[0]), float(p_formula[0]))
 
 
 def _chain_step(sigma, terms: list, b_op=None, denom: float = 2.0) -> StepResult:
@@ -221,19 +217,19 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     """One measurement of a d×d state or a (rows, d, d) stack (a vector as
     |psi><psi|) with B = I - A: ``b_op``, one d×d matrix or one per row, or
     ``delta`` times the d×d ``b_op``; a 1-D ``b_op`` is B's diagonal.  The
-    state takes the wider dtype of ``sigma`` and B: real for real inputs.
+    state takes the widest dtype of ``sigma``, B and the leaks' rho.
 
-    The update is A sigma A + sum_k leak_k(sigma), with one
-    ``kernels._leak_kernel`` per term for faithful B-global and none
-    otherwise.  Both probabilities are traces of that update: the formula
-    probability Tr[A sigma A] / denom is read before the leaks are added,
-    and the probability after, as the trace over ``scale`` (``denom`` if
-    None), so the two are one expression without leaks.  Each row is
-    divided by its trace unless its probability is at or below ``EXTINCTION_P``.
+    The update is A sigma A, plus for faithful B-global the
+    ``kernels._leak_sum`` of one ``kernels._leak_kernel`` per term.  Both
+    probabilities are traces of that update: the formula probability Tr[A
+    sigma A] / denom before the leaks are added, and the probability after,
+    as the trace over ``scale`` (``denom`` if None), so the two are one
+    expression without leaks.  Each row is divided by its trace unless its
+    probability is at or below ``EXTINCTION_P``.
     """
     b_op = np.asarray(b_op)
-    # in the dtype of the result, as the block form writes into its input
-    stack = _as_stack(sigma, b_op)
+    # in the dtype of the result, which the leaks add into
+    stack = _as_stack(sigma, b_op, *(leak.rho for leak in leaks))
     if b_op.ndim == 1:
         b_op = np.diag(b_op)
     if delta is not None:
@@ -244,20 +240,22 @@ def _measure(sigma, b_op, denom: float, mode: str, delta=None,
     raw = np.subtract(stack, sb, out=sb)
     raw -= b_op @ raw
     p_formula = _trace(raw) / denom
-    for leak in leaks:
-        raw += leak(stack)
+    if leaks:
+        raw = kernels._leak_sum(leaks, stack, raw)
     trace = _trace(raw)
     p = trace / (denom if scale is None else scale)
     if mode != "faithful":
         p = np.minimum(p, 1.0)
-    state = raw * (1 / np.where(p > EXTINCTION_P, trace, 1.0))[:, None, None]
-    return _result(np.ndim(sigma), state, p, p_formula)
+    raw *= (1 / np.where(p > EXTINCTION_P, trace, 1.0))[:, None, None]
+    return _result(np.ndim(sigma), raw, p, p_formula)
 
 
 def _global_step(terms: list, n: int, b_op: np.ndarray, denom: float) -> partial:
-    """Faithful B-global's step: :func:`_measure` with B = ``b_op``, one
-    ``kernels._leak_kernel`` per term and the scale ``denom`` prod_i (1 + delta_i^2)."""
-    leaks = [kernels._leak_kernel(term, n, delta) for term, delta in terms]
+    """Faithful B-global's step: :func:`_measure` with B = ``b_op``, one leak
+    kernel per term, each bound to the last one's half stack, and the scale
+    ``denom`` prod_i (1 + delta_i^2)."""
+    leaks = [kernels._leak_kernel(term, n, delta, terms[-1][0].support) for term, delta in terms[:-1]]
+    leaks += [kernels._leak_kernel(term, n, delta) for term, delta in terms[-1:]]
     scale = math.prod((1 + np.square(delta) for _, delta in terms), start=denom)
     return partial(_measure, b_op=b_op, denom=denom, mode="faithful", leaks=leaks, scale=scale)
 

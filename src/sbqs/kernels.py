@@ -17,29 +17,25 @@ A faithful strategy-A or B-local run merges consecutive terms into windows
 composes each window's kernels into one matrix per row (:class:`_Window`).
 The kernels act blockwise, so every term's traces are read off Tr_rest sigma
 at the window's start, the sum of its diagonal rest blocks, through the
-product of the kernels before it.  The
-kernels also map X^dagger to K(X)^dagger, and sigma is Hermitian, so the
-stack stays flat as the Hermitian half stack in the layout of the last
-window applied (:func:`_stored`): the rest blocks X_ab with a <= b, the
-diagonal ones first, r (r + 1) / 2 of the r^2.  An intp index map leads
-from the half stack before each window to its own, reading each entry as
-itself or as its mirror, conjugated in a complex stack (:func:`_map`).  A
-run's :class:`_Chain` steps a whole Trotter step per call, as a list of
-numpy calls it binds once to the buffers it owns: a window is one take into
-its spare stack, one product of its diagonal rest blocks, end to end, with
-its functional tiled over them, which writes its terms' traces straight into
-the step's, and one batched GEMM into its state stack.  Within a Trotter
-step the stack is not normalized: term k's raw trace q_k is relative to the
-step's start, and 1/q is folded into K at the step's last window and at
-least every 21 terms, so that no live trace underflows: one compare of q
-with two bars, which also tells whether a p of the step may be extinct, and
-one divide of the window's matrix by q.  The run keeps the raw traces and
-divides them once, term k's over q_{k-1}, at its end.  The stack enters the
-chain once and goes back to the canonical layout once, the only maps
-between the canonical and a half stack, so a final state is Hermitian bit
-for bit.  A B-local chain reads its formula probability through a functional
-of W folded onto the half stack (:func:`_formula_functional`).  Faithful
-B-global's leak kernels (:func:`_leak_kernel`) map the full canonical stack.
+product of the kernels before it.  They also map X^dagger to K(X)^dagger,
+and sigma is Hermitian, so a stack stays flat as the Hermitian half stack of
+a support (:func:`_stored`): the rest blocks X_ab with a <= b, the diagonal
+ones first, r (r + 1) / 2 of the r^2.  An intp index map leads from one
+half stack to another, reading each entry as itself or as its mirror,
+conjugated in a complex stack (:func:`_map`).  A run's :class:`_Chain`
+steps a whole Trotter step per call, as numpy calls it binds once to the
+buffers it owns: a window is one take into its spare stack, one product of
+its diagonal rest blocks, end to end, with its functional tiled over them,
+which writes its terms' traces straight into the step's, and one batched
+GEMM into its state stack.  Within a Trotter step the stack is not
+normalized: 1/q is folded into K at the step's last window and at least
+every 21 terms, and the run divides its raw traces once, at its end.  The
+stack enters the chain once and leaves it once, so a final state is
+Hermitian bit for bit.  A B-local chain reads its formula probability
+through a functional of W folded onto the half stack
+(:func:`_formula_functional`).  Faithful B-global sums its leak kernels on
+the last one's half stack, through maps bound once per run, and that sum
+leaves once per step (:func:`_leak_sum`).
 This module does not import :mod:`sbqs.engine`, which builds and steps these.
 """
 
@@ -180,9 +176,7 @@ class _Kernel:
     of c0 I + c1 (rho ⊗ I + I ⊗ rho^T) + c2 vec(rho) vec(I)^T + c3 rho ⊗
     rho^T: one batched GEMM, one BLAS call per row, so a row comes out bit
     for bit the same in any stack.  Past ``_MATRIX_QUBITS`` qubits it is
-    applied as block products, on any set of blocks.  Called on a canonical
-    (rows, d, d) stack (faithful B-global's leak kernels), it maps the full
-    stack, all r^2 blocks.
+    applied as block products, on any set of blocks.
     """
 
     def __init__(self, rho: np.ndarray, support: tuple[int, ...], n: int, coefs):
@@ -202,16 +196,21 @@ class _Kernel:
         index, self.mirrored = _map(self.source, self.support, self.n)
         return index
 
+    @cached_property
+    def home(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The maps from the canonical layout to this half stack and back."""
+        return _map(None, self.support, self.n), _map(self.support, None, self.n)
+
     def enter(self, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A canonical (rows, d, d) stack, as this kernel's flat half stack."""
-        return _gather(stack.reshape(len(stack), -1), *_map(None, self.support, self.n), out)
+        return _gather(stack.reshape(len(stack), -1), *self.home[0], out)
 
-    def leave(self, flat: np.ndarray) -> np.ndarray:
+    def leave(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A flat half stack in this kernel's layout, as a canonical (rows, d,
-        d) stack: an entry and its mirror read one number, so it is Hermitian
-        bit for bit."""
+        d) stack, into ``out`` if given: an entry and its mirror read one
+        number, so it is Hermitian bit for bit."""
         d = 2**self.n
-        out = _gather(flat, *_map(self.support, None, self.n))
+        out = _gather(flat, *self.home[1], out)
         if out.dtype.kind == "c":  # a diagonal entry is its own mirror: its imaginary part is rounding
             out[:, :: d + 1].imag = 0.0
         return out.reshape(len(flat), d, d)
@@ -267,18 +266,6 @@ class _Kernel:
         return out
 
     @cached_property
-    def full(self) -> tuple[np.ndarray, np.ndarray]:
-        """The maps to this kernel's full layout (:func:`_layout`) and back."""
-        order = _layout(self.support, self.n)
-        return order, _inverse(order)
-
-    def __call__(self, sigma: np.ndarray) -> np.ndarray:
-        """The map on a canonical (rows, d, d) stack, through the full layout."""
-        order, home = self.full
-        flat = self.apply(sigma.reshape(len(sigma), -1).take(order, axis=1))
-        return flat.take(home, axis=1).reshape(sigma.shape)
-
-    @cached_property
     def probe(self) -> np.ndarray:
         """(d_S^2, 3): Tr X, Tr rho X and Tr rho^2 X of a row-major vec(X), as
         Tr(M X) = vec(M^T) . vec(X) and rho^T = conj(rho); shared by the rows."""
@@ -311,11 +298,26 @@ def _swap_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
     return kernel
 
 
-def _leak_kernel(term: ResourceTerm, n: int, delta) -> _Kernel:
+def _leak_kernel(term: ResourceTerm, n: int, delta, source=None) -> _Kernel:
     """sigma -> delta^2 (rho ⊗ Tr_S sigma - rho sigma rho): what faithful mode
-    has in place of one term's delta^2 rho sigma rho of B sigma B."""
+    has in place of one term's delta^2 rho sigma rho of B sigma B.  ``maps``,
+    bound here, lead from ``source``'s half stack and back (``home`` for None)."""
     d2 = np.square(delta)
-    return _Kernel(term.rho, term.support, n, (None, None, d2, -d2))
+    kernel = _Kernel(term.rho, term.support, n, (None, None, d2, -d2))
+    kernel.maps = kernel.home if source is None else (_map(source, term.support, n), _map(term.support, source, n))
+    return kernel
+
+
+def _leak_sum(leaks: list[_Kernel], stack: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """``start`` plus every leak of the canonical (rows, d, d) ``stack``, on the
+    last leak's half stack: sigma and ``start`` enter it, each other leak maps
+    its own from sigma's and its output back, and the sum leaves into ``start``."""
+    *rest, last = leaks
+    sigma, total = last.enter(stack), last.enter(start)
+    for leak in rest:
+        total += _gather(leak.apply(_gather(sigma, *leak.maps[0])), *leak.maps[1])
+    total += last.apply(sigma)  # last, as the block form overwrites sigma
+    return last.leave(total, start.reshape(len(start), -1))
 
 
 def _windows(terms: list[ResourceTerm]) -> list[list[int]]:

@@ -8,6 +8,8 @@ library's state-vector reference is checked against and that tests of mixed
 states use.  ``effective_b_closed_form`` is effective strategy B in closed
 form, in log space, from a given spectrum.  ``faithful_transfer`` runs a
 faithful row of any strategy by dense transfer matrices, with no engine code.
+``faithful_invariants`` checks a faithful row where no transfer matrix
+reaches (n = 8-10) against the effective row of the same plan.
 """
 
 from __future__ import annotations
@@ -168,6 +170,43 @@ def faithful_transfer(plan, psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             v = v / p
             ledger.append((p, p_formula))
     return v.reshape(d, d), np.array(ledger)
+
+
+def faithful_invariants(faithful, effective) -> tuple[float, float]:
+    """Check what a faithful row must satisfy against the effective row of
+    its plan (strategy A's for B-local, whose chain is strategy A's), and
+    return its infidelity 1 - <psi_E|sigma_F|psi_E> and that bound.
+
+    A faithful measurement's unnormalized output is [E(sigma) + L(sigma)] /
+    (denom c), with E(sigma) = A sigma A the effective update, a completely
+    positive leak L of trace sum_i delta_i^2 (1 - Tr rho_i^2 sigma), and c
+    = 1 + delta^2 per strategy-A term or prod_i (1 + delta_i^2) per B-global
+    step.  So per entry 0 <= p_exact c - p_formula <= sum_i delta_i^2 /
+    denom (to 1e-13), and the faithful row's unnormalized state is at least
+    the effective one's over the product of all c: 1 - <psi_E|sigma_F|psi_E>
+    <= 1 - exp(log P_E - log P_F - N sum_i log(1 + delta_i^2)).  The final
+    sigma_F must be Hermitian bit for bit, of unit trace and positive
+    semidefinite, both to 1e-12.
+    """
+    plan, ledger = faithful.plan, faithful.ledger
+    d2 = np.square(plan.deltas)
+    if plan.strategy != "B-local":
+        if plan.strategy == "A":
+            c, leak = np.tile(1 + d2, plan.n_steps), np.tile(d2, plan.n_steps) / 2
+        else:
+            c, leak = np.prod(1 + d2), np.sum(d2) / (len(d2) + 1)
+        excess = ledger.exact * c - ledger.formula
+        assert excess.min() >= -1e-13, f"p_exact c below p_formula by {-excess.min():.3e}"
+        assert np.max(excess - leak) <= 1e-13, f"a leak above delta^2 by {np.max(excess - leak):.3e}"
+    sigma, psi = faithful.final_state, effective.final_state
+    assert np.array_equal(sigma, sigma.conj().T), "final state not Hermitian bit for bit"
+    assert abs(np.trace(sigma).real - 1) <= 1e-12, f"final trace {np.trace(sigma).real!r}"
+    assert np.linalg.eigvalsh(sigma)[0] >= -1e-12, "final state not positive semidefinite"
+    infidelity = 1 - (psi.conj() @ sigma @ psi).real
+    bound = -math.expm1(effective.ledger.log_cumulative() - ledger.log_cumulative()
+                        - plan.n_steps * np.sum(np.log1p(d2)))
+    assert infidelity <= bound, f"infidelity {infidelity:.6g} above its bound {bound:.6g}"
+    return infidelity, bound
 
 
 def control_state(delta: float) -> np.ndarray:

@@ -43,6 +43,7 @@ from oracles import (
     cswap_unitary,
     deferred_cswap_state,
     effective_b_closed_form,
+    faithful_invariants,
     faithful_transfer,
     random_density,
     random_pure_density,
@@ -339,6 +340,24 @@ class TestStepB:
                     assert np.allclose(real.ledger.probabilities(source),
                                        cplx.ledger.probabilities(source), rtol=1e-14, atol=0)
 
+    def test_faithful_global_takes_the_dtype_of_its_complex_resources(self):
+        # rho = |+i><+i| and |-i><-i| on one site, with one delta, sum to the
+        # real B = delta I: a float sigma and that float B give a complex
+        # state, as B-local does, equal to the step with B cast to complex
+        rng = np.random.default_rng(16)
+        g = rng.normal(size=(4, 4))
+        sigma, delta = g @ g.T / np.trace(g @ g.T), 0.07
+        plus_i = np.array([1.0, 1j]) / math.sqrt(2)
+        terms = [(ResourceTerm(1.0, np.outer(v, v.conj()), (1,), label), delta)
+                 for v, label in ((plus_i, "+i"), (plus_i.conj(), "-i"))]
+        b_real = delta * np.eye(4)
+        real = step_strategy_b(sigma, terms, "global", "faithful", b_op=b_real)
+        cplx = step_strategy_b(sigma, terms, "global", "faithful", b_op=b_real.astype(complex))
+        assert real.state.dtype == np.complex128
+        assert np.max(np.abs(real.state - cplx.state)) <= 1e-15
+        assert real.probability == pytest.approx(cplx.probability, rel=1e-15)
+        assert real.formula_probability == pytest.approx(cplx.formula_probability, rel=1e-15)
+
     @pytest.mark.parametrize("measurement", ["global", "local"])
     def test_faithful_matches_kraus_composition(self, measurement):
         # random terms on n <= 2 qubits with overlapping supports and resources
@@ -456,7 +475,8 @@ class TestSupportKernel:
                                                                      abs=1e-14)
 
     def test_matrix_and_block_products_agree(self, monkeypatch):
-        # every term of the kernel map, with per-row coefficients, in both forms
+        # every term of the kernel map, with per-row coefficients, in both
+        # forms, on the Hermitian half stack: entered, applied and left
         import sbqs.kernels as kernels_mod
 
         rng = np.random.default_rng(50)
@@ -471,8 +491,8 @@ class TestSupportKernel:
         emb = embed_operator(rho, qubit_layout(n), [f"q{s}" for s in support])
         want = [c0 * s + c1 * (emb @ s + s @ emb) + c2 * replaced_support(s, rho, support, n)
                 + c3 * emb @ s @ emb for s, c0, c1, c2, c3 in zip(stack, *coefs)]
-        assert np.max(np.abs(matrix(stack) - want)) <= 1e-14
-        assert np.max(np.abs(blocks(stack) - want)) <= 1e-14
+        for kernel in (matrix, blocks):
+            assert np.max(np.abs(kernel.leave(kernel.apply(kernel.enter(stack))) - want)) <= 1e-14
 
     def test_a_layout_map_stays_inside_its_source_and_reads_every_entry(self, monkeypatch):
         # a kernel's map from the half stack of the window before: corrupted
@@ -801,13 +821,15 @@ class TestChain:
         for trajectory, plan in zip(run_rows(plans, psi), plans):
             self.assert_matches(trajectory, faithful_transfer(plan, psi))
 
-    @pytest.mark.parametrize("strategy", ["A", "B-local"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("model", ["fig2_left", "pauli_y4", "random"])
     def test_a_final_state_is_hermitian_bit_for_bit(self, model, strategy):
         # the half stack holds each entry or its mirror, and the way back to
         # the canonical layout reads an entry and its mirror off one number:
-        # the real fig2_left chain, the complex pauli_y4 model in the block
-        # form and a random model whose complex resources take the matrix form
+        # the real fig2_left chain, the complex pauli_y4 model (bglobal_y4's)
+        # in the block form and a random model whose complex resources take
+        # the matrix form.  B-global's leaks are summed on the half stack
+        # with its A sigma A, which leaves it once per Trotter step
         if model == "fig2_left":
             dec = decompose_ising_local(IsingParams(4, 1.0, 5.0, "periodic"))
             betas, n_steps = np.linspace(0.0, 2.0, 9), 400
@@ -818,6 +840,60 @@ class TestChain:
         psi = np.full(2**dec.n, 2 ** (-dec.n / 2))
         for t in run_rows([make_plan(dec, beta, n_steps, strategy) for beta in betas], psi):
             assert np.array_equal(t.final_state, t.final_state.conj().T)
+
+    def test_a_b_global_runs_map_lookups_do_not_grow_with_its_steps(self):
+        # the run binds its leaks' maps when it builds its step, once
+        import sbqs.kernels as kernels_mod
+
+        dec = decompose_ising_local(IsingParams(4, 1.0, 0.7, "periodic"))
+        lookups = []
+        for n_steps in (5, 10):
+            before = kernels_mod._map.cache_info()
+            run_rows([make_plan(dec, beta, n_steps, "B-global") for beta in (0.05, 0.1)],
+                     np.full(16, 0.25))
+            after = kernels_mod._map.cache_info()
+            lookups.append(after.hits + after.misses - before.hits - before.misses)
+        assert lookups[0] == lookups[1] > 0
+
+    def test_a_b_global_step_builds_no_layout(self, monkeypatch):
+        # with every map built by the run, no Trotter step of it calls _layout
+        import sbqs.engine as engine_mod
+        import sbqs.kernels as kernels_mod
+
+        stepping, layouts = [], []
+        real_layout, real_measure = kernels_mod._layout, engine_mod._measure
+
+        def layout(*args):
+            layouts.append(bool(stepping))
+            return real_layout(*args)
+
+        def measure(*args, **kwargs):
+            stepping.append(True)
+            try:
+                return real_measure(*args, **kwargs)
+            finally:
+                stepping.pop()
+
+        monkeypatch.setattr(kernels_mod, "_layout", layout)
+        monkeypatch.setattr(engine_mod, "_measure", measure)
+        kernels_mod._map.cache_clear()  # the run builds its maps
+        dec = decompose_ising_local(IsingParams(4, 1.0, 0.7, "periodic"))
+        run_rows([make_plan(dec, beta, 5, "B-global") for beta in (0.05, 0.1)], np.full(16, 0.25))
+        assert layouts and not any(layouts)
+
+    def test_faithful_runs_at_n8_keep_their_invariants(self):
+        # where no transfer matrix reaches: the periodic n = 8 chain with
+        # every |delta| <= 0.1, each faithful row against its effective row
+        # (strategy A's for B-local), through oracles.faithful_invariants
+        dec = decompose_ising_local(IsingParams(8, 1.0, 1.0, "periodic"))
+        psi = np.full(256, 1 / 16)
+        for strategy, n_steps, betas in (("A", 80, (0.5, 2.0)), ("B-local", 80, (0.5, 2.0)),
+                                         ("B-global", 20, (0.25, 0.5))):
+            rows = run_rows([make_plan(dec, beta, n_steps, strategy) for beta in betas], psi)
+            for row in rows:
+                plan = replace(row.plan, strategy="A" if strategy == "B-local" else strategy,
+                               mode="effective")
+                faithful_invariants(row, run(plan, psi))
 
     def test_a_row_extinct_mid_chain_leaves_the_others_on_the_reference(self, monkeypatch):
         # the doomed row dies inside a Trotter step, with its stack in a

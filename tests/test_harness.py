@@ -1158,13 +1158,15 @@ def _assert_reproduces(out_dir: Path, reference: Path) -> None:
             assert abs(x - y) <= 1e-10 * max(1.0, abs(y)), (golden.name, g, w)
 
 
-@pytest.mark.parametrize("name", ["fig2_left", "fig2_right", "chain8"])
+@pytest.mark.parametrize("name", ["fig2_left", "fig2_right", "chain8", "bglobal8", "bglobal_y4"])
 def test_committed_goldens_reproduce(tmp_path, name):
-    """A fresh run reproduces every committed output file (all are faithful
-    strategy A; chain8 is the n = 8 periodic chain, whose 24-term Trotter
-    steps fold after term 21, on r = 64 half-stack maps)."""
+    """A fresh run reproduces every committed output file: faithful strategy
+    A (chain8 is the n = 8 periodic chain, whose 24-term Trotter steps fold
+    after term 21, on r = 64 half-stack maps) and faithful B-global (the same
+    chain's 24 leaks summed on a half stack, and the complex pauli_y4 model's,
+    whose full-register leaks take the block form)."""
     goldens = _ROOT / "out" / name
-    config = _ROOT / ("tests/data" if name == "chain8" else "configs") / f"{name}.json"
+    config = _ROOT / ("configs" if name.startswith("fig2") else "tests/data") / f"{name}.json"
     argv = ["run", str(config), "--out", str(tmp_path)]
     assert main(argv + (["--svg"] if any(p.suffix == ".svg" for p in goldens.iterdir()) else [])) == 0
     _assert_reproduces(tmp_path, goldens)
