@@ -25,10 +25,10 @@ DEFAULT_DIM_CAP = 4096
 #: Tolerance below which a matrix counts as Hermitian (max-abs entry of m - m†).
 HERMITICITY_ATOL = 1e-10
 
-#: Columns of h - h† per band in :func:`hermitian_eig`: a band's transposed
-#: read walks as many rows of h.  Symmetrizing a real d = 1024 matrix took
-#: 8.4 ms in one band, 8.0 ms in bands of 512 and 5.2 ms in bands of 256
-#: (2-vCPU host, one BLAS thread).
+#: Columns of h - h† per band in :func:`_drift`, which holds one band at a
+#: time: a band's transposed read walks as many rows of h.  Checking a real
+#: d = 1024 matrix took 15.1 ms in one band, 12.4 ms in bands of 512 and
+#: 5.1 ms in bands of 256 (2-vCPU host, one BLAS thread).
 _BAND = 256
 
 
@@ -151,12 +151,37 @@ def _components(linked: np.ndarray) -> np.ndarray:
             label = jumped
 
 
+def _drift(h: np.ndarray, dtype: np.dtype) -> float:
+    """The largest modulus of an entry of h - h†, NaN if one is NaN.  h - h†
+    is formed in ``dtype`` one band of ``_BAND`` columns at a time, into one
+    band-sized scratch and with no other temporary, and of each band only its
+    largest entry is kept."""
+    d = len(h)
+    band = np.empty((d, min(d, _BAND)), dtype)
+    drift = 0.0
+    for j in range(0, d, _BAND):
+        # h† is read into the scratch, not conjugated into a temporary
+        diff = np.conjugate(h[j:j + _BAND].T, out=band[:, :d - j])
+        np.subtract(h[:, j:j + _BAND], diff, out=diff)
+        # the largest real or imaginary part m of an entry bounds its modulus,
+        # m <= |z| <= sqrt(2) m: |h - h†| itself is formed only if m cannot decide
+        parts = diff.view(diff.real.dtype)
+        m = max(parts.max(), -parts.min())
+        if dtype.kind == "c" and not 1.5 * m <= HERMITICITY_ATOL:
+            m = np.max(np.abs(diff))
+        drift = np.maximum(drift, m)  # NaN-propagating, unlike max
+    return drift
+
+
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, one ``eigh`` per decoupled
     block.
 
     The input is symmetrized as (h + h†)/2 before decomposition; deviations
     beyond ``HERMITICITY_ATOL`` raise instead of being silently averaged away.
+    The check holds one band of h - h† at a time (:func:`_drift`), and an
+    exactly Hermitian input, as every W this package builds is, is decomposed
+    as it is: (h + h†)/2 is h then, bit for bit, and no d x d copy is made.
     The blocks are the connected components of the graph of the nonzero
     entries below the diagonal of the symmetrized matrix, the triangle that
     ``eigh`` reads, so the split is exact: every entry it reads between two
@@ -170,23 +195,19 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     d = len(h)
-    # h - h† once, for the check, then turned in place into h - (h - h†)/2:
-    # that is (h + h†)/2, and h itself, bit for bit, when h is exactly
-    # Hermitian; an integer h gets a float difference, halved in place
-    sym = np.empty(h.shape, np.result_type(h, 0.5))
-    for j in range(0, d, _BAND):
-        np.subtract(h[:, j:j + _BAND], dag(h[j:j + _BAND]), out=sym[:, j:j + _BAND], dtype=sym.dtype)
-    # the largest real or imaginary part m of an entry bounds its modulus,
-    # m <= |z| <= sqrt(2) m: |h - h†| itself is formed only if m cannot decide
-    parts = sym.view(sym.real.dtype)
-    drift = max(parts.max(), -parts.min()) if h.size else 0.0
-    if sym.dtype.kind == "c" and not 1.5 * drift <= HERMITICITY_ATOL:
-        drift = np.max(np.abs(sym))
+    dtype = np.result_type(h, 0.5)  # an integer h gets a float difference
+    drift = _drift(h, dtype)
     if drift > HERMITICITY_ATOL:
         raise NonHermitianError(
             f"matrix deviates from Hermitian by {drift:.3e} > {HERMITICITY_ATOL:.0e}")
-    sym *= -0.5
-    sym += h
+    # (h + h†)/2 as h - (h - h†)/2, which is h itself, bit for bit, when h is
+    # exactly Hermitian: then h is decomposed as it is, with no copy of it
+    if drift:
+        sym = np.subtract(h, dag(h), dtype=dtype)
+        sym *= -0.5
+        sym += h
+    else:
+        sym = h.astype(dtype, copy=False)
 
     # vertices ordered by their block's size, then by block, then by index
     label = _components(sym != 0)

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbqs.config import load_config
 from sbqs.engine import (
+    DELTA_WARN,
     LEDGER_SOURCES,
     MODES,
     STRATEGIES,
@@ -880,6 +883,23 @@ class TestChain:
         dec = decompose_ising_local(IsingParams(4, 1.0, 0.7, "periodic"))
         run_rows([make_plan(dec, beta, 5, "B-global") for beta in (0.05, 0.1)], np.full(16, 0.25))
         assert layouts and not any(layouts)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(5, 7), boundary=st.sampled_from(["open", "periodic"]),
+           J=st.floats(-2.0, 2.0).filter(lambda x: abs(x) >= 0.1),
+           B=st.floats(-2.0, 2.0).filter(lambda x: abs(x) >= 0.1),
+           n_steps=st.integers(2, 4), share=st.floats(0.1, 0.95))
+    def test_small_local_chains_keep_their_faithful_invariants(self, n, boundary, J, B, n_steps, share):
+        # random local models at n = 5-7, a few Trotter steps of each faithful
+        # strategy, every |delta| below make_plan's warning, against the
+        # effective row of its plan (strategy A's for B-local)
+        dec = decompose_ising_local(IsingParams(n, J, B, boundary))
+        beta = share * DELTA_WARN * n_steps / max(abs(term.weight) for term in dec.terms)
+        psi = np.full(2**n, 2 ** (-n / 2))
+        for strategy in ("A", "B-local", "B-global"):
+            (row,) = run_rows([make_plan(dec, beta, n_steps, strategy)], psi)
+            plan = replace(row.plan, strategy="A" if strategy == "B-local" else strategy, mode="effective")
+            faithful_invariants(row, run(plan, psi))
 
     def test_faithful_runs_at_n8_keep_their_invariants(self):
         # where no transfer matrix reaches: the periodic n = 8 chain with

@@ -1172,6 +1172,41 @@ def test_committed_goldens_reproduce(tmp_path, name):
     _assert_reproduces(tmp_path, goldens)
 
 
+@pytest.mark.parametrize("path", sorted([*(_ROOT / "configs").glob("*.json"), *(_ROOT / "tests/data").glob("*.json")]),
+                         ids=lambda p: p.stem)
+def test_every_committed_config_builds_an_exactly_hermitian_w(path):
+    """W is Hermitian bit for bit, so ``hermitian_eig`` decomposes it as it
+    is, with no symmetrized copy, in every sweep these configs run."""
+    w = _model(load_config(path))[0].operator
+    assert np.array_equal(w, w.conj().T)
+
+
+def test_a_sweeps_set_up_holds_no_copy_of_w():
+    """The set-up of the n = 8 periodic chain peaks below what it must hold
+    at once: W, its eigenvectors, W's two gathered parity blocks and one band
+    of the Hermiticity check, plus d² bytes for the graph of W's nonzeros and
+    the O(d) arrays.  A symmetrized d x d copy of W held through the eigh
+    (1.91 MiB traced, against 1.41 MiB without it) is past that bound."""
+    import tracemalloc
+
+    import sbqs.experiment as experiment_mod
+    import sbqs.linalg as linalg_mod
+
+    config = validate_config(ising_config(model={**ISING, "n": 8}, strategy="B-global"))
+    setup = experiment_mod._prepare(config)
+    tracemalloc.start()
+    try:
+        experiment_mod._prepare(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    w, vecs = setup.decomposition.operator, setup.decomposition.eigensystem[1]
+    d = len(w)
+    blocks = 2 * (d // 2) ** 2 * w.itemsize
+    band = d * min(d, linalg_mod._BAND) * w.itemsize
+    assert peak < w.nbytes + vecs.nbytes + blocks + band + d * d
+
+
 def test_benchmark_scan_calls_still_run():
     """perfbench/scan.py, loaded by path as it stands, calls the step
     functions with the names and keywords it was written against (``kraus=``,

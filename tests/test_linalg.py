@@ -143,6 +143,38 @@ class TestHermitianEig:
         want_vals, want_vecs = np.linalg.eigh(h - (h - h.conj().T) / 2)
         assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_an_exactly_hermitian_input_is_decomposed_with_no_copy(self, dtype):
+        # the periodic n = 8 chain's W at d = 256, two parity blocks of 128,
+        # and in complex W + iK, K antisymmetric on W's own entries: the traced
+        # peak stays below the output, the gathered blocks and one band of
+        # h - h†, so no d x d copy of h is held through eigh
+        import tracemalloc
+
+        import sbqs.linalg as linalg_mod
+
+        w = decompose_ising_local(IsingParams(8, 1.0, 1.0, "periodic")).operator
+        upper = np.triu(w, 1)
+        h = w if dtype is np.float64 else w + 1j * (upper - upper.T)
+        assert h.dtype == dtype and np.array_equal(h, h.conj().T)
+        d = len(h)
+        hermitian_eig(h)
+        tracemalloc.start()
+        try:
+            vals, vecs = hermitian_eig(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gathered = 2 * (d // 2) ** 2 * h.itemsize
+        band = d * min(d, linalg_mod._BAND) * h.itemsize
+        assert peak < vals.nbytes + vecs.nbytes + gathered + band
+
+    def test_an_integer_symmetric_input_gets_float_eigenvectors(self):
+        h = np.array([[2, 1, 0], [1, 2, 0], [0, 0, 5]])
+        vals, vecs = hermitian_eig(h)
+        assert vals.dtype == vecs.dtype == np.float64
+        assert np.allclose(vals, [1.0, 3.0, 5.0]) and np.allclose((vecs * vals) @ vecs.T, h)
+
     def test_drift_is_the_modulus_of_each_entry(self):
         # real and imaginary parts of h - h† at 0.8e-10 each: |z| = 1.13e-10
         # is past HERMITICITY_ATOL though neither part is; at 0.7e-10 each,
